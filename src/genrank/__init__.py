@@ -8,8 +8,7 @@ certifies Zariski density by reduction modulo primes and replays the
 certificates bytewise.
 """
 
-from .fp import (FpMatrix, FpScalar, ProjectiveMatrix, element_order,
-                 is_prime, projective_canonicalize)
+from .fp import FpMatrix, ProjectiveMatrix, is_prime, projective_canonicalize
 from .groups import (CayleyTableGroup, CyclicPower, GeneratingTuple,
                      GenerationReport, GroupIsomorphism, GroupSpec, Integers,
                      ProductGenerationReport, ProductGroup, ProjSpecialLinear,
@@ -37,8 +36,7 @@ from .arithmetic import (DenominatorClash, DensityCertificate,
                          replay_certificate, serialize_certificate)
 
 __all__ = [
-    "FpMatrix", "FpScalar", "ProjectiveMatrix", "element_order", "is_prime",
-    "projective_canonicalize",
+    "FpMatrix", "ProjectiveMatrix", "is_prime", "projective_canonicalize",
     "CayleyTableGroup", "CyclicPower", "GeneratingTuple", "GenerationReport",
     "GroupIsomorphism", "GroupSpec", "Integers", "ProductGenerationReport",
     "ProductGroup", "ProjSpecialLinear", "SpecialLinear", "SubgroupClosure",

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fp import FpMatrix, is_prime
+from .fp import FpMatrix, is_prime, prime_factors
 from .groups import (GeneratingTuple, SpecialLinear, closure, is_generating,
                      sl2_generation_report)
 from .nielsen import NielsenMove, SearchLimits, is_nielsen_redundant
@@ -41,20 +42,6 @@ def _as_fraction(v) -> Fraction:
     if isinstance(v, str):
         return Fraction(v)
     raise ValueError(f"entries must be rational, got {type(v).__name__}")
-
-
-def _prime_factors(n: int) -> list:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 @dataclass(frozen=True)
@@ -152,7 +139,7 @@ class RationalMatrix:
         out = set()
         for v in self.entries:
             if v.denominator > 1:
-                out.update(_prime_factors(v.denominator))
+                out.update(prime_factors(v.denominator))
         return out
 
     def entry_strings(self) -> tuple:
@@ -294,7 +281,9 @@ class NotCertifiedReport:
 def _generation_evidence(gt: GeneratingTuple, cap: int):
     """Generation verdict plus certificate evidence at one prime.
     Small groups get the exact closure order; larger SL2 reductions get
-    the structural transcript.  Both agree where both apply."""
+    the structural transcript.  Both agree where both apply.  A larger
+    reduction with no structural test is left undecided and counts as
+    not generating, so it never certifies."""
     spec = gt.group
     p = spec.p
     structural = None
@@ -311,9 +300,8 @@ def _generation_evidence(gt: GeneratingTuple, cap: int):
             diagnosis = structural.reason
         return generates, "closure-order", cl.order, None, diagnosis
     if structural is None:
-        raise ValueError(
-            f"sl{spec.n} mod {p} is too large for closure evidence and has no "
-            "structural test")
+        return (False, None, None, None,
+                "undecided: too large for closure evidence")
     return (structural.generates, "fast-test", None, structural.reason,
             structural.reason)
 
@@ -380,25 +368,38 @@ def tuple_from_entry_strings(entries) -> RationalTuple:
 
 
 def deserialize_certificate(s: str):
-    payload = json.loads(s)
-    if payload.get("version") != SCHEMA_VERSION:
-        raise ValueError("unsupported certificate version")
-    config = PlanConfig(
-        exceptional_floor=payload["config"]["exceptional_floor"],
-        max_primes=payload["config"]["max_primes"],
-        closure_evidence_cap=payload["config"]["closure_evidence_cap"])
-    entries = tuple(tuple(e) for e in payload["entries"])
-    per = tuple(PerPrimeRecord(r["prime"], r["generates"], r["diagnosis"])
-                for r in payload["per_prime"])
-    if payload["certified"]:
-        return DensityCertificate(
-            payload["version"], payload["ambient"], entries,
-            payload["fingerprint"], config, payload["witness_prime"],
-            payload["evidence_kind"], payload["closure_order"],
-            payload["fast_test_reason"], payload["caveat"], per)
-    return NotCertifiedReport(payload["version"], payload["ambient"], entries,
-                              payload["fingerprint"], config, payload["caveat"],
-                              per)
+    """Parse a serialized certificate or negative report.  Invalid JSON,
+    missing keys, and values of the wrong type or shape for a replay
+    raise ValueError."""
+    try:
+        payload = json.loads(s)
+        if payload.get("version") != SCHEMA_VERSION:
+            raise ValueError("unsupported certificate version")
+        config = PlanConfig(
+            exceptional_floor=payload["config"]["exceptional_floor"],
+            max_primes=payload["config"]["max_primes"],
+            closure_evidence_cap=payload["config"]["closure_evidence_cap"])
+        entries = tuple(tuple(e) for e in payload["entries"])
+        per = tuple(PerPrimeRecord(r["prime"], r["generates"], r["diagnosis"])
+                    for r in payload["per_prime"])
+        numbers = (config.exceptional_floor, config.max_primes,
+                   config.closure_evidence_cap, *(r.prime for r in per))
+        if not all(type(v) is int for v in numbers):
+            raise ValueError("config values and primes must be integers")
+        if not all(isinstance(v, str) for e in entries for v in e):
+            raise ValueError("entries must be strings")
+        tuple_from_entry_strings(entries)
+        if payload["certified"]:
+            return DensityCertificate(
+                payload["version"], payload["ambient"], entries,
+                payload["fingerprint"], config, payload["witness_prime"],
+                payload["evidence_kind"], payload["closure_order"],
+                payload["fast_test_reason"], payload["caveat"], per)
+        return NotCertifiedReport(payload["version"], payload["ambient"], entries,
+                                  payload["fingerprint"], config, payload["caveat"],
+                                  per)
+    except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed certificate: {type(exc).__name__}: {exc}") from exc
 
 
 def replay_certificate(s: str):
@@ -516,18 +517,5 @@ def assess_nielsen_irredundancy(t: RationalTuple, prime_count: int = 3,
 def apply_move_rational(t: RationalTuple, mv: NielsenMove) -> RationalTuple:
     """The Nielsen move acting on exact rational matrices; reduction
     modulo any usable prime commutes with it."""
-    items = list(t.matrices)
-    n = len(items)
-    if mv.i >= n or (mv.kind in ("L", "R", "S") and mv.j >= n):
-        raise ValueError("move index exceeds tuple length")
-    if mv.kind == "I":
-        items[mv.i] = items[mv.i].inverse()
-    elif mv.kind == "S":
-        items[mv.i], items[mv.j] = items[mv.j], items[mv.i]
-    else:
-        other = items[mv.j] if mv.sign > 0 else items[mv.j].inverse()
-        if mv.kind == "L":
-            items[mv.i] = other * items[mv.i]
-        else:
-            items[mv.i] = items[mv.i] * other
-    return RationalTuple(tuple(items))
+    mv.check_length(len(t.matrices))
+    return RationalTuple(mv.apply(t.matrices, operator.mul, RationalMatrix.inverse))

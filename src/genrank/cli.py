@@ -27,8 +27,8 @@ from fractions import Fraction
 from .arithmetic import (DenominatorClash, PlanConfig, RationalMatrix,
                          RationalTuple, assess_irredundancy,
                          assess_nielsen_irredundancy, certify_density,
-                         DensityCertificate, replay_certificate,
-                         serialize_certificate)
+                         DensityCertificate, deserialize_certificate,
+                         replay_certificate, serialize_certificate)
 from .fp import FpMatrix, ProjectiveMatrix, is_prime, projective_canonicalize
 from .groups import (CayleyTableGroup, CyclicPower, GeneratingTuple, GroupSpec,
                      Integers, ProductGroup, ProjSpecialLinear, SpecialLinear,
@@ -152,14 +152,17 @@ def _stats_payload(stats: dict) -> dict:
 # Input files.
 # ---------------------------------------------------------------------------
 
-def _read_lines(path: str) -> list:
+def _read_text(path: str) -> str:
     try:
         with open(path) as fh:
-            raw = fh.read()
-    except OSError as exc:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}")
+
+
+def _read_lines(path: str) -> list:
     lines = []
-    for line in raw.splitlines():
+    for line in _read_text(path).splitlines():
         line = line.split("#", 1)[0].strip()
         if line:
             lines.append(line)
@@ -314,7 +317,6 @@ def _cmd_rank(args):
         "notes": list(res.notes),
         "stats": _stats_payload(res.stats),
         "seed": args.seed,
-        "threads": args.threads,
     }
     return payload, EXIT_OK if res.exhaustive else EXIT_BUDGET
 
@@ -332,7 +334,6 @@ def _cmd_mu(args):
         "notes": list(res.notes),
         "stats": _stats_payload(res.stats),
         "seed": args.seed,
-        "threads": args.threads,
     }
     return payload, EXIT_OK if res.exhaustive else EXIT_BUDGET
 
@@ -380,8 +381,11 @@ def _cmd_zdemo(args):
 
 def _cmd_certify(args):
     if args.replay:
-        with open(args.input) as fh:
-            stored = fh.read().strip()
+        stored = _read_text(args.input).strip()
+        try:
+            deserialize_certificate(stored)
+        except ValueError as exc:
+            raise DataError(f"{args.input} is not a certificate: {exc}")
         ok, detail = replay_certificate(stored)
         payload = {"command": "certify", "mode": "replay",
                    "match": ok, "detail": detail}
@@ -471,8 +475,6 @@ def _cmd_orbit(args):
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=1,
-                        help="accepted for interface stability; runs sequentially")
     common.add_argument("--node-budget", type=int, default=100_000_000)
     common.add_argument("--time-budget", type=float, default=600.0)
     common.add_argument("--format", choices=("table", "json"), default="table")

@@ -1,5 +1,5 @@
-"""Exact arithmetic over prime fields: scalars, square matrices, and
-projective canonical forms (matrices modulo the center of SL_n).
+"""Exact arithmetic over prime fields: square matrices and projective
+canonical forms (matrices modulo the center of SL_n).
 
 Everything here is immutable, hashable and exact; no floats appear
 anywhere.  Moduli are validated by trial division at construction and
@@ -19,10 +19,10 @@ _known_primes: set[int] = set()
 
 def is_prime(n: int) -> bool:
     """Trial-division primality test, cached for repeat queries."""
-    if n in _known_primes:
-        return True
     if not isinstance(n, int) or n < 2:
         return False
+    if n in _known_primes:
+        return True
     d = 2
     while d * d <= n:
         if n % d == 0:
@@ -32,69 +32,26 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def prime_factors(n: int) -> list:
+    """The distinct primes dividing n, in increasing order."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def check_modulus(p: int) -> None:
     if not is_prime(p):
         raise ValueError(f"modulus {p!r} is not prime")
     if p > MAX_MODULUS:
         raise ValueError(f"modulus {p} exceeds supported bound {MAX_MODULUS}")
-
-
-@dataclass(frozen=True)
-class FpScalar:
-    """A residue in the prime field F_p.  Construction is strict: the
-    value must already lie in [0, p)."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        check_modulus(self.modulus)
-        if not isinstance(self.value, int) or not 0 <= self.value < self.modulus:
-            raise ValueError(f"value {self.value!r} out of range for F_{self.modulus}")
-
-    @classmethod
-    def reduce(cls, value: int, modulus: int) -> "FpScalar":
-        check_modulus(modulus)
-        return cls(value % modulus, modulus)
-
-    def _check(self, other: "FpScalar") -> None:
-        if not isinstance(other, FpScalar):
-            raise TypeError(f"expected FpScalar, got {type(other).__name__}")
-        if other.modulus != self.modulus:
-            raise ValueError(f"modulus mismatch: {self.modulus} vs {other.modulus}")
-
-    def __add__(self, other):
-        self._check(other)
-        return FpScalar((self.value + other.value) % self.modulus, self.modulus)
-
-    def __sub__(self, other):
-        self._check(other)
-        return FpScalar((self.value - other.value) % self.modulus, self.modulus)
-
-    def __mul__(self, other):
-        self._check(other)
-        return FpScalar((self.value * other.value) % self.modulus, self.modulus)
-
-    def __neg__(self):
-        return FpScalar((-self.value) % self.modulus, self.modulus)
-
-    def __truediv__(self, other):
-        self._check(other)
-        return self * other.inverse()
-
-    def __pow__(self, k: int):
-        return FpScalar(pow(self.value, k, self.modulus), self.modulus)
-
-    def inverse(self) -> "FpScalar":
-        if self.value == 0:
-            raise ZeroDivisionError(f"0 has no inverse in F_{self.modulus}")
-        return FpScalar(pow(self.value, self.modulus - 2, self.modulus), self.modulus)
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def __repr__(self):
-        return f"{self.value} (mod {self.modulus})"
 
 
 @lru_cache(maxsize=None)
@@ -167,9 +124,6 @@ class FpMatrix:
     def __getitem__(self, ij) -> int:
         i, j = ij
         return self.entries[i * self.dim + j]
-
-    def scalar(self, i: int, j: int) -> FpScalar:
-        return FpScalar(self[i, j], self.modulus)
 
     def _check(self, other: "FpMatrix") -> None:
         if not isinstance(other, FpMatrix):
@@ -355,17 +309,3 @@ def projective_canonicalize(m: FpMatrix) -> ProjectiveMatrix:
     if m.det() != 1:
         raise ValueError("projective canonicalization expects determinant 1")
     return ProjectiveMatrix(canonical_rep(m))
-
-
-def element_order(a, order_cap: int) -> int:
-    """Multiplicative order of a matrix (plain or projective) by repeated
-    multiplication.  Exceeding order_cap signals an internal inconsistency
-    and raises."""
-    acc = a
-    k = 1
-    while not acc.is_identity():
-        acc = acc * a
-        k += 1
-        if k > order_cap:
-            raise RuntimeError(f"order cap {order_cap} exceeded; inconsistent input")
-    return k

@@ -307,7 +307,8 @@ class Integers(GroupSpec):
             raise ValueError("expected an integer")
 
     def encode(self, x) -> bytes:
-        return struct.pack("<q", x)
+        # minimal two's-complement bytes: exact and injective for every int
+        return x.to_bytes(x.bit_length() // 8 + 1, "little", signed=True)
 
     def random_element(self, rng):
         return rng.randint(-10 ** 6, 10 ** 6)

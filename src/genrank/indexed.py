@@ -212,10 +212,6 @@ class IndexedGroup:
             frontier = new
         return visited, count, False, found
 
-    def closure_indices(self, gens) -> frozenset:
-        mask, _, _, _ = self.closure_mask(gens)
-        return frozenset(int(i) for i in np.flatnonzero(mask))
-
     def generates(self, gens) -> bool:
         key = tuple(sorted(set(gens)))
         hit = self._gen_cache.get(key)

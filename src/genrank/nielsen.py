@@ -25,10 +25,11 @@ import itertools
 import time
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 from .groups import GeneratingTuple, GroupSpec, Integers, CyclicPower, is_generating
 from .indexed import MAX_INDEXED_ORDER, IndexedGroup
-from .redundancy import (RankSearchResult, SearchLimits, is_redundant,
+from .redundancy import (RankSearchResult, SearchLimits, irredundant_witness,
                          max_irredundant_size)
 
 _MOVE_KINDS = ("L", "R", "I", "S")
@@ -68,6 +69,25 @@ class NielsenMove:
             return f"S({self.i},{self.j})"
         return f"{self.kind}({self.i},{self.j},{self.sign:+d})"
 
+    def check_length(self, n: int) -> None:
+        if max(self.i, self.j) >= n:
+            raise ValueError("move index exceeds tuple length")
+
+    def apply(self, items: tuple, mul, inv) -> tuple:
+        """The move acting on a tuple of elements of any group, given its
+        product and inverse.  Indices are not checked against the
+        length; see check_length."""
+        out = list(items)
+        i = self.i
+        if self.kind == "I":
+            out[i] = inv(out[i])
+        elif self.kind == "S":
+            out[i], out[self.j] = out[self.j], out[i]
+        else:
+            other = out[self.j] if self.sign > 0 else inv(out[self.j])
+            out[i] = mul(other, out[i]) if self.kind == "L" else mul(out[i], other)
+        return tuple(out)
+
 
 def all_moves(n: int) -> tuple:
     moves = []
@@ -86,22 +106,9 @@ def all_moves(n: int) -> tuple:
 
 
 def apply_move(t: GeneratingTuple, mv: NielsenMove) -> GeneratingTuple:
+    mv.check_length(len(t))
     g = t.group
-    items = list(t.items)
-    n = len(items)
-    if mv.i >= n or (mv.kind in ("L", "R", "S") and mv.j >= n):
-        raise ValueError("move index exceeds tuple length")
-    if mv.kind == "I":
-        items[mv.i] = g.inv(items[mv.i])
-    elif mv.kind == "S":
-        items[mv.i], items[mv.j] = items[mv.j], items[mv.i]
-    else:
-        other = items[mv.j] if mv.sign > 0 else g.inv(items[mv.j])
-        if mv.kind == "L":
-            items[mv.i] = g.mul(other, items[mv.i])
-        else:
-            items[mv.i] = g.mul(items[mv.i], other)
-    return GeneratingTuple(g, tuple(items))
+    return GeneratingTuple(g, mv.apply(t.items, g.mul, g.inv))
 
 
 @dataclass
@@ -120,38 +127,23 @@ class OrbitReport:
     notes: tuple = ()
 
 
-def _apply_move_idx(ix: IndexedGroup, t: tuple, mv: NielsenMove) -> tuple:
-    items = list(t)
-    if mv.kind == "I":
-        items[mv.i] = int(ix.inv[items[mv.i]])
-    elif mv.kind == "S":
-        items[mv.i], items[mv.j] = items[mv.j], items[mv.i]
-    else:
-        other = items[mv.j] if mv.sign > 0 else int(ix.inv[items[mv.j]])
-        if mv.kind == "L":
-            items[mv.i] = int(ix.mult[other, items[mv.i]])
-        else:
-            items[mv.i] = int(ix.mult[items[mv.i], other])
-    return tuple(items)
-
-
-def _redundant_entry_idx(ix: IndexedGroup, t: tuple):
+def _redundant_entry(t: tuple, identity, inv, generates):
     """Index of a droppable entry, or None.  Cheap shapes first: an
     identity entry, a repeated entry, an entry whose inverse is also
-    present; then the full one-entry drop tests."""
+    present; then the full one-entry drop tests.  Serves index tuples
+    and element tuples alike: elements compare equal exactly when their
+    encodings do."""
     seen = {}
     for i, x in enumerate(t):
-        if x == ix.identity:
-            return i
-        if x in seen:
+        if x == identity or x in seen:
             return i
         seen[x] = i
     for i, x in enumerate(t):
-        j = seen.get(int(ix.inv[x]))
+        j = seen.get(inv(x))
         if j is not None and j != i:
             return i
     for i in range(len(t)):
-        if ix.generates(t[:i] + t[i + 1:]):
+        if generates(t[:i] + t[i + 1:]):
             return i
     return None
 
@@ -164,36 +156,43 @@ def _reconstruct_path(parents: dict, node: tuple) -> tuple:
     return tuple(reversed(path))
 
 
-def _orbit_bfs_indexed(ix: IndexedGroup, start: tuple, limits: SearchLimits,
-                       deadline: float | None = None) -> OrbitReport:
+def _orbit_walk(start: tuple, canon, droppable, mul, inv, limits: SearchLimits,
+                deadline: float | None = None):
+    """Breadth-first walk over the canonical forms of the Nielsen orbit
+    of start until a member with a droppable entry turns up.  Returns
+    (verdict, that member or None, move path or None, visited, peak
+    frontier)."""
     t0 = time.monotonic()
     moves = all_moves(len(start))
-    start_c = ix.canonical_tuple(start)
+    start_c = canon(start)
     parents: dict = {start_c: None}
     dq = deque([start_c])
     peak = 1
-    start_tuple = ix.tuple_of(start)
     while dq:
         now = time.monotonic()
         if len(parents) > limits.node_budget or now - t0 > limits.time_budget or \
                 (deadline is not None and now > deadline):
-            return OrbitReport(start_tuple, "Unknown", None, None,
-                               len(parents), peak,
-                               ("orbit walk stopped at the search budget",))
+            return "Unknown", None, None, len(parents), peak
         node = dq.popleft()
-        if _redundant_entry_idx(ix, node) is not None:
-            return OrbitReport(start_tuple, "NielsenRedundant",
-                               _reconstruct_path(parents, node),
-                               ix.tuple_of(node), len(parents), peak)
+        if droppable(node) is not None:
+            return ("NielsenRedundant", node, _reconstruct_path(parents, node),
+                    len(parents), peak)
         for mv in moves:
-            child = ix.canonical_tuple(_apply_move_idx(ix, node, mv))
+            child = canon(mv.apply(node, mul, inv))
             if child not in parents:
                 parents[child] = (node, mv)
                 dq.append(child)
         if len(dq) > peak:
             peak = len(dq)
-    return OrbitReport(start_tuple, "NielsenIrredundant", None, None,
-                       len(parents), peak)
+    return "NielsenIrredundant", None, None, len(parents), peak
+
+
+def _orbit_walk_indexed(ix: IndexedGroup, start: tuple, limits: SearchLimits,
+                        deadline: float | None = None):
+    inv = ix.inv.item
+    return _orbit_walk(start, ix.canonical_tuple,
+                       lambda t: _redundant_entry(t, ix.identity, inv, ix.generates),
+                       ix.mult.item, inv, limits, deadline)
 
 
 def _canonical_tuple_generic(g: GroupSpec, items: tuple) -> tuple:
@@ -208,59 +207,15 @@ def _canonical_tuple_generic(g: GroupSpec, items: tuple) -> tuple:
     return best
 
 
-def _redundant_entry_generic(g: GroupSpec, items: tuple):
-    e_key = g.encode(g.identity())
-    seen = {}
-    for i, x in enumerate(items):
-        k = g.encode(x)
-        if k == e_key:
-            return i
-        if k in seen:
-            return i
-        seen[k] = i
-    for i, x in enumerate(items):
-        j = seen.get(g.encode(g.inv(x)))
-        if j is not None and j != i:
-            return i
-    for i in range(len(items)):
-        rest = GeneratingTuple(g, items[:i] + items[i + 1:])
-        if is_generating(rest):
-            return i
-    return None
+def _orbit_walk_generic(g: GroupSpec, items: tuple, limits: SearchLimits):
+    e = g.identity()
 
+    def generates(rest):
+        return is_generating(GeneratingTuple(g, rest))
 
-def _orbit_bfs_generic(t: GeneratingTuple, limits: SearchLimits) -> OrbitReport:
-    g = t.group
-    t0 = time.monotonic()
-    moves = all_moves(len(t))
-    raw_canon = g.order is None or (g.order > 1000 and not g.is_abelian)
-    start_c = _canonical_tuple_generic(g, t.items)
-    key0 = tuple(g.encode(x) for x in start_c)
-    parents: dict = {key0: None}
-    nodes = {key0: start_c}
-    dq = deque([key0])
-    peak = 1
-    notes = ("orbit deduplication is literal, not up to conjugation",) if raw_canon else ()
-    while dq:
-        if len(parents) > limits.node_budget or time.monotonic() - t0 > limits.time_budget:
-            return OrbitReport(t, "Unknown", None, None, len(parents), peak,
-                               notes + ("orbit walk stopped at the search budget",))
-        key = dq.popleft()
-        items = nodes[key]
-        if _redundant_entry_generic(g, items) is not None:
-            return OrbitReport(t, "NielsenRedundant", _reconstruct_path(parents, key),
-                               GeneratingTuple(g, items), len(parents), peak, notes)
-        for mv in moves:
-            child = _canonical_tuple_generic(
-                g, apply_move(GeneratingTuple(g, items), mv).items)
-            ck = tuple(g.encode(x) for x in child)
-            if ck not in parents:
-                parents[ck] = (key, mv)
-                nodes[ck] = child
-                dq.append(ck)
-        if len(dq) > peak:
-            peak = len(dq)
-    return OrbitReport(t, "NielsenIrredundant", None, None, len(parents), peak, notes)
+    return _orbit_walk(items, partial(_canonical_tuple_generic, g),
+                       lambda t: _redundant_entry(t, e, g.inv, generates),
+                       g.mul, g.inv, limits)
 
 
 def is_nielsen_redundant(t: GeneratingTuple, limits: SearchLimits | None = None,
@@ -273,10 +228,21 @@ def is_nielsen_redundant(t: GeneratingTuple, limits: SearchLimits | None = None,
     g = t.group
     if len(t) == 0:
         return OrbitReport(t, "NielsenIrredundant", None, None, 1, 1)
+    notes: tuple = ()
     if indexed and g.order is not None and g.order <= MAX_INDEXED_ORDER:
         ix = IndexedGroup.from_spec(g)
-        return _orbit_bfs_indexed(ix, ix.indices_of(t), limits)
-    return _orbit_bfs_generic(t, limits)
+        walk = _orbit_walk_indexed(ix, ix.indices_of(t), limits)
+        to_tuple = ix.tuple_of
+    else:
+        walk = _orbit_walk_generic(g, t.items, limits)
+        to_tuple = partial(GeneratingTuple, g)
+        if g.order is None or (g.order > 1000 and not g.is_abelian):
+            notes = ("orbit deduplication is literal, not up to conjugation",)
+    verdict, end, path, visited, peak = walk
+    if verdict == "Unknown":
+        notes += ("orbit walk stopped at the search budget",)
+    return OrbitReport(t, verdict, path, None if end is None else to_tuple(end),
+                       visited, peak, notes)
 
 
 def _mu_analytic_cyclic(spec: CyclicPower) -> RankSearchResult:
@@ -320,7 +286,6 @@ def mu_rank(spec: GroupSpec, limits: SearchLimits | None = None,
         raise ValueError(f"unsupported infinite group {spec.descriptor()}")
     t0 = time.monotonic()
     if spec.order > MAX_INDEXED_ORDER:
-        from .redundancy import irredundant_witness
         w = irredundant_witness(spec, 2, limits=limits)
         if w.witness is not None and not spec.is_abelian:
             return RankSearchResult(
@@ -336,8 +301,7 @@ def mu_rank(spec: GroupSpec, limits: SearchLimits | None = None,
                    "elapsed": time.monotonic() - t0, "orbit_nodes": 0},
             notes=(f"group order exceeds the exhaustive bound {MAX_INDEXED_ORDER} "
                    "and no generating pair was found",))
-    m_res = max_irredundant_size(spec, limits=limits, collect=True,
-                                 force_search=force_search)
+    m_res = max_irredundant_size(spec, limits=limits, force_search=force_search)
     if not m_res.exhaustive:
         return RankSearchResult(
             spec, "mu", None, None, exhaustive=False,
@@ -363,13 +327,14 @@ def mu_rank(spec: GroupSpec, limits: SearchLimits | None = None,
     deadline = t0 + limits.time_budget
     for k in range(d + 1, m_val + 1):
         for cset in classes.get(k, ()):
-            rep = _orbit_bfs_indexed(ix, tuple(cset), limits, deadline=deadline)
-            orbit_nodes += rep.visited
-            if rep.verdict == "NielsenIrredundant":
+            verdict, _, _, visited, _ = _orbit_walk_indexed(ix, tuple(cset), limits,
+                                                            deadline=deadline)
+            orbit_nodes += visited
+            if verdict == "NielsenIrredundant":
                 mu = k
-                witness = rep.start
+                witness = ix.tuple_of(cset)
                 break
-            if rep.verdict == "Unknown":
+            if verdict == "Unknown":
                 exhaustive = False
                 notes.append(f"size {k}: an orbit walk hit the budget; "
                              "the verdict there is open")
@@ -453,6 +418,7 @@ def orbit_statistics(spec: GroupSpec, size: int,
     t0 = time.monotonic()
     all_gen = {t for t in _canonical_tuples(ix, size) if ix.generates(t)}
     moves = all_moves(size)
+    mul, inv = ix.mult.item, ix.inv.item
     seen: set = set()
     orbit_sizes = []
     with_red = 0
@@ -470,10 +436,11 @@ def orbit_statistics(spec: GroupSpec, size: int,
         has_red = False
         while dq:
             node = dq.popleft()
-            if not has_red and _redundant_entry_idx(ix, node) is not None:
+            if not has_red and \
+                    _redundant_entry(node, ix.identity, inv, ix.generates) is not None:
                 has_red = True
             for mv in moves:
-                child = ix.canonical_tuple(_apply_move_idx(ix, node, mv))
+                child = ix.canonical_tuple(mv.apply(node, mul, inv))
                 if child not in members:
                     if child not in all_gen:
                         raise AssertionError("orbit left the generating-class table")

@@ -27,7 +27,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .fp import is_prime
+from .fp import is_prime, prime_factors
 from .groups import (CapExceeded, CyclicPower, GeneratingTuple, GroupSpec,
                      Integers, ProjSpecialLinear, SpecialLinear, closure,
                      is_generating)
@@ -41,7 +41,6 @@ class SearchLimits:
 
     node_budget: int = 100_000_000
     time_budget: float = 600.0
-    max_size: int | None = None
 
 
 @dataclass(frozen=True)
@@ -93,16 +92,15 @@ class _SearchOutcome:
 class _SetSearch:
     """Depth-first walk over conjugacy classes of independent
     non-generating sets, recording irredundant generating sets met one
-    step above them."""
+    step above them.  Without a target size the walk is exhaustive and
+    collects every class; with one it stops at the first irredundant
+    generating set of that size and grows nothing past it."""
 
-    def __init__(self, ix: IndexedGroup, limits: SearchLimits, collect: bool = False,
-                 target_size: int | None = None, stop_at_target: bool = False,
-                 candidate_filter=None):
+    def __init__(self, ix: IndexedGroup, limits: SearchLimits,
+                 target_size: int | None = None, candidate_filter=None):
         self.ix = ix
         self.limits = limits
-        self.collect = collect
         self.target_size = target_size
-        self.stop_at_target = stop_at_target
         order_key = ix.orders
         cands = range(ix.n) if candidate_filter is None else \
             [i for i in range(ix.n) if candidate_filter(i)]
@@ -114,10 +112,10 @@ class _SetSearch:
         t0 = time.monotonic()
         best_size, best_witness = 0, None
         collected: dict = {}
+        target = self.target_size
         if ix.n == 1:
-            return _SearchOutcome(0, (), {0: [()]} if self.collect else {},
+            return _SearchOutcome(0, (), {0: [()]} if target is None else {},
                                   0, time.monotonic() - t0, False, 0)
-        size_cap = self.target_size if self.target_size is not None else limits.max_size
         empty_mask, _, _, _ = ix.closure_mask(())
         stack = [((), empty_mask)]
         seen_raw: set = set()
@@ -140,20 +138,18 @@ class _SetSearch:
                     seen_raw.add(s)
                 nodes += 1
                 if ix.generates(s):
-                    if self.target_size is not None and len(s) != self.target_size:
+                    if target is not None and len(s) != target:
                         continue
                     if any(ix.generates(s[:i] + s[i + 1:]) for i in range(len(s))):
                         continue
                     if len(s) > best_size:
                         best_size, best_witness = len(s), s
-                    if self.collect:
-                        collected.setdefault(len(s), set()).add(ix.canonical_set(s))
-                    if self.stop_at_target and len(s) == self.target_size:
-                        return _SearchOutcome(best_size, best_witness,
-                                              self._freeze(collected), nodes,
+                    if target is not None:
+                        return _SearchOutcome(best_size, best_witness, {}, nodes,
                                               time.monotonic() - t0, False, pushed)
+                    collected.setdefault(len(s), set()).add(ix.canonical_set(s))
                 else:
-                    if size_cap is not None and len(s) >= size_cap:
+                    if target is not None and len(s) >= target:
                         continue
                     if not self._independent(s, x):
                         continue
@@ -265,60 +261,53 @@ def _verify_irredundant_generating(t: GeneratingTuple) -> bool:
     return not any(is_generating(t.without(i)) for i in range(len(t)))
 
 
+def _random_witness(spec: GroupSpec, k: int, rng, limits: SearchLimits, t0: float,
+                    nodes: int, attempts: int, involutions_only: bool = False):
+    """Seeded random search for an irredundant generating k-tuple: a
+    uniform tuple first, then involution and uniform tuples in turn
+    (involution tuples only, when asked), each verified by generation
+    and drop tests.  Stops after `attempts` draws or at the time or node
+    budget; t0 and nodes carry the start time and the draw count of
+    earlier calls.  Returns (witness or None, draw count)."""
+    for a in range(attempts):
+        if time.monotonic() - t0 > limits.time_budget or nodes >= limits.node_budget:
+            break
+        nodes += 1
+        cand = None
+        if involutions_only or a % 2 == 1:
+            inv = _sample_involutions(spec, k, rng)
+            if inv is not None:
+                cand = GeneratingTuple(spec, inv)
+            elif involutions_only:
+                continue
+        if cand is None:
+            cand = _random_tuple(spec, k, rng)
+        if _verify_irredundant_generating(cand):
+            return cand, nodes
+    return None, nodes
+
+
 def _witness_mode(spec: GroupSpec, limits: SearchLimits, seed: int) -> RankSearchResult:
-    """Seeded random lower-bound search for groups too large to index.
-    Involution-rich candidates are tried alongside uniform ones; every
-    reported witness is verified by generation and drop tests."""
+    """Seeded random lower-bound search for groups too large to index:
+    30 draws per size, sizes 2 to 8, stopping at the first size with no
+    verified witness."""
     rng = random.Random(seed)
     t0 = time.monotonic()
     best: GeneratingTuple | None = None
-    best_size = 0
     nodes = 0
-    size_limit = limits.max_size if limits.max_size is not None else 8
-    k = 2
-    while k <= size_limit:
-        found = None
-        attempts = 30
-        for a in range(attempts):
-            if time.monotonic() - t0 > limits.time_budget or nodes >= limits.node_budget:
-                break
-            nodes += 1
-            cand = None
-            if a % 2 == 1:
-                inv = _sample_involutions(spec, k, rng)
-                if inv is not None:
-                    cand = GeneratingTuple(spec, inv)
-            if cand is None:
-                cand = _random_tuple(spec, k, rng)
-            if _verify_irredundant_generating(cand):
-                found = cand
-                break
+    for k in range(2, 9):
+        found, nodes = _random_witness(spec, k, rng, limits, t0, nodes, 30)
         if found is None:
             break
-        best, best_size = found, k
-        k += 1
+        best = found
     elapsed = time.monotonic() - t0
     return RankSearchResult(
-        spec, "m", best_size if best is not None else None, best,
+        spec, "m", None if best is None else len(best), best,
         exhaustive=False,
         stats={"nodes": nodes, "elapsed": elapsed, "pushed_classes": 0,
                "recorded": {}},
         notes=("witness mode: group order exceeds the exhaustive-search bound "
                f"of {MAX_INDEXED_ORDER}; the value is a verified lower bound",))
-
-
-def distinct_prime_factors(n: int) -> list:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def cyclic_power_rank_witness(spec: CyclicPower) -> GeneratingTuple:
@@ -329,7 +318,7 @@ def cyclic_power_rank_witness(spec: CyclicPower) -> GeneratingTuple:
     is divisible by the full p-power."""
     m, k = spec.modulus, spec.copies
     items = []
-    for p in distinct_prime_factors(m):
+    for p in prime_factors(m):
         pa = 1
         while (m // pa) % p == 0:
             pa *= p
@@ -364,8 +353,7 @@ _M_RESULT_CACHE: dict = {}
 
 
 def max_irredundant_size(spec: GroupSpec, limits: SearchLimits | None = None,
-                         seed: int = 0, collect: bool = False,
-                         force_search: bool = False) -> RankSearchResult:
+                         seed: int = 0, force_search: bool = False) -> RankSearchResult:
     """Largest size of an irredundant generating set.  Exhaustive (with
     per-size class counts) for groups of order at most 4096; verified
     lower bound otherwise.  Cyclic powers are solved by structure
@@ -388,7 +376,7 @@ def max_irredundant_size(spec: GroupSpec, limits: SearchLimits | None = None,
     if spec.order > MAX_INDEXED_ORDER:
         return _witness_mode(spec, limits, seed)
     ix = IndexedGroup.from_spec(spec)
-    out = _SetSearch(ix, limits, collect=True).run()
+    out = _SetSearch(ix, limits).run()
     witness = ix.tuple_of(out.best_witness) if out.best_witness is not None else None
     recorded = {k: len(v) for k, v in out.collected.items()}
     result = RankSearchResult(
@@ -433,32 +421,18 @@ def irredundant_witness(spec: GroupSpec, size: int,
     if spec.order is None:
         raise ValueError(f"unsupported infinite group {spec.descriptor()}")
     if spec.order > MAX_INDEXED_ORDER:
-        rng = random.Random(seed)
         t0 = time.monotonic()
-        nodes = 0
-        while time.monotonic() - t0 < limits.time_budget and nodes < limits.node_budget:
-            nodes += 1
-            cand = None
-            if involutions_only or nodes % 2 == 0:
-                inv = _sample_involutions(spec, size, rng)
-                if inv is not None:
-                    cand = GeneratingTuple(spec, inv)
-                elif involutions_only:
-                    continue
-            if cand is None:
-                cand = _random_tuple(spec, size, rng)
-            if _verify_irredundant_generating(cand):
-                return WitnessSearchResult(spec, size, cand, False,
-                                           {"nodes": nodes,
-                                            "elapsed": time.monotonic() - t0})
+        witness, nodes = _random_witness(spec, size, random.Random(seed), limits, t0, 0,
+                                         limits.node_budget, involutions_only)
+        stats = {"nodes": nodes, "elapsed": time.monotonic() - t0}
+        if witness is not None:
+            return WitnessSearchResult(spec, size, witness, False, stats)
         return WitnessSearchResult(
-            spec, size, None, False,
-            {"nodes": nodes, "elapsed": time.monotonic() - t0},
+            spec, size, None, False, stats,
             ("random search found nothing; existence remains undecided",))
     ix = IndexedGroup.from_spec(spec)
     filt = (lambda i: ix.orders[i] == 2) if involutions_only else None
-    out = _SetSearch(ix, limits, target_size=size, stop_at_target=True,
-                     candidate_filter=filt).run()
+    out = _SetSearch(ix, limits, target_size=size, candidate_filter=filt).run()
     witness = None
     if out.best_witness is not None and out.best_size == size:
         witness = ix.tuple_of(out.best_witness)

@@ -156,6 +156,20 @@ def test_borel_pair_not_certified():
     assert ok, msg
 
 
+def test_sl3_unipotent_pair_not_certified():
+    # unitriangular at every prime; mod 7 and up too large for closure
+    t = RationalTuple((rmat([[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+                       rmat([[1, 0, 0], [0, 1, 1], [0, 0, 1]])))
+    result = certify_density(t)
+    assert isinstance(result, NotCertifiedReport)
+    assert result.per_prime[0].diagnosis == "closure order 125"
+    assert all(not r.generates for r in result.per_prime)
+    assert all(r.diagnosis == "undecided: too large for closure evidence"
+               for r in result.per_prime[1:])
+    ok, msg = replay_certificate(serialize_certificate(result))
+    assert ok, msg
+
+
 def test_tampered_certificate_fails_replay():
     s = serialize_certificate(certify_density(standard_pair()))
     doc = json.loads(s)

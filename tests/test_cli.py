@@ -157,6 +157,23 @@ def test_certify_rejects_malformed_file(capsys, tmp_path):
     assert main(["certify", str(bad)]) == EXIT_DATA
     bad.write_text("sl 2\n1 0 0 2\n")   # determinant 2
     assert main(["certify", str(bad)]) == EXIT_DATA
+    assert main(["certify", str(tmp_path / "missing.json"), "--replay"]) == EXIT_DATA
+    bad.write_text('{"version":1,"certified":true}')
+    assert main(["certify", str(bad), "--replay"]) == EXIT_DATA
+    bad.write_text("sl 2\n0 -1 1 0\n")   # not JSON
+    assert main(["certify", str(bad), "--replay"]) == EXIT_DATA
+
+
+def test_certify_sl3_unipotent_pair_not_certified(capsys, tmp_path):
+    src = tmp_path / "pair.txt"
+    src.write_text("sl 3\n1 1 0 0 1 0 0 0 1\n1 0 0 0 1 1 0 0 1\n")
+    out = tmp_path / "report.json"
+    code, doc = run_json(capsys, "certify", str(src), "--out", str(out))
+    assert code == EXIT_NOT_CERTIFIED
+    assert doc["certified"] is False
+    code, doc = run_json(capsys, "certify", str(out), "--replay")
+    assert code == EXIT_OK
+    assert doc["match"] is True
 
 
 def test_certify_explicit_primes(capsys, tmp_path):

@@ -93,6 +93,13 @@ def test_integers_generation_is_gcd():
     assert is_generating(GeneratingTuple(z, (-1,)))
 
 
+def test_integers_encode_is_exact_and_injective():
+    z = Integers()
+    values = [0, 1, -1, 127, 128, -128, -129, 255, 256, 2 ** 63 - 1, 2 ** 63,
+              -2 ** 63, -2 ** 63 - 1, 2 ** 64, 3 ** 80, -3 ** 80]
+    assert len({z.encode(v) for v in values}) == len(values)
+
+
 def test_cyclic_generation():
     g = CyclicPower(6, 2)
     basis = (tuple([1, 0]), tuple([0, 1]))

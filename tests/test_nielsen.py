@@ -8,7 +8,7 @@ from genrank.groups import (CyclicPower, GeneratingTuple, Integers,
                             ProjSpecialLinear, SpecialLinear, closure)
 from genrank.nielsen import (NielsenMove, all_moves, apply_move,
                              is_nielsen_redundant, mu_rank, orbit_statistics)
-from genrank.redundancy import SearchLimits, max_irredundant_size
+from genrank.redundancy import SearchLimits, max_irredundant_size, z_witness
 
 
 def random_tuple(spec, k, rng):
@@ -111,6 +111,20 @@ def test_generic_and_indexed_walk_agree():
         a = is_nielsen_redundant(t, indexed=True)
         b = is_nielsen_redundant(t, indexed=False)
         assert a.verdict == b.verdict
+
+
+def test_generic_walk_on_infinite_and_large_groups():
+    z = Integers()
+    assert is_nielsen_redundant(GeneratingTuple(z, (2, 3))).verdict == "NielsenRedundant"
+    # the largest entries exceed the signed 64-bit range
+    rep = is_nielsen_redundant(z_witness(16), SearchLimits(node_budget=2000,
+                                                           time_budget=30))
+    assert rep.verdict in ("Unknown", "NielsenRedundant", "NielsenIrredundant")
+    # order 4896 is past the indexed tables
+    spec = SpecialLinear(2, 17)
+    rep = is_nielsen_redundant(GeneratingTuple(spec, spec.generators()),
+                               SearchLimits(node_budget=20, time_budget=30))
+    assert "orbit deduplication is literal, not up to conjugation" in rep.notes
 
 
 def test_budget_yields_unknown():
