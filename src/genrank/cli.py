@@ -24,14 +24,13 @@ import re
 import sys
 from fractions import Fraction
 
-from .arithmetic import (DenominatorClash, PlanConfig, RationalMatrix,
-                         RationalTuple, assess_irredundancy,
+from .arithmetic import (DenominatorClash, DensityCertificate, PlanConfig,
+                         RationalMatrix, RationalTuple, assess_irredundancy,
                          assess_nielsen_irredundancy, certify_density,
-                         DensityCertificate, deserialize_certificate,
                          replay_certificate, serialize_certificate)
-from .fp import FpMatrix, ProjectiveMatrix, is_prime, projective_canonicalize
-from .groups import (CayleyTableGroup, CyclicPower, GeneratingTuple, GroupSpec,
-                     Integers, ProductGroup, ProjSpecialLinear, SpecialLinear,
+from .fp import FpMatrix, is_prime, projective_canonicalize
+from .groups import (CyclicPower, GeneratingTuple, GroupSpec, Integers,
+                     ProductGroup, ProjSpecialLinear, SpecialLinear,
                      product_generates)
 from .nielsen import mu_rank, orbit_statistics
 from .redundancy import (SearchLimits, irredundant_witness, is_redundant,
@@ -383,10 +382,10 @@ def _cmd_certify(args):
     if args.replay:
         stored = _read_text(args.input).strip()
         try:
-            deserialize_certificate(stored)
+            ok, detail = replay_certificate(stored)
         except ValueError as exc:
-            raise DataError(f"{args.input} is not a certificate: {exc}")
-        ok, detail = replay_certificate(stored)
+            # malformed, or a stored prime that is not prime or too large
+            raise DataError(f"{args.input} is not a replayable certificate: {exc}")
         payload = {"command": "certify", "mode": "replay",
                    "match": ok, "detail": detail}
         return payload, EXIT_OK if ok else EXIT_DATA
@@ -397,7 +396,8 @@ def _cmd_certify(args):
                         explicit_primes=explicit)
     try:
         result = certify_density(t, config)
-    except DenominatorClash as exc:
+    except ValueError as exc:
+        # DenominatorClash, or --primes naming a non-prime or too large a one
         raise DataError(str(exc))
     serialized = serialize_certificate(result)
     if args.out:

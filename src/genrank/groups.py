@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .fp import (FpMatrix, ProjectiveMatrix, canonical_rep, check_modulus,
-                 is_prime, nonresidue, projective_canonicalize, sqrt_table)
+                 nonresidue, projective_canonicalize, sqrt_table)
 
 
 class CapExceeded(Exception):
@@ -641,8 +641,8 @@ def sl2_fast_applicable(spec: GroupSpec) -> bool:
 
 def _sl2_verdict(rep_mats, p: int, center_size: int, group_order: int,
                  closure_probe) -> GenerationReport:
-    """Shared structural verdict.  closure_probe(cap) must run a capped
-    closure of the same tuple and return (exceeded, size)."""
+    """Structural verdict.  closure_probe(cap) must run a capped closure
+    of the same tuple and return (exceeded, size)."""
     noncentral = [m for m in rep_mats if not m.is_scalar()]
     if not noncentral:
         return GenerationReport(False, "all entries central")
@@ -680,18 +680,18 @@ def _rep_matrix(x) -> FpMatrix:
     return x.rep if isinstance(x, ProjectiveMatrix) else x
 
 
-def sl2_generation_report(t: GeneratingTuple, closure_probe=None) -> GenerationReport:
+def sl2_generation_report(t: GeneratingTuple) -> GenerationReport:
     """Structural generation test for tuples in SL2(F_p) or PSL2(F_p),
     p >= 5, with a diagnosis usable in certificates."""
     p, center = _sl2_context(t.group)
     if p < 5:
         raise ValueError("structural test requires p >= 5")
-    if closure_probe is None:
-        def closure_probe(cap):
-            try:
-                return False, closure(t, cap=cap).order
-            except CapExceeded as exc:
-                return True, exc.visited
+
+    def closure_probe(cap):
+        try:
+            return False, closure(t, cap=cap).order
+        except CapExceeded as exc:
+            return True, exc.visited
     mats = [_rep_matrix(x) for x in t.items]
     return _sl2_verdict(mats, p, center, t.group.order, closure_probe)
 

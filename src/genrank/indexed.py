@@ -8,6 +8,15 @@ simultaneous conjugation.  Everything downstream of the table is pure
 array arithmetic, which is what makes the exhaustive searches over
 partial generating sets affordable.
 
+Generation is decided by maximal-subgroup incidence: a set generates
+exactly when no maximal subgroup contains it.  Each element carries a
+bitmask (a Python int) of the maximal subgroups holding it, so the test
+is one AND over the set.  The maximal subgroups are found once per
+group, on the first generation test of two or more distinct elements,
+by a breadth-first walk over conjugacy classes of subgroups; a group
+whose walk would run past a fixed number of join closures (large
+abelian groups have thousands of subgroups) answers by closure instead.
+
 Canonical forms use the minimum-index convention: elements are indexed
 in encoding order, a conjugacy class is represented by its least index,
 and the canonical image of a tuple is the lexicographically least
@@ -19,14 +28,20 @@ so later positions only ever narrow a candidate array.
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
-from . import groups as groups_mod
 from .groups import (CayleyTableGroup, GeneratingTuple, GroupSpec,
-                     ProjSpecialLinear, SpecialLinear, _sl2_verdict,
-                     sl2_fast_applicable)
+                     ProjSpecialLinear, SpecialLinear)
 
 MAX_INDEXED_ORDER = 4096
+
+# Join closures the maximal-subgroup walk may run before generation
+# falls back to closure.  The largest indexed SL2/PSL2 groups need 921
+# (sl2:13) and 1,115 (psl2:19); cyclic:2^6 has 2,824 subgroups, and
+# walking them costs far more than answering by closure.
+_LATTICE_JOIN_CAP = 2000
 
 _INSTANCE_CACHE: dict[str, "IndexedGroup"] = {}
 
@@ -100,16 +115,16 @@ class IndexedGroup:
             self.mult = _build_mult_sl2(spec, self.elements)
         else:
             self.mult = _build_mult_generic(spec, self.elements)
-        self.identity = self.index[spec.encode(spec.identity())]
-        self.inv = np.argmax(self.mult == self.identity, axis=1).astype(np.int32)
-        self.orders = self._element_orders()
-        self.central = self._central_mask()
         self._conj = None
         self._class_rep = None
         self._class_wit = None
         self._centralizers: dict[int, np.ndarray] = {}
-        self._gen_cache: dict[tuple, bool] = {}
-        self._sl2 = sl2_fast_applicable(spec)
+        self._lattice_built = False
+        self._maximal_masks: list[int] | None = None
+        self.identity = self.index[spec.encode(spec.identity())]
+        self.inv = np.argmax(self.mult == self.identity, axis=1).astype(np.int32)
+        self.orders = self._element_orders()
+        self.central = self._central_mask()
 
     @classmethod
     def from_spec(cls, spec: GroupSpec) -> "IndexedGroup":
@@ -213,30 +228,93 @@ class IndexedGroup:
         return visited, count, False, found
 
     def generates(self, gens) -> bool:
-        key = tuple(sorted(set(gens)))
-        hit = self._gen_cache.get(key)
-        if hit is not None:
-            return hit
-        out = self._generates_uncached(key)
-        self._gen_cache[key] = out
-        return out
+        distinct = set(gens)
+        if len(distinct) < 2:
+            return self.n == 1 or any(self.orders[i] == self.n for i in distinct)
+        masks = self.maximal_masks()
+        if masks is None:
+            return self.closure_mask(distinct)[1] == self.n
+        common = -1
+        for i in distinct:
+            common &= masks[i]
+        return common == 0
 
-    def _generates_uncached(self, gens) -> bool:
-        if self._sl2:
-            spec = self.spec
-            center = 2 if isinstance(spec, SpecialLinear) else 1
-            mats = []
-            for i in gens:
-                x = self.elements[i]
-                mats.append(x.rep if isinstance(spec, ProjSpecialLinear) else x)
+    def maximal_masks(self) -> list[int] | None:
+        """Per element, the bitmask of the maximal subgroups containing
+        it (one bit per subgroup, conjugates counted apart), or None
+        when the subgroup walk passed _LATTICE_JOIN_CAP."""
+        if not self._lattice_built:
+            self._maximal_masks = self._build_maximal_masks()
+            self._lattice_built = True
+        return self._maximal_masks
 
-            def probe(cap):
-                _, count, exceeded, _ = self.closure_mask(gens, cap=cap)
-                return exceeded, count
+    def _cyclic_keys(self) -> np.ndarray:
+        """key[x] is the least index generating the cyclic subgroup <x>:
+        the least x^k with k prime to the order of x."""
+        ar = np.arange(self.n, dtype=np.int32)
+        cur = ar
+        key = ar.copy()
+        for k in range(2, int(self.orders.max())):
+            cur = self.mult[cur, ar]
+            live = (k < self.orders) & (np.gcd(k, self.orders) == 1)
+            np.minimum(key, cur, out=key, where=live)
+        return key
 
-            return _sl2_verdict(mats, spec.p, center, self.n, probe).generates
-        _, count, _, _ = self.closure_mask(gens)
-        return count == self.n
+    def _build_maximal_masks(self) -> list[int] | None:
+        # Breadth-first over conjugacy classes of proper subgroups, from
+        # the trivial one.  Every subgroup above H contains some <H, c>
+        # with c outside H, and conjugating c by the normalizer of H
+        # conjugates the join, so one c per normalizer orbit of cyclic
+        # subgroups reaches every class; H is maximal when all of its
+        # joins are the whole group.  By Lagrange a join past n/2
+        # elements is the whole group.
+        n = self.n
+        abelian = self.spec.is_abelian      # conjugation is trivial: no conj table
+        key = self._cyclic_keys()
+        cyclic = np.flatnonzero(key == np.arange(n))
+        cyclic = cyclic[cyclic != self.identity]
+        trivial, _, _, _ = self.closure_mask(())
+        queue = deque([((), trivial)])
+        seen = {self.canonical_set((self.identity,))}
+        maximal = []
+        joins = 0
+        while queue:
+            gens, hmask = queue.popleft()
+            members = np.flatnonzero(hmask)
+            norm = np.arange(n) if abelian else \
+                np.flatnonzero(hmask[self.conj[:, members]].all(axis=1))
+            reached = np.zeros(n, dtype=bool)
+            is_maximal = True
+            for c in cyclic[~hmask[cyclic]]:
+                if reached[c]:
+                    continue
+                reached[c if abelian else key[self.conj[norm, c]]] = True
+                joins += 1
+                if joins > _LATTICE_JOIN_CAP:
+                    return None
+                jmask, _, whole, _ = self.closure_mask(gens + (int(c),), cap=n // 2)
+                if whole:
+                    continue
+                is_maximal = False
+                ckey = self.canonical_set(np.flatnonzero(jmask))
+                if ckey not in seen:
+                    seen.add(ckey)
+                    queue.append((gens + (int(c),), jmask))
+            if is_maximal:
+                maximal.append((members, norm))
+        masks = [0] * n
+        bit = 0
+        for members, norm in maximal:
+            # one conjugate per coset g N_G(M)
+            todo = np.ones(n, dtype=bool)
+            while todo.any():
+                g = int(np.argmax(todo))
+                todo[self.mult[g, norm]] = False
+                image = members if abelian else self.conj[g, members]
+                for x in image.tolist():
+                    masks[x] |= 1 << bit
+                bit += 1
+        return masks
 
     # -- canonical forms under simultaneous conjugation ---------------
 

@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .fp import is_prime, prime_factors
-from .groups import (CapExceeded, CyclicPower, GeneratingTuple, GroupSpec,
-                     Integers, ProjSpecialLinear, SpecialLinear, closure,
-                     is_generating)
+from .groups import (CyclicPower, GeneratingTuple, GroupSpec, Integers,
+                     closure, is_generating)
 from .indexed import MAX_INDEXED_ORDER, IndexedGroup
 
 

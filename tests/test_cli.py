@@ -7,8 +7,10 @@ import pytest
 from genrank.cli import (EXIT_BUDGET, EXIT_DATA, EXIT_EVIDENCE_MIXED,
                          EXIT_NOT_CERTIFIED, EXIT_OK, EXIT_USAGE, DataError,
                          UsageError, main, parse_group)
-from genrank.groups import (CyclicPower, Integers, ProductGroup,
-                            ProjSpecialLinear, SpecialLinear)
+from genrank.fp import FpMatrix, projective_canonicalize
+from genrank.groups import (CyclicPower, GeneratingTuple, Integers,
+                            ProductGroup, ProjSpecialLinear, SpecialLinear)
+from genrank.redundancy import is_redundant
 
 STD_PAIR = "sl 2\n0 -1 1 0\n1 1 0 1\n"
 BOREL_PAIR = "sl 2\n1 1 0 1\n2 0 0 1/2\n"
@@ -66,6 +68,22 @@ def test_mu_command(capsys):
     code, doc = run_json(capsys, "mu", "cyclic:6^2")
     assert code == EXIT_OK
     assert doc["value"] == 2
+
+
+def test_rank_and_orbit_on_product_with_abelian_factor(capsys):
+    # a nonabelian group that is neither SL nor PSL: its centre comes
+    # from the conjugation table
+    desc = "prod(psl2:5,cyclic:2^1)"
+    code, doc = run_json(capsys, "rank", desc)
+    assert code == EXIT_OK
+    assert doc["value"] == 4 and doc["exhaustive"] is True
+    spec = parse_group(desc)
+    items = tuple((projective_canonicalize(FpMatrix.from_rows(5, rows)), tuple(vec))
+                  for rows, vec in doc["witness"])
+    assert is_redundant(GeneratingTuple(spec, items)).verdict == "IrredundantGenerating"
+    code, doc = run_json(capsys, "orbit", desc, "--size", "2")
+    assert code == EXIT_OK
+    assert doc["generating_classes"] == sum(doc["orbit_sizes"])
 
 
 def test_usage_errors(capsys):
@@ -182,6 +200,23 @@ def test_certify_explicit_primes(capsys, tmp_path):
     code, doc = run_json(capsys, "certify", str(src), "--primes", "13", "7")
     assert code == EXIT_OK
     assert doc["certificate"]["witness_prime"] == 13
+
+
+def test_certify_rejects_bad_primes(capsys, tmp_path):
+    src = tmp_path / "pair.txt"
+    src.write_text(STD_PAIR)
+    assert main(["certify", str(src), "--primes", "4"]) == EXIT_DATA
+    assert main(["certify", str(src), "--primes", "40009"]) == EXIT_DATA
+    # a stored certificate naming a prime past the modulus bound, with
+    # its entries (and so its fingerprint) intact
+    out = tmp_path / "cert.json"
+    assert main(["certify", str(src), "--primes", "13", "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    cert = json.loads(out.read_text())
+    cert["per_prime"][0]["prime"] = 40009
+    out.write_text(json.dumps(cert))
+    assert main(["certify", str(out), "--replay"]) == EXIT_DATA
+    assert "40009" in capsys.readouterr().err
 
 
 def test_product_check(capsys, tmp_path):

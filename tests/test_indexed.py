@@ -1,12 +1,15 @@
 """Dense index tables: agreement with the object-level group model."""
 
+import functools
+import operator
 import random
 
 import numpy as np
 import pytest
 
-from genrank.groups import (CyclicPower, GeneratingTuple, ProjSpecialLinear,
-                            SpecialLinear, closure, is_generating)
+from genrank.groups import (CyclicPower, GeneratingTuple, ProductGroup,
+                            ProjSpecialLinear, SpecialLinear, closure,
+                            is_generating)
 from genrank.indexed import MAX_INDEXED_ORDER, IndexedGroup
 
 SPECS = (ProjSpecialLinear(2, 5), SpecialLinear(2, 5), CyclicPower(3, 2))
@@ -101,6 +104,67 @@ def test_generates_matches_is_generating():
             gens = tuple(rng.randrange(ix.n) for _ in range(k))
             t = GeneratingTuple(spec, tuple(ix.elements[i] for i in gens))
             assert ix.generates(gens) == is_generating(t, method="closure")
+
+
+def _closure_generates(ix, gens) -> bool:
+    return ix.closure_mask(gens)[1] == ix.n
+
+
+def test_generates_matches_closure_on_every_pair_of_sl2_5():
+    ix = IndexedGroup.from_spec(SpecialLinear(2, 5))
+    for i in range(ix.n):
+        for j in range(ix.n):
+            assert ix.generates((i, j)) == _closure_generates(ix, (i, j)), (i, j)
+
+
+@pytest.mark.parametrize("spec", (
+    ProjSpecialLinear(2, 7), SpecialLinear(2, 7), ProjSpecialLinear(2, 11),
+    ProductGroup((ProjSpecialLinear(2, 5), CyclicPower(2, 1))), CyclicPower(6, 2)),
+    ids=lambda spec: spec.descriptor())
+def test_generates_matches_closure_on_random_tuples(spec):
+    rng = random.Random(41)
+    ix = IndexedGroup.from_spec(spec)
+    seen = set()
+    for _ in range(300):
+        gens = tuple(rng.randrange(ix.n) for _ in range(rng.randint(2, 4)))
+        verdict = ix.generates(gens)
+        assert verdict == _closure_generates(ix, gens), gens
+        seen.add(verdict)
+    assert ix.maximal_masks() is not None
+    assert seen == {True, False}
+
+
+def test_generates_past_the_join_cap_falls_back_to_closure():
+    # (Z/2)^6 has 2,824 subgroups: the walk stops at the join cap
+    ix = IndexedGroup.from_spec(CyclicPower(2, 6))
+    rng = random.Random(43)
+    seen = set()
+    for _ in range(200):
+        gens = tuple(rng.randrange(ix.n) for _ in range(rng.randint(2, 8)))
+        verdict = ix.generates(gens)
+        assert verdict == _closure_generates(ix, gens), gens
+        seen.add(verdict)
+    assert ix.maximal_masks() is None
+    assert seen == {True, False}
+
+
+def test_generates_small_sets_from_orders():
+    for spec in (CyclicPower(12, 1), ProjSpecialLinear(2, 5)):
+        ix = IndexedGroup(spec)
+        assert ix.generates(()) is False
+        for i in range(ix.n):
+            assert ix.generates((i, i)) == _closure_generates(ix, (i,))
+        # no set of two or more distinct elements was asked about
+        assert not ix._lattice_built
+    assert IndexedGroup(CyclicPower(1, 2)).generates(())
+
+
+@pytest.mark.parametrize("p, count", ((5, 21), (7, 22), (11, 89)))
+def test_maximal_subgroup_counts(p, count):
+    # the centre of SL2(p) is Frattini: both groups have the same count
+    for spec in (ProjSpecialLinear(2, p), SpecialLinear(2, p)):
+        masks = IndexedGroup.from_spec(spec).maximal_masks()
+        assert functools.reduce(operator.or_, masks).bit_count() == count
 
 
 def test_canonical_set_is_conjugation_invariant():
