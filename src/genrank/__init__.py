@@ -15,8 +15,7 @@ from .groups import (CayleyTableGroup, CyclicPower, GeneratingTuple,
                      SpecialLinear, SubgroupClosure, closure,
                      enumerate_isomorphisms, is_generating,
                      is_generating_sl2_fast, is_simple_finite, project_to_psl,
-                     product_generates, sl2_fast_applicable,
-                     sl2_generation_report)
+                     product_generates, sl2_generation_report)
 from .indexed import IndexedGroup
 from .redundancy import (InvolutionPairReport, RankSearchResult,
                          RedundancyReport, SearchLimits, WitnessSearchResult,
@@ -42,7 +41,7 @@ __all__ = [
     "ProductGroup", "ProjSpecialLinear", "SpecialLinear", "SubgroupClosure",
     "closure", "enumerate_isomorphisms", "is_generating",
     "is_generating_sl2_fast", "is_simple_finite", "project_to_psl",
-    "product_generates", "sl2_fast_applicable", "sl2_generation_report",
+    "product_generates", "sl2_generation_report",
     "IndexedGroup",
     "InvolutionPairReport", "RankSearchResult", "RedundancyReport",
     "SearchLimits", "WitnessSearchResult", "cyclic_power_rank_witness",

@@ -338,6 +338,8 @@ def _cmd_mu(args):
 
 
 def _cmd_witness(args):
+    if args.size < 1:
+        raise DataError("size must be positive")
     spec = parse_group(args.group)
     res = irredundant_witness(spec, args.size,
                               involutions_only=args.involutions,

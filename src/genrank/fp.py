@@ -121,10 +121,6 @@ class FpMatrix:
         n = self.dim
         return tuple(self.entries[i * n:(i + 1) * n] for i in range(n))
 
-    def __getitem__(self, ij) -> int:
-        i, j = ij
-        return self.entries[i * self.dim + j]
-
     def _check(self, other: "FpMatrix") -> None:
         if not isinstance(other, FpMatrix):
             raise TypeError(f"expected FpMatrix, got {type(other).__name__}")
@@ -149,11 +145,6 @@ class FpMatrix:
                 out.append(sum(arow[k] * b[k * n + j] for k in range(n)) % p)
         return FpMatrix(p, n, tuple(out))
 
-    def __add__(self, other: "FpMatrix") -> "FpMatrix":
-        self._check(other)
-        p = self.modulus
-        return FpMatrix(p, self.dim, tuple((x + y) % p for x, y in zip(self.entries, other.entries)))
-
     def __neg__(self) -> "FpMatrix":
         p = self.modulus
         return FpMatrix(p, self.dim, tuple((-x) % p for x in self.entries))
@@ -161,10 +152,6 @@ class FpMatrix:
     def scaled(self, c: int) -> "FpMatrix":
         p = self.modulus
         return FpMatrix(p, self.dim, tuple(x * c % p for x in self.entries))
-
-    def trace(self) -> int:
-        n = self.dim
-        return sum(self.entries[i * n + i] for i in range(n)) % self.modulus
 
     def det(self) -> int:
         p, n, e = self.modulus, self.dim, self.entries

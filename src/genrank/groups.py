@@ -361,6 +361,12 @@ class ProductGroup(GroupSpec):
     def encode(self, x) -> bytes:
         return b"".join(f.encode(v) for f, v in zip(self.factors, x))
 
+    def generators(self) -> tuple:
+        # each factor generator, with identities in the other slots
+        ident = self.identity()
+        return tuple(ident[:i] + (g,) + ident[i + 1:]
+                     for i, f in enumerate(self.factors) for g in f.generators())
+
     def _enumerate(self) -> list:
         return [tuple(c) for c in itertools.product(*(f.elements() for f in self.factors))]
 
@@ -477,26 +483,19 @@ class GeneratingTuple:
     def without(self, i: int) -> "GeneratingTuple":
         return GeneratingTuple(self.group, self.items[:i] + self.items[i + 1:])
 
-    def replaced(self, i: int, x) -> "GeneratingTuple":
-        return GeneratingTuple(self.group, self.items[:i] + (x,) + self.items[i + 1:])
-
     def conjugated(self, g) -> "GeneratingTuple":
         return GeneratingTuple(self.group,
                                tuple(self.group.conjugate(x, g) for x in self.items))
-
-    def encodings(self) -> tuple:
-        return tuple(self.group.encode(x) for x in self.items)
 
 
 @dataclass(frozen=True)
 class SubgroupClosure:
     """The subgroup generated by a tuple: its elements (sorted by
-    encoding), their encodings, and the generator count."""
+    encoding) and their encodings."""
 
     group: GroupSpec
     elements: tuple
     encodings: frozenset
-    generator_count: int
 
     @property
     def order(self) -> int:
@@ -535,7 +534,7 @@ def closure(t: GeneratingTuple, cap: int | None = None) -> SubgroupClosure:
     if g.order is not None and g.order % len(seen) != 0:
         raise AssertionError("closure order violates Lagrange; group ops inconsistent")
     ordered = tuple(v for _, v in sorted(seen.items()))
-    return SubgroupClosure(g, ordered, frozenset(seen.keys()), len(t))
+    return SubgroupClosure(g, ordered, frozenset(seen.keys()))
 
 
 # ---------------------------------------------------------------------------
@@ -631,14 +630,6 @@ def _sl2_context(spec: GroupSpec):
     raise ValueError("structural test supports only SL2 and PSL2")
 
 
-def sl2_fast_applicable(spec: GroupSpec) -> bool:
-    try:
-        p, _ = _sl2_context(spec)
-    except ValueError:
-        return False
-    return p >= 5
-
-
 def _sl2_verdict(rep_mats, p: int, center_size: int, group_order: int,
                  closure_probe) -> GenerationReport:
     """Structural verdict.  closure_probe(cap) must run a capped closure
@@ -700,16 +691,14 @@ def is_generating_sl2_fast(t: GeneratingTuple) -> bool:
     return sl2_generation_report(t).generates
 
 
-def is_generating(t: GeneratingTuple, method: str = "auto") -> bool:
+def is_generating(t: GeneratingTuple) -> bool:
     """Does the tuple generate its group?  For the integers this is a
-    gcd condition; finite groups use the structural SL2/PSL2 test when
-    applicable (method="auto") or closure enumeration."""
+    gcd condition; SL2/PSL2 with p >= 5 use the structural test, other
+    finite groups closure enumeration."""
     g = t.group
     if isinstance(g, Integers):
         return math.gcd(*(abs(x) for x in t.items)) == 1 if t.items else False
-    if method not in ("auto", "closure", "fast"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "fast" or (method == "auto" and sl2_fast_applicable(g)):
+    if isinstance(g, (SpecialLinear, ProjSpecialLinear)) and g.n == 2 and g.p >= 5:
         return is_generating_sl2_fast(t)
     return closure(t).order == g.order
 
@@ -745,9 +734,6 @@ class GroupIsomorphism:
             c = self.payload
             return projective_canonicalize(c * _rep_matrix(x) * c.inverse())
         return self.payload[self.source.encode(x)]
-
-    def describe(self) -> str:
-        return self.label
 
 
 def _psl2_conjugation_isomorphisms(g1: ProjSpecialLinear) -> tuple:

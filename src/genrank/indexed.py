@@ -8,6 +8,13 @@ simultaneous conjugation.  Everything downstream of the table is pure
 array arithmetic, which is what makes the exhaustive searches over
 partial generating sets affordable.
 
+The table is built the same way for every group kind, from the group's
+generators and its element index alone: one permutation a -> ag per
+generator g, then a breadth-first walk over the right Cayley graph
+from the identity, which fills column yg of the table as the image of
+column y under that permutation.  The centre is read off the table as
+the elements commuting with every generator.
+
 Generation is decided by maximal-subgroup incidence: a set generates
 exactly when no maximal subgroup contains it.  Each element carries a
 bitmask (a Python int) of the maximal subgroups holding it, so the test
@@ -32,8 +39,7 @@ from collections import deque
 
 import numpy as np
 
-from .groups import (CayleyTableGroup, GeneratingTuple, GroupSpec,
-                     ProjSpecialLinear, SpecialLinear)
+from .groups import GeneratingTuple, GroupSpec
 
 MAX_INDEXED_ORDER = 4096
 
@@ -44,58 +50,6 @@ MAX_INDEXED_ORDER = 4096
 _LATTICE_JOIN_CAP = 2000
 
 _INSTANCE_CACHE: dict[str, "IndexedGroup"] = {}
-
-
-def _matrix_rows(spec, elements, p):
-    rows = []
-    for el in elements:
-        m = el.rep if isinstance(spec, ProjSpecialLinear) else el
-        rows.append(m.entries)
-    return np.array(rows, dtype=np.int64), p
-
-
-def _build_mult_sl2(spec, elements) -> np.ndarray:
-    """Vectorized table for 2x2 matrix groups: entries packed into
-    base-p codes, products decoded through a lookup array."""
-    p = spec.p
-    ent, _ = _matrix_rows(spec, elements, p)
-    n = len(elements)
-
-    def codes(c0, c1, c2, c3):
-        return ((c0 * p + c1) * p + c2) * p + c3
-
-    lut = np.full(p ** 4, -1, dtype=np.int32)
-    lut[codes(ent[:, 0], ent[:, 1], ent[:, 2], ent[:, 3])] = np.arange(n, dtype=np.int32)
-    mult = np.empty((n, n), dtype=np.int32)
-    b0, b1, b2, b3 = ent[:, 0], ent[:, 1], ent[:, 2], ent[:, 3]
-    projective = isinstance(spec, ProjSpecialLinear)
-    for i in range(n):
-        a0, a1, a2, a3 = ent[i]
-        c0 = (a0 * b0 + a1 * b2) % p
-        c1 = (a0 * b1 + a1 * b3) % p
-        c2 = (a2 * b0 + a3 * b2) % p
-        c3 = (a2 * b1 + a3 * b3) % p
-        code = codes(c0, c1, c2, c3)
-        if projective:
-            # the canonical coset representative is the entrywise
-            # lexicographic minimum of M and -M, i.e. the smaller code
-            code = np.minimum(code, codes((p - c0) % p, (p - c1) % p,
-                                          (p - c2) % p, (p - c3) % p))
-        mult[i] = lut[code]
-    if (mult < 0).any():
-        raise AssertionError("product escaped the element table")
-    return mult
-
-
-def _build_mult_generic(spec, elements) -> np.ndarray:
-    n = len(elements)
-    index = {spec.encode(x): i for i, x in enumerate(elements)}
-    mult = np.empty((n, n), dtype=np.int32)
-    for i, a in enumerate(elements):
-        row = mult[i]
-        for j, b in enumerate(elements):
-            row[j] = index[spec.encode(spec.mul(a, b))]
-    return mult
 
 
 class IndexedGroup:
@@ -109,22 +63,19 @@ class IndexedGroup:
         self.elements = spec.elements()
         self.n = len(self.elements)
         self.index = {spec.encode(x): i for i, x in enumerate(self.elements)}
-        if isinstance(spec, CayleyTableGroup):
-            self.mult = np.array(spec.table, dtype=np.int32)
-        elif isinstance(spec, (SpecialLinear, ProjSpecialLinear)) and spec.n == 2:
-            self.mult = _build_mult_sl2(spec, self.elements)
-        else:
-            self.mult = _build_mult_generic(spec, self.elements)
+        self.identity = self.index[spec.encode(spec.identity())]
+        gens = [self.index[spec.encode(g)] for g in spec.generators()]
+        self.mult = self._build_mult(gens)
         self._conj = None
         self._class_rep = None
         self._class_wit = None
         self._centralizers: dict[int, np.ndarray] = {}
         self._lattice_built = False
         self._maximal_masks: list[int] | None = None
-        self.identity = self.index[spec.encode(spec.identity())]
         self.inv = np.argmax(self.mult == self.identity, axis=1).astype(np.int32)
         self.orders = self._element_orders()
-        self.central = self._central_mask()
+        # the centre: elements commuting with every generator
+        self.central = (self.mult[:, gens] == self.mult[gens, :].T).all(axis=1)
 
     @classmethod
     def from_spec(cls, spec: GroupSpec) -> "IndexedGroup":
@@ -134,6 +85,33 @@ class IndexedGroup:
             inst = cls(spec)
             _INSTANCE_CACHE[key] = inst
         return inst
+
+    def _build_mult(self, gens) -> np.ndarray:
+        """The table from the right Cayley graph of the generators:
+        column yg is column y under the permutation a -> ag."""
+        spec, index, n = self.spec, self.index, self.n
+        right = []
+        for g in (self.elements[i] for i in gens):
+            try:
+                right.append(np.array([index[spec.encode(spec.mul(a, g))]
+                                       for a in self.elements], dtype=np.int32))
+            except KeyError:
+                raise AssertionError("product escaped the element table") from None
+        cols = np.empty((n, n), dtype=np.int32)
+        cols[self.identity] = np.arange(n, dtype=np.int32)
+        done = np.zeros(n, dtype=bool)
+        done[self.identity] = True
+        reached = [self.identity]
+        for y in reached:           # breadth-first: the list grows as it is read
+            for r in right:
+                z = int(r[y])
+                if not done[z]:
+                    done[z] = True
+                    cols[z] = r[cols[y]]
+                    reached.append(z)
+        if len(reached) < n:
+            raise AssertionError("generators do not reach every element")
+        return np.ascontiguousarray(cols.T)
 
     def _element_orders(self) -> np.ndarray:
         orders = np.zeros(self.n, dtype=np.int32)
@@ -147,17 +125,6 @@ class IndexedGroup:
             orders[hit] = k
             cur = self.mult[cur, np.arange(self.n)]
         return orders
-
-    def _central_mask(self) -> np.ndarray:
-        spec = self.spec
-        if spec.is_abelian:
-            return np.ones(self.n, dtype=bool)
-        if isinstance(spec, (SpecialLinear, ProjSpecialLinear)):
-            return np.array(
-                [(x.rep if isinstance(spec, ProjSpecialLinear) else x).is_scalar()
-                 for x in self.elements], dtype=bool)
-        conj = self.conj
-        return (conj == np.arange(self.n, dtype=np.int32)[None, :]).all(axis=0)
 
     @property
     def conj(self) -> np.ndarray:

@@ -195,31 +195,21 @@ def _orbit_walk_indexed(ix: IndexedGroup, start: tuple, limits: SearchLimits,
                        ix.mult.item, inv, limits, deadline)
 
 
-def _canonical_tuple_generic(g: GroupSpec, items: tuple) -> tuple:
-    if g.is_abelian or g.order is None or g.order > 1000:
-        return items
-    best, best_key = items, tuple(g.encode(x) for x in items)
-    for c in g.elements():
-        cand = tuple(g.conjugate(x, c) for x in items)
-        key = tuple(g.encode(x) for x in cand)
-        if key < best_key:
-            best, best_key = cand, key
-    return best
-
-
 def _orbit_walk_generic(g: GroupSpec, items: tuple, limits: SearchLimits):
+    """The orbit walk on the elements themselves, for groups past the
+    indexed tables; tuples are kept literally, not up to conjugation."""
     e = g.identity()
 
     def generates(rest):
         return is_generating(GeneratingTuple(g, rest))
 
-    return _orbit_walk(items, partial(_canonical_tuple_generic, g),
+    return _orbit_walk(items, lambda t: t,
                        lambda t: _redundant_entry(t, e, g.inv, generates),
                        g.mul, g.inv, limits)
 
 
-def is_nielsen_redundant(t: GeneratingTuple, limits: SearchLimits | None = None,
-                         indexed: bool = True) -> OrbitReport:
+def is_nielsen_redundant(t: GeneratingTuple,
+                         limits: SearchLimits | None = None) -> OrbitReport:
     """Walk the Nielsen orbit of a generating tuple looking for a
     member with a droppable entry."""
     limits = limits or SearchLimits()
@@ -229,14 +219,14 @@ def is_nielsen_redundant(t: GeneratingTuple, limits: SearchLimits | None = None,
     if len(t) == 0:
         return OrbitReport(t, "NielsenIrredundant", None, None, 1, 1)
     notes: tuple = ()
-    if indexed and g.order is not None and g.order <= MAX_INDEXED_ORDER:
+    if g.order is not None and g.order <= MAX_INDEXED_ORDER:
         ix = IndexedGroup.from_spec(g)
         walk = _orbit_walk_indexed(ix, ix.indices_of(t), limits)
         to_tuple = ix.tuple_of
     else:
         walk = _orbit_walk_generic(g, t.items, limits)
         to_tuple = partial(GeneratingTuple, g)
-        if g.order is None or (g.order > 1000 and not g.is_abelian):
+        if g.order is None or not g.is_abelian:
             notes = ("orbit deduplication is literal, not up to conjugation",)
     verdict, end, path, visited, peak = walk
     if verdict == "Unknown":

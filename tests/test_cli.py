@@ -114,6 +114,13 @@ def test_witness_command(capsys):
     assert doc["exhausted"] is True
 
 
+def test_witness_rejects_nonpositive_size(capsys):
+    for argv in (("psl2:5", "--size", "0"), ("psl2:5", "--size", "-2"),
+                 ("z", "--size", "0")):
+        assert main(["witness", *argv]) == EXIT_DATA
+    assert main(["zdemo", "0"]) == EXIT_DATA
+
+
 def test_zdemo(capsys):
     code, doc = run_json(capsys, "zdemo", "3")
     assert code == EXIT_OK

@@ -1,32 +1,67 @@
 """Dense index tables: agreement with the object-level group model."""
 
 import functools
+import itertools
 import operator
 import random
+import time
 
 import numpy as np
 import pytest
 
-from genrank.groups import (CyclicPower, GeneratingTuple, ProductGroup,
-                            ProjSpecialLinear, SpecialLinear, closure,
-                            is_generating)
+from genrank.groups import (CayleyTableGroup, CyclicPower, GeneratingTuple,
+                            ProductGroup, ProjSpecialLinear, SpecialLinear,
+                            closure)
 from genrank.indexed import MAX_INDEXED_ORDER, IndexedGroup
 
-SPECS = (ProjSpecialLinear(2, 5), SpecialLinear(2, 5), CyclicPower(3, 2))
+# Z/300 as a table: past 256 labels the encoding order is not the label order
+Z300 = CayleyTableGroup(tuple(tuple((a + b) % 300 for b in range(300))
+                              for a in range(300)))
+PSL2_5_X_C2 = ProductGroup((ProjSpecialLinear(2, 5), CyclicPower(2, 1)))
+SPECS = (ProjSpecialLinear(2, 5), SpecialLinear(2, 5), CyclicPower(3, 2),
+         Z300, PSL2_5_X_C2)
 
 
 def test_tables_agree_with_spec_operations():
-    rng = random.Random(3)
     for spec in SPECS:
         ix = IndexedGroup.from_spec(spec)
         els = ix.elements
         assert ix.n == spec.order
-        for _ in range(200):
-            a = rng.randrange(ix.n)
-            b = rng.randrange(ix.n)
-            prod = spec.mul(els[a], els[b])
-            assert els[ix.mult[a, b]] == prod
+        for a, b in itertools.product(range(ix.n), repeat=2):
+            assert els[ix.mult[a, b]] == spec.mul(els[a], els[b])
         assert all(ix.mult[i, ix.inv[i]] == ix.identity for i in range(ix.n))
+
+
+@pytest.mark.parametrize("spec", (
+    CyclicPower(2, 12), ProductGroup((ProjSpecialLinear(2, 5),) * 2)),
+    ids=lambda spec: spec.descriptor())
+def test_large_tables_build_in_seconds(spec):
+    t0 = time.monotonic()
+    ix = IndexedGroup(spec)
+    assert time.monotonic() - t0 < 30
+    assert ix.n == spec.order
+    rng = random.Random(5)
+    els = ix.elements
+    for _ in range(300):
+        a, b = rng.randrange(ix.n), rng.randrange(ix.n)
+        assert els[ix.mult[a, b]] == spec.mul(els[a], els[b])
+
+
+class _FirstGeneratorOnly(CyclicPower):
+    def generators(self):
+        return super().generators()[:1]
+
+
+class _UnreducedSum(CyclicPower):
+    def mul(self, a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+
+def test_table_builder_rejects_broken_specs():
+    with pytest.raises(AssertionError, match="do not reach every element"):
+        IndexedGroup(_FirstGeneratorOnly(3, 2))
+    with pytest.raises(AssertionError, match="escaped the element table"):
+        IndexedGroup(_UnreducedSum(3, 2))
 
 
 def test_orders_table():
@@ -60,11 +95,13 @@ def test_conjugation_table():
 
 
 def test_central_mask():
-    ix = IndexedGroup.from_spec(SpecialLinear(2, 5))
-    centre = [i for i in range(ix.n) if ix.central[i]]
-    assert len(centre) == 2
-    ix2 = IndexedGroup.from_spec(CyclicPower(3, 2))
-    assert all(ix2.central)
+    for spec, centre in ((SpecialLinear(2, 5), 2), (ProjSpecialLinear(2, 5), 1),
+                         (PSL2_5_X_C2, 2), (CyclicPower(3, 2), 9)):
+        ix = IndexedGroup.from_spec(spec)
+        assert int(ix.central.sum()) == centre
+        # central means commuting with every element, not only the generators
+        assert all((ix.mult[x] == ix.mult[:, x]).all() == ix.central[x]
+                   for x in range(ix.n))
 
 
 def test_closure_mask_matches_object_closure():
@@ -103,7 +140,7 @@ def test_generates_matches_is_generating():
             k = rng.choice((2, 3))
             gens = tuple(rng.randrange(ix.n) for _ in range(k))
             t = GeneratingTuple(spec, tuple(ix.elements[i] for i in gens))
-            assert ix.generates(gens) == is_generating(t, method="closure")
+            assert ix.generates(gens) == (closure(t).order == spec.order)
 
 
 def _closure_generates(ix, gens) -> bool:
