@@ -10,10 +10,9 @@ certificates bytewise.
 
 from .fp import FpMatrix, ProjectiveMatrix, is_prime, projective_canonicalize
 from .groups import (CayleyTableGroup, CyclicPower, GeneratingTuple,
-                     GenerationReport, GroupIsomorphism, GroupSpec, Integers,
+                     GenerationReport, GroupSpec, Integers,
                      ProductGenerationReport, ProductGroup, ProjSpecialLinear,
-                     SpecialLinear, SubgroupClosure, closure,
-                     enumerate_isomorphisms, is_generating,
+                     SpecialLinear, SubgroupClosure, closure, is_generating,
                      is_generating_sl2_fast, is_simple_finite, project_to_psl,
                      product_generates, sl2_generation_report)
 from .indexed import IndexedGroup
@@ -37,11 +36,10 @@ from .arithmetic import (DenominatorClash, DensityCertificate,
 __all__ = [
     "FpMatrix", "ProjectiveMatrix", "is_prime", "projective_canonicalize",
     "CayleyTableGroup", "CyclicPower", "GeneratingTuple", "GenerationReport",
-    "GroupIsomorphism", "GroupSpec", "Integers", "ProductGenerationReport",
-    "ProductGroup", "ProjSpecialLinear", "SpecialLinear", "SubgroupClosure",
-    "closure", "enumerate_isomorphisms", "is_generating",
-    "is_generating_sl2_fast", "is_simple_finite", "project_to_psl",
-    "product_generates", "sl2_generation_report",
+    "GroupSpec", "Integers", "ProductGenerationReport", "ProductGroup",
+    "ProjSpecialLinear", "SpecialLinear", "SubgroupClosure", "closure",
+    "is_generating", "is_generating_sl2_fast", "is_simple_finite",
+    "project_to_psl", "product_generates", "sl2_generation_report",
     "IndexedGroup",
     "InvolutionPairReport", "RankSearchResult", "RedundancyReport",
     "SearchLimits", "WitnessSearchResult", "cyclic_power_rank_witness",

@@ -12,12 +12,13 @@ the rational tuple.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fp import FpMatrix, is_prime, prime_factors
+from .fp import FpMatrix, is_prime, prime_factors, primes
 from .groups import (GeneratingTuple, SpecialLinear, closure, is_generating,
                      sl2_generation_report)
 from .nielsen import NielsenMove, SearchLimits, is_nielsen_redundant
@@ -236,12 +237,8 @@ def plan_primes(t: RationalTuple, config: PlanConfig | None = None) -> PrimePlan
                 notes.append(f"prime {p} is at or below the exceptional floor {floor}")
             chosen.append(p)
         return PrimePlan(tuple(chosen), denoms, floor, tuple(notes))
-    out = []
-    p = floor + 1
-    while len(out) < config.max_primes:
-        if is_prime(p) and p not in denoms:
-            out.append(p)
-        p += 1
+    out = itertools.islice((q for q in primes(floor + 1) if q not in denoms),
+                           max(config.max_primes, 0))
     return PrimePlan(tuple(out), denoms, floor, tuple(notes))
 
 

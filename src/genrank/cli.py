@@ -202,8 +202,6 @@ def read_rational_tuple(path: str) -> RationalTuple:
 
 
 def _parse_factor_element(spec: GroupSpec, fields: list):
-    if not isinstance(spec, (SpecialLinear, ProjSpecialLinear)):
-        raise DataError("product factors must be sl or psl groups")
     n, p = spec.n, spec.p
     if len(fields) != n * n:
         raise DataError(f"expected {n * n} entries for a {spec.descriptor()} element")
@@ -231,6 +229,8 @@ def read_product_tuple(path: str) -> GeneratingTuple:
         raise DataError('the header must be "prod <desc1> <desc2>"')
     f1 = parse_group(head[1])
     f2 = parse_group(head[2])
+    if not all(isinstance(f, (SpecialLinear, ProjSpecialLinear)) for f in (f1, f2)):
+        raise DataError("product factors must be sl or psl groups")
     group = ProductGroup((f1, f2))
     items = []
     for line in lines[1:]:

@@ -8,6 +8,7 @@ must stay below 2**15 so that entry products fit in a machine word.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -30,6 +31,11 @@ def is_prime(n: int) -> bool:
         d += 1 if d == 2 else 2
     _known_primes.add(n)
     return True
+
+
+def primes(start: int = 2):
+    """The primes at or above start, in increasing order, without end."""
+    return filter(is_prime, itertools.count(start))
 
 
 def prime_factors(n: int) -> list:

@@ -24,7 +24,7 @@ import itertools
 import math
 import random
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .fp import (FpMatrix, ProjectiveMatrix, canonical_rep, check_modulus,
@@ -386,6 +386,19 @@ def _table_identity(table):
     return None
 
 
+def _minimal_generating_tuple(spec: GroupSpec) -> tuple:
+    """Greedy generating tuple: repeatedly append the first element
+    outside the closure."""
+    els = spec.elements()
+    items: tuple = ()
+    cl = closure(GeneratingTuple(spec, items))
+    while cl.order < spec.order:
+        nxt = next(x for x in els if x not in cl)
+        items = items + (nxt,)
+        cl = closure(GeneratingTuple(spec, items))
+    return items
+
+
 @dataclass(frozen=True)
 class CayleyTableGroup(GroupSpec):
     """A finite group given by an explicit multiplication table on
@@ -623,18 +636,18 @@ class GenerationReport:
 
 
 def _sl2_context(spec: GroupSpec):
-    if isinstance(spec, SpecialLinear) and spec.n == 2:
-        return spec.p, 2
-    if isinstance(spec, ProjSpecialLinear) and spec.n == 2:
-        return spec.p, 1
-    raise ValueError("structural test supports only SL2 and PSL2")
+    """(p, center size) of SL2(F_p) or PSL2(F_p), p >= 5."""
+    if not (isinstance(spec, (SpecialLinear, ProjSpecialLinear)) and spec.n == 2):
+        raise ValueError("structural test supports only SL2 and PSL2")
+    if spec.p < 5:
+        raise ValueError("structural test requires p >= 5")
+    return spec.p, 2 if isinstance(spec, SpecialLinear) else 1
 
 
-def _sl2_verdict(rep_mats, p: int, center_size: int, group_order: int,
-                 closure_probe) -> GenerationReport:
-    """Structural verdict.  closure_probe(cap) must run a capped closure
-    of the same tuple and return (exceeded, size)."""
-    noncentral = [m for m in rep_mats if not m.is_scalar()]
+def _sl2_verdict(t: GeneratingTuple) -> GenerationReport:
+    """Structural verdict for a tuple of SL2(F_p) or PSL2(F_p), p >= 5."""
+    p, center = _sl2_context(t.group)
+    noncentral = [m for m in map(_rep_matrix, t.items) if not m.is_scalar()]
     if not noncentral:
         return GenerationReport(False, "all entries central")
     line_sets = [set(eigenlines_mod_center(m)) for m in noncentral]
@@ -657,12 +670,13 @@ def _sl2_verdict(rep_mats, p: int, center_size: int, group_order: int,
         if all({line_image(m, a), line_image(m, bpair)} == set(pair)
                for m in noncentral):
             return GenerationReport(False, "invariant line pair", (a, bpair))
-    cap = center_size * max(60, p + 1)
-    exceeded, size = closure_probe(cap)
-    if exceeded:
+    cap = center * max(60, p + 1)
+    try:
+        size = closure(t, cap=cap).order
+    except CapExceeded:
         return GenerationReport(True, "closure exceeded dihedral and exceptional bounds",
                                 cap)
-    if size == group_order:
+    if size == t.group.order:
         return GenerationReport(True, "full closure", size)
     return GenerationReport(False, f"closure order {size}", size)
 
@@ -674,17 +688,7 @@ def _rep_matrix(x) -> FpMatrix:
 def sl2_generation_report(t: GeneratingTuple) -> GenerationReport:
     """Structural generation test for tuples in SL2(F_p) or PSL2(F_p),
     p >= 5, with a diagnosis usable in certificates."""
-    p, center = _sl2_context(t.group)
-    if p < 5:
-        raise ValueError("structural test requires p >= 5")
-
-    def closure_probe(cap):
-        try:
-            return False, closure(t, cap=cap).order
-        except CapExceeded as exc:
-            return True, exc.visited
-    mats = [_rep_matrix(x) for x in t.items]
-    return _sl2_verdict(mats, p, center, t.group.order, closure_probe)
+    return _sl2_verdict(t)
 
 
 def is_generating_sl2_fast(t: GeneratingTuple) -> bool:
@@ -715,142 +719,10 @@ def project_to_psl(t: GeneratingTuple) -> GeneratingTuple:
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism enumeration and product generation.
+# Product generation.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroupIsomorphism:
-    """An isomorphism between two finite groups, represented by images of
-    a generating tuple plus an evaluator."""
-
-    source: GroupSpec
-    target: GroupSpec
-    kind: str                       # "conjugation" or "table"
-    payload: object = field(hash=False)
-    label: str = ""
-
-    def apply(self, x):
-        if self.kind == "conjugation":
-            c = self.payload
-            return projective_canonicalize(c * _rep_matrix(x) * c.inverse())
-        return self.payload[self.source.encode(x)]
-
-
-def _psl2_conjugation_isomorphisms(g1: ProjSpecialLinear) -> tuple:
-    """All automorphisms of PSL2(F_p) for prime p >= 5: conjugation by
-    PGL2(F_p), of which there are p(p^2-1)."""
-    p = g1.p
-    sl = SpecialLinear(2, p)
-    d = nonresidue(p)
-    dmat = FpMatrix.from_rows(p, [[d, 0], [0, 1]])
-    seen = {}
-    for m in sl.elements():
-        for c in (m, dmat * m):
-            r = canonical_rep(c)
-            seen.setdefault(r.encode(), r)
-    reps = [seen[k] for k in sorted(seen)]
-    expected = p * (p * p - 1)
-    if len(reps) != expected:
-        raise AssertionError(f"enumerated {len(reps)} conjugators, expected {expected}")
-    out = []
-    for r in reps:
-        label = "identity" if r.is_identity() else \
-            f"conjugation by {list(map(list, r.rows()))} mod {p}"
-        out.append(GroupIsomorphism(g1, g1, "conjugation", r, label))
-    return tuple(out)
-
-
-def _minimal_generating_tuple(spec: GroupSpec) -> tuple:
-    """Greedy generating tuple used to anchor brute-force isomorphism
-    search: repeatedly append the first element outside the closure."""
-    els = spec.elements()
-    items: tuple = ()
-    cl = closure(GeneratingTuple(spec, items))
-    while cl.order < spec.order:
-        nxt = next(x for x in els if x not in cl)
-        items = items + (nxt,)
-        cl = closure(GeneratingTuple(spec, items))
-    return items
-
-
-def _element_orders(spec: GroupSpec) -> dict:
-    out = {}
-    e = spec.identity()
-    ek = spec.encode(e)
-    for x in spec.elements():
-        k = 1
-        acc = x
-        while spec.encode(acc) != ek:
-            acc = spec.mul(acc, x)
-            k += 1
-        out[spec.encode(x)] = k
-    return out
-
-
-def _extend_to_isomorphism(g1, g2, gens, images):
-    """Grow the partial map gens[i] -> images[i] to a full isomorphism by
-    parallel closure; returns the encoding map or None on conflict."""
-    e1, e2 = g1.identity(), g2.identity()
-    mapping = {g1.encode(e1): e2}
-    frontier = [(e1, e2)]
-    while frontier:
-        nxt = []
-        for a, b in frontier:
-            for x, y in zip(gens, images):
-                a2, b2 = g1.mul(a, x), g2.mul(b, y)
-                k = g1.encode(a2)
-                if k in mapping:
-                    if g2.encode(mapping[k]) != g2.encode(b2):
-                        return None
-                else:
-                    mapping[k] = b2
-                    nxt.append((a2, b2))
-        frontier = nxt
-    if len(mapping) != g1.order:
-        return None
-    if len({g2.encode(v) for v in mapping.values()}) != g2.order:
-        return None
-    return mapping
-
-
 _BRUTE_FORCE_LIMIT = 500
-
-
-def _brute_force_isomorphisms(g1: GroupSpec, g2: GroupSpec) -> tuple:
-    if g1.order > _BRUTE_FORCE_LIMIT:
-        raise ValueError("brute-force isomorphism search limited to order 500")
-    gens = _minimal_generating_tuple(g1)
-    ord1 = _element_orders(g1)
-    ord2 = _element_orders(g2)
-    gen_orders = [ord1[g1.encode(x)] for x in gens]
-    pools = [[y for y in g2.elements() if ord2[g2.encode(y)] == k] for k in gen_orders]
-    out = []
-    for images in itertools.product(*pools):
-        mapping = _extend_to_isomorphism(g1, g2, gens, images)
-        if mapping is not None:
-            out.append(GroupIsomorphism(
-                g1, g2, "table", mapping,
-                f"generator images {[g2.encode(y).hex() for y in images]}"))
-    return tuple(out)
-
-
-def enumerate_isomorphisms(g1: GroupSpec, g2: GroupSpec) -> tuple:
-    """All isomorphisms g1 -> g2.  PSL2(F_p) pairs with equal p use the
-    conjugation description; other small finite pairs fall back to
-    brute force over generator images."""
-    if g1.order is None or g2.order is None:
-        raise ValueError("isomorphism enumeration needs finite groups")
-    if g1.order != g2.order:
-        return ()
-    if (isinstance(g1, ProjSpecialLinear) and isinstance(g2, ProjSpecialLinear)
-            and g1.n == 2 and g2.n == 2 and g1.p == g2.p and g1.p >= 5):
-        return _psl2_conjugation_isomorphisms(g1)
-    if g1.order <= _BRUTE_FORCE_LIMIT:
-        return _brute_force_isomorphisms(g1, g2)
-    raise ValueError("isomorphism enumeration unavailable for the given kinds")
-
-
-_SIMPLICITY_CACHE: dict[str, bool] = {}
 
 
 def is_simple_finite(spec: GroupSpec) -> bool:
@@ -861,20 +733,14 @@ def is_simple_finite(spec: GroupSpec) -> bool:
         return True
     if spec.order is None:
         return False
-    key = spec.descriptor()
-    if key in _SIMPLICITY_CACHE:
-        return _SIMPLICITY_CACHE[key]
     if spec.order > _BRUTE_FORCE_LIMIT:
         raise ValueError("simplicity check limited to order 500")
+    if spec.order == 1:
+        return False
     els = spec.elements()
     e_key = spec.encode(spec.identity())
-    verdict = True
-    if spec.order == 1:
-        verdict = False
     seen_classes = set()
     for x in els:
-        if not verdict:
-            break
         xk = spec.encode(x)
         if xk == e_key or xk in seen_classes:
             continue
@@ -882,9 +748,79 @@ def is_simple_finite(spec: GroupSpec) -> bool:
         seen_classes.update(cls.keys())
         normal = closure(GeneratingTuple(spec, tuple(cls.values())))
         if normal.order < spec.order:
-            verdict = False
-    _SIMPLICITY_CACHE[key] = verdict
-    return verdict
+            return False
+    return True
+
+
+def _kernel_mod_p(rows: list, p: int, width: int) -> list:
+    """A basis of the solutions x of rows . x = 0 over F_p."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for col in range(width):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] % p), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][col], p - 2, p)
+        rows[r] = [v * inv % p for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] % p:
+                f = rows[i][col]
+                rows[i] = [(v - f * w) % p for v, w in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    basis = []
+    for free in (c for c in range(width) if c not in pivots):
+        x = [0] * width
+        x[free] = 1
+        for i, col in enumerate(pivots):
+            x[col] = -rows[i][free] % p
+        basis.append(x)
+    return basis
+
+
+def _psl2_conjugator(g: ProjSpecialLinear, images: list) -> FpMatrix:
+    """The PGL2(F_p) element c with c x c^-1 = images[i] in PSL2(F_p) for
+    the standard generators x, scaled to determinant 1 or the least
+    non-residue and then to its canonical sign.  Solves c x = +-y c for
+    each sign choice; a nonzero solution is unique up to scalars and
+    invertible, since the generators have no common eigenvector."""
+    p = g.p
+    pairs = [(x.rep.rows(), y.rep.rows()) for x, y in zip(g.generators(), images)]
+    for signs in itertools.product((1, -1), repeat=len(pairs)):
+        # row (i, j) of c x - s y c, over the unknowns c_ab at index 2a + b
+        eqs = []
+        for (x, y), s in zip(pairs, signs):
+            for i in range(2):
+                for j in range(2):
+                    row = [0] * 4
+                    for k in range(2):
+                        row[2 * i + k] += x[k][j]
+                        row[2 * k + j] -= s * y[i][k]
+                    eqs.append(row)
+        basis = _kernel_mod_p(eqs, p, 4)
+        if basis:
+            c = FpMatrix(p, 2, tuple(basis[0]))
+            det = c.det()
+            if det not in sqrt_table(p):
+                det = det * pow(nonresidue(p), p - 2, p) % p
+            return canonical_rep(c.scaled(pow(sqrt_table(p)[det], p - 2, p)))
+    raise AssertionError("no conjugator realizes the automorphism")
+
+
+def _graph_label(g1: GroupSpec, g2: GroupSpec, phi: dict) -> str:
+    """Name the isomorphism phi (encoding in g1 -> element of g2)."""
+    images = [phi[g1.encode(x)] for x in g1.generators()]
+    if g1 == g2 and all(g1.encode(x) == g1.encode(y)
+                        for x, y in zip(g1.generators(), images)):
+        return "graph of identity"
+    if isinstance(g1, ProjSpecialLinear) and g1 == g2 and g1.n == 2:
+        c = _psl2_conjugator(g1, images)
+        label = f"conjugation by {list(map(list, c.rows()))} mod {g1.p}"
+    else:
+        label = f"generator images {[g2.encode(y).hex() for y in images]}"
+    return f"graph of isomorphism ({label})"
 
 
 @dataclass(frozen=True)
@@ -893,16 +829,17 @@ class ProductGenerationReport:
     with the blocking projection or aligning isomorphism named.  The
     verdict uses the graph-subgroup classification: a proper subgroup of
     G1 x G2 projecting onto both simple factors is the graph of an
-    isomorphism G1 -> G2."""
+    isomorphism G1 -> G2, so it has exactly |G1| elements.  The
+    isomorphism maps encodings of G1 elements to G2 elements."""
 
     generates: bool
     diagnosis: str
-    isomorphism: GroupIsomorphism | None = None
+    isomorphism: dict | None = None
 
 
 def product_generates(t: GeneratingTuple) -> ProductGenerationReport:
     """Decide generation of a tuple in a product of two finite simple
-    groups without enumerating the product."""
+    groups by one closure capped at |G1|."""
     g = t.group
     if not isinstance(g, ProductGroup) or len(g.factors) != 2:
         raise ValueError("product check expects a product of exactly two factors")
@@ -910,23 +847,16 @@ def product_generates(t: GeneratingTuple) -> ProductGenerationReport:
     for name, f in (("first", g1), ("second", g2)):
         if not is_simple_finite(f):
             raise ValueError(f"{name} factor is not a supported simple group")
-    t1 = g.project(t, 0)
-    t2 = g.project(t, 1)
-    if not is_generating(t1):
+    if not is_generating(g.project(t, 0)):
         return ProductGenerationReport(False, "projection 1 proper")
-    if not is_generating(t2):
+    if not is_generating(g.project(t, 1)):
         return ProductGenerationReport(False, "projection 2 proper")
     if g1.order != g2.order:
         return ProductGenerationReport(
             True, "projections generate non-isomorphic simple factors")
-    isos = enumerate_isomorphisms(g1, g2)
-    if not isos:
-        return ProductGenerationReport(
-            True, "projections generate non-isomorphic simple factors")
-    for iso in isos:
-        if all(g2.encode(iso.apply(x)) == g2.encode(y)
-               for x, y in zip(t1.items, t2.items)):
-            label = "graph of identity" if iso.label == "identity" else \
-                f"graph of isomorphism ({iso.label})"
-            return ProductGenerationReport(False, label, iso)
-    return ProductGenerationReport(True, "no isomorphism aligns the factor tuples")
+    try:
+        graph = closure(t, cap=g1.order)
+    except CapExceeded:
+        return ProductGenerationReport(True, "no isomorphism aligns the factor tuples")
+    phi = {g1.encode(a): b for a, b in graph.elements}
+    return ProductGenerationReport(False, _graph_label(g1, g2, phi), phi)

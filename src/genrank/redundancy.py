@@ -23,11 +23,13 @@ sets, which is what the maximum and the class inventory rely on.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 import time
 from dataclasses import dataclass
 
-from .fp import is_prime, prime_factors
+from .fp import prime_factors, primes
 from .groups import (CyclicPower, GeneratingTuple, GroupSpec, Integers,
                      closure, is_generating)
 from .indexed import MAX_INDEXED_ORDER, IndexedGroup
@@ -179,16 +181,6 @@ class _SetSearch:
         return {k: sorted(v) for k, v in collected.items()}
 
 
-def _first_primes(n: int) -> list:
-    out = []
-    k = 2
-    while len(out) < n:
-        if is_prime(k):
-            out.append(k)
-        k += 1
-    return out
-
-
 def z_witness(n: int) -> GeneratingTuple:
     """An irredundant generating n-tuple of the integers: with q_1..q_n
     the first n primes and P their product, take x_i = P / q_i.  The
@@ -196,11 +188,9 @@ def z_witness(n: int) -> GeneratingTuple:
     divisible by q_i."""
     if n < 1:
         raise ValueError("need at least one entry")
-    primes = _first_primes(n)
-    total = 1
-    for q in primes:
-        total *= q
-    return GeneratingTuple(Integers(), tuple(total // q for q in primes))
+    first = list(itertools.islice(primes(), n))
+    total = math.prod(first)
+    return GeneratingTuple(Integers(), tuple(total // q for q in first))
 
 
 @dataclass(frozen=True)

@@ -253,6 +253,36 @@ def test_product_check_rejects_bad_entries(capsys, tmp_path):
     assert main(["product-check", str(bad)]) == EXIT_DATA
 
 
+def test_product_check_rejects_non_matrix_factors(capsys, tmp_path):
+    bad = tmp_path / "bad.txt"
+    for header in ("prod psl2:5 z", "prod z psl2:5", "prod psl2:5 cyclic:5^1",
+                   "prod psl2:5 prod(psl2:5,psl2:5)"):
+        bad.write_text(header + "\n1 0 0 1 | 1 0 0 1\n")
+        assert main(["product-check", str(bad)]) == EXIT_DATA
+        assert "must be sl or psl" in capsys.readouterr().err
+    bad.write_text("prod psl2:5 z\n")
+    assert main(["product-check", str(bad)]) == EXIT_DATA
+
+
+def test_product_check_psl3(capsys, tmp_path):
+    # PSL3(3) x PSL3(3): decided by the capped closure, with no
+    # isomorphism enumeration
+    e12 = "1 1 0 0 1 0 0 0 1"
+    shift = "0 0 1 1 0 0 0 1 0"
+    diag = tmp_path / "diag.txt"
+    diag.write_text(f"prod psl3:3 psl3:3\n{e12} | {e12}\n{shift} | {shift}\n")
+    code, doc = run_json(capsys, "product-check", str(diag))
+    assert code == EXIT_OK
+    assert doc["generates"] is False
+    assert doc["diagnosis"].startswith("graph of")
+    swapped = tmp_path / "swapped.txt"
+    swapped.write_text(f"prod psl3:3 psl3:3\n{e12} | {shift}\n{shift} | {e12}\n")
+    code, doc = run_json(capsys, "product-check", str(swapped))
+    assert code == EXIT_OK
+    assert doc["generates"] is True
+    assert doc["diagnosis"] == "no isomorphism aligns the factor tuples"
+
+
 def test_orbit_command(capsys):
     code, doc = run_json(capsys, "orbit", "cyclic:2^2", "--size", "2")
     assert code == EXIT_OK

@@ -7,8 +7,7 @@ import pytest
 from genrank.fp import FpMatrix, projective_canonicalize
 from genrank.groups import (CayleyTableGroup, CyclicPower, GeneratingTuple,
                             Integers, ProductGroup, ProjSpecialLinear,
-                            SpecialLinear, closure, enumerate_isomorphisms,
-                            is_generating, is_generating_sl2_fast,
+                            SpecialLinear, closure, is_generating, is_generating_sl2_fast,
                             is_simple_finite, product_generates,
                             project_to_psl, sl2_generation_report)
 
@@ -175,26 +174,29 @@ def test_simplicity_classifier():
     assert not is_simple_finite(CyclicPower(3, 2))
 
 
-def test_psl2_isomorphism_count():
-    # the automorphism group of PSL2(p) has order p(p^2-1) for p >= 5
-    autos = enumerate_isomorphisms(ProjSpecialLinear(2, 5),
-                                   ProjSpecialLinear(2, 5))
-    assert len(autos) == 120
+def test_psl2_isomorphism_count(pgl2):
+    # Aut(PSL2(5)) is conjugation by PGL2(5), of order p(p^2-1) = 120: the
+    # graph tuple of each automorphism is rejected and names its conjugator
+    conjugators, conjugate = pgl2
     g = ProjSpecialLinear(2, 5)
-    x = projective_canonicalize(FpMatrix.from_rows(5, [[0, -1], [1, 0]]))
-    y = projective_canonicalize(FpMatrix.from_rows(5, [[1, 1], [0, 1]]))
-    seen = set()
-    for iso in autos:
-        gx, gy = iso.apply(x), iso.apply(y)
-        g.validate(gx), g.validate(gy)
-        seen.add((g.encode(gx), g.encode(gy)))
-    # distinct automorphisms move the generating pair to distinct images
-    assert len(seen) == 120
-
-
-def test_no_isomorphism_between_different_orders():
-    assert enumerate_isomorphisms(ProjSpecialLinear(2, 5),
-                                  ProjSpecialLinear(2, 7)) == ()
+    prod = ProductGroup((g, g))
+    pair = standard_pair(g).items
+    diagnoses = set()
+    for c in conjugators(5):
+        rep = product_generates(GeneratingTuple(
+            prod, tuple((x, conjugate(c, x)) for x in pair)))
+        assert not rep.generates
+        if c.is_identity():
+            assert rep.diagnosis == "graph of identity"
+        else:
+            assert rep.diagnosis == ("graph of isomorphism (conjugation by "
+                                     f"{list(map(list, c.rows()))} mod 5)")
+        diagnoses.add(rep.diagnosis)
+        assert len(rep.isomorphism) == 60
+        for x in g.elements():
+            assert g.encode(rep.isomorphism[g.encode(x)]) == \
+                g.encode(conjugate(c, x))
+    assert len(diagnoses) == 120
 
 
 def test_product_generates_mixed_factors():
