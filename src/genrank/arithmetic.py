@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fp import FpMatrix, is_prime, prime_factors, primes
-from .groups import (GeneratingTuple, SpecialLinear, closure, is_generating,
-                     sl2_generation_report)
+from .groups import (GeneratingTuple, SpecialLinear, is_generating,
+                     sl2_generation_report, subgroup_order)
 from .nielsen import NielsenMove, SearchLimits, is_nielsen_redundant
 from .redundancy import is_redundant
 
@@ -277,25 +277,26 @@ class NotCertifiedReport:
 
 def _generation_evidence(gt: GeneratingTuple, cap: int):
     """Generation verdict plus certificate evidence at one prime.
-    Small groups get the exact closure order; larger SL2 reductions get
-    the structural transcript.  Both agree where both apply.  A larger
-    reduction with no structural test is left undecided and counts as
-    not generating, so it never certifies."""
+    Small groups get the exact subgroup order, from a stabilizer chain
+    (the diagnosis and evidence kind keep the word "closure"); larger
+    SL2 reductions get the structural transcript.  Both agree where both
+    apply.  A larger reduction with no structural test is left undecided
+    and counts as not generating, so it never certifies."""
     spec = gt.group
     p = spec.p
     structural = None
     if spec.n == 2 and p >= 5:
         structural = sl2_generation_report(gt)
     if spec.order <= cap:
-        cl = closure(gt)
-        generates = cl.order == spec.order
-        diagnosis = "full closure" if generates else f"closure order {cl.order}"
+        order = subgroup_order(gt)
+        generates = order == spec.order
+        diagnosis = "full closure" if generates else f"closure order {order}"
         if structural is not None:
             if structural.generates != generates:
                 raise AssertionError(
-                    "structural test disagrees with closure enumeration")
+                    "structural test disagrees with the subgroup order")
             diagnosis = structural.reason
-        return generates, "closure-order", cl.order, None, diagnosis
+        return generates, "closure-order", order, None, diagnosis
     if structural is None:
         return (False, None, None, None,
                 "undecided: too large for closure evidence")

@@ -7,8 +7,14 @@ multiplication tables, direct products, and the additive integers.
 Elements are plain values (matrices, residue vectors, table indices,
 ints); each group kind validates and encodes its own elements.
 
+Subgroup orders of SL/PSL tuples come from a Schreier-Sims stabilizer
+chain of the action on nonzero vectors or on lines, which lists no
+element; `closure` is the one routine that enumerates a subgroup.
+
 Generation testing dispatches to a structural test for SL2/PSL2 with
-p >= 5.  The test rests on the classification of subgroups of PSL2(F_p):
+p >= 5, to the stabilizer-chain order for other SL/PSL groups, and to
+closure for the rest.  The structural test rests on the classification
+of subgroups of PSL2(F_p):
 every proper subgroup either fixes a line over the quadratic extension
 (triangularizable or inside a torus), permutes an unordered pair of such
 lines (inside the normalizer of a torus, so of order at most p+1 up to
@@ -110,8 +116,7 @@ class GroupSpec:
         return self.mul(self.mul(g, x), self.inv(g))
 
     def random_element(self, rng):
-        els = self.elements()
-        return els[rng.randrange(len(els))]
+        raise NotImplementedError
 
     def __repr__(self):
         return self.descriptor()
@@ -131,6 +136,19 @@ def _sl_standard_generators(n: int, p: int) -> tuple[FpMatrix, ...]:
     for i in range(1, n):
         shift[i][i - 1] = 1
     return (FpMatrix.from_rows(p, e12), FpMatrix.from_rows(p, shift))
+
+
+def _random_sl(n: int, p: int, rng) -> FpMatrix:
+    """A uniform element of SL_n(F_p), without listing the group: a
+    uniform invertible matrix with its first row divided by the
+    determinant (each fibre of that map has p - 1 elements)."""
+    while True:
+        m = FpMatrix(p, n, tuple(rng.randrange(p) for _ in range(n * n)))
+        d = m.det()
+        if d:
+            c = pow(d, p - 2, p)
+            return FpMatrix(p, n, tuple(x * c % p for x in m.entries[:n])
+                            + m.entries[n:])
 
 
 @dataclass(frozen=True)
@@ -175,6 +193,9 @@ class SpecialLinear(GroupSpec):
     def generators(self) -> tuple:
         return _sl_standard_generators(self.n, self.p)
 
+    def random_element(self, rng):
+        return _random_sl(self.n, self.p, rng)
+
 
 @dataclass(frozen=True)
 class ProjSpecialLinear(GroupSpec):
@@ -217,6 +238,9 @@ class ProjSpecialLinear(GroupSpec):
     def generators(self) -> tuple:
         return tuple(projective_canonicalize(m)
                      for m in _sl_standard_generators(self.n, self.p))
+
+    def random_element(self, rng):
+        return ProjectiveMatrix(canonical_rep(_random_sl(self.n, self.p, rng)))
 
 
 @dataclass(frozen=True)
@@ -551,6 +575,141 @@ def closure(t: GeneratingTuple, cap: int | None = None) -> SubgroupClosure:
 
 
 # ---------------------------------------------------------------------------
+# Subgroup orders of SL_n / PSL_n tuples by a stabilizer chain.
+# ---------------------------------------------------------------------------
+
+def _compose(a: tuple, b: tuple) -> tuple:
+    """The permutation a, then b."""
+    return tuple(map(b.__getitem__, a))
+
+
+def _inverse(a: tuple) -> tuple:
+    return tuple(sorted(range(len(a)), key=a.__getitem__))
+
+
+def _basic_orbit_lengths(gens: list, base: tuple, degree: int) -> list:
+    """Basic orbit lengths of a stabilizer chain of the permutation group
+    on range(degree) that gens generate, along a known base: only the
+    identity of the group fixes every base point.  Deterministic
+    Schreier-Sims (Seress, Permutation Group Algorithms, 2003, ch. 4);
+    the group order is the product of the lengths.
+
+    Level l holds strong generators S_l fixing b_0..b_{l-1}, each with
+    its inverse, and a Schreier tree of the orbit of b_l under S_l: the
+    path from b_l to x spells the transversal element u_x (b_l^u_x = x),
+    whose base image u_x[base] is also kept.  Every Schreier generator
+    h = u_x s u_{x^s}^-1 of every level is sifted, each pair (x, s) once:
+    tree entries are never replaced, and a product that sifts to the
+    identity stays in the (only growing) subgroup below.  An element is
+    the identity exactly when it fixes the base, so sifting runs on base
+    images, and only a residue that stops at some level j is made a full
+    permutation; it joins S_{l+1}..S_j, and testing resumes at level j.
+    At the end each S_{l+1} generates the stabilizer of b_l in <S_l>, by
+    Schreier's lemma."""
+    k = len(base)
+    ident = tuple(range(degree))
+    strong = [[(g, _inverse(g)) for g in gens]] + [[] for _ in range(k - 1)]
+    images = [{b: base} for b in base]
+    tree = [{} for _ in base]
+    tested = [set() for _ in base]
+
+    def undo(lv, x, pts):
+        """u_x^-1 applied to each of pts."""
+        while x in tree[lv]:
+            x, s_inv = tree[lv][x]
+            pts = tuple(map(s_inv.__getitem__, pts))
+        return pts
+
+    lv = k - 1
+    while lv >= 0:
+        orbit, img = list(images[lv]), images[lv]
+        for x in orbit:
+            for s, s_inv in strong[lv]:
+                y = s[x]
+                if y not in img:
+                    img[y] = tuple(map(s.__getitem__, img[x]))
+                    tree[lv][y] = (x, s_inv)
+                    orbit.append(y)
+        resume = None
+        for x in orbit:
+            for i, (s, _) in enumerate(strong[lv]):
+                if (x, i) in tested[lv]:
+                    continue
+                tested[lv].add((x, i))
+                y = s[x]
+                moved = tuple(map(s.__getitem__, img[x]))
+                if moved == img[y]:
+                    continue
+                beta = undo(lv, y, moved)
+                path = []
+                j = lv + 1
+                while j < k and beta[j] in images[j]:
+                    path.append((j, beta[j]))
+                    beta = undo(j, beta[j], beta)
+                    j += 1
+                if j == k:
+                    continue
+                # the residue in full: u_x s u_y^-1, then the sifting steps
+                h = undo(lv, y, _compose(_inverse(undo(lv, x, ident)), s))
+                for level, z in path:
+                    h = undo(level, z, h)
+                for level in range(lv + 1, j + 1):
+                    strong[level].append((h, _inverse(h)))
+                resume = j
+                break
+            if resume is not None:
+                break
+        lv = lv - 1 if resume is None else resume
+    return [len(img) for img in images]
+
+
+def _action_points(n: int, p: int, lines: bool) -> list:
+    """The nonzero row vectors of F_p^n, or when lines is set one vector
+    per line, the one whose first nonzero coordinate is 1."""
+    vecs = (v for v in itertools.product(range(p), repeat=n) if any(v))
+    if lines:
+        return [v for v in vecs if next(filter(None, v)) == 1]
+    return list(vecs)
+
+
+def subgroup_order(t: GeneratingTuple) -> int:
+    """Exact order of the subgroup generated by a tuple of SL_n(F_p) or
+    PSL_n(F_p), without listing its elements.  SL_n acts faithfully on
+    the p^n - 1 nonzero row vectors by v -> v m, and PSL_n on the lines
+    through them, through each entry's representative matrix; each
+    distinct non-identity entry becomes a permutation of those points,
+    and the order is read off a stabilizer chain."""
+    g = t.group
+    if not isinstance(g, (SpecialLinear, ProjSpecialLinear)):
+        raise ValueError("stabilizer-chain orders need an SL or PSL tuple")
+    n, p, lines = g.n, g.p, isinstance(g, ProjSpecialLinear)
+    points = _action_points(n, p, lines)
+    index = {v: i for i, v in enumerate(points)}
+
+    def image(v, rows):
+        w = tuple(sum(c * r[j] for c, r in zip(v, rows)) % p for j in range(n))
+        if lines:
+            c = pow(next(filter(None, w)), p - 2, p)
+            w = tuple(x * c % p for x in w)
+        return index[w]
+
+    ident = tuple(range(len(points)))
+    gens = {}
+    for x in t.items:
+        rows = _rep_matrix(x).rows()
+        perm = tuple(image(v, rows) for v in points)
+        if perm != ident:
+            gens.setdefault(perm)
+    # only the identity fixes every coordinate vector, and in PSL_n
+    # every coordinate line and the line of the all-ones vector
+    frame = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    if lines:
+        frame.append((1,) * n)
+    base = tuple(index[v] for v in frame)
+    return math.prod(_basic_orbit_lengths(list(gens), base, len(points)))
+
+
+# ---------------------------------------------------------------------------
 # Structural generation test for SL2 / PSL2, p >= 5.
 # ---------------------------------------------------------------------------
 
@@ -698,12 +857,15 @@ def is_generating_sl2_fast(t: GeneratingTuple) -> bool:
 def is_generating(t: GeneratingTuple) -> bool:
     """Does the tuple generate its group?  For the integers this is a
     gcd condition; SL2/PSL2 with p >= 5 use the structural test, other
-    finite groups closure enumeration."""
+    SL/PSL groups the stabilizer-chain order, other finite groups
+    closure enumeration."""
     g = t.group
     if isinstance(g, Integers):
         return math.gcd(*(abs(x) for x in t.items)) == 1 if t.items else False
-    if isinstance(g, (SpecialLinear, ProjSpecialLinear)) and g.n == 2 and g.p >= 5:
-        return is_generating_sl2_fast(t)
+    if isinstance(g, (SpecialLinear, ProjSpecialLinear)):
+        if g.n == 2 and g.p >= 5:
+            return is_generating_sl2_fast(t)
+        return subgroup_order(t) == g.order
     return closure(t).order == g.order
 
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -154,6 +155,23 @@ def test_borel_pair_not_certified():
     s = serialize_certificate(result)
     ok, msg = replay_certificate(s)
     assert ok, msg
+
+
+def test_certify_sl3_standard_pair():
+    # order evidence for SL3(5) from a stabilizer chain, not from listing
+    # its 372,000 elements
+    t = RationalTuple((rmat([[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
+                       rmat([[1, 1, 0], [0, 1, 0], [0, 0, 1]])))
+    t0 = time.monotonic()
+    result = certify_density(t)
+    assert isinstance(result, DensityCertificate)
+    assert result.witness_prime == 5
+    assert result.closure_order == 372_000
+    assert result.evidence_kind == "closure-order"
+    assert result.per_prime[0].diagnosis == "full closure"
+    ok, msg = replay_certificate(serialize_certificate(result))
+    assert ok, msg
+    assert time.monotonic() - t0 < 5
 
 
 def test_sl3_unipotent_pair_not_certified():

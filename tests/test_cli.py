@@ -1,6 +1,7 @@
 """Command line behavior: grammar, exit codes, output determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -102,6 +103,18 @@ def test_budget_exit(capsys):
     code, doc = run_json(capsys, "rank", "sl2:5", "--node-budget", "5")
     assert code == EXIT_BUDGET
     assert doc["exhaustive"] is False
+
+
+def test_witness_mode_keeps_time_budget(capsys):
+    # sl3:5 (372,000 elements) is drawn from without listing the group
+    t0 = time.monotonic()
+    code, doc = run_json(capsys, "rank", "sl3:5", "--time-budget", "3")
+    assert time.monotonic() - t0 < 20
+    assert code == EXIT_BUDGET
+    spec = SpecialLinear(3, 5)
+    witness = GeneratingTuple(spec, tuple(FpMatrix.from_rows(5, rows)
+                                          for rows in doc["witness"]))
+    assert is_redundant(witness).verdict == "IrredundantGenerating"
 
 
 def test_witness_command(capsys):

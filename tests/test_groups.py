@@ -9,7 +9,8 @@ from genrank.groups import (CayleyTableGroup, CyclicPower, GeneratingTuple,
                             Integers, ProductGroup, ProjSpecialLinear,
                             SpecialLinear, closure, is_generating, is_generating_sl2_fast,
                             is_simple_finite, product_generates,
-                            project_to_psl, sl2_generation_report)
+                            project_to_psl, sl2_generation_report, sl_order,
+                            subgroup_order)
 
 
 def standard_pair(spec):
@@ -105,6 +106,56 @@ def test_cyclic_generation():
     assert is_generating(GeneratingTuple(g, basis))
     assert not is_generating(GeneratingTuple(g, ((2, 0), (0, 1))))
     assert is_generating(GeneratingTuple(g, ((1, 0), (0, 1), (3, 3))))
+
+
+def test_subgroup_order_matches_closure():
+    # the stabilizer chain against breadth-first closure, an independent path
+    rng = random.Random(17)
+    for spec in (SpecialLinear(2, 3), SpecialLinear(2, 5), ProjSpecialLinear(2, 7),
+                 SpecialLinear(3, 2), SpecialLinear(3, 3), ProjSpecialLinear(3, 3)):
+        e = spec.identity()
+        x, y = spec.random_element(rng), spec.random_element(rng)
+        cases = [(), (e,), (e, e), (x,), (x, x), (x, e), (x, spec.inv(x), x),
+                 (x, spec.mul(x, x)), (x, y, spec.mul(x, y)), (e, x, y)]
+        for k in (1, 2, 2, 2, 3, 3):
+            cases.append(tuple(spec.random_element(rng) for _ in range(k)))
+        for items in cases:
+            t = GeneratingTuple(spec, items)
+            assert subgroup_order(t) == closure(t).order, (spec, items)
+
+
+def sl3_pair(p, unipotent=False):
+    if unipotent:
+        rows = ([[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 1], [0, 0, 1]])
+    else:
+        rows = ([[0, 0, 1], [1, 0, 0], [0, 1, 0]], [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    return GeneratingTuple(SpecialLinear(3, p),
+                           tuple(FpMatrix.from_rows(p, r) for r in rows))
+
+
+def test_subgroup_order_pinned_values():
+    assert subgroup_order(sl3_pair(5)) == 372_000
+    assert subgroup_order(sl3_pair(7)) == sl_order(3, 7)
+    assert subgroup_order(sl3_pair(5, unipotent=True)) == 125
+    assert subgroup_order(sl3_pair(7, unipotent=True)) == 343
+    assert is_generating(sl3_pair(7))
+    assert not is_generating(sl3_pair(7, unipotent=True))
+    with pytest.raises(ValueError):
+        subgroup_order(GeneratingTuple(CyclicPower(6, 2), ((1, 0),)))
+
+
+def test_random_element_draws_without_enumerating():
+    rng = random.Random(3)
+    counts = {}
+    spec = SpecialLinear(2, 3)
+    for _ in range(2400):
+        x = spec.random_element(rng)
+        counts[x] = counts.get(x, 0) + 1
+    # uniform on all 24 elements: each about 100 times
+    assert len(counts) == 24 and min(counts.values()) > 60
+    for spec in (SpecialLinear(3, 7), ProjSpecialLinear(3, 7), ProjSpecialLinear(2, 5)):
+        for _ in range(20):
+            spec.validate(spec.random_element(rng))
 
 
 def test_fast_test_matches_closure_on_samples():

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from genrank.groups import (CyclicPower, GeneratingTuple, Integers,
-                            ProjSpecialLinear, SpecialLinear, closure)
+                            ProjSpecialLinear, SpecialLinear, closure,
+                            is_generating)
 from genrank.nielsen import (NielsenMove, _orbit_walk_generic, all_moves,
                              apply_move, is_nielsen_redundant, mu_rank,
                              orbit_statistics)
@@ -109,6 +110,8 @@ def test_generic_and_indexed_walk_agree():
     spec = ProjSpecialLinear(2, 5)
     for _ in range(6):
         t = random_tuple(spec, 2, rng)
+        while not is_generating(t):
+            t = random_tuple(spec, 2, rng)
         verdict = _orbit_walk_generic(spec, t.items, SearchLimits())[0]
         assert is_nielsen_redundant(t).verdict == verdict
 
