@@ -139,12 +139,10 @@ class IndexedGroup:
             rep = np.full(self.n, -1, dtype=np.int32)
             wit = np.zeros(self.n, dtype=np.int32)
             for i in range(self.n):
-                if rep[i] >= 0:
-                    continue
-                members = np.unique(conj[:, i])
-                rep[members] = i
-                for x in members:
-                    wit[x] = np.flatnonzero(conj[:, x] == i)[0]
+                if rep[i] < 0:
+                    members = np.unique(conj[:, i])
+                    rep[members] = i
+                    wit[members] = [np.flatnonzero(conj[:, x] == i)[0] for x in members]
             self._class_rep = rep
             self._class_wit = wit
         return self._class_rep, self._class_wit
@@ -315,3 +313,26 @@ class IndexedGroup:
                 out.append(m)
                 cands = cands[imgs == m]
         return tuple(out)
+
+    def canonical_tuples(self, rows: np.ndarray) -> np.ndarray:
+        """canonical_tuple of each row of an int32 array: the rows whose
+        first non-central entry v has class representative r are
+        conjugated by all of centralizer(r)·wit[v] at once and narrowed
+        position by position to the least image."""
+        if self.spec.is_abelian:
+            return rows
+        rep, wit = self._class_data()
+        noncentral = ~self.central[rows]
+        live = np.flatnonzero(noncentral.any(axis=1))     # all-central rows are canonical
+        v = rows[live, noncentral[live].argmax(axis=1)]
+        out = rows.copy()
+        for r in np.unique(rep[v]).tolist():
+            sel = live[rep[v] == r]
+            cands = self.mult[self.centralizer(r)[:, None], wit[v[rep[v] == r]]]
+            imgs = self.conj.ravel()[cands[:, :, None] * self.n + rows[sel]]
+            alive = np.ones(cands.shape, dtype=bool)
+            for j in range(rows.shape[1]):
+                col = np.where(alive, imgs[:, :, j], self.n)
+                out[sel, j] = least = col.min(axis=0)
+                alive &= col == least
+        return out

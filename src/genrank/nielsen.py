@@ -21,11 +21,12 @@ orbit settles that whole orbit.
 
 from __future__ import annotations
 
-import itertools
 import time
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
+
+import numpy as np
 
 from .groups import GeneratingTuple, GroupSpec, Integers, CyclicPower, is_generating
 from .indexed import MAX_INDEXED_ORDER, IndexedGroup
@@ -360,42 +361,14 @@ class OrbitStatistics:
         return self.orbits_with_redundant / self.orbit_count
 
 
-def _is_z_minimal(ix: IndexedGroup, zs, rest: tuple) -> bool:
-    conj = ix.conj
-    for z in zs:
-        img = tuple(int(conj[z, r]) for r in rest)
-        if img < rest:
-            return False
-    return True
-
-
-def _canonical_tuples(ix: IndexedGroup, k: int):
-    """All canonical k-tuples, enumerated first entry by conjugacy
-    class: a canonical tuple starts with a class-minimal element, and
-    its tail is minimal under the centralizer of that element (under
-    the whole group when the head is central, handled by recursion)."""
-    if k == 0:
-        yield ()
-        return
-    if ix.spec.is_abelian:
-        yield from itertools.product(range(ix.n), repeat=k)
-        return
-    for c in ix.class_min_reps():
-        if ix.central[c]:
-            for rest in _canonical_tuples(ix, k - 1):
-                yield (c,) + rest
-        else:
-            zs = [int(z) for z in ix.centralizer(c) if z != ix.identity]
-            for rest in itertools.product(range(ix.n), repeat=k - 1):
-                if _is_z_minimal(ix, zs, rest):
-                    yield (c,) + rest
-
-
 def orbit_statistics(spec: GroupSpec, size: int,
                      limits: SearchLimits | None = None) -> OrbitStatistics:
     """Partition all conjugacy classes of generating tuples of one size
     into Nielsen orbits and report which orbits contain a redundant
-    tuple.  Exact and exhaustive, hence limited to small groups."""
+    tuple.  Exact and exhaustive, hence limited to small groups.  Orbits
+    are walked a breadth-first layer at a time over the sorted class codes
+    sum t_j n^(k-1-j); budgets are checked before every layer (the node
+    budget counts classes reached) and an unfinished orbit is dropped."""
     limits = limits or SearchLimits()
     if size < 1:
         raise ValueError("size must be positive")
@@ -406,40 +379,46 @@ def orbit_statistics(spec: GroupSpec, size: int,
         raise ValueError("too many tuple classes at this size; pick a smaller size")
     ix = IndexedGroup.from_spec(spec)
     t0 = time.monotonic()
-    all_gen = {t for t in _canonical_tuples(ix, size) if ix.generates(t)}
-    moves = all_moves(size)
-    mul, inv = ix.mult.item, ix.inv.item
-    seen: set = set()
-    orbit_sizes = []
-    with_red = 0
-    partial = False
-    notes: list = []
-    for start in sorted(all_gen):
-        if start in seen:
-            continue
-        if time.monotonic() - t0 > limits.time_budget or len(seen) > limits.node_budget:
-            partial = True
-            notes.append("stopped at the search budget before all orbits were walked")
+
+    def spent(reached: int = 0) -> bool:
+        return reached > limits.node_budget or time.monotonic() - t0 > limits.time_budget
+
+    # a canonical tuple starts with a class representative c: one block per c
+    weights = ix.n ** np.arange(size - 1, -1, -1, dtype=np.int64)
+    free = (np.arange(ix.n ** (size - 1))[:, None] // weights[1:] % ix.n).astype(np.int32)
+    blocks = [np.empty((0, size), dtype=np.int32)]
+    for c in ix.class_min_reps():
+        if spent():
             break
-        members = {start}
-        dq = deque([start])
-        has_red = False
-        while dq:
-            node = dq.popleft()
-            if not has_red and \
-                    _redundant_entry(node, ix.identity, inv, ix.generates) is not None:
-                has_red = True
-            for mv in moves:
-                child = ix.canonical_tuple(mv.apply(node, mul, inv))
-                if child not in members:
-                    if child not in all_gen:
-                        raise AssertionError("orbit left the generating-class table")
-                    members.add(child)
-                    dq.append(child)
-        seen.update(members)
+        rows = np.column_stack((np.full(len(free), c, dtype=np.int32), free))
+        rows = rows[(ix.canonical_tuples(rows) == rows).all(axis=1)]
+        blocks.append(rows[np.array([ix.generates(t) for t in rows.tolist()], dtype=bool)])
+    table = np.concatenate(blocks)
+    codes = table @ weights
+    done = np.zeros(len(table), dtype=bool)
+    orbit_sizes, with_red, stopped = [], 0, spent()
+    for start in range(len(table)):
+        if done[start]:
+            continue
+        done[start] = True
+        layers = [np.array([start])]
+        while layers[-1].size and not (stopped := spent(int(done.sum()))):
+            cols, found = tuple(table[layers[-1]].T), []
+            for mv in all_moves(size):
+                moved = mv.apply(cols, lambda a, b: ix.mult[a, b], ix.inv.__getitem__)
+                child = ix.canonical_tuples(np.stack(moved, axis=1)) @ weights
+                ids = np.minimum(np.searchsorted(codes, child), len(codes) - 1)
+                if (codes[ids] != child).any():
+                    raise AssertionError("orbit left the generating-class table")
+                found.append(np.unique(ids[~done[ids]]))
+                done[found[-1]] = True
+            layers.append(np.concatenate(found))
+        if stopped:
+            break
+        members = table[np.concatenate(layers)].tolist()
         orbit_sizes.append(len(members))
-        if has_red:
-            with_red += 1
-    return OrbitStatistics(
-        spec, size, len(all_gen), len(orbit_sizes),
-        tuple(sorted(orbit_sizes, reverse=True)), with_red, partial, tuple(notes))
+        with_red += any(_redundant_entry(t, ix.identity, ix.inv.item, ix.generates) is not None
+                        for t in members)
+    notes = ("stopped at the search budget before all orbits were walked",) if stopped else ()
+    return OrbitStatistics(spec, size, len(table), len(orbit_sizes),
+                           tuple(sorted(orbit_sizes, reverse=True)), with_red, stopped, notes)

@@ -303,6 +303,18 @@ def test_orbit_command(capsys):
     assert doc["orbit_count"] == 1
 
 
+def test_orbit_node_budget_stops_inside_an_orbit(capsys):
+    # psl2:7 triples form one orbit of 26,736 classes; the budget fires
+    # inside it, so no orbit is reported
+    t0 = time.monotonic()
+    code, doc = run_json(capsys, "orbit", "psl2:7", "--size", "3", "--node-budget", "10")
+    assert time.monotonic() - t0 < 10
+    assert code == EXIT_BUDGET
+    assert doc["partial"] is True
+    assert doc["orbit_count"] == 0 and doc["orbit_sizes"] == []
+    assert doc["notes"] == ["stopped at the search budget before all orbits were walked"]
+
+
 def test_json_output_is_deterministic(capsys):
     _, first = run(capsys, "rank", "sl2:5", "--format", "json")
     _, second = run(capsys, "rank", "sl2:5", "--format", "json")

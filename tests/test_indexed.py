@@ -230,6 +230,27 @@ def test_canonical_tuple_is_conjugation_invariant():
         assert ix.canonical_tuple(c) == c
 
 
+@pytest.mark.parametrize("spec", (
+    ProjSpecialLinear(2, 5), SpecialLinear(2, 5), ProjSpecialLinear(2, 7),
+    PSL2_5_X_C2, CyclicPower(5, 2)), ids=lambda spec: spec.descriptor())
+def test_canonical_tuples_match_canonical_tuple(spec):
+    # random rows, rows whose leading entries are central, all-central rows
+    rng = np.random.default_rng(41)
+    ix = IndexedGroup.from_spec(spec)
+    centre = np.flatnonzero(ix.central)
+    for k in range(1, 5):
+        rows = rng.integers(0, ix.n, size=(600, k), dtype=np.int32)
+        lead = rng.integers(0, k + 1, size=600)
+        for j in range(k):
+            hit = j < lead
+            rows[hit, j] = rng.choice(centre, size=int(hit.sum()))
+        assert (lead == k).any() and (lead == 0).any()
+        batched = ix.canonical_tuples(rows)
+        assert batched.shape == rows.shape
+        for row, canon in zip(rows.tolist(), batched.tolist()):
+            assert tuple(canon) == ix.canonical_tuple(row), row
+
+
 def test_canonical_tuple_separates_nonconjugate():
     # class function values differ => tuples cannot collide
     spec = ProjSpecialLinear(2, 5)

@@ -1,15 +1,18 @@
 """Elementary moves, orbit walks, and the Nielsen rank."""
 
+import itertools
 import random
+import time
 
 import pytest
 
 from genrank.groups import (CyclicPower, GeneratingTuple, Integers,
-                            ProjSpecialLinear, SpecialLinear, closure,
-                            is_generating)
-from genrank.nielsen import (NielsenMove, _orbit_walk_generic, all_moves,
-                             apply_move, is_nielsen_redundant, mu_rank,
-                             orbit_statistics)
+                            ProductGroup, ProjSpecialLinear, SpecialLinear,
+                            closure, is_generating)
+from genrank.indexed import IndexedGroup
+from genrank.nielsen import (NielsenMove, OrbitStatistics, _orbit_walk_generic,
+                             _redundant_entry, all_moves, apply_move,
+                             is_nielsen_redundant, mu_rank, orbit_statistics)
 from genrank.redundancy import SearchLimits, max_irredundant_size, z_witness
 
 
@@ -145,6 +148,70 @@ def test_klein_four_orbit():
     assert stats.orbit_sizes == (6,)
     assert stats.orbits_with_redundant == 0
     assert not stats.partial
+
+
+def case_id(value):
+    return value.descriptor() if hasattr(value, "descriptor") else str(value)
+
+
+def reference_orbit_statistics(spec, size):
+    """The per-node walk: canonical_tuple and NielsenMove.apply on one
+    Python tuple at a time, with sets for the classes and the orbits."""
+    ix = IndexedGroup.from_spec(spec)
+    mul, inv = ix.mult.item, ix.inv.item
+    classes = set()
+    for c in ix.class_min_reps():
+        for rest in itertools.product(range(ix.n), repeat=size - 1):
+            t = (c,) + rest
+            if ix.canonical_tuple(t) == t and ix.generates(t):
+                classes.add(t)
+    seen, sizes, with_red = set(), [], 0
+    for start in sorted(classes):
+        if start in seen:
+            continue
+        members, todo = {start}, [start]
+        while todo:
+            node = todo.pop()
+            for mv in all_moves(size):
+                child = ix.canonical_tuple(mv.apply(node, mul, inv))
+                assert child in classes
+                if child not in members:
+                    members.add(child)
+                    todo.append(child)
+        seen |= members
+        sizes.append(len(members))
+        with_red += any(_redundant_entry(t, ix.identity, inv, ix.generates) is not None
+                        for t in members)
+    return OrbitStatistics(spec, size, len(classes), len(sizes),
+                           tuple(sorted(sizes, reverse=True)), with_red, False)
+
+
+@pytest.mark.parametrize("spec,size", (
+    (CyclicPower(2, 2), 2), (ProjSpecialLinear(2, 5), 2), (ProjSpecialLinear(2, 5), 3),
+    (SpecialLinear(2, 5), 2), (ProjSpecialLinear(2, 7), 2),
+    (ProductGroup((ProjSpecialLinear(2, 5), CyclicPower(2, 1))), 2)),
+    ids=case_id)
+def test_layer_walk_matches_per_node_walk(spec, size):
+    assert orbit_statistics(spec, size) == reference_orbit_statistics(spec, size)
+
+
+@pytest.mark.parametrize("spec,size,sizes", (
+    # size 3: Hall's Eulerian counts phi_3(G)|Z(G)|/|G| in a single orbit
+    (ProjSpecialLinear(2, 7), 3, (26736,)),
+    (SpecialLinear(2, 5), 3, (26688,)),
+    (ProjSpecialLinear(2, 7), 2, (36, 32, 32, 14)),
+    (SpecialLinear(2, 5), 2, (72, 40, 40))),
+    ids=case_id)
+def test_pinned_orbit_sizes(spec, size, sizes):
+    t0 = time.monotonic()
+    stats = orbit_statistics(spec, size)
+    assert time.monotonic() - t0 < 10
+    assert stats.orbit_sizes == sizes
+    assert stats.generating_classes == sum(sizes)
+    assert not stats.partial
+    # size-2 tuples of a non-cyclic group are never redundant; size 3 is
+    # above mu = 2 for both groups
+    assert stats.orbits_with_redundant == (size == 3)
 
 
 def test_all_triples_redundant_when_mu_is_two():
