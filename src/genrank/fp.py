@@ -4,6 +4,12 @@ canonical forms (matrices modulo the center of SL_n).
 Everything here is immutable, hashable and exact; no floats appear
 anywhere.  Moduli are validated by trial division at construction and
 must stay below 2**15 so that entry products fit in a machine word.
+
+The per-prime tables (`sqrt_table`, `nonresidue`, `nth_roots_of_unity`)
+are cached for the process, keyed by a modulus that passed
+`check_modulus` and so bounded by the primes below 2**15.
+`_known_primes` holds the primes `is_prime` has confirmed, for the
+`check_modulus` call of every FpMatrix construction.
 """
 
 from __future__ import annotations

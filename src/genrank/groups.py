@@ -30,8 +30,7 @@ import itertools
 import math
 import random
 import struct
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 from .fp import (FpMatrix, ProjectiveMatrix, canonical_rep, check_modulus,
                  nonresidue, projective_canonicalize, sqrt_table)
@@ -55,9 +54,6 @@ def sl_order(n: int, q: int) -> int:
 
 def psl_order(n: int, q: int) -> int:
     return sl_order(n, q) // math.gcd(n, q - 1)
-
-
-_ELEMENT_CACHE: dict[str, list] = {}
 
 
 class GroupSpec:
@@ -94,19 +90,17 @@ class GroupSpec:
         raise NotImplementedError
 
     def elements(self) -> list:
-        """All elements, sorted by encoding.  Finite groups only."""
+        """All elements, sorted by encoding, in a new list on each call.
+        Finite groups only."""
         if self.order is None:
             raise ValueError(f"{self.descriptor()} is infinite")
-        key = self.descriptor()
-        cached = _ELEMENT_CACHE.get(key)
-        if cached is None:
-            cached = self._enumerate()
-            if len(cached) != self.order:
-                raise AssertionError(
-                    f"enumerated {len(cached)} elements of {key}, expected {self.order}")
-            cached.sort(key=self.encode)
-            _ELEMENT_CACHE[key] = cached
-        return cached
+        els = self._enumerate()
+        if len(els) != self.order:
+            raise AssertionError(
+                f"enumerated {len(els)} elements of {self.descriptor()}, "
+                f"expected {self.order}")
+        els.sort(key=self.encode)
+        return els
 
     def _enumerate(self) -> list:
         gens = GeneratingTuple(self, tuple(self.generators()))
@@ -401,15 +395,6 @@ class ProductGroup(GroupSpec):
         return GeneratingTuple(self.factors[i], tuple(x[i] for x in t.items))
 
 
-@lru_cache(maxsize=None)
-def _table_identity(table):
-    n = len(table)
-    for e in range(n):
-        if all(table[e][x] == x and table[x][e] == x for x in range(n)):
-            return e
-    return None
-
-
 def _minimal_generating_tuple(spec: GroupSpec) -> tuple:
     """Greedy generating tuple: repeatedly append the first element
     outside the closure."""
@@ -431,6 +416,7 @@ class CayleyTableGroup(GroupSpec):
     exhaustively up to order 64 and by seeded spot checks above that."""
 
     table: tuple
+    _identity: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.table)
@@ -443,15 +429,18 @@ class CayleyTableGroup(GroupSpec):
         for j in range(n):
             if frozenset(row[j] for row in self.table) != full:
                 raise ValueError("table columns must be permutations")
-        if _table_identity(self.table) is None:
+        t = self.table
+        e = next((i for i in range(n)
+                  if all(t[i][x] == x and t[x][i] == x for x in range(n))), None)
+        if e is None:
             raise ValueError("table has no identity element")
+        object.__setattr__(self, "_identity", e)
         if n <= 64:
             triples = itertools.product(range(n), repeat=3)
         else:
             rng = random.Random(0)
             triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
                        for _ in range(10000))
-        t = self.table
         for a, b, c in triples:
             if t[t[a][b]][c] != t[a][t[b][c]]:
                 raise ValueError("table is not associative")
@@ -473,17 +462,13 @@ class CayleyTableGroup(GroupSpec):
         return f"table:{len(self.table)}:{digest}"
 
     def identity(self) -> int:
-        return _table_identity(self.table)
+        return self._identity
 
     def mul(self, a, b):
         return self.table[a][b]
 
     def inv(self, a):
-        e = _table_identity(self.table)
-        for b in range(len(self.table)):
-            if self.table[a][b] == e:
-                return b
-        raise AssertionError("latin square without inverses")
+        return self.table[a].index(self._identity)
 
     def validate(self, x) -> None:
         if not (isinstance(x, int) and 0 <= x < len(self.table)):
@@ -753,7 +738,6 @@ def line_image(m: FpMatrix, lid: int) -> int:
     return _line_id(w0, w1, p, d)
 
 
-@lru_cache(maxsize=None)
 def eigenlines_mod_center(m: FpMatrix) -> tuple[int, ...]:
     """Eigenlines over F_{p^2} of a non-scalar determinant-one 2x2
     matrix, as sorted line ids.  One line when the discriminant
@@ -809,13 +793,12 @@ def _sl2_verdict(t: GeneratingTuple) -> GenerationReport:
     noncentral = [m for m in map(_rep_matrix, t.items) if not m.is_scalar()]
     if not noncentral:
         return GenerationReport(False, "all entries central")
-    line_sets = [set(eigenlines_mod_center(m)) for m in noncentral]
-    common = set.intersection(*line_sets)
+    lines = [eigenlines_mod_center(m) for m in noncentral]
+    common = set(lines[0]).intersection(*lines[1:])
     if common:
         return GenerationReport(False, "common eigenvector", min(common))
-    g1 = noncentral[0]
+    g1, lines1 = noncentral[0], lines[0]
     candidates = []
-    lines1 = eigenlines_mod_center(g1)
     if len(lines1) == 2:
         candidates.append(frozenset(lines1))
     g1sq = g1 * g1

@@ -8,6 +8,11 @@ simultaneous conjugation.  Everything downstream of the table is pure
 array arithmetic, which is what makes the exhaustive searches over
 partial generating sets affordable.
 
+An instance owns every structure derived from its group, and
+`from_spec` keeps one per descriptor: the tables past `mult` are cached
+properties built on first use, and `m_search` keeps the exhaustive m
+search at default limits.
+
 The table is built the same way for every group kind, from the group's
 generators and its element index alone: one permutation a -> ag per
 generator g, then a breadth-first walk over the right Cayley graph
@@ -36,6 +41,7 @@ so later positions only ever narrow a candidate array.
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 
 import numpy as np
 
@@ -66,16 +72,12 @@ class IndexedGroup:
         self.identity = self.index[spec.encode(spec.identity())]
         gens = [self.index[spec.encode(g)] for g in spec.generators()]
         self.mult = self._build_mult(gens)
-        self._conj = None
-        self._class_rep = None
-        self._class_wit = None
         self._centralizers: dict[int, np.ndarray] = {}
-        self._lattice_built = False
-        self._maximal_masks: list[int] | None = None
         self.inv = np.argmax(self.mult == self.identity, axis=1).astype(np.int32)
         self.orders = self._element_orders()
         # the centre: elements commuting with every generator
         self.central = (self.mult[:, gens] == self.mult[gens, :].T).all(axis=1)
+        self.m_search = None        # set by redundancy.max_irredundant_size
 
     @classmethod
     def from_spec(cls, spec: GroupSpec) -> "IndexedGroup":
@@ -126,29 +128,27 @@ class IndexedGroup:
             cur = self.mult[cur, np.arange(self.n)]
         return orders
 
-    @property
+    @cached_property
     def conj(self) -> np.ndarray:
-        if self._conj is None:
-            # conj[g, x] = g x g^{-1}
-            self._conj = self.mult[self.mult, self.inv[:, None]]
-        return self._conj
+        # conj[g, x] = g x g^{-1}
+        return self.mult[self.mult, self.inv[:, None]]
 
-    def _class_data(self):
-        if self._class_rep is None:
-            conj = self.conj
-            rep = np.full(self.n, -1, dtype=np.int32)
-            wit = np.zeros(self.n, dtype=np.int32)
-            for i in range(self.n):
-                if rep[i] < 0:
-                    members = np.unique(conj[:, i])
-                    rep[members] = i
-                    wit[members] = [np.flatnonzero(conj[:, x] == i)[0] for x in members]
-            self._class_rep = rep
-            self._class_wit = wit
-        return self._class_rep, self._class_wit
+    @cached_property
+    def _class_data(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rep, wit): rep[x] is the least index in the class of x, and
+        wit[x] a conjugator taking x to it."""
+        conj = self.conj
+        rep = np.full(self.n, -1, dtype=np.int32)
+        wit = np.zeros(self.n, dtype=np.int32)
+        for i in range(self.n):
+            if rep[i] < 0:
+                members = np.unique(conj[:, i])
+                rep[members] = i
+                wit[members] = [np.flatnonzero(conj[:, x] == i)[0] for x in members]
+        return rep, wit
 
     def class_min_reps(self) -> list[int]:
-        rep, _ = self._class_data()
+        rep, _ = self._class_data
         return sorted(int(v) for v in np.unique(rep))
 
     def centralizer(self, rep: int) -> np.ndarray:
@@ -196,22 +196,13 @@ class IndexedGroup:
         distinct = set(gens)
         if len(distinct) < 2:
             return self.n == 1 or any(self.orders[i] == self.n for i in distinct)
-        masks = self.maximal_masks()
+        masks = self.maximal_masks
         if masks is None:
             return self.closure_mask(distinct)[1] == self.n
         common = -1
         for i in distinct:
             common &= masks[i]
         return common == 0
-
-    def maximal_masks(self) -> list[int] | None:
-        """Per element, the bitmask of the maximal subgroups containing
-        it (one bit per subgroup, conjugates counted apart), or None
-        when the subgroup walk passed _LATTICE_JOIN_CAP."""
-        if not self._lattice_built:
-            self._maximal_masks = self._build_maximal_masks()
-            self._lattice_built = True
-        return self._maximal_masks
 
     def _cyclic_keys(self) -> np.ndarray:
         """key[x] is the least index generating the cyclic subgroup <x>:
@@ -225,7 +216,11 @@ class IndexedGroup:
             np.minimum(key, cur, out=key, where=live)
         return key
 
-    def _build_maximal_masks(self) -> list[int] | None:
+    @cached_property
+    def maximal_masks(self) -> list[int] | None:
+        """Per element, the bitmask of the maximal subgroups containing
+        it (one bit per subgroup, conjugates counted apart), or None
+        when the subgroup walk passed _LATTICE_JOIN_CAP."""
         # Breadth-first over conjugacy classes of proper subgroups, from
         # the trivial one.  Every subgroup above H contains some <H, c>
         # with c outside H, and conjugating c by the normalizer of H
@@ -295,7 +290,7 @@ class IndexedGroup:
         """Least image of the ordered tuple under conjugation."""
         if self.spec.is_abelian:
             return tuple(int(v) for v in t)
-        rep, wit = self._class_data()
+        rep, wit = self._class_data
         cands = None
         out = []
         for v in t:
@@ -321,7 +316,7 @@ class IndexedGroup:
         position by position to the least image."""
         if self.spec.is_abelian:
             return rows
-        rep, wit = self._class_data()
+        rep, wit = self._class_data
         noncentral = ~self.central[rows]
         live = np.flatnonzero(noncentral.any(axis=1))     # all-central rows are canonical
         v = rows[live, noncentral[live].argmax(axis=1)]

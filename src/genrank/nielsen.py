@@ -124,7 +124,6 @@ class OrbitReport:
     path: tuple | None
     endpoint: GeneratingTuple | None
     visited: int
-    frontier_peak: int
     notes: tuple = ()
 
 
@@ -161,31 +160,27 @@ def _orbit_walk(start: tuple, canon, droppable, mul, inv, limits: SearchLimits,
                 deadline: float | None = None):
     """Breadth-first walk over the canonical forms of the Nielsen orbit
     of start until a member with a droppable entry turns up.  Returns
-    (verdict, that member or None, move path or None, visited, peak
-    frontier)."""
+    (verdict, that member or None, move path or None, visited)."""
     t0 = time.monotonic()
     moves = all_moves(len(start))
     start_c = canon(start)
     parents: dict = {start_c: None}
     dq = deque([start_c])
-    peak = 1
     while dq:
         now = time.monotonic()
         if len(parents) > limits.node_budget or now - t0 > limits.time_budget or \
                 (deadline is not None and now > deadline):
-            return "Unknown", None, None, len(parents), peak
+            return "Unknown", None, None, len(parents)
         node = dq.popleft()
         if droppable(node) is not None:
             return ("NielsenRedundant", node, _reconstruct_path(parents, node),
-                    len(parents), peak)
+                    len(parents))
         for mv in moves:
             child = canon(mv.apply(node, mul, inv))
             if child not in parents:
                 parents[child] = (node, mv)
                 dq.append(child)
-        if len(dq) > peak:
-            peak = len(dq)
-    return "NielsenIrredundant", None, None, len(parents), peak
+    return "NielsenIrredundant", None, None, len(parents)
 
 
 def _orbit_walk_indexed(ix: IndexedGroup, start: tuple, limits: SearchLimits,
@@ -218,7 +213,7 @@ def is_nielsen_redundant(t: GeneratingTuple,
         raise ValueError("tuple does not generate; Nielsen analysis is undefined")
     g = t.group
     if len(t) == 0:
-        return OrbitReport(t, "NielsenIrredundant", None, None, 1, 1)
+        return OrbitReport(t, "NielsenIrredundant", None, None, 1)
     notes: tuple = ()
     if g.order is not None and g.order <= MAX_INDEXED_ORDER:
         ix = IndexedGroup.from_spec(g)
@@ -229,11 +224,11 @@ def is_nielsen_redundant(t: GeneratingTuple,
         to_tuple = partial(GeneratingTuple, g)
         if g.order is None or not g.is_abelian:
             notes = ("orbit deduplication is literal, not up to conjugation",)
-    verdict, end, path, visited, peak = walk
+    verdict, end, path, visited = walk
     if verdict == "Unknown":
         notes += ("orbit walk stopped at the search budget",)
     return OrbitReport(t, verdict, path, None if end is None else to_tuple(end),
-                       visited, peak, notes)
+                       visited, notes)
 
 
 def _mu_analytic_cyclic(spec: CyclicPower) -> RankSearchResult:
@@ -318,8 +313,8 @@ def mu_rank(spec: GroupSpec, limits: SearchLimits | None = None,
     deadline = t0 + limits.time_budget
     for k in range(d + 1, m_val + 1):
         for cset in classes.get(k, ()):
-            verdict, _, _, visited, _ = _orbit_walk_indexed(ix, tuple(cset), limits,
-                                                            deadline=deadline)
+            verdict, _, _, visited = _orbit_walk_indexed(ix, tuple(cset), limits,
+                                                         deadline=deadline)
             orbit_nodes += visited
             if verdict == "NielsenIrredundant":
                 mu = k

@@ -199,10 +199,6 @@ class InvolutionPairReport:
     product_order: int
     proper: bool
 
-    @property
-    def dihedral_consistent(self) -> bool:
-        return self.closure_order == 2 * self.product_order
-
 
 def involution_pair_is_proper(t: GeneratingTuple) -> InvolutionPairReport:
     """Check the dihedral trap: two involutions generate a dihedral
@@ -338,9 +334,6 @@ def _cyclic_power_rank(spec: CyclicPower) -> RankSearchResult:
         notes=tuple(notes))
 
 
-_M_RESULT_CACHE: dict = {}
-
-
 def max_irredundant_size(spec: GroupSpec, limits: SearchLimits | None = None,
                          seed: int = 0, force_search: bool = False) -> RankSearchResult:
     """Largest size of an irredundant generating set.  Exhaustive (with
@@ -351,9 +344,6 @@ def max_irredundant_size(spec: GroupSpec, limits: SearchLimits | None = None,
     limits = limits or SearchLimits()
     if isinstance(spec, CyclicPower) and not force_search:
         return _cyclic_power_rank(spec)
-    cache_key = spec.descriptor() if limits == SearchLimits() else None
-    if cache_key is not None and cache_key in _M_RESULT_CACHE:
-        return _M_RESULT_CACHE[cache_key]
     if isinstance(spec, Integers):
         return RankSearchResult(
             spec, "m", None, None, exhaustive=True,
@@ -365,10 +355,15 @@ def max_irredundant_size(spec: GroupSpec, limits: SearchLimits | None = None,
     if spec.order > MAX_INDEXED_ORDER:
         return _witness_mode(spec, limits, seed)
     ix = IndexedGroup.from_spec(spec)
-    out = _SetSearch(ix, limits).run()
+    default = limits == SearchLimits()
+    out = ix.m_search if default else None
+    if out is None:
+        out = _SetSearch(ix, limits).run()
+        if default and not out.budget_hit:
+            ix.m_search = out
     witness = ix.tuple_of(out.best_witness) if out.best_witness is not None else None
     recorded = {k: len(v) for k, v in out.collected.items()}
-    result = RankSearchResult(
+    return RankSearchResult(
         spec, "m", out.best_size if witness is not None or spec.order == 1 else None,
         witness, exhaustive=not out.budget_hit,
         stats={"nodes": out.nodes, "elapsed": out.elapsed,
@@ -376,9 +371,6 @@ def max_irredundant_size(spec: GroupSpec, limits: SearchLimits | None = None,
                "classes": out.collected},
         notes=() if not out.budget_hit else
         ("search stopped at the node or time budget; value is a lower bound",))
-    if cache_key is not None and result.exhaustive:
-        _M_RESULT_CACHE[cache_key] = result
-    return result
 
 
 @dataclass

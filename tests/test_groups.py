@@ -11,6 +11,7 @@ from genrank.groups import (CayleyTableGroup, CyclicPower, GeneratingTuple,
                             is_simple_finite, product_generates,
                             project_to_psl, sl2_generation_report, sl_order,
                             subgroup_order)
+from genrank.indexed import IndexedGroup
 
 
 def standard_pair(spec):
@@ -205,15 +206,31 @@ def test_project_to_psl_preserves_generation():
 
 
 def test_cayley_table_round_trip():
-    base = CyclicPower(3, 2)
-    table = CayleyTableGroup.from_spec(base)
-    assert table.order == 9
-    els = table.elements()
-    e = table.identity()
-    for a in els:
-        assert table.mul(a, table.inv(a)) == e
-    gens = GeneratingTuple(table, tuple(table.generators()))
-    assert len(closure(gens).elements) == 9
+    base = CayleyTableGroup.from_spec(CyclicPower(3, 2))
+    # the same group relabelled by a -> 4 - a mod 9: the identity is label 4
+    relabel = [(4 - a) % 9 for a in range(9)]
+    moved = [[0] * 9 for _ in range(9)]
+    for a in range(9):
+        for b in range(9):
+            moved[relabel[a]][relabel[b]] = relabel[base.table[a][b]]
+    for table, e in ((base, 0), (CayleyTableGroup(tuple(map(tuple, moved))), 4)):
+        assert table.order == 9
+        assert table.identity() == e
+        for a in table.elements():
+            assert table.mul(a, table.inv(a)) == e
+            assert table.mul(table.inv(a), a) == e
+        gens = GeneratingTuple(table, tuple(table.generators()))
+        assert len(closure(gens).elements) == 9
+
+
+def test_elements_are_a_fresh_list_per_call():
+    spec = ProjSpecialLinear(2, 5)
+    first = spec.elements()
+    expected = list(first)
+    first.reverse()
+    first.pop()
+    assert spec.elements() == expected
+    assert IndexedGroup.from_spec(spec).elements == expected
 
 
 def test_simplicity_classifier():

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is read in that module, and
-every name the package exports is read somewhere."""
+"""Source hygiene: every name a module imports is read in that module,
+every name the package exports is read somewhere, and no module keeps a
+cache outside the allowed owners."""
 
 import ast
 from pathlib import Path
@@ -46,3 +47,47 @@ def test_exports_resolve_and_are_read():
     missing = [name for name in genrank.__all__ if not hasattr(genrank, name)]
     unread = [name for name in genrank.__all__ if name not in read]
     assert missing == [] and unread == []
+
+
+# State kept across calls at module level: the one registry of indexed
+# groups (each IndexedGroup owns what is derived from its group), and
+# fp's primality memo and per-prime tables, keyed by a prime below
+# fp.MAX_MODULUS.
+_ALLOWED_CACHES = {"indexed._INSTANCE_CACHE", "fp._known_primes", "fp.sqrt_table",
+                   "fp.nonresidue", "fp.nth_roots_of_unity"}
+_CONTAINER_CALLS = {"dict", "set", "list", "defaultdict", "OrderedDict", "Counter",
+                    "deque"}
+
+
+def _name(node: ast.expr) -> str | None:
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _caches(tree: ast.Module) -> list[str]:
+    """Module-level names bound to an empty dict or list display or to a
+    built container, and functions decorated with lru_cache or cache."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            value = node.value
+            if (isinstance(value, ast.Dict) and not value.keys) or \
+                    (isinstance(value, ast.List) and not value.elts) or \
+                    (isinstance(value, ast.Call) and _name(value) in _CONTAINER_CALLS):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                out += [t.id for t in targets if isinstance(t, ast.Name)]
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
+                any(_name(d) in ("lru_cache", "cache") for d in node.decorator_list):
+            out.append(node.name)
+    return out
+
+
+def test_no_module_level_caches():
+    found = {f"{p.stem}.{name}" for p in SRC.glob("*.py")
+             for name in _caches(ast.parse(p.read_text(), str(p)))}
+    assert "indexed._INSTANCE_CACHE" in found       # the check sees the registry
+    assert sorted(found - _ALLOWED_CACHES) == []

@@ -7,6 +7,7 @@ from genrank.fp import FpMatrix, projective_canonicalize
 from genrank.groups import (CyclicPower, GeneratingTuple, Integers,
                             ProjSpecialLinear, SpecialLinear, closure,
                             is_generating)
+from genrank import indexed, redundancy
 from genrank.redundancy import (SearchLimits, cyclic_power_rank_witness,
                                 involution_pair_is_proper,
                                 irredundant_witness, is_redundant,
@@ -146,3 +147,22 @@ def test_maximal_size_monotone_family():
     m7 = max_irredundant_size(ProjSpecialLinear(2, 7)).value
     assert m5 == 3
     assert m7 == 4
+
+
+def test_default_m_search_runs_once_per_group(monkeypatch):
+    # a fresh IndexedGroup registry, so no earlier search is remembered
+    monkeypatch.setattr(indexed, "_INSTANCE_CACHE", {})
+    runs = []
+    run = redundancy._SetSearch.run
+
+    def counted(search):
+        runs.append(search.target_size)
+        return run(search)
+
+    monkeypatch.setattr(redundancy._SetSearch, "run", counted)
+    spec = ProjSpecialLinear(2, 5)
+    first = max_irredundant_size(spec)
+    second = max_irredundant_size(spec)
+    assert first is not second and first == second
+    assert first.value == 3 and first.exhaustive
+    assert runs == [None]
