@@ -8,7 +8,7 @@ certifies Zariski density by reduction modulo primes and replays the
 certificates bytewise.
 """
 
-from .fp import FpMatrix, ProjectiveMatrix, is_prime, projective_canonicalize
+from .fp import FpMatrix, is_prime, projective_canonicalize
 from .groups import (CayleyTableGroup, CyclicPower, GeneratingTuple,
                      GenerationReport, GroupSpec, Integers,
                      ProductGenerationReport, ProductGroup, ProjSpecialLinear,
@@ -34,7 +34,7 @@ from .arithmetic import (DenominatorClash, DensityCertificate,
                          replay_certificate, serialize_certificate)
 
 __all__ = [
-    "FpMatrix", "ProjectiveMatrix", "is_prime", "projective_canonicalize",
+    "FpMatrix", "is_prime", "projective_canonicalize",
     "CayleyTableGroup", "CyclicPower", "GeneratingTuple", "GenerationReport",
     "GroupSpec", "Integers", "ProductGenerationReport", "ProductGroup",
     "ProjSpecialLinear", "SpecialLinear", "SubgroupClosure", "closure",

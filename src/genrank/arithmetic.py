@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fp import FpMatrix, is_prime, prime_factors, primes
+from .fp import MAX_MODULUS, FpMatrix, check_modulus, prime_factors, primes
 from .groups import (GeneratingTuple, SpecialLinear, is_generating,
                      sl2_generation_report, subgroup_order)
 from .nielsen import NielsenMove, SearchLimits, is_nielsen_redundant
@@ -35,12 +35,17 @@ class DenominatorClash(ValueError):
         self.prime = prime
 
 
-def _as_fraction(v) -> Fraction:
+def as_fraction(v) -> Fraction:
+    """An exact rational from a Fraction, an int or a string like 2,
+    -1/3 or 0.5.  Exponent notation is refused: "1e99999999" would make
+    Fraction build a hundred-million-digit integer."""
     if isinstance(v, Fraction):
         return v
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
+        if "e" in v.lower():
+            raise ValueError(f"exponent notation is not supported: {v!r}")
         return Fraction(v)
     raise ValueError(f"entries must be rational, got {type(v).__name__}")
 
@@ -67,7 +72,7 @@ class RationalMatrix:
         for row in rows:
             if len(row) != dim:
                 raise ValueError("matrix must be square")
-            flat.extend(_as_fraction(v) for v in row)
+            flat.extend(as_fraction(v) for v in row)
         return cls(dim, tuple(flat))
 
     @classmethod
@@ -219,7 +224,9 @@ class PrimePlan:
 def plan_primes(t: RationalTuple, config: PlanConfig | None = None) -> PrimePlan:
     """Candidate primes for reduction: the first max_primes primes above
     the exceptional floor that divide no denominator.  Explicit primes
-    bypass the floor (with a note) but never the denominator rule."""
+    bypass the floor (with a note) but never the denominator rule.  A
+    prime or floor past fp.MAX_MODULUS is refused before any trial
+    division."""
     config = config or PlanConfig()
     denoms = t.denominator_primes()
     floor = max(config.exceptional_floor, 3 if t.dim == 2 else 2)
@@ -229,14 +236,15 @@ def plan_primes(t: RationalTuple, config: PlanConfig | None = None) -> PrimePlan
     if config.explicit_primes is not None:
         chosen = []
         for p in dict.fromkeys(config.explicit_primes):
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
+            check_modulus(p)
             if p in denoms:
                 raise ValueError(f"prime {p} divides a denominator of the tuple")
             if p <= floor:
                 notes.append(f"prime {p} is at or below the exceptional floor {floor}")
             chosen.append(p)
         return PrimePlan(tuple(chosen), denoms, floor, tuple(notes))
+    if floor >= MAX_MODULUS:
+        raise ValueError(f"exceptional floor {floor} exceeds supported bound {MAX_MODULUS}")
     out = itertools.islice((q for q in primes(floor + 1) if q not in denoms),
                            max(config.max_primes, 0))
     return PrimePlan(tuple(out), denoms, floor, tuple(notes))
@@ -361,7 +369,7 @@ def tuple_from_entry_strings(entries) -> RationalTuple:
         dim = int(round(len(strs) ** 0.5))
         if dim * dim != len(strs):
             raise ValueError("entry count is not a square")
-        mats.append(RationalMatrix(dim, tuple(Fraction(s) for s in strs)))
+        mats.append(RationalMatrix(dim, tuple(map(as_fraction, strs))))
     return RationalTuple(tuple(mats))
 
 

@@ -22,16 +22,16 @@ import json
 import math
 import re
 import sys
-from fractions import Fraction
 
 from .arithmetic import (DenominatorClash, DensityCertificate, PlanConfig,
-                         RationalMatrix, RationalTuple, assess_irredundancy,
-                         assess_nielsen_irredundancy, certify_density,
-                         replay_certificate, serialize_certificate)
-from .fp import FpMatrix, is_prime, projective_canonicalize
+                         RationalMatrix, RationalTuple, as_fraction,
+                         assess_irredundancy, assess_nielsen_irredundancy,
+                         certify_density, replay_certificate,
+                         serialize_certificate)
+from .fp import FpMatrix, projective_canonicalize
 from .groups import (CyclicPower, GeneratingTuple, GroupSpec, Integers,
                      ProductGroup, ProjSpecialLinear, SpecialLinear,
-                     product_generates)
+                     _MatrixGroup, product_generates)
 from .nielsen import mu_rank, orbit_statistics
 from .redundancy import (SearchLimits, irredundant_witness, is_redundant,
                          max_irredundant_size, z_witness)
@@ -59,6 +59,9 @@ class _Parser(argparse.ArgumentParser):
 
 _SL_RE = re.compile(r"^(p?sl)(\d+):(\d+)$")
 _CYC_RE = re.compile(r"^cyclic:(\d+)\^(\d+)$")
+# parse_group recurses once per prod(...); the cap keeps that far below
+# the interpreter's recursion limit
+_MAX_PRODUCTS = 64
 
 
 def _split_top_level(s: str) -> list:
@@ -88,25 +91,24 @@ def parse_group(desc: str) -> GroupSpec:
     prod(<desc>,<desc>).  Grammar violations are usage errors;
     well-formed descriptors with bad numbers are data errors."""
     desc = desc.strip()
+    if desc.count("(") > _MAX_PRODUCTS:
+        raise DataError(f"a group descriptor holds at most {_MAX_PRODUCTS} products")
     if desc == "z":
         return Integers()
     m = _SL_RE.match(desc)
     if m:
         kind, n_s, p_s = m.groups()
-        n, p = int(n_s), int(p_s)
-        if n < 2:
-            raise DataError("matrix dimension must be at least 2")
-        if p < 3 or not is_prime(p):
-            raise DataError("p must be prime >= 3")
-        try:
+        try:    # int's digit limit, the dimension, the modulus bound, primality
+            n, p = int(n_s), int(p_s)
+            if p < 3:
+                raise ValueError("p must be prime >= 3")
             return SpecialLinear(n, p) if kind == "sl" else ProjSpecialLinear(n, p)
         except ValueError as exc:
             raise DataError(str(exc))
     m = _CYC_RE.match(desc)
     if m:
-        mod, k = int(m.group(1)), int(m.group(2))
         try:
-            return CyclicPower(mod, k)
+            return CyclicPower(int(m.group(1)), int(m.group(2)))
         except ValueError as exc:
             raise DataError(str(exc))
     if desc.startswith("prod(") and desc.endswith(")"):
@@ -123,10 +125,8 @@ def parse_group(desc: str) -> GroupSpec:
 def describe_element(spec: GroupSpec, x):
     if isinstance(spec, ProductGroup):
         return [describe_element(f, v) for f, v in zip(spec.factors, x)]
-    if isinstance(spec, SpecialLinear):
+    if isinstance(spec, _MatrixGroup):
         return [list(r) for r in x.rows()]
-    if isinstance(spec, ProjSpecialLinear):
-        return [list(r) for r in x.rep.rows()]
     if isinstance(spec, CyclicPower):
         return list(x)
     return x
@@ -139,12 +139,7 @@ def _witness_payload(witness: GeneratingTuple | None):
 
 
 def _stats_payload(stats: dict) -> dict:
-    out = {}
-    for k, v in stats.items():
-        if k in ("elapsed", "classes"):
-            continue
-        out[k] = v
-    return out
+    return {k: v for k, v in stats.items() if k != "classes"}
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +184,7 @@ def read_rational_tuple(path: str) -> RationalTuple:
         if len(fields) != dim * dim:
             raise DataError(f"expected {dim * dim} entries per matrix line")
         try:
-            entries = tuple(Fraction(f) for f in fields)
+            entries = tuple(map(as_fraction, fields))
         except (ValueError, ZeroDivisionError) as exc:
             raise DataError(f"bad rational entry: {exc}")
         try:
@@ -229,7 +224,7 @@ def read_product_tuple(path: str) -> GeneratingTuple:
         raise DataError('the header must be "prod <desc1> <desc2>"')
     f1 = parse_group(head[1])
     f2 = parse_group(head[2])
-    if not all(isinstance(f, (SpecialLinear, ProjSpecialLinear)) for f in (f1, f2)):
+    if not all(isinstance(f, _MatrixGroup) for f in (f1, f2)):
         raise DataError("product factors must be sl or psl groups")
     group = ProductGroup((f1, f2))
     items = []

@@ -1,9 +1,11 @@
 """Exact arithmetic over prime fields: square matrices and projective
-canonical forms (matrices modulo the center of SL_n).
+canonical forms (matrices modulo the center of SL_n).  An element of
+PSL_n(F_p) is a plain FpMatrix, its canonical coset representative.
 
 Everything here is immutable, hashable and exact; no floats appear
-anywhere.  Moduli are validated by trial division at construction and
-must stay below 2**15 so that entry products fit in a machine word.
+anywhere.  Moduli are validated at construction: a modulus must stay
+below 2**15, so that entry products fit in a machine word, and pass
+trial division.
 
 The per-prime tables (`sqrt_table`, `nonresidue`, `nth_roots_of_unity`)
 are cached for the process, keyed by a modulus that passed
@@ -60,10 +62,12 @@ def prime_factors(n: int) -> list:
 
 
 def check_modulus(p: int) -> None:
+    """Reject a modulus that is not a prime below MAX_MODULUS.  The
+    bound comes first, so a huge modulus never reaches trial division."""
+    if isinstance(p, int) and p > MAX_MODULUS:
+        raise ValueError(f"modulus {p} exceeds supported bound {MAX_MODULUS}")
     if not is_prime(p):
         raise ValueError(f"modulus {p!r} is not prime")
-    if p > MAX_MODULUS:
-        raise ValueError(f"modulus {p} exceeds supported bound {MAX_MODULUS}")
 
 
 @lru_cache(maxsize=None)
@@ -248,47 +252,10 @@ class FpMatrix:
         return f"FpMatrix(mod {self.modulus}, {list(map(list, self.rows()))})"
 
 
-@dataclass(frozen=True)
-class ProjectiveMatrix:
-    """An element of PSL_n(F_p): a determinant-one matrix held by its
-    canonical coset representative.  Among the scalings c*M with c an
-    n-th root of unity, the representative is the one whose row-major
-    entry tuple is lexicographically least."""
-
-    rep: FpMatrix
-
-    def __post_init__(self):
-        if canonical_rep(self.rep) != self.rep:
-            raise ValueError("representative is not canonical; use projective_canonicalize")
-
-    @property
-    def modulus(self) -> int:
-        return self.rep.modulus
-
-    @property
-    def dim(self) -> int:
-        return self.rep.dim
-
-    def __mul__(self, other: "ProjectiveMatrix") -> "ProjectiveMatrix":
-        if not isinstance(other, ProjectiveMatrix):
-            raise TypeError(f"expected ProjectiveMatrix, got {type(other).__name__}")
-        return ProjectiveMatrix(canonical_rep(self.rep * other.rep))
-
-    def inverse(self) -> "ProjectiveMatrix":
-        return ProjectiveMatrix(canonical_rep(self.rep.inverse()))
-
-    def is_identity(self) -> bool:
-        return self.rep.is_identity()
-
-    def encode(self) -> bytes:
-        return self.rep.encode()
-
-    def __repr__(self):
-        return f"Projective({list(map(list, self.rep.rows()))} mod {self.modulus})"
-
-
 def canonical_rep(m: FpMatrix) -> FpMatrix:
-    """Lexicographically least scaling of m by an n-th root of unity."""
+    """The PSL_n representative of m: among the scalings c*m with c an
+    n-th root of unity, the one whose row-major entry tuple is
+    lexicographically least."""
     p, n = m.modulus, m.dim
     if n == 2:
         neg = -m
@@ -303,8 +270,9 @@ def canonical_rep(m: FpMatrix) -> FpMatrix:
     return best
 
 
-def projective_canonicalize(m: FpMatrix) -> ProjectiveMatrix:
-    """Quotient a determinant-one matrix to its PSL_n class."""
+def projective_canonicalize(m: FpMatrix) -> FpMatrix:
+    """Quotient a determinant-one matrix to its PSL_n class, held by its
+    canonical representative."""
     if m.det() != 1:
         raise ValueError("projective canonicalization expects determinant 1")
-    return ProjectiveMatrix(canonical_rep(m))
+    return canonical_rep(m)

@@ -5,7 +5,8 @@ The group kinds supported here are special linear and projective special
 linear groups over prime fields, powers of cyclic groups, explicit
 multiplication tables, direct products, and the additive integers.
 Elements are plain values (matrices, residue vectors, table indices,
-ints); each group kind validates and encodes its own elements.
+ints); an element of PSL_n is the canonical representative matrix of its
+coset.  Each group kind validates and encodes its own elements.
 
 Subgroup orders of SL/PSL tuples come from a Schreier-Sims stabilizer
 chain of the action on nonzero vectors or on lines, which lists no
@@ -32,8 +33,8 @@ import random
 import struct
 from dataclasses import dataclass, field
 
-from .fp import (FpMatrix, ProjectiveMatrix, canonical_rep, check_modulus,
-                 nonresidue, projective_canonicalize, sqrt_table)
+from .fp import (FpMatrix, canonical_rep, check_modulus, nonresidue,
+                 projective_canonicalize, sqrt_table)
 
 
 class CapExceeded(Exception):
@@ -146,32 +147,18 @@ def _random_sl(n: int, p: int, rng) -> FpMatrix:
 
 
 @dataclass(frozen=True)
-class SpecialLinear(GroupSpec):
-    """SL_n(F_p): determinant-one n-by-n matrices over the prime field."""
+class _MatrixGroup(GroupSpec):
+    """What SL_n(F_p) and PSL_n(F_p) share: the fields, their checks, the
+    element encoding and the matrix half of validation.  Both hold their
+    elements as determinant-one FpMatrix values."""
 
     n: int
     p: int
 
     def __post_init__(self):
         if self.n < 2:
-            raise ValueError("special linear groups need dimension >= 2")
+            raise ValueError("matrix groups need dimension >= 2")
         check_modulus(self.p)
-
-    @property
-    def order(self) -> int:
-        return sl_order(self.n, self.p)
-
-    def descriptor(self) -> str:
-        return f"sl{self.n}:{self.p}"
-
-    def identity(self) -> FpMatrix:
-        return FpMatrix.identity(self.p, self.n)
-
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        return a.inverse()
 
     def validate(self, x) -> None:
         if not isinstance(x, FpMatrix):
@@ -184,6 +171,28 @@ class SpecialLinear(GroupSpec):
     def encode(self, x) -> bytes:
         return x.encode()
 
+    def identity(self) -> FpMatrix:
+        # the identity matrix is its own canonical representative
+        return FpMatrix.identity(self.p, self.n)
+
+
+@dataclass(frozen=True)
+class SpecialLinear(_MatrixGroup):
+    """SL_n(F_p): determinant-one n-by-n matrices over the prime field."""
+
+    @property
+    def order(self) -> int:
+        return sl_order(self.n, self.p)
+
+    def descriptor(self) -> str:
+        return f"sl{self.n}:{self.p}"
+
+    def mul(self, a, b):
+        return a * b
+
+    def inv(self, a):
+        return a.inverse()
+
     def generators(self) -> tuple:
         return _sl_standard_generators(self.n, self.p)
 
@@ -192,17 +201,10 @@ class SpecialLinear(GroupSpec):
 
 
 @dataclass(frozen=True)
-class ProjSpecialLinear(GroupSpec):
-    """PSL_n(F_p): SL_n(F_p) modulo its center, elements held by
-    canonical coset representatives."""
-
-    n: int
-    p: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("projective special linear groups need dimension >= 2")
-        check_modulus(self.p)
+class ProjSpecialLinear(_MatrixGroup):
+    """PSL_n(F_p): SL_n(F_p) modulo its center.  Each element is its
+    canonical coset representative (fp.canonical_rep), so products and
+    inverses are canonicalised once, here."""
 
     @property
     def order(self) -> int:
@@ -211,30 +213,22 @@ class ProjSpecialLinear(GroupSpec):
     def descriptor(self) -> str:
         return f"psl{self.n}:{self.p}"
 
-    def identity(self) -> ProjectiveMatrix:
-        return ProjectiveMatrix(FpMatrix.identity(self.p, self.n))
-
     def mul(self, a, b):
-        return a * b
+        return canonical_rep(a * b)
 
     def inv(self, a):
-        return a.inverse()
+        return canonical_rep(a.inverse())
 
     def validate(self, x) -> None:
-        if not isinstance(x, ProjectiveMatrix):
-            raise ValueError(f"expected ProjectiveMatrix, got {type(x).__name__}")
-        if x.modulus != self.p or x.dim != self.n:
-            raise ValueError(f"element does not live in {self.descriptor()}")
-
-    def encode(self, x) -> bytes:
-        return x.encode()
+        super().validate(x)
+        if canonical_rep(x) != x:
+            raise ValueError("representative is not canonical; use projective_canonicalize")
 
     def generators(self) -> tuple:
-        return tuple(projective_canonicalize(m)
-                     for m in _sl_standard_generators(self.n, self.p))
+        return tuple(map(canonical_rep, _sl_standard_generators(self.n, self.p)))
 
     def random_element(self, rng):
-        return ProjectiveMatrix(canonical_rep(_random_sl(self.n, self.p, rng)))
+        return canonical_rep(_random_sl(self.n, self.p, rng))
 
 
 @dataclass(frozen=True)
@@ -661,11 +655,10 @@ def subgroup_order(t: GeneratingTuple) -> int:
     """Exact order of the subgroup generated by a tuple of SL_n(F_p) or
     PSL_n(F_p), without listing its elements.  SL_n acts faithfully on
     the p^n - 1 nonzero row vectors by v -> v m, and PSL_n on the lines
-    through them, through each entry's representative matrix; each
-    distinct non-identity entry becomes a permutation of those points,
-    and the order is read off a stabilizer chain."""
+    through them; each distinct non-identity entry becomes a permutation
+    of those points, and the order is read off a stabilizer chain."""
     g = t.group
-    if not isinstance(g, (SpecialLinear, ProjSpecialLinear)):
+    if not isinstance(g, _MatrixGroup):
         raise ValueError("stabilizer-chain orders need an SL or PSL tuple")
     n, p, lines = g.n, g.p, isinstance(g, ProjSpecialLinear)
     points = _action_points(n, p, lines)
@@ -681,7 +674,7 @@ def subgroup_order(t: GeneratingTuple) -> int:
     ident = tuple(range(len(points)))
     gens = {}
     for x in t.items:
-        rows = _rep_matrix(x).rows()
+        rows = x.rows()
         perm = tuple(image(v, rows) for v in points)
         if perm != ident:
             gens.setdefault(perm)
@@ -775,12 +768,11 @@ class GenerationReport:
 
     generates: bool
     reason: str
-    detail: object = None
 
 
 def _sl2_context(spec: GroupSpec):
     """(p, center size) of SL2(F_p) or PSL2(F_p), p >= 5."""
-    if not (isinstance(spec, (SpecialLinear, ProjSpecialLinear)) and spec.n == 2):
+    if not (isinstance(spec, _MatrixGroup) and spec.n == 2):
         raise ValueError("structural test supports only SL2 and PSL2")
     if spec.p < 5:
         raise ValueError("structural test requires p >= 5")
@@ -790,13 +782,13 @@ def _sl2_context(spec: GroupSpec):
 def _sl2_verdict(t: GeneratingTuple) -> GenerationReport:
     """Structural verdict for a tuple of SL2(F_p) or PSL2(F_p), p >= 5."""
     p, center = _sl2_context(t.group)
-    noncentral = [m for m in map(_rep_matrix, t.items) if not m.is_scalar()]
+    noncentral = [m for m in t.items if not m.is_scalar()]
     if not noncentral:
         return GenerationReport(False, "all entries central")
     lines = [eigenlines_mod_center(m) for m in noncentral]
     common = set(lines[0]).intersection(*lines[1:])
     if common:
-        return GenerationReport(False, "common eigenvector", min(common))
+        return GenerationReport(False, "common eigenvector")
     g1, lines1 = noncentral[0], lines[0]
     candidates = []
     if len(lines1) == 2:
@@ -811,20 +803,15 @@ def _sl2_verdict(t: GeneratingTuple) -> GenerationReport:
         a, bpair = sorted(pair)
         if all({line_image(m, a), line_image(m, bpair)} == set(pair)
                for m in noncentral):
-            return GenerationReport(False, "invariant line pair", (a, bpair))
+            return GenerationReport(False, "invariant line pair")
     cap = center * max(60, p + 1)
     try:
         size = closure(t, cap=cap).order
     except CapExceeded:
-        return GenerationReport(True, "closure exceeded dihedral and exceptional bounds",
-                                cap)
+        return GenerationReport(True, "closure exceeded dihedral and exceptional bounds")
     if size == t.group.order:
-        return GenerationReport(True, "full closure", size)
-    return GenerationReport(False, f"closure order {size}", size)
-
-
-def _rep_matrix(x) -> FpMatrix:
-    return x.rep if isinstance(x, ProjectiveMatrix) else x
+        return GenerationReport(True, "full closure")
+    return GenerationReport(False, f"closure order {size}")
 
 
 def sl2_generation_report(t: GeneratingTuple) -> GenerationReport:
@@ -845,7 +832,7 @@ def is_generating(t: GeneratingTuple) -> bool:
     g = t.group
     if isinstance(g, Integers):
         return math.gcd(*(abs(x) for x in t.items)) == 1 if t.items else False
-    if isinstance(g, (SpecialLinear, ProjSpecialLinear)):
+    if isinstance(g, _MatrixGroup):
         if g.n == 2 and g.p >= 5:
             return is_generating_sl2_fast(t)
         return subgroup_order(t) == g.order
@@ -871,11 +858,21 @@ _BRUTE_FORCE_LIMIT = 500
 
 
 def is_simple_finite(spec: GroupSpec) -> bool:
-    """Simplicity check: PSL_n(F_p) is known simple for p >= 5 (and for
-    n >= 3 generally); small groups are checked by normal closures of
-    conjugacy classes."""
-    if isinstance(spec, ProjSpecialLinear) and (spec.p >= 5 or spec.n >= 3):
-        return True
+    """Simplicity of a finite group.  SL_n and PSL_n are decided by rule:
+    PSL_n(F_p) is simple unless (n, p) is (2, 2) or (2, 3), and SL_n(F_p)
+    is simple when moreover its centre, of order gcd(n, p - 1), is
+    trivial.  Other groups of order at most 500 are checked by normal
+    closures of conjugacy classes."""
+    if isinstance(spec, _MatrixGroup):
+        if (spec.n, spec.p) in ((2, 2), (2, 3)):
+            return False
+        return isinstance(spec, ProjSpecialLinear) or math.gcd(spec.n, spec.p - 1) == 1
+    return _simple_by_normal_closures(spec)
+
+
+def _simple_by_normal_closures(spec: GroupSpec) -> bool:
+    """Brute-force simplicity: every non-identity conjugacy class has the
+    whole group as its normal closure."""
     if spec.order is None:
         return False
     if spec.order > _BRUTE_FORCE_LIMIT:
@@ -932,7 +929,7 @@ def _psl2_conjugator(g: ProjSpecialLinear, images: list) -> FpMatrix:
     each sign choice; a nonzero solution is unique up to scalars and
     invertible, since the generators have no common eigenvector."""
     p = g.p
-    pairs = [(x.rep.rows(), y.rep.rows()) for x, y in zip(g.generators(), images)]
+    pairs = [(x.rows(), y.rows()) for x, y in zip(g.generators(), images)]
     for signs in itertools.product((1, -1), repeat=len(pairs)):
         # row (i, j) of c x - s y c, over the unknowns c_ab at index 2a + b
         eqs = []

@@ -21,6 +21,7 @@ orbit settles that whole orbit.
 
 from __future__ import annotations
 
+import itertools
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -34,6 +35,10 @@ from .redundancy import (RankSearchResult, SearchLimits, irredundant_witness,
                          max_irredundant_size)
 
 _MOVE_KINDS = ("L", "R", "I", "S")
+
+# Rows of candidate tuples canonicalised at once when orbit_statistics
+# lists the generating classes.
+_SLICE_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -244,7 +249,7 @@ def _mu_analytic_cyclic(spec: CyclicPower) -> RankSearchResult:
         value = spec.copies
     return RankSearchResult(
         spec, "mu", value, witness, exhaustive=True,
-        stats={"m": None, "nodes": 0, "elapsed": 0.0, "orbit_nodes": 0},
+        stats={"m": None, "nodes": 0, "orbit_nodes": 0},
         notes=("value from column reduction over the residue ring",))
 
 
@@ -263,7 +268,7 @@ def mu_rank(spec: GroupSpec, limits: SearchLimits | None = None,
     if isinstance(spec, Integers):
         return RankSearchResult(
             spec, "mu", 1, GeneratingTuple(spec, (1,)), exhaustive=True,
-            stats={"m": None, "nodes": 0, "elapsed": 0.0, "orbit_nodes": 0},
+            stats={"m": None, "nodes": 0, "orbit_nodes": 0},
             notes=("any longer integer tuple reduces to a unit entry by the "
                    "euclidean algorithm through Nielsen moves",))
     if isinstance(spec, CyclicPower) and not force_search:
@@ -276,23 +281,20 @@ def mu_rank(spec: GroupSpec, limits: SearchLimits | None = None,
         if w.witness is not None and not spec.is_abelian:
             return RankSearchResult(
                 spec, "mu", 2, w.witness, exhaustive=False,
-                stats={"m": None, "nodes": w.stats.get("nodes", 0),
-                       "elapsed": time.monotonic() - t0, "orbit_nodes": 0},
+                stats={"m": None, "nodes": w.stats.get("nodes", 0), "orbit_nodes": 0},
                 notes=("lower bound: a generating pair of a nonabelian group "
                        "is minimal, hence Nielsen irredundant; the exhaustive "
                        f"ladder is limited to order <= {MAX_INDEXED_ORDER}",))
         return RankSearchResult(
             spec, "mu", None, None, exhaustive=False,
-            stats={"m": None, "nodes": w.stats.get("nodes", 0),
-                   "elapsed": time.monotonic() - t0, "orbit_nodes": 0},
+            stats={"m": None, "nodes": w.stats.get("nodes", 0), "orbit_nodes": 0},
             notes=(f"group order exceeds the exhaustive bound {MAX_INDEXED_ORDER} "
                    "and no generating pair was found",))
     m_res = max_irredundant_size(spec, limits=limits, force_search=force_search)
     if not m_res.exhaustive:
         return RankSearchResult(
             spec, "mu", None, None, exhaustive=False,
-            stats={"m": m_res.value, "nodes": m_res.stats["nodes"],
-                   "elapsed": time.monotonic() - t0, "orbit_nodes": 0},
+            stats={"m": m_res.value, "nodes": m_res.stats["nodes"], "orbit_nodes": 0},
             notes=("the underlying irredundant-set search hit its budget",))
     classes = m_res.stats.get("classes", {})
     ix = IndexedGroup.from_spec(spec)
@@ -300,8 +302,7 @@ def mu_rank(spec: GroupSpec, limits: SearchLimits | None = None,
         # trivial group: the empty tuple generates and nothing is droppable
         return RankSearchResult(
             spec, "mu", 0, GeneratingTuple(spec, ()), exhaustive=True,
-            stats={"m": 0, "nodes": m_res.stats["nodes"],
-                   "elapsed": time.monotonic() - t0, "orbit_nodes": 0})
+            stats={"m": 0, "nodes": m_res.stats["nodes"], "orbit_nodes": 0})
     d = min(classes)
     m_val = max(classes)
     mu = d
@@ -329,8 +330,7 @@ def mu_rank(spec: GroupSpec, limits: SearchLimits | None = None,
         "value is a lower bound"])
     return RankSearchResult(
         spec, "mu", mu, witness, exhaustive=exhaustive,
-        stats={"m": m_val, "nodes": m_res.stats["nodes"],
-               "elapsed": time.monotonic() - t0, "orbit_nodes": orbit_nodes},
+        stats={"m": m_val, "nodes": m_res.stats["nodes"], "orbit_nodes": orbit_nodes},
         notes=result_notes)
 
 
@@ -378,14 +378,16 @@ def orbit_statistics(spec: GroupSpec, size: int,
     def spent(reached: int = 0) -> bool:
         return reached > limits.node_budget or time.monotonic() - t0 > limits.time_budget
 
-    # a canonical tuple starts with a class representative c: one block per c
+    # a canonical tuple starts with a class representative c: one block per
+    # c, canonicalised a slice of rows at a time to bound memory
     weights = ix.n ** np.arange(size - 1, -1, -1, dtype=np.int64)
     free = (np.arange(ix.n ** (size - 1))[:, None] // weights[1:] % ix.n).astype(np.int32)
     blocks = [np.empty((0, size), dtype=np.int32)]
-    for c in ix.class_min_reps():
+    for c, lo in itertools.product(ix.class_min_reps(), range(0, len(free), _SLICE_ROWS)):
         if spent():
             break
-        rows = np.column_stack((np.full(len(free), c, dtype=np.int32), free))
+        part = free[lo:lo + _SLICE_ROWS]
+        rows = np.column_stack((np.full(len(part), c, dtype=np.int32), part))
         rows = rows[(ix.canonical_tuples(rows) == rows).all(axis=1)]
         blocks.append(rows[np.array([ix.generates(t) for t in rows.tolist()], dtype=bool)])
     table = np.concatenate(blocks)

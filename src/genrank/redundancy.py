@@ -85,7 +85,6 @@ class _SearchOutcome:
     best_witness: tuple | None
     collected: dict
     nodes: int
-    elapsed: float
     budget_hit: bool
     pushed_classes: int
 
@@ -115,8 +114,7 @@ class _SetSearch:
         collected: dict = {}
         target = self.target_size
         if ix.n == 1:
-            return _SearchOutcome(0, (), {0: [()]} if target is None else {},
-                                  0, time.monotonic() - t0, False, 0)
+            return _SearchOutcome(0, (), {0: [()]} if target is None else {}, 0, False, 0)
         empty_mask, _, _, _ = ix.closure_mask(())
         stack = [((), empty_mask)]
         seen_raw: set = set()
@@ -147,7 +145,7 @@ class _SetSearch:
                         best_size, best_witness = len(s), s
                     if target is not None:
                         return _SearchOutcome(best_size, best_witness, {}, nodes,
-                                              time.monotonic() - t0, False, pushed)
+                                              False, pushed)
                     collected.setdefault(len(s), set()).add(ix.canonical_set(s))
                 else:
                     if target is not None and len(s) >= target:
@@ -162,7 +160,7 @@ class _SetSearch:
                     stack.append((c, cmask))
                     pushed += 1
         return _SearchOutcome(best_size, best_witness, self._freeze(collected),
-                              nodes, time.monotonic() - t0, budget_hit, pushed)
+                              nodes, budget_hit, pushed)
 
     def _independent(self, s: tuple, fresh: int) -> bool:
         # the fresh element is outside the closure of the rest already
@@ -285,12 +283,10 @@ def _witness_mode(spec: GroupSpec, limits: SearchLimits, seed: int) -> RankSearc
         if found is None:
             break
         best = found
-    elapsed = time.monotonic() - t0
     return RankSearchResult(
         spec, "m", None if best is None else len(best), best,
         exhaustive=False,
-        stats={"nodes": nodes, "elapsed": elapsed, "pushed_classes": 0,
-               "recorded": {}},
+        stats={"nodes": nodes, "pushed_classes": 0, "recorded": {}},
         notes=("witness mode: group order exceeds the exhaustive-search bound "
                f"of {MAX_INDEXED_ORDER}; the value is a verified lower bound",))
 
@@ -330,7 +326,7 @@ def _cyclic_power_rank(spec: CyclicPower) -> RankSearchResult:
         notes.append("witness verification skipped: group too large to enumerate")
     return RankSearchResult(
         spec, "m", len(witness), witness, exhaustive=True,
-        stats={"nodes": 0, "elapsed": 0.0, "pushed_classes": 0, "recorded": {}},
+        stats={"nodes": 0, "pushed_classes": 0, "recorded": {}},
         notes=tuple(notes))
 
 
@@ -347,7 +343,7 @@ def max_irredundant_size(spec: GroupSpec, limits: SearchLimits | None = None,
     if isinstance(spec, Integers):
         return RankSearchResult(
             spec, "m", None, None, exhaustive=True,
-            stats={"nodes": 0, "elapsed": 0.0, "pushed_classes": 0, "recorded": {}},
+            stats={"nodes": 0, "pushed_classes": 0, "recorded": {}},
             notes=("no finite maximum: products of distinct primes give "
                    "irredundant generating sets of every size",))
     if spec.order is None:
@@ -366,9 +362,8 @@ def max_irredundant_size(spec: GroupSpec, limits: SearchLimits | None = None,
     return RankSearchResult(
         spec, "m", out.best_size if witness is not None or spec.order == 1 else None,
         witness, exhaustive=not out.budget_hit,
-        stats={"nodes": out.nodes, "elapsed": out.elapsed,
-               "pushed_classes": out.pushed_classes, "recorded": recorded,
-               "classes": out.collected},
+        stats={"nodes": out.nodes, "pushed_classes": out.pushed_classes,
+               "recorded": recorded, "classes": out.collected},
         notes=() if not out.budget_hit else
         ("search stopped at the node or time budget; value is a lower bound",))
 
@@ -395,17 +390,17 @@ def irredundant_witness(spec: GroupSpec, size: int,
     if isinstance(spec, Integers):
         if involutions_only:
             return WitnessSearchResult(spec, size, None, True,
-                                       {"nodes": 0, "elapsed": 0.0},
+                                       {"nodes": 0},
                                        ("the integers have no involutions",))
         w = z_witness(size)
-        return WitnessSearchResult(spec, size, w, False, {"nodes": 0, "elapsed": 0.0})
+        return WitnessSearchResult(spec, size, w, False, {"nodes": 0})
     if spec.order is None:
         raise ValueError(f"unsupported infinite group {spec.descriptor()}")
     if spec.order > MAX_INDEXED_ORDER:
         t0 = time.monotonic()
         witness, nodes = _random_witness(spec, size, random.Random(seed), limits, t0, 0,
                                          limits.node_budget, involutions_only)
-        stats = {"nodes": nodes, "elapsed": time.monotonic() - t0}
+        stats = {"nodes": nodes}
         if witness is not None:
             return WitnessSearchResult(spec, size, witness, False, stats)
         return WitnessSearchResult(
@@ -419,5 +414,5 @@ def irredundant_witness(spec: GroupSpec, size: int,
         witness = ix.tuple_of(out.best_witness)
     return WitnessSearchResult(
         spec, size, witness, exhausted=witness is None and not out.budget_hit,
-        stats={"nodes": out.nodes, "elapsed": out.elapsed},
+        stats={"nodes": out.nodes},
         notes=() if not out.budget_hit else ("search budget exhausted",))

@@ -22,7 +22,7 @@ def _pgl2_conjugators(p: int) -> list:
 
 def _conjugate(c: FpMatrix, x):
     """c x c^-1 for x in PSL2(F_p)."""
-    return projective_canonicalize(c * x.rep * c.inverse())
+    return projective_canonicalize(c * x * c.inverse())
 
 
 @pytest.fixture(scope="session")

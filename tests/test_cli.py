@@ -14,6 +14,7 @@ from genrank.groups import (CyclicPower, GeneratingTuple, Integers,
 from genrank.redundancy import is_redundant
 
 STD_PAIR = "sl 2\n0 -1 1 0\n1 1 0 1\n"
+HUGE_PRIME = 1_000_000_000_000_000_003     # trial division would run to 10^9
 BOREL_PAIR = "sl 2\n1 1 0 1\n2 0 0 1/2\n"
 
 
@@ -43,7 +44,10 @@ def test_parse_group_errors():
     for bad in ("sl2", "psl:5", "cyclic:4", "grp:9", ""):
         with pytest.raises(UsageError):
             parse_group(bad)
-    for bad in ("sl2:4", "psl2:9", "sl1:5", "sl2:2", "cyclic:4^0"):
+    deep = "cyclic:2^1"
+    for _ in range(1200):
+        deep = f"prod(cyclic:2^1,{deep})"
+    for bad in ("sl2:4", "psl2:9", "sl1:5", "sl2:2", "cyclic:4^0", deep):
         with pytest.raises(DataError):
             parse_group(bad)
     # modulus 1 is the trivial group, allowed on purpose
@@ -239,6 +243,30 @@ def test_certify_rejects_bad_primes(capsys, tmp_path):
     assert "40009" in capsys.readouterr().err
 
 
+def test_huge_modulus_is_refused_before_trial_division(capsys, tmp_path):
+    src = tmp_path / "pair.txt"
+    src.write_text(STD_PAIR)
+    cert = tmp_path / "cert.json"
+    assert main(["certify", str(src), "--primes", "13", "--out", str(cert)]) == EXIT_OK
+    doc = json.loads(cert.read_text())
+    doc["per_prime"][0]["prime"] = HUGE_PRIME
+    cert.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for argv in (["rank", f"sl2:{HUGE_PRIME}"],
+                 ["certify", str(src), "--primes", str(HUGE_PRIME)],
+                 ["certify", str(cert), "--replay"],
+                 ["certify", str(src), "--exceptional-floor", str(HUGE_PRIME)]):
+        t0 = time.monotonic()
+        assert main(argv) == EXIT_DATA
+        assert time.monotonic() - t0 < 2, argv
+        assert "exceeds supported bound" in capsys.readouterr().err
+    # past int's digit limit: a data error, not a traceback
+    assert main(["rank", "psl2:" + "9" * 5000]) == EXIT_DATA
+    src.write_text("sl 2\n1e99999999 0 0 1\n")
+    assert main(["certify", str(src)]) == EXIT_DATA
+    assert "exponent notation" in capsys.readouterr().err
+
+
 def test_product_check(capsys, tmp_path):
     good = tmp_path / "good.txt"
     good.write_text("prod psl2:5 psl2:7\n"
@@ -275,6 +303,19 @@ def test_product_check_rejects_non_matrix_factors(capsys, tmp_path):
         assert "must be sl or psl" in capsys.readouterr().err
     bad.write_text("prod psl2:5 z\n")
     assert main(["product-check", str(bad)]) == EXIT_DATA
+
+
+def test_product_check_sl3_psl2(capsys, tmp_path):
+    # SL3(5) is simple (its centre has order gcd(3, 4) = 1), so the
+    # standard pairs are decided rather than refused
+    mixed = tmp_path / "mixed.txt"
+    mixed.write_text("prod sl3:5 psl2:5\n"
+                     "1 1 0 0 1 0 0 0 1 | 0 4 1 0\n"
+                     "0 0 1 1 0 0 0 1 0 | 1 1 0 1\n")
+    code, doc = run_json(capsys, "product-check", str(mixed))
+    assert code == EXIT_OK
+    assert doc["generates"] is True
+    assert doc["diagnosis"] == "projections generate non-isomorphic simple factors"
 
 
 def test_product_check_psl3(capsys, tmp_path):

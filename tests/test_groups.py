@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from genrank.fp import FpMatrix, projective_canonicalize
+from genrank.fp import FpMatrix, canonical_rep, projective_canonicalize
 from genrank.groups import (CayleyTableGroup, CyclicPower, GeneratingTuple,
                             Integers, ProductGroup, ProjSpecialLinear,
-                            SpecialLinear, closure, is_generating, is_generating_sl2_fast,
+                            SpecialLinear, _simple_by_normal_closures, closure,
+                            is_generating, is_generating_sl2_fast,
                             is_simple_finite, product_generates,
                             project_to_psl, sl2_generation_report, sl_order,
                             subgroup_order)
@@ -240,6 +241,41 @@ def test_simplicity_classifier():
     assert is_simple_finite(CyclicPower(5, 1))
     assert not is_simple_finite(CyclicPower(6, 1))
     assert not is_simple_finite(CyclicPower(3, 2))
+
+
+def test_simplicity_rule_matches_normal_closures():
+    # every SL_n(F_p) and PSL_n(F_p) of order at most 500
+    specs = [kind(n, p) for kind in (SpecialLinear, ProjSpecialLinear)
+             for n in (2, 3, 4) for p in (2, 3, 5, 7, 11) if sl_order(n, p) <= 500]
+    assert len(specs) == 10
+    for spec in specs:
+        assert is_simple_finite(spec) == _simple_by_normal_closures(spec), spec
+    # past the brute-force bound the rule still answers
+    assert is_simple_finite(SpecialLinear(3, 5))        # centre of order gcd(3, 4) = 1
+    assert not is_simple_finite(SpecialLinear(3, 7))    # centre of order 3
+    assert is_simple_finite(ProjSpecialLinear(3, 7))
+    with pytest.raises(ValueError):
+        is_simple_finite(CyclicPower(7, 4))
+
+
+def test_psl_elements_are_canonical_matrices():
+    spec = ProjSpecialLinear(2, 5)
+    s, t = spec.generators()
+    assert isinstance(s, FpMatrix) and isinstance(spec.identity(), FpMatrix)
+    assert spec.mul(s, t) == canonical_rep(s * t)
+    assert spec.inv(t) == canonical_rep(t.inverse())
+    for x in (s, t, spec.mul(s, t), spec.inv(s), spec.random_element(random.Random(1))):
+        spec.validate(x)
+    with pytest.raises(ValueError, match="canonical"):
+        spec.validate(-spec.identity())
+    with pytest.raises(ValueError, match="determinant"):
+        spec.validate(FpMatrix.from_rows(5, [[2, 0], [0, 1]]))
+    with pytest.raises(ValueError, match="expected FpMatrix"):
+        spec.validate((1, 0, 0, 1))
+    # SL and PSL share a base but stay distinct groups
+    sl = SpecialLinear(2, 5)
+    assert sl != spec and sl.descriptor() != spec.descriptor()
+    sl.validate(-sl.identity())
 
 
 def test_psl2_isomorphism_count(pgl2):

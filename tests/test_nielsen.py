@@ -9,6 +9,7 @@ import pytest
 from genrank.groups import (CyclicPower, GeneratingTuple, Integers,
                             ProductGroup, ProjSpecialLinear, SpecialLinear,
                             closure, is_generating)
+from genrank import nielsen
 from genrank.indexed import IndexedGroup
 from genrank.nielsen import (NielsenMove, OrbitStatistics, _orbit_walk_generic,
                              _redundant_entry, all_moves, apply_move,
@@ -212,6 +213,15 @@ def test_pinned_orbit_sizes(spec, size, sizes):
     # size-2 tuples of a non-cyclic group are never redundant; size 3 is
     # above mu = 2 for both groups
     assert stats.orbits_with_redundant == (size == 3)
+
+
+def test_class_listing_does_not_depend_on_the_slice_size(monkeypatch):
+    # psl2:7 triples list 168^2 candidate rows per class representative:
+    # one slice by default, 29 slices of 1,000 rows here
+    spec = ProjSpecialLinear(2, 7)
+    whole = orbit_statistics(spec, 3)
+    monkeypatch.setattr(nielsen, "_SLICE_ROWS", 1000)
+    assert orbit_statistics(spec, 3) == whole
 
 
 def test_all_triples_redundant_when_mu_is_two():
