@@ -469,11 +469,22 @@ def _cmd_orbit(args):
     return payload, EXIT_BUDGET if stats.partial else EXIT_OK
 
 
+def _seconds(text: str) -> float:
+    """A time budget: any float but NaN, which no elapsed time exceeds."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"expected a number of seconds, got {text!r}")
+    return value
+
+
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--node-budget", type=int, default=100_000_000)
-    common.add_argument("--time-budget", type=float, default=600.0)
+    common.add_argument("--time-budget", type=_seconds, default=600.0)
     common.add_argument("--format", choices=("table", "json"), default="table")
 
     parser = _Parser(prog="genrank",

@@ -35,7 +35,15 @@ and the canonical image of a tuple is the lexicographically least
 simultaneous conjugate.  The least conjugate of (t0, rest) always
 starts with the class representative of t0, and the conjugators
 achieving it form a coset of the centralizer of that representative,
-so later positions only ever narrow a candidate array.
+so later positions only ever narrow a candidate array.  A set is
+canonical as its least sorted image.  Central members stay put, and the
+least image of the rest starts with r0, their least class
+representative, so only the cosets centralizer(r0)·wit[x] for the
+members x in the class of r0 are tried.  A set of cyclic subgroups,
+each named by its least generator (its key), is canonical as the least
+sorted image of the keys.  That image starts with the least class
+representative among the members' generators, and only cosets of the
+normalizer of the subgroup it generates are tried.
 """
 
 from __future__ import annotations
@@ -73,6 +81,7 @@ class IndexedGroup:
         gens = [self.index[spec.encode(g)] for g in spec.generators()]
         self.mult = self._build_mult(gens)
         self._centralizers: dict[int, np.ndarray] = {}
+        self._normalizers: dict[int, np.ndarray] = {}
         self.inv = np.argmax(self.mult == self.identity, axis=1).astype(np.int32)
         self.orders = self._element_orders()
         # the centre: elements commuting with every generator
@@ -137,6 +146,9 @@ class IndexedGroup:
     def _class_data(self) -> tuple[np.ndarray, np.ndarray]:
         """(rep, wit): rep[x] is the least index in the class of x, and
         wit[x] a conjugator taking x to it."""
+        if self.spec.is_abelian:        # every class is a point: no conj table
+            return (np.arange(self.n, dtype=np.int32),
+                    np.full(self.n, self.identity, dtype=np.int32))
         conj = self.conj
         rep = np.full(self.n, -1, dtype=np.int32)
         wit = np.zeros(self.n, dtype=np.int32)
@@ -156,6 +168,15 @@ class IndexedGroup:
         if out is None:
             out = np.flatnonzero(self.conj[:, rep] == rep).astype(np.int32)
             self._centralizers[rep] = out
+        return out
+
+    def normalizer(self, key: int) -> np.ndarray:
+        """The normalizer of <key>, for an element that is the key of
+        its cyclic subgroup."""
+        out = self._normalizers.get(key)
+        if out is None:
+            out = np.flatnonzero(self.cyclic_key[self.conj[:, key]] == key).astype(np.int32)
+            self._normalizers[key] = out
         return out
 
     def indices_of(self, t: GeneratingTuple) -> tuple:
@@ -204,17 +225,29 @@ class IndexedGroup:
             common &= masks[i]
         return common == 0
 
-    def _cyclic_keys(self) -> np.ndarray:
-        """key[x] is the least index generating the cyclic subgroup <x>:
-        the least x^k with k prime to the order of x."""
+    @cached_property
+    def _cyclic_data(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(key, frep, fwit) over the generators x^k of <x>, k prime to
+        the order of x: key[x] is the least x^k, frep[x] the least
+        rep[x^k], and fwit[x] = wit[x^k] for that x^k, a conjugator
+        taking <x> to <frep[x]>."""
+        rep, wit = self._class_data
         ar = np.arange(self.n, dtype=np.int32)
         cur = ar
-        key = ar.copy()
+        key, frep, fwit = ar.copy(), rep.copy(), wit.copy()
         for k in range(2, int(self.orders.max())):
             cur = self.mult[cur, ar]
             live = (k < self.orders) & (np.gcd(k, self.orders) == 1)
             np.minimum(key, cur, out=key, where=live)
-        return key
+            better = np.flatnonzero(live & (rep[cur] < frep))
+            frep[better] = rep[cur[better]]
+            fwit[better] = wit[cur[better]]
+        return key, frep, fwit
+
+    @property
+    def cyclic_key(self) -> np.ndarray:
+        """key[x] is the least index generating the cyclic subgroup <x>."""
+        return self._cyclic_data[0]
 
     @cached_property
     def maximal_masks(self) -> list[int] | None:
@@ -230,7 +263,7 @@ class IndexedGroup:
         # elements is the whole group.
         n = self.n
         abelian = self.spec.is_abelian      # conjugation is trivial: no conj table
-        key = self._cyclic_keys()
+        key = self.cyclic_key
         cyclic = np.flatnonzero(key == np.arange(n))
         cyclic = cyclic[cyclic != self.identity]
         trivial, _, _, _ = self.closure_mask(())
@@ -278,13 +311,43 @@ class IndexedGroup:
 
     # -- canonical forms under simultaneous conjugation ---------------
 
-    def canonical_set(self, s) -> tuple:
-        """Least sorted image of the set under conjugation."""
-        if self.spec.is_abelian:
-            return tuple(sorted(int(v) for v in s))
-        cols = np.sort(self.conj[:, list(s)], axis=1)
+    def _least_sorted_image(self, s: np.ndarray, conjugators: np.ndarray,
+                            key: np.ndarray | None = None) -> tuple:
+        cols = self.conj[conjugators[:, None], s]
+        cols = np.sort(cols if key is None else key[cols], axis=1)
         best = np.lexsort(cols.T[::-1])[0]
         return tuple(int(v) for v in cols[best])
+
+    def canonical_set(self, s) -> tuple:
+        """Least sorted image of the set under conjugation: central
+        members stay put, and the image of the rest starts with r0, their
+        least class representative, so only the conjugators in
+        centralizer(r0)·wit[x], for the members x in the class of r0,
+        can reach it."""
+        s = np.array(sorted(int(v) for v in s), dtype=np.int32)
+        moving = s[~self.central[s]]
+        if moving.size == 0:
+            return tuple(int(v) for v in s)
+        rep, wit = self._class_data
+        r0 = rep[moving].min()
+        lead = moving[rep[moving] == r0]
+        return self._least_sorted_image(
+            s, self.mult[self.centralizer(int(r0))[:, None], wit[lead]].ravel())
+
+    def canonical_family(self, s) -> tuple:
+        """Least sorted image of the cyclic subgroups <x>, x in s, under
+        conjugation, each named by its key.  The image starts with r0,
+        the least frep over the members, so only the conjugators in
+        normalizer(<r0>)·fwit[x], for the members x with frep[x] = r0,
+        can reach it; all n rows when <r0> is normal."""
+        key, frep, fwit = self._cyclic_data
+        s = np.asarray(s, dtype=np.int32)
+        if self.spec.is_abelian:
+            return tuple(sorted(int(v) for v in key[s]))
+        r0 = frep[s].min()
+        lead = s[frep[s] == r0]
+        return self._least_sorted_image(
+            s, self.mult[self.normalizer(int(r0))[:, None], fwit[lead]].ravel(), key)
 
     def canonical_tuple(self, t) -> tuple:
         """Least image of the ordered tuple under conjugation."""

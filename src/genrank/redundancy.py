@@ -3,22 +3,35 @@ irredundant size search, and witness construction.
 
 A finite subset of a group is independent when no member lies in the
 subgroup generated by the others; a generating set is irredundant
-exactly when it is independent.  Two facts drive the exhaustive search:
+exactly when it is independent.  Three facts drive the exhaustive
+search:
 
-  * independence passes to subsets, so a partial set that fails it can
-    be discarded together with every extension;
+  * generation and independence depend only on the cyclic subgroups of
+    the members, and an independent set never holds two generators of
+    one cyclic subgroup.  So the search walks sets of cyclic subgroups,
+    each named by its least generator, and at the end expands every
+    class it found into the classes of element sets that pick one
+    generator of each member;
+  * every subset of an irredundant generating set is separated: each
+    member lies outside some maximal subgroup that holds the rest.  A
+    partial set that is not separated is discarded with every
+    extension.  With each element's maximal subgroups packed as a bit
+    array, generation, separation and the drop tests of all one-element
+    extensions of a set are one array pass;
   * a proper subset of an irredundant generating set never generates,
     so the moment a partial set generates, the branch is finished: the
     set is recorded if its one-element-smaller subsets all fail to
     generate, and either way nothing grows from it.
 
-The search walks independent non-generating sets only, deduplicated two
-ways: literally (same index set reached along another order) and up to
-simultaneous conjugation (the canonical image of an independent
-non-generating set is again independent and non-generating, and any
-extension of a set transfers to the conjugated copy).  Exhausting the
-walk therefore visits every conjugacy class of irredundant generating
-sets, which is what the maximum and the class inventory rely on.
+The search walks separated non-generating sets only, deduplicated two
+ways: literally (same set reached along another order) and up to
+simultaneous conjugation (a conjugate of a separated non-generating set
+is again one, and any extension of a set transfers to the conjugated
+copy).  Exhausting the walk therefore visits every conjugacy class of
+irredundant generating sets, which is what the maximum and the class
+inventory rely on.  A group whose maximal subgroups were not listed
+decides each extension by closure and prunes by independence, which
+every subset of an irredundant generating set has as well.
 """
 
 from __future__ import annotations
@@ -28,6 +41,8 @@ import math
 import random
 import time
 from dataclasses import dataclass
+
+import numpy as np
 
 from .fp import prime_factors, primes
 from .groups import (CyclicPower, GeneratingTuple, GroupSpec, Integers,
@@ -77,6 +92,7 @@ class RankSearchResult:
 
 
 _RAW_DEDUP_CAP = 3_000_000
+_WORD = (1 << 64) - 1
 
 
 @dataclass
@@ -89,22 +105,46 @@ class _SearchOutcome:
     pushed_classes: int
 
 
+def _unseen(part: tuple, fresh: list, seen_raw: set):
+    """The sets part + {x}, x in fresh, not met before as index sets."""
+    for x in fresh:
+        s = tuple(sorted(part + (x,)))
+        if s not in seen_raw:
+            if len(seen_raw) < _RAW_DEDUP_CAP:
+                seen_raw.add(s)
+            yield s
+
+
 class _SetSearch:
-    """Depth-first walk over conjugacy classes of independent
-    non-generating sets, recording irredundant generating sets met one
-    step above them.  Without a target size the walk is exhaustive and
-    collects every class; with one it stops at the first irredundant
-    generating set of that size and grows nothing past it."""
+    """Depth-first walk over conjugacy classes of separated
+    non-generating sets of cyclic subgroups, each subgroup named by its
+    key, recording irredundant generating sets met one step above them.
+    Without a target size the walk is exhaustive, and at the end each
+    recorded class is expanded into the classes of element sets that
+    pick one generator of every member.  With one it stops at the first
+    irredundant generating set of that size and grows nothing past it.
+    candidate_filter must take the same value on all generators of a
+    cyclic subgroup."""
 
     def __init__(self, ix: IndexedGroup, limits: SearchLimits,
                  target_size: int | None = None, candidate_filter=None):
         self.ix = ix
         self.limits = limits
         self.target_size = target_size
-        order_key = ix.orders
-        cands = range(ix.n) if candidate_filter is None else \
-            [i for i in range(ix.n) if candidate_filter(i)]
-        self.cand_order = sorted(cands, key=lambda i: (int(order_key[i]), i))
+        key = ix.cyclic_key
+        cands = [i for i in np.flatnonzero(key == np.arange(ix.n)).tolist()
+                 if i != ix.identity and (candidate_filter is None or candidate_filter(i))]
+        self.cands = np.array(sorted(cands, key=lambda i: (int(ix.orders[i]), i)),
+                              dtype=np.int32)
+        self.packed = None
+        masks = ix.maximal_masks
+        if masks is not None:
+            # bit b of a mask is bit b % 64 of word b // 64
+            words = max(1, (max(masks).bit_length() + 63) // 64)
+            self.packed = np.array([[(m >> (64 * w)) & _WORD for w in range(words)]
+                                    for m in masks], dtype=np.uint64)
+            self.full = np.bitwise_or.reduce(self.packed, axis=0)
+            self.cand_masks = self.packed[self.cands]
 
     def run(self) -> _SearchOutcome:
         ix = self.ix
@@ -115,8 +155,7 @@ class _SetSearch:
         target = self.target_size
         if ix.n == 1:
             return _SearchOutcome(0, (), {0: [()]} if target is None else {}, 0, False, 0)
-        empty_mask, _, _, _ = ix.closure_mask(())
-        stack = [((), empty_mask)]
+        stack = [()]
         seen_raw: set = set()
         seen_canon: set = set()
         nodes = 0
@@ -126,57 +165,82 @@ class _SetSearch:
             if nodes >= limits.node_budget or time.monotonic() - t0 > limits.time_budget:
                 budget_hit = True
                 break
-            part, mask = stack.pop()
-            for x in self.cand_order:
-                if mask[x]:
-                    continue
-                s = tuple(sorted(part + (x,)))
-                if s in seen_raw:
-                    continue
-                if len(seen_raw) < _RAW_DEDUP_CAP:
-                    seen_raw.add(s)
-                nodes += 1
-                if ix.generates(s):
-                    if target is not None and len(s) != target:
-                        continue
-                    if any(ix.generates(s[:i] + s[i + 1:]) for i in range(len(s))):
-                        continue
-                    if len(s) > best_size:
-                        best_size, best_witness = len(s), s
-                    if target is not None:
-                        return _SearchOutcome(best_size, best_witness, {}, nodes,
-                                              False, pushed)
-                    collected.setdefault(len(s), set()).add(ix.canonical_set(s))
-                else:
-                    if target is not None and len(s) >= target:
-                        continue
-                    if not self._independent(s, x):
-                        continue
-                    c = ix.canonical_set(s)
-                    if c in seen_canon:
-                        continue
+            part = stack.pop()
+            nodes += self.cands.size
+            size = len(part) + 1
+            irredundant, grows = self._children(part)
+            if target is not None and size != target:
+                irredundant = ()
+            for s in _unseen(part, irredundant, seen_raw):
+                if size > best_size:
+                    best_size, best_witness = size, s
+                if target is not None:
+                    return _SearchOutcome(best_size, best_witness, {}, nodes, False, pushed)
+                collected.setdefault(size, set()).add(ix.canonical_family(s))
+            if target is not None and size >= target:
+                continue
+            for s in _unseen(part, grows, seen_raw):
+                c = ix.canonical_family(s)
+                if c not in seen_canon:
                     seen_canon.add(c)
-                    cmask, _, _, _ = ix.closure_mask(c)
-                    stack.append((c, cmask))
+                    stack.append(c)
                     pushed += 1
-        return _SearchOutcome(best_size, best_witness, self._freeze(collected),
+        return _SearchOutcome(best_size, best_witness, self._expand(collected),
                               nodes, budget_hit, pushed)
 
-    def _independent(self, s: tuple, fresh: int) -> bool:
-        # the fresh element is outside the closure of the rest already
-        ix = self.ix
-        for i in range(len(s)):
-            if s[i] == fresh:
-                continue
-            rest = s[:i] + s[i + 1:]
-            _, _, _, found = ix.closure_mask(rest, target=s[i])
-            if found:
-                return False
-        return True
+    def _children(self, part: tuple) -> tuple[list, list]:
+        """The candidates x, in candidate order, for which part + {x}
+        is an irredundant generating set, and those for which it is
+        separated and does not generate.  Separated means each member
+        lies outside some maximal subgroup that holds the rest: every
+        subset of an irredundant generating set is, so nothing else can
+        grow into one.  By the maximal masks this is one pass over all
+        candidates; past the join cap each candidate is decided by
+        closure, with independence in place of separation."""
+        ix, cands = self.ix, self.cands
+        if self.packed is not None:
+            # row 0 is every maximal subgroup: the AND over no member
+            rows = np.vstack([self.full, self.packed[list(part)]])
+            common = np.bitwise_and.reduce(rows, axis=0)
+            rest = np.empty((len(part), rows.shape[1]), dtype=np.uint64)
+            for i in range(len(part)):
+                rest[i] = np.bitwise_and.reduce(np.delete(rows, i + 1, axis=0), axis=0)
+            cand = self.cand_masks[:, None, :]
+            generates = ~(self.cand_masks & common).any(axis=1)
+            drops_fail = (cand & rest).any(axis=2).all(axis=1)
+            separated = (common & ~self.cand_masks).any(axis=1) & \
+                (cand & rest & ~rows[1:]).any(axis=2).all(axis=1)
+            return (cands[generates & drops_fail].tolist(),
+                    cands[~generates & separated].tolist())
+        irredundant, grows = [], []
+        inside = ix.closure_mask(part)[0]
+        for x in cands[~inside[cands]].tolist():
+            s = part + (x,)
+            rests = [s[:i] + s[i + 1:] for i in range(len(part))]
+            if ix.generates(s):
+                if not any(ix.generates(r) for r in rests):
+                    irredundant.append(x)
+            elif not any(ix.closure_mask(r, target=v)[3] for r, v in zip(rests, s)):
+                grows.append(x)
+        return irredundant, grows
 
-    @staticmethod
-    def _freeze(collected: dict) -> dict:
-        return {k: sorted(v) for k, v in collected.items()}
+    def _expand(self, collected: dict) -> dict:
+        """Classes of element sets: every choice of generators of the
+        members of each recorded class, in canonical form."""
+        ix = self.ix
+        key = ix.cyclic_key
+        generators = {}
+        out = {}
+        for size, families in collected.items():
+            classes = set()
+            for fam in families:
+                for f in fam:
+                    if f not in generators:
+                        generators[f] = np.flatnonzero(key == f).tolist()
+                classes.update(ix.canonical_set(choice) for choice in
+                               itertools.product(*(generators[f] for f in fam)))
+            out[size] = sorted(classes)
+        return out
 
 
 def z_witness(n: int) -> GeneratingTuple:

@@ -109,6 +109,17 @@ def test_budget_exit(capsys):
     assert doc["exhaustive"] is False
 
 
+def test_nan_time_budget_is_a_usage_error(capsys):
+    # no elapsed time exceeds NaN, so such a budget would never fire
+    for argv in (["rank", "psl2:7"], ["mu", "psl2:5"], ["witness", "psl2:5", "--size", "3"],
+                 ["orbit", "psl2:5", "--size", "2"]):
+        assert main([*argv, "--time-budget", "nan"]) == EXIT_USAGE
+    code, doc = run_json(capsys, "rank", "psl2:7", "--time-budget", "inf")
+    assert code == EXIT_OK and doc["exhaustive"] is True
+    code, doc = run_json(capsys, "rank", "psl2:7", "--time-budget", "-1")
+    assert code == EXIT_BUDGET and doc["exhaustive"] is False
+
+
 def test_witness_mode_keeps_time_budget(capsys):
     # sl3:5 (372,000 elements) is drawn from without listing the group
     t0 = time.monotonic()

@@ -217,6 +217,33 @@ def test_canonical_set_is_conjugation_invariant():
         assert ix.canonical_set(c) == c
 
 
+def _least_image(ix, s, name=None):
+    """Brute force: the least sorted image over all n conjugators, each
+    image entry passed through name (the cyclic key, for families)."""
+    cols = ix.conj[:, list(s)]
+    cols = np.sort(cols if name is None else name[cols], axis=1)
+    return tuple(int(v) for v in cols[np.lexsort(cols.T[::-1])[0]])
+
+
+@pytest.mark.parametrize("spec", (
+    ProjSpecialLinear(2, 5), SpecialLinear(2, 5), ProjSpecialLinear(2, 7),
+    SpecialLinear(2, 7), CyclicPower(5, 2), PSL2_5_X_C2), ids=lambda spec: spec.descriptor())
+def test_canonical_forms_match_brute_force(spec):
+    # random sets, sets holding central elements, sets of central elements only
+    rng = random.Random(47)
+    ix = IndexedGroup.from_spec(spec)
+    centre = np.flatnonzero(ix.central).tolist()
+    for trial in range(150):
+        s = {rng.randrange(ix.n) for _ in range(rng.randint(1, 4))}
+        if trial % 10 == 0:
+            s = set(rng.sample(centre, min(len(centre), 2)))
+        elif trial % 2:
+            s.add(rng.choice(centre))
+        s = tuple(sorted(s))
+        assert ix.canonical_set(s) == _least_image(ix, s), s
+        assert ix.canonical_family(s) == _least_image(ix, s, ix.cyclic_key), s
+
+
 def test_canonical_tuple_is_conjugation_invariant():
     rng = random.Random(37)
     spec = ProjSpecialLinear(2, 5)

@@ -8,6 +8,12 @@ bad numbers: dimensions below 2, moduli that are not prime, past the
 2**15 bound, or past int's 4,300-digit limit.  Files mix well-formed and
 broken headers, entries and JSON fields.
 
+Two more properties generate command-line options on valid groups of
+order at most 168: budgets (a NaN time budget must be refused with exit
+64, while inf and negative budgets are accepted), seeds, sizes,
+`--involutions`, and `certify`'s `--max-primes`, `--irredundancy K` and
+`--nielsen K` with K bounded so that no run outlives the deadline.
+
 Valid descriptors of large SL_n/PSL_n groups are left out on purpose.
 They are well-formed input, and what they cost is the open witness-budget
 problem: witness mode, `SpecialLinear.order` and one stabilizer chain
@@ -150,3 +156,60 @@ def test_replay_file(text):
 @given(text=PRODUCT_FILES)
 def test_product_file(text):
     assert _run_on_file(["product-check"], text) in EXIT_CODES
+
+
+# valid groups of order at most 168, and option values good and bad
+SMALL_GROUPS = st.sampled_from(["psl2:5", "sl2:5", "psl2:7", "cyclic:5^2", "cyclic:6^1",
+                                "prod(psl2:5,cyclic:2^1)", "z"])
+BUDGET_OPTIONS = (
+    ("--time-budget", st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "-1", "0", "0.5",
+                                       "30", "1e999", "x", ""])),
+    ("--node-budget", st.sampled_from(["-1", "0", "1", "50", "100000000", "1.5", "x"])),
+    ("--seed", st.sampled_from(["0", "7", "-3", "99999999999", "x"])),
+)
+# K past 3 for --nielsen walks the orbits of SL2(17) for up to the time budget
+CERTIFY_OPTIONS = tuple((flag, st.integers(-1, top).map(str))
+                        for flag, top in (("--max-primes", 12), ("--irredundancy", 6),
+                                          ("--nielsen", 3)))
+
+
+def _some_of(draw, options) -> list:
+    """Each option with probability one half, with a drawn value."""
+    return [part for flag, values in options if draw(st.booleans())
+            for part in (flag, draw(values))]
+
+
+def _nan_budget(argv) -> bool:
+    return any(flag == "--time-budget" and value.lstrip("-").lower() == "nan"
+               for flag, value in zip(argv, argv[1:]))
+
+
+@st.composite
+def _search_argv(draw) -> list:
+    command = draw(st.sampled_from(["rank", "mu", "witness", "orbit"]))
+    argv = [command, draw(SMALL_GROUPS)]
+    if command == "witness":
+        argv += ["--size", str(draw(st.integers(-1, 5)))]
+        if draw(st.booleans()):
+            argv.append("--involutions")
+    elif command == "orbit":
+        argv += ["--size", str(draw(st.integers(-1, 3)))]
+    return argv + _some_of(draw, BUDGET_OPTIONS)
+
+
+@SETTINGS
+@given(argv=_search_argv())
+def test_search_options(argv):
+    code = _run(argv)
+    assert code in EXIT_CODES
+    if _nan_budget(argv):
+        assert code == 64
+
+
+@SETTINGS
+@given(argv=st.composite(lambda draw: _some_of(draw, CERTIFY_OPTIONS + BUDGET_OPTIONS))())
+def test_certify_options(argv):
+    code = _run_on_file(["certify"], "sl 2\n0 -1 1 0\n1 1 0 1\n", argv)
+    assert code in EXIT_CODES
+    if _nan_budget(argv):
+        assert code == 64

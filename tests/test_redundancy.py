@@ -166,3 +166,37 @@ def test_default_m_search_runs_once_per_group(monkeypatch):
     assert first is not second and first == second
     assert first.value == 3 and first.exhaustive
     assert runs == [None]
+
+
+# element classes of irredundant generating sets per size, as counted by
+# the element-level search that the search over cyclic subgroups replaced
+ELEMENT_CLASSES = {
+    ProjSpecialLinear(2, 5): {2: 22, 3: 25},
+    SpecialLinear(2, 5): {2: 82, 3: 168},
+    ProjSpecialLinear(2, 7): {2: 62, 3: 107, 4: 2},
+    SpecialLinear(2, 7): {2: 238, 3: 844, 4: 26},
+}
+
+
+def test_class_counts_per_size():
+    for spec, counts in ELEMENT_CLASSES.items():
+        res = max_irredundant_size(spec)
+        assert res.exhaustive and res.value == max(counts)
+        assert res.stats["recorded"] == counts, spec.descriptor()
+        ix = indexed.IndexedGroup.from_spec(spec)
+        for size, classes in res.stats["classes"].items():
+            assert classes == sorted(set(classes))
+            assert all(ix.canonical_set(c) == c for c in classes)
+
+
+def test_closure_path_finds_the_mask_path_classes():
+    # past the join cap the search decides each candidate by closure and
+    # prunes by independence, not by separation over maximal subgroups
+    for spec in (ProjSpecialLinear(2, 5), SpecialLinear(2, 5)):
+        masked = redundancy._SetSearch(indexed.IndexedGroup(spec), SearchLimits()).run()
+        ix = indexed.IndexedGroup(spec)
+        ix.maximal_masks = None
+        closed = redundancy._SetSearch(ix, SearchLimits()).run()
+        assert not closed.budget_hit and not masked.budget_hit
+        assert closed.collected == masked.collected
+        assert {k: len(v) for k, v in closed.collected.items()} == ELEMENT_CLASSES[spec]
