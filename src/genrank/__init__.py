@@ -13,8 +13,8 @@ from .groups import (CayleyTableGroup, CyclicPower, GeneratingTuple,
                      GenerationReport, GroupSpec, Integers,
                      ProductGenerationReport, ProductGroup, ProjSpecialLinear,
                      SpecialLinear, SubgroupClosure, closure, is_generating,
-                     is_generating_sl2_fast, is_simple_finite, project_to_psl,
-                     product_generates, sl2_generation_report)
+                     is_simple_finite, project_to_psl, product_generates,
+                     sl2_generation_report)
 from .indexed import IndexedGroup
 from .redundancy import (InvolutionPairReport, RankSearchResult,
                          RedundancyReport, SearchLimits, WitnessSearchResult,
@@ -38,7 +38,7 @@ __all__ = [
     "CayleyTableGroup", "CyclicPower", "GeneratingTuple", "GenerationReport",
     "GroupSpec", "Integers", "ProductGenerationReport", "ProductGroup",
     "ProjSpecialLinear", "SpecialLinear", "SubgroupClosure", "closure",
-    "is_generating", "is_generating_sl2_fast", "is_simple_finite",
+    "is_generating", "is_simple_finite",
     "project_to_psl", "product_generates", "sl2_generation_report",
     "IndexedGroup",
     "InvolutionPairReport", "RankSearchResult", "RedundancyReport",

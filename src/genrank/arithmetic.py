@@ -15,6 +15,7 @@ import hashlib
 import itertools
 import json
 import operator
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -446,17 +447,19 @@ class IrredundancyEvidence:
     summary: str
 
 
+def _evidence_primes(t: RationalTuple, prime_count: int, config: PlanConfig | None) -> tuple:
+    base = config or PlanConfig()
+    return plan_primes(t, PlanConfig(base.exceptional_floor, prime_count, base.explicit_primes,
+                                     base.closure_evidence_cap)).candidates
+
+
 def assess_irredundancy(t: RationalTuple, prime_count: int = 5,
                         config: PlanConfig | None = None) -> IrredundancyEvidence:
     """Redundancy verdicts of the reductions at the first usable
     primes.  The summary is all-irredundant, all-redundant, mixed, or
     never-generating, judged over the generating primes only."""
-    base = config or PlanConfig()
-    plan = plan_primes(t, PlanConfig(base.exceptional_floor, prime_count,
-                                     base.explicit_primes,
-                                     base.closure_evidence_cap))
     records = []
-    for p in plan.candidates:
+    for p in _evidence_primes(t, prime_count, config):
         rep = is_redundant(reduce_tuple_mod_p(t, p))
         records.append(PrimeIrredundancyRecord(p, rep.generates, rep.verdict,
                                                rep.droppable))
@@ -490,20 +493,19 @@ def assess_nielsen_irredundancy(t: RationalTuple, prime_count: int = 3,
                                 config: PlanConfig | None = None,
                                 limits: SearchLimits | None = None) -> NielsenEvidence:
     """Nielsen orbit verdicts of the reductions at the first usable
-    primes.  Budget-limited walks report Unknown and taint the summary
-    as undecided rather than guessing."""
-    base = config or PlanConfig()
-    plan = plan_primes(t, PlanConfig(base.exceptional_floor, prime_count,
-                                     base.explicit_primes,
-                                     base.closure_evidence_cap))
+    primes.  The time budget covers all primes together: each walk gets
+    only what the walks before it left.  Budget-limited walks report
+    Unknown and taint the summary as undecided rather than guessing."""
     limits = limits or SearchLimits(node_budget=200_000, time_budget=60.0)
+    deadline = time.monotonic() + limits.time_budget
     records = []
-    for p in plan.candidates:
+    for p in _evidence_primes(t, prime_count, config):
         gt = reduce_tuple_mod_p(t, p)
         if not is_generating(gt):
             records.append(PrimeNielsenRecord(p, "NotGenerating", 0))
             continue
-        rep = is_nielsen_redundant(gt, limits)
+        rep = is_nielsen_redundant(gt, SearchLimits(limits.node_budget,
+                                                    deadline - time.monotonic()))
         records.append(PrimeNielsenRecord(p, rep.verdict, rep.visited))
     decided = [r for r in records if r.verdict in ("NielsenRedundant",
                                                    "NielsenIrredundant")]

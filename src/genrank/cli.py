@@ -299,29 +299,14 @@ def _limits(args) -> SearchLimits:
 
 
 def _cmd_rank(args):
+    """rank (m) and mu: one payload shape."""
     spec = parse_group(args.group)
-    res = max_irredundant_size(spec, limits=_limits(args), seed=args.seed)
+    res = mu_rank(spec, limits=_limits(args)) if args.command == "mu" else \
+        max_irredundant_size(spec, limits=_limits(args), seed=args.seed)
     payload = {
-        "command": "rank",
+        "command": args.command,
         "group": spec.descriptor(),
-        "rank": "m",
-        "value": res.value,
-        "witness": _witness_payload(res.witness),
-        "exhaustive": res.exhaustive,
-        "notes": list(res.notes),
-        "stats": _stats_payload(res.stats),
-        "seed": args.seed,
-    }
-    return payload, EXIT_OK if res.exhaustive else EXIT_BUDGET
-
-
-def _cmd_mu(args):
-    spec = parse_group(args.group)
-    res = mu_rank(spec, limits=_limits(args))
-    payload = {
-        "command": "mu",
-        "group": spec.descriptor(),
-        "rank": "mu",
+        "rank": res.rank_kind,
         "value": res.value,
         "witness": _witness_payload(res.witness),
         "exhaustive": res.exhaustive,
@@ -480,6 +465,16 @@ def _seconds(text: str) -> float:
     return value
 
 
+def _count(text: str) -> int:
+    """A count of primes: an integer of at least 1."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a count of at least 1, got {text!r}")
+
+
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
@@ -499,7 +494,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("mu", parents=[common],
                        help="maximal Nielsen-irredundant generating size")
     p.add_argument("group")
-    p.set_defaults(func=_cmd_mu)
+    p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("witness", parents=[common],
                        help="find or rule out an irredundant generating set of a size")
@@ -519,9 +514,9 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
     p.add_argument("--primes", type=int, nargs="+")
     p.add_argument("--exceptional-floor", type=int, default=3)
-    p.add_argument("--max-primes", type=int, default=10)
-    p.add_argument("--irredundancy", type=int, metavar="K")
-    p.add_argument("--nielsen", type=int, metavar="K")
+    p.add_argument("--max-primes", type=_count, default=10)
+    p.add_argument("--irredundancy", type=_count, metavar="K")
+    p.add_argument("--nielsen", type=_count, metavar="K")
     p.add_argument("--replay", action="store_true",
                    help="treat the input as a stored certificate and re-run it")
     p.set_defaults(func=_cmd_certify)

@@ -820,10 +820,6 @@ def sl2_generation_report(t: GeneratingTuple) -> GenerationReport:
     return _sl2_verdict(t)
 
 
-def is_generating_sl2_fast(t: GeneratingTuple) -> bool:
-    return sl2_generation_report(t).generates
-
-
 def is_generating(t: GeneratingTuple) -> bool:
     """Does the tuple generate its group?  For the integers this is a
     gcd condition; SL2/PSL2 with p >= 5 use the structural test, other
@@ -834,7 +830,7 @@ def is_generating(t: GeneratingTuple) -> bool:
         return math.gcd(*(abs(x) for x in t.items)) == 1 if t.items else False
     if isinstance(g, _MatrixGroup):
         if g.n == 2 and g.p >= 5:
-            return is_generating_sl2_fast(t)
+            return sl2_generation_report(t).generates
         return subgroup_order(t) == g.order
     return closure(t).order == g.order
 

@@ -22,12 +22,13 @@ the elements commuting with every generator.
 
 Generation is decided by maximal-subgroup incidence: a set generates
 exactly when no maximal subgroup contains it.  Each element carries a
-bitmask (a Python int) of the maximal subgroups holding it, so the test
-is one AND over the set.  The maximal subgroups are found once per
-group, on the first generation test of two or more distinct elements,
-by a breadth-first walk over conjugacy classes of subgroups; a group
-whose walk would run past a fixed number of join closures (large
-abelian groups have thousands of subgroups) answers by closure instead.
+row of packed uint64 words, one bit per maximal subgroup holding it, so
+the test is one AND over the set's rows, or over each row of an array
+of tuples at once.  The maximal subgroups are found once per group, on
+the first generation test of two or more distinct elements, by a
+breadth-first walk over conjugacy classes of subgroups; a group whose
+walk would run past a fixed number of join closures (large abelian
+groups have thousands of subgroups) answers by closure instead.
 
 Canonical forms use the minimum-index convention: elements are indexed
 in encoding order, a conjugacy class is represented by its least index,
@@ -214,16 +215,17 @@ class IndexedGroup:
         return visited, count, False, found
 
     def generates(self, gens) -> bool:
-        distinct = set(gens)
-        if len(distinct) < 2:
-            return self.n == 1 or any(self.orders[i] == self.n for i in distinct)
-        masks = self.maximal_masks
-        if masks is None:
-            return self.closure_mask(distinct)[1] == self.n
-        common = -1
-        for i in distinct:
-            common &= masks[i]
-        return common == 0
+        distinct = np.array(sorted(set(gens)), dtype=np.int32)
+        return bool(self.generates_rows(distinct.reshape(1, -1))[0])
+
+    def generates_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Which rows generate: one column by element order, more by the
+        maximal masks, or by closure past the join cap."""
+        if rows.shape[1] < 2:
+            return (self.orders[rows] == self.n).any(axis=1) | (self.n == 1)
+        if self.maximal_masks is None:
+            return np.array([self.closure_mask(r)[1] == self.n for r in rows.tolist()], bool)
+        return ~np.bitwise_and.reduce(self.maximal_masks[rows], axis=1).any(axis=1)
 
     @cached_property
     def _cyclic_data(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -250,10 +252,11 @@ class IndexedGroup:
         return self._cyclic_data[0]
 
     @cached_property
-    def maximal_masks(self) -> list[int] | None:
-        """Per element, the bitmask of the maximal subgroups containing
-        it (one bit per subgroup, conjugates counted apart), or None
-        when the subgroup walk passed _LATTICE_JOIN_CAP."""
+    def maximal_masks(self) -> np.ndarray | None:
+        """The n x words uint64 incidence of elements and maximal
+        subgroups (conjugates counted apart): bit b % 64 of word b // 64
+        of row x is set when x lies in subgroup b.  None when the
+        subgroup walk passed _LATTICE_JOIN_CAP."""
         # Breadth-first over conjugacy classes of proper subgroups, from
         # the trivial one.  Every subgroup above H contains some <H, c>
         # with c outside H, and conjugating c by the normalizer of H
@@ -267,7 +270,7 @@ class IndexedGroup:
         cyclic = np.flatnonzero(key == np.arange(n))
         cyclic = cyclic[cyclic != self.identity]
         trivial, _, _, _ = self.closure_mask(())
-        queue = deque([((), trivial)])
+        queue = deque([((), trivial)] if n > 1 else [])     # the trivial group has none
         seen = {self.canonical_set((self.identity,))}
         maximal = []
         joins = 0
@@ -295,18 +298,17 @@ class IndexedGroup:
                     queue.append((gens + (int(c),), jmask))
             if is_maximal:
                 maximal.append((members, norm))
-        masks = [0] * n
-        bit = 0
+        conjugates = []
         for members, norm in maximal:
             # one conjugate per coset g N_G(M)
             todo = np.ones(n, dtype=bool)
             while todo.any():
                 g = int(np.argmax(todo))
                 todo[self.mult[g, norm]] = False
-                image = members if abelian else self.conj[g, members]
-                for x in image.tolist():
-                    masks[x] |= 1 << bit
-                bit += 1
+                conjugates.append(members if abelian else self.conj[g, members])
+        masks = np.zeros((n, max(1, -(-len(conjugates) // 64))), dtype=np.uint64)
+        for bit, image in enumerate(conjugates):
+            masks[image, bit // 64] |= np.uint64(1 << (bit % 64))
         return masks
 
     # -- canonical forms under simultaneous conjugation ---------------
@@ -349,34 +351,12 @@ class IndexedGroup:
         return self._least_sorted_image(
             s, self.mult[self.normalizer(int(r0))[:, None], fwit[lead]].ravel(), key)
 
-    def canonical_tuple(self, t) -> tuple:
-        """Least image of the ordered tuple under conjugation."""
-        if self.spec.is_abelian:
-            return tuple(int(v) for v in t)
-        rep, wit = self._class_data
-        cands = None
-        out = []
-        for v in t:
-            v = int(v)
-            if cands is None:
-                if self.central[v]:
-                    out.append(v)
-                    continue
-                r = int(rep[v])
-                out.append(r)
-                cands = self.mult[self.centralizer(r), wit[v]]
-            else:
-                imgs = self.conj[cands, v]
-                m = int(imgs.min())
-                out.append(m)
-                cands = cands[imgs == m]
-        return tuple(out)
-
     def canonical_tuples(self, rows: np.ndarray) -> np.ndarray:
-        """canonical_tuple of each row of an int32 array: the rows whose
-        first non-central entry v has class representative r are
-        conjugated by all of centralizer(r)·wit[v] at once and narrowed
-        position by position to the least image."""
+        """The least image of each row of an int32 array under
+        simultaneous conjugation: the rows whose first non-central entry
+        v has class representative r are conjugated by all of
+        centralizer(r)·wit[v] at once and narrowed position by position
+        to the least image."""
         if self.spec.is_abelian:
             return rows
         rep, wit = self._class_data

@@ -17,6 +17,12 @@ Nielsen-irredundant tuple is in particular irredundant (the empty move
 sequence), so at each size only the orbits of irredundant generating
 classes have to be inspected, and a redundant member anywhere in an
 orbit settles that whole orbit.
+
+On indexed groups one walk serves is_nielsen_redundant, the mu ladder
+and orbit_statistics: a breadth-first layer at a time, every move
+applied to the whole layer, the children canonicalised in batches and
+tested for droppable entries on the packed maximal-subgroup masks.
+Groups past the tables keep a per-node walk over literal tuples.
 """
 
 from __future__ import annotations
@@ -36,9 +42,9 @@ from .redundancy import (RankSearchResult, SearchLimits, irredundant_witness,
 
 _MOVE_KINDS = ("L", "R", "I", "S")
 
-# Rows of candidate tuples canonicalised at once when orbit_statistics
-# lists the generating classes.
-_SLICE_ROWS = 1 << 16
+# Rows canonicalised by one call: orbit_statistics lists the candidate
+# classes, and the layer walk canonicalises children, this many at a time.
+_SLICE_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -96,19 +102,10 @@ class NielsenMove:
 
 
 def all_moves(n: int) -> tuple:
-    moves = []
-    for kind in ("L", "R"):
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    for s in (1, -1):
-                        moves.append(NielsenMove(kind, i, j, s))
-    for i in range(n):
-        moves.append(NielsenMove("I", i))
-    for i in range(n):
-        for j in range(i + 1, n):
-            moves.append(NielsenMove("S", i, j))
-    return tuple(moves)
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    return tuple([NielsenMove(kind, i, j, s) for kind in ("L", "R") for i, j in pairs
+                  for s in (1, -1)] + [NielsenMove("I", i) for i in range(n)] +
+                 [NielsenMove("S", i, j) for i, j in pairs if i < j])
 
 
 def apply_move(t: GeneratingTuple, mv: NielsenMove) -> GeneratingTuple:
@@ -132,81 +129,139 @@ class OrbitReport:
     notes: tuple = ()
 
 
-def _redundant_entry(t: tuple, identity, inv, generates):
-    """Index of a droppable entry, or None.  Cheap shapes first: an
-    identity entry, a repeated entry, an entry whose inverse is also
-    present; then the full one-entry drop tests.  Serves index tuples
-    and element tuples alike: elements compare equal exactly when their
-    encodings do."""
-    seen = {}
-    for i, x in enumerate(t):
-        if x == identity or x in seen:
-            return i
-        seen[x] = i
-    for i, x in enumerate(t):
-        j = seen.get(inv(x))
-        if j is not None and j != i:
-            return i
-    for i in range(len(t)):
-        if generates(t[:i] + t[i + 1:]):
-            return i
-    return None
-
-
-def _reconstruct_path(parents: dict, node: tuple) -> tuple:
-    path = []
-    while parents[node] is not None:
-        node, mv = parents[node]
-        path.append(mv)
-    return tuple(reversed(path))
-
-
-def _orbit_walk(start: tuple, canon, droppable, mul, inv, limits: SearchLimits,
-                deadline: float | None = None):
-    """Breadth-first walk over the canonical forms of the Nielsen orbit
-    of start until a member with a droppable entry turns up.  Returns
-    (verdict, that member or None, move path or None, visited)."""
+def _orbit_walk_generic(g: GroupSpec, items: tuple, limits: SearchLimits):
+    """Breadth-first walk over the Nielsen orbit of a tuple of elements,
+    for groups past the indexed tables, until a member with a droppable
+    entry turns up; tuples are kept literally, not up to conjugation.
+    Every member generates, so an entry is droppable exactly when the
+    rest still generates.  Returns (verdict, that member or None, move
+    path or None, visited)."""
     t0 = time.monotonic()
-    moves = all_moves(len(start))
-    start_c = canon(start)
-    parents: dict = {start_c: None}
-    dq = deque([start_c])
+    moves = all_moves(len(items))
+    parents: dict = {items: None}
+    dq = deque([items])
     while dq:
-        now = time.monotonic()
-        if len(parents) > limits.node_budget or now - t0 > limits.time_budget or \
-                (deadline is not None and now > deadline):
+        if len(parents) > limits.node_budget or time.monotonic() - t0 > limits.time_budget:
             return "Unknown", None, None, len(parents)
         node = dq.popleft()
-        if droppable(node) is not None:
-            return ("NielsenRedundant", node, _reconstruct_path(parents, node),
-                    len(parents))
+        if any(is_generating(GeneratingTuple(g, node[:i] + node[i + 1:]))
+               for i in range(len(node))):
+            path, cur = [], node
+            while parents[cur] is not None:
+                cur, mv = parents[cur]
+                path.append(mv)
+            return "NielsenRedundant", node, tuple(reversed(path)), len(parents)
         for mv in moves:
-            child = canon(mv.apply(node, mul, inv))
+            child = mv.apply(node, g.mul, g.inv)
             if child not in parents:
                 parents[child] = (node, mv)
                 dq.append(child)
     return "NielsenIrredundant", None, None, len(parents)
 
 
-def _orbit_walk_indexed(ix: IndexedGroup, start: tuple, limits: SearchLimits,
-                        deadline: float | None = None):
-    inv = ix.inv.item
-    return _orbit_walk(start, ix.canonical_tuple,
-                       lambda t: _redundant_entry(t, ix.identity, inv, ix.generates),
-                       ix.mult.item, inv, limits, deadline)
+# ---------------------------------------------------------------------------
+# The indexed walk: one breadth-first layer at a time.
+# ---------------------------------------------------------------------------
+
+def _row_keys(rows: np.ndarray, n: int) -> np.ndarray:
+    """Exact sortable row keys: the codes sum r_j n^(k-1-j) of entries
+    below n while they fit in int64, the row bytes past that."""
+    k = rows.shape[1]
+    if n ** k < 1 << 63:
+        return rows @ n ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    return np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * k))).ravel()
 
 
-def _orbit_walk_generic(g: GroupSpec, items: tuple, limits: SearchLimits):
-    """The orbit walk on the elements themselves, for groups past the
-    indexed tables; tuples are kept literally, not up to conjugation."""
-    e = g.identity()
+def _children(ix: IndexedGroup, rows: np.ndarray, owner: np.ndarray, cells: np.ndarray,
+              known: np.ndarray, base: int):
+    """The canonical forms one move away from rows, kept with the walk
+    owning their row, at their first occurrence in (row, move) order and
+    only when the key of (walk, form) is not in the sorted, nonempty
+    known: (children, owners, keys, row ids, move ids).  Slices bound the
+    memory, and each slice's keys join known for the slices after it."""
+    left, right = cells[..., 0], cells[..., 1]
+    moves, k = left.shape
+    ext = np.column_stack((rows, ix.inv[rows], np.full(len(rows), ix.identity, np.int32)))
+    step = max(1, _SLICE_ROWS // moves)
+    parts = []
+    for lo in range(0, len(rows) or 1, step):
+        canon = ix.canonical_tuples(
+            ix.mult[ext[lo:lo + step, left], ext[lo:lo + step, right]].reshape(-1, k))
+        own = np.repeat(owner[lo:lo + step], moves)
+        keys = _row_keys(np.column_stack((own, canon)), base)
+        uniq, first = np.unique(keys, return_index=True)
+        at = np.searchsorted(known, uniq)
+        fresh = known[np.minimum(at, len(known) - 1)] != uniq
+        known = np.insert(known, at[fresh], uniq[fresh])
+        first = np.sort(first[fresh])
+        parts.append((canon[first], own[first], keys[first], first + lo * moves))
+    canon, own, keys, pos = (np.concatenate(part) for part in zip(*parts))
+    return canon, own, keys, pos // moves, pos % moves
 
-    def generates(rest):
-        return is_generating(GeneratingTuple(g, rest))
 
-    return _orbit_walk(items, lambda t: t,
-                       lambda t: _redundant_entry(t, e, g.inv, generates),
-                       g.mul, g.inv, limits)
+def _layer_walk(ix: IndexedGroup, starts: np.ndarray, node_budget: int, deadline: float,
+                whole: bool = False):
+    """Breadth-first walks over the canonical forms of the Nielsen orbits
+    of the rows of starts, side by side a layer at a time, each walk's
+    rows in (parent, move) order.  Moves are invertible, so children fall
+    in the layer before, the same or the next: only those two are checked
+    for duplicates.  Before each layer a walk past node_budget classes or
+    the deadline is Unknown.  A walk stops at its first droppable member,
+    having visited its layers so far and the new children of the members
+    ahead of it, or with whole set walks its entire orbit.  Returns
+    ([(verdict, member or None, path or None, visited) per start], layers)."""
+    count, k = starts.shape
+    moves = all_moves(k)
+    # entry j of a moved tuple is the product of the columns cells[move, j]
+    # of [t, t^-1, e], read off NielsenMove.apply on column names
+    cells = np.array([[v if isinstance(v, tuple) else (2 * k, v) for v in mv.apply(
+        tuple(range(k)), lambda a, b: (a, b), lambda c: c + k)] for mv in moves], np.intp)
+    base = max(ix.n, count)
+    layer, owner = ix.canonical_tuples(starts), np.arange(count)
+    keys = _row_keys(np.column_stack((owner, layer)), base)
+    prev, layers, links = keys[:0], [layer], []     # links: parent row and move per row
+    visited = np.ones(count, dtype=np.int64)
+    redundant = np.zeros(count, dtype=bool)
+    out: list = [None] * count
+    while len(layer):
+        known = np.sort(np.concatenate([prev, keys]))
+        spent = np.zeros(count, dtype=bool)
+        spent[owner] = (visited[owner] > node_budget) | (time.monotonic() > deadline)
+        for w in np.flatnonzero(spent).tolist():
+            out[w] = ("Unknown", None, None, int(visited[w]))
+        live = ~spent[owner]
+        # the rows generate, so an entry is droppable exactly when the rest
+        # generates, as an identity, repeated or inverse entry always does
+        drop = np.zeros(len(layer), dtype=bool)
+        for i in range(k):
+            todo = np.flatnonzero(live & ~redundant[owner] & ~drop)
+            drop[todo] = ix.generates_rows(np.delete(layer[todo], i, axis=1))
+        hit = np.flatnonzero(drop)
+        found, first = np.unique(owner[hit], return_index=True)
+        redundant[found] = True
+        if found.size and not whole:
+            stop = np.full(count, -1)
+            stop[found] = hit[first]
+            ahead = np.flatnonzero(stop[owner] > np.arange(len(layer)))
+            visited += np.bincount(_children(ix, layer[ahead], owner[ahead], cells,
+                                             known, base)[1], minlength=count)
+            for w in found.tolist():
+                r, path = int(stop[w]), []
+                for parents, move_ids in reversed(links):
+                    path.append(moves[move_ids[r]])
+                    r = parents[r]
+                out[w] = ("NielsenRedundant", tuple(layer[stop[w]].tolist()),
+                          tuple(reversed(path)), int(visited[w]))
+            live &= stop[owner] < 0
+        keep = np.flatnonzero(live)
+        layer, owner, new, parents, move_ids = _children(ix, layer[keep], owner[keep],
+                                                         cells, known, base)
+        prev, keys = keys, new
+        layers.append(layer)
+        links.append((keep[parents], move_ids))
+        visited += np.bincount(owner, minlength=count)
+    return [walk or ("NielsenRedundant" if redundant[w] else "NielsenIrredundant", None, None,
+                     int(visited[w])) for w, walk in enumerate(out)], layers
 
 
 def is_nielsen_redundant(t: GeneratingTuple,
@@ -222,7 +277,8 @@ def is_nielsen_redundant(t: GeneratingTuple,
     notes: tuple = ()
     if g.order is not None and g.order <= MAX_INDEXED_ORDER:
         ix = IndexedGroup.from_spec(g)
-        walk = _orbit_walk_indexed(ix, ix.indices_of(t), limits)
+        (walk,), _ = _layer_walk(ix, np.array([ix.indices_of(t)], dtype=np.int32),
+                                 limits.node_budget, time.monotonic() + limits.time_budget)
         to_tuple = ix.tuple_of
     else:
         walk = _orbit_walk_generic(g, t.items, limits)
@@ -241,14 +297,9 @@ def _mu_analytic_cyclic(spec: CyclicPower) -> RankSearchResult:
     invertible matrices over Z/m, whose columns stay independent under
     column operations, while any longer generating tuple column-reduces
     to one with a dependent entry."""
-    if spec.modulus == 1:
-        witness = GeneratingTuple(spec, ())
-        value = 0
-    else:
-        witness = GeneratingTuple(spec, spec.generators())
-        value = spec.copies
+    witness = GeneratingTuple(spec, () if spec.modulus == 1 else spec.generators())
     return RankSearchResult(
-        spec, "mu", value, witness, exhaustive=True,
+        spec, "mu", len(witness), witness, exhaustive=True,
         stats={"m": None, "nodes": 0, "orbit_nodes": 0},
         notes=("value from column reduction over the residue ring",))
 
@@ -275,34 +326,27 @@ def mu_rank(spec: GroupSpec, limits: SearchLimits | None = None,
         return _mu_analytic_cyclic(spec)
     if spec.order is None:
         raise ValueError(f"unsupported infinite group {spec.descriptor()}")
-    t0 = time.monotonic()
+    deadline = time.monotonic() + limits.time_budget
     if spec.order > MAX_INDEXED_ORDER:
         w = irredundant_witness(spec, 2, limits=limits)
-        if w.witness is not None and not spec.is_abelian:
-            return RankSearchResult(
-                spec, "mu", 2, w.witness, exhaustive=False,
-                stats={"m": None, "nodes": w.stats.get("nodes", 0), "orbit_nodes": 0},
-                notes=("lower bound: a generating pair of a nonabelian group "
-                       "is minimal, hence Nielsen irredundant; the exhaustive "
-                       f"ladder is limited to order <= {MAX_INDEXED_ORDER}",))
+        found = w.witness is not None and not spec.is_abelian
         return RankSearchResult(
-            spec, "mu", None, None, exhaustive=False,
+            spec, "mu", 2 if found else None, w.witness if found else None,
+            exhaustive=False,
             stats={"m": None, "nodes": w.stats.get("nodes", 0), "orbit_nodes": 0},
-            notes=(f"group order exceeds the exhaustive bound {MAX_INDEXED_ORDER} "
-                   "and no generating pair was found",))
+            notes=(("lower bound: a generating pair of a nonabelian group "
+                    "is minimal, hence Nielsen irredundant; the exhaustive "
+                    f"ladder is limited to order <= {MAX_INDEXED_ORDER}") if found else
+                   (f"group order exceeds the exhaustive bound {MAX_INDEXED_ORDER} "
+                    "and no generating pair was found"),))
     m_res = max_irredundant_size(spec, limits=limits, force_search=force_search)
     if not m_res.exhaustive:
         return RankSearchResult(
             spec, "mu", None, None, exhaustive=False,
             stats={"m": m_res.value, "nodes": m_res.stats["nodes"], "orbit_nodes": 0},
             notes=("the underlying irredundant-set search hit its budget",))
-    classes = m_res.stats.get("classes", {})
+    classes = m_res.stats["classes"]
     ix = IndexedGroup.from_spec(spec)
-    if not classes:
-        # trivial group: the empty tuple generates and nothing is droppable
-        return RankSearchResult(
-            spec, "mu", 0, GeneratingTuple(spec, ()), exhaustive=True,
-            stats={"m": 0, "nodes": m_res.stats["nodes"], "orbit_nodes": 0})
     d = min(classes)
     m_val = max(classes)
     mu = d
@@ -311,11 +355,11 @@ def mu_rank(spec: GroupSpec, limits: SearchLimits | None = None,
              "Nielsen irredundant"]
     orbit_nodes = 0
     exhaustive = True
-    deadline = t0 + limits.time_budget
     for k in range(d + 1, m_val + 1):
-        for cset in classes.get(k, ()):
-            verdict, _, _, visited = _orbit_walk_indexed(ix, tuple(cset), limits,
-                                                         deadline=deadline)
+        sets = classes.get(k, [])
+        walks, _ = _layer_walk(ix, np.array(sets, dtype=np.int32).reshape(-1, k),
+                               limits.node_budget, deadline)
+        for cset, (verdict, _, _, visited) in zip(sets, walks):
             orbit_nodes += visited
             if verdict == "NielsenIrredundant":
                 mu = k
@@ -351,19 +395,18 @@ class OrbitStatistics:
 
     @property
     def fraction_with_redundant(self) -> float:
-        if self.orbit_count == 0:
-            return 0.0
-        return self.orbits_with_redundant / self.orbit_count
+        return self.orbits_with_redundant / self.orbit_count if self.orbit_count else 0.0
 
 
 def orbit_statistics(spec: GroupSpec, size: int,
                      limits: SearchLimits | None = None) -> OrbitStatistics:
     """Partition all conjugacy classes of generating tuples of one size
     into Nielsen orbits and report which orbits contain a redundant
-    tuple.  Exact and exhaustive, hence limited to small groups.  Orbits
-    are walked a breadth-first layer at a time over the sorted class codes
-    sum t_j n^(k-1-j); budgets are checked before every layer (the node
-    budget counts classes reached) and an unfinished orbit is dropped."""
+    tuple.  Exact and exhaustive, hence limited to small groups.  Each
+    orbit is one whole-orbit layer walk from its least unreached class,
+    and its members are then marked off in the sorted class table; the
+    walk checks the budgets before every layer (the node budget counts
+    classes reached over all orbits) and an unfinished orbit is dropped."""
     limits = limits or SearchLimits()
     if size < 1:
         raise ValueError("size must be positive")
@@ -373,10 +416,7 @@ def orbit_statistics(spec: GroupSpec, size: int,
     if est > 2_000_000:
         raise ValueError("too many tuple classes at this size; pick a smaller size")
     ix = IndexedGroup.from_spec(spec)
-    t0 = time.monotonic()
-
-    def spent(reached: int = 0) -> bool:
-        return reached > limits.node_budget or time.monotonic() - t0 > limits.time_budget
+    deadline = time.monotonic() + limits.time_budget
 
     # a canonical tuple starts with a class representative c: one block per
     # c, canonicalised a slice of rows at a time to bound memory
@@ -384,38 +424,31 @@ def orbit_statistics(spec: GroupSpec, size: int,
     free = (np.arange(ix.n ** (size - 1))[:, None] // weights[1:] % ix.n).astype(np.int32)
     blocks = [np.empty((0, size), dtype=np.int32)]
     for c, lo in itertools.product(ix.class_min_reps(), range(0, len(free), _SLICE_ROWS)):
-        if spent():
+        if time.monotonic() > deadline:
             break
         part = free[lo:lo + _SLICE_ROWS]
         rows = np.column_stack((np.full(len(part), c, dtype=np.int32), part))
         rows = rows[(ix.canonical_tuples(rows) == rows).all(axis=1)]
-        blocks.append(rows[np.array([ix.generates(t) for t in rows.tolist()], dtype=bool)])
+        blocks.append(rows[ix.generates_rows(rows)])
     table = np.concatenate(blocks)
-    codes = table @ weights
+    codes = _row_keys(table, ix.n)
     done = np.zeros(len(table), dtype=bool)
-    orbit_sizes, with_red, stopped = [], 0, spent()
+    orbit_sizes, with_red, stopped = [], 0, time.monotonic() > deadline
     for start in range(len(table)):
         if done[start]:
             continue
-        done[start] = True
-        layers = [np.array([start])]
-        while layers[-1].size and not (stopped := spent(int(done.sum()))):
-            cols, found = tuple(table[layers[-1]].T), []
-            for mv in all_moves(size):
-                moved = mv.apply(cols, lambda a, b: ix.mult[a, b], ix.inv.__getitem__)
-                child = ix.canonical_tuples(np.stack(moved, axis=1)) @ weights
-                ids = np.minimum(np.searchsorted(codes, child), len(codes) - 1)
-                if (codes[ids] != child).any():
-                    raise AssertionError("orbit left the generating-class table")
-                found.append(np.unique(ids[~done[ids]]))
-                done[found[-1]] = True
-            layers.append(np.concatenate(found))
-        if stopped:
+        ((verdict, *_),), layers = _layer_walk(ix, table[start:start + 1],
+                                               limits.node_budget - sum(orbit_sizes),
+                                               deadline, whole=True)
+        if stopped := verdict == "Unknown":
             break
-        members = table[np.concatenate(layers)].tolist()
-        orbit_sizes.append(len(members))
-        with_red += any(_redundant_entry(t, ix.identity, ix.inv.item, ix.generates) is not None
-                        for t in members)
+        members = _row_keys(np.concatenate(layers), ix.n)
+        ids = np.minimum(np.searchsorted(codes, members), len(codes) - 1)
+        if (codes[ids] != members).any():
+            raise AssertionError("orbit left the generating-class table")
+        done[ids] = True
+        orbit_sizes.append(len(ids))
+        with_red += verdict == "NielsenRedundant"
     notes = ("stopped at the search budget before all orbits were walked",) if stopped else ()
     return OrbitStatistics(spec, size, len(table), len(orbit_sizes),
                            tuple(sorted(orbit_sizes, reverse=True)), with_red, stopped, notes)

@@ -92,7 +92,6 @@ class RankSearchResult:
 
 
 _RAW_DEDUP_CAP = 3_000_000
-_WORD = (1 << 64) - 1
 
 
 @dataclass
@@ -136,15 +135,9 @@ class _SetSearch:
                  if i != ix.identity and (candidate_filter is None or candidate_filter(i))]
         self.cands = np.array(sorted(cands, key=lambda i: (int(ix.orders[i]), i)),
                               dtype=np.int32)
-        self.packed = None
-        masks = ix.maximal_masks
-        if masks is not None:
-            # bit b of a mask is bit b % 64 of word b // 64
-            words = max(1, (max(masks).bit_length() + 63) // 64)
-            self.packed = np.array([[(m >> (64 * w)) & _WORD for w in range(words)]
-                                    for m in masks], dtype=np.uint64)
-            self.full = np.bitwise_or.reduce(self.packed, axis=0)
-            self.cand_masks = self.packed[self.cands]
+        if ix.maximal_masks is not None:
+            self.full = np.bitwise_or.reduce(ix.maximal_masks, axis=0)
+            self.cand_masks = ix.maximal_masks[self.cands]
 
     def run(self) -> _SearchOutcome:
         ix = self.ix
@@ -198,9 +191,9 @@ class _SetSearch:
         candidates; past the join cap each candidate is decided by
         closure, with independence in place of separation."""
         ix, cands = self.ix, self.cands
-        if self.packed is not None:
+        if ix.maximal_masks is not None:
             # row 0 is every maximal subgroup: the AND over no member
-            rows = np.vstack([self.full, self.packed[list(part)]])
+            rows = np.vstack([self.full, ix.maximal_masks[list(part)]])
             common = np.bitwise_and.reduce(rows, axis=0)
             rest = np.empty((len(part), rows.shape[1]), dtype=np.uint64)
             for i in range(len(part)):

@@ -21,7 +21,7 @@ from genrank.cli import main
 from genrank.fp import FpMatrix, projective_canonicalize
 from genrank.groups import (CyclicPower, GeneratingTuple, ProductGroup,
                             ProjSpecialLinear, SpecialLinear, closure,
-                            is_generating_sl2_fast, product_generates)
+                            product_generates, sl2_generation_report)
 from genrank.indexed import IndexedGroup
 from genrank.nielsen import all_moves, apply_move, mu_rank
 from genrank.redundancy import is_redundant, max_irredundant_size, z_witness
@@ -111,8 +111,8 @@ def test_criterion_4_fast_test_equals_closure():
     for i in range(ix5.n):
         for j in range(ix5.n):
             _, count, _, _ = ix5.closure_mask((i, j))
-            fast = is_generating_sl2_fast(
-                GeneratingTuple(spec5, (els5[i], els5[j])))
+            fast = sl2_generation_report(
+                GeneratingTuple(spec5, (els5[i], els5[j]))).generates
             if fast != (count == ix5.n):
                 disagreements += 1
     checked = ix5.n * ix5.n
@@ -125,8 +125,8 @@ def test_criterion_4_fast_test_equals_closure():
             k = rng.choice((2, 3))
             gens = tuple(rng.randrange(ix.n) for _ in range(k))
             _, count, _, _ = ix.closure_mask(gens)
-            fast = is_generating_sl2_fast(
-                GeneratingTuple(spec, tuple(ix.elements[g] for g in gens)))
+            fast = sl2_generation_report(
+                GeneratingTuple(spec, tuple(ix.elements[g] for g in gens))).generates
             if fast != (count == ix.n):
                 disagreements += 1
             checked += 1

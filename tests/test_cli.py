@@ -202,6 +202,35 @@ def test_certify_undecided_nielsen_is_mixed_exit(capsys, tmp_path):
     assert doc["nielsen"]["summary"] == "undecided"
 
 
+def test_certify_counts_below_one_are_usage_errors(capsys, tmp_path):
+    src = tmp_path / "pair.txt"
+    src.write_text(STD_PAIR)
+    for flag in ("--max-primes", "--irredundancy", "--nielsen"):
+        for value in ("0", "-1", "-2", "x"):
+            assert main(["certify", str(src), flag, value]) == EXIT_USAGE, (flag, value)
+    code, doc = run_json(capsys, "certify", str(src), "--max-primes", "1",
+                         "--irredundancy", "1", "--nielsen", "1")
+    assert code == EXIT_OK
+    assert len(doc["irredundancy"]["records"]) == len(doc["nielsen"]["records"]) == 1
+
+
+def test_certify_nielsen_shares_one_time_budget(capsys, tmp_path):
+    # p = 17 and 19 are past the indexed tables: each walk would run to the
+    # budget if it were given the whole budget again
+    src = tmp_path / "pair.txt"
+    src.write_text(STD_PAIR)
+    t0 = time.monotonic()
+    code, doc = run_json(capsys, "certify", str(src), "--nielsen", "6", "--time-budget", "1")
+    assert time.monotonic() - t0 < 2.0
+    assert code == EXIT_EVIDENCE_MIXED
+    records = {r["prime"]: r["verdict"] for r in doc["nielsen"]["records"]}
+    assert list(records) == [5, 7, 11, 13, 17, 19]
+    # the indexed walks up to p = 13 take well under a second unloaded
+    assert records[5] == "NielsenIrredundant"
+    assert {records[p] for p in (7, 11, 13)} <= {"NielsenIrredundant", "Unknown"}
+    assert records[17] == records[19] == "Unknown"
+
+
 def test_certify_rejects_malformed_file(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("sl 2\n1 0 0\n")

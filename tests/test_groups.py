@@ -8,8 +8,7 @@ from genrank.fp import FpMatrix, canonical_rep, projective_canonicalize
 from genrank.groups import (CayleyTableGroup, CyclicPower, GeneratingTuple,
                             Integers, ProductGroup, ProjSpecialLinear,
                             SpecialLinear, _simple_by_normal_closures, closure,
-                            is_generating, is_generating_sl2_fast,
-                            is_simple_finite, product_generates,
+                            is_generating, is_simple_finite, product_generates,
                             project_to_psl, sl2_generation_report, sl_order,
                             subgroup_order)
 from genrank.indexed import IndexedGroup
@@ -169,7 +168,7 @@ def test_fast_test_matches_closure_on_samples():
             k = rng.choice((2, 3))
             t = GeneratingTuple(spec, tuple(spec.random_element(rng)
                                             for _ in range(k)))
-            fast = is_generating_sl2_fast(t)
+            fast = sl2_generation_report(t).generates
             brute = len(closure(t).elements) == full
             assert fast == brute
             agree += 1

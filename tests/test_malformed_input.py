@@ -12,7 +12,8 @@ Two more properties generate command-line options on valid groups of
 order at most 168: budgets (a NaN time budget must be refused with exit
 64, while inf and negative budgets are accepted), seeds, sizes,
 `--involutions`, and `certify`'s `--max-primes`, `--irredundancy K` and
-`--nielsen K` with K bounded so that no run outlives the deadline.
+`--nielsen K` with K bounded so that no run outlives the deadline (a
+count below 1 or not an integer must be refused with exit 64).
 
 Valid descriptors of large SL_n/PSL_n groups are left out on purpose.
 They are well-formed input, and what they cost is the open witness-budget
@@ -167,10 +168,12 @@ BUDGET_OPTIONS = (
     ("--node-budget", st.sampled_from(["-1", "0", "1", "50", "100000000", "1.5", "x"])),
     ("--seed", st.sampled_from(["0", "7", "-3", "99999999999", "x"])),
 )
-# K past 3 for --nielsen walks the orbits of SL2(17) for up to the time budget
-CERTIFY_OPTIONS = tuple((flag, st.integers(-1, top).map(str))
-                        for flag, top in (("--max-primes", 12), ("--irredundancy", 6),
-                                          ("--nielsen", 3)))
+# K past 3 for --nielsen walks the orbits of SL2(17) for up to the time budget;
+# a count below 1 or not an integer must be refused with exit 64
+COUNT_FLAGS = ("--max-primes", "--irredundancy", "--nielsen")
+CERTIFY_OPTIONS = tuple((flag, st.one_of(st.integers(-1, top).map(str),
+                                         st.sampled_from(["-2", "x", "1.5", ""])))
+                        for flag, top in zip(COUNT_FLAGS, (12, 6, 3)))
 
 
 def _some_of(draw, options) -> list:
@@ -181,6 +184,11 @@ def _some_of(draw, options) -> list:
 
 def _nan_budget(argv) -> bool:
     return any(flag == "--time-budget" and value.lstrip("-").lower() == "nan"
+               for flag, value in zip(argv, argv[1:]))
+
+
+def _bad_count(argv) -> bool:
+    return any(flag in COUNT_FLAGS and not (value.isdigit() and int(value) >= 1)
                for flag, value in zip(argv, argv[1:]))
 
 
@@ -211,5 +219,5 @@ def test_search_options(argv):
 def test_certify_options(argv):
     code = _run_on_file(["certify"], "sl 2\n0 -1 1 0\n1 1 0 1\n", argv)
     assert code in EXIT_CODES
-    if _nan_budget(argv):
+    if _nan_budget(argv) or _bad_count(argv):
         assert code == 64

@@ -1,9 +1,11 @@
 """Elementary moves, orbit walks, and the Nielsen rank."""
 
 import itertools
+import math
 import random
 import time
 
+import numpy as np
 import pytest
 
 from genrank.groups import (CyclicPower, GeneratingTuple, Integers,
@@ -12,9 +14,13 @@ from genrank.groups import (CyclicPower, GeneratingTuple, Integers,
 from genrank import nielsen
 from genrank.indexed import IndexedGroup
 from genrank.nielsen import (NielsenMove, OrbitStatistics, _orbit_walk_generic,
-                             _redundant_entry, all_moves, apply_move,
-                             is_nielsen_redundant, mu_rank, orbit_statistics)
+                             all_moves, apply_move, is_nielsen_redundant, mu_rank,
+                             orbit_statistics)
 from genrank.redundancy import SearchLimits, max_irredundant_size, z_witness
+
+
+def case_id(value):
+    return value.descriptor() if hasattr(value, "descriptor") else str(value)
 
 
 def random_tuple(spec, k, rng):
@@ -111,13 +117,20 @@ def test_irredundant_pair_has_no_redundant_orbit_member():
 
 def test_generic_and_indexed_walk_agree():
     rng = random.Random(13)
-    spec = ProjSpecialLinear(2, 5)
-    for _ in range(6):
-        t = random_tuple(spec, 2, rng)
-        while not is_generating(t):
-            t = random_tuple(spec, 2, rng)
+    for spec, size in itertools.product((ProjSpecialLinear(2, 5), SpecialLinear(2, 5)),
+                                        (2, 3)):
+        for _ in range(6):
+            t = random_tuple(spec, size, rng)
+            while not is_generating(t):
+                t = random_tuple(spec, size, rng)
+            verdict = _orbit_walk_generic(spec, t.items, SearchLimits())[0]
+            assert is_nielsen_redundant(t).verdict == verdict
+        # an irredundant class: no entry is droppable before the first move
+        ix = IndexedGroup.from_spec(spec)
+        t = ix.tuple_of(max_irredundant_size(spec).stats["classes"][size][-1])
         verdict = _orbit_walk_generic(spec, t.items, SearchLimits())[0]
-        assert is_nielsen_redundant(t).verdict == verdict
+        assert is_nielsen_redundant(t).verdict == verdict == (
+            "NielsenIrredundant" if size == 2 else "NielsenRedundant")
 
 
 def test_generic_walk_on_infinite_and_large_groups():
@@ -151,20 +164,29 @@ def test_klein_four_orbit():
     assert not stats.partial
 
 
-def case_id(value):
-    return value.descriptor() if hasattr(value, "descriptor") else str(value)
+def droppable(ix, t) -> bool:
+    """An entry of a generating tuple is droppable when the closure of
+    the rest is the whole group."""
+    return any(ix.closure_mask(t[:i] + t[i + 1:])[1] == ix.n for i in range(len(t)))
+
+
+def least_conjugate(ix, t) -> tuple:
+    """Brute force: the least of tuple(conj[g, t]) over all g."""
+    cols = ix.conj[:, list(t)]
+    return tuple(int(v) for v in cols[np.lexsort(cols.T[::-1])[0]])
 
 
 def reference_orbit_statistics(spec, size):
-    """The per-node walk: canonical_tuple and NielsenMove.apply on one
-    Python tuple at a time, with sets for the classes and the orbits."""
+    """The per-node walk: the least conjugate, NielsenMove.apply and
+    closure on one Python tuple at a time, with sets for the classes and
+    the orbits."""
     ix = IndexedGroup.from_spec(spec)
     mul, inv = ix.mult.item, ix.inv.item
     classes = set()
     for c in ix.class_min_reps():
         for rest in itertools.product(range(ix.n), repeat=size - 1):
             t = (c,) + rest
-            if ix.canonical_tuple(t) == t and ix.generates(t):
+            if least_conjugate(ix, t) == t and ix.closure_mask(t)[1] == ix.n:
                 classes.add(t)
     seen, sizes, with_red = set(), [], 0
     for start in sorted(classes):
@@ -174,17 +196,50 @@ def reference_orbit_statistics(spec, size):
         while todo:
             node = todo.pop()
             for mv in all_moves(size):
-                child = ix.canonical_tuple(mv.apply(node, mul, inv))
+                child = least_conjugate(ix, mv.apply(node, mul, inv))
                 assert child in classes
                 if child not in members:
                     members.add(child)
                     todo.append(child)
         seen |= members
         sizes.append(len(members))
-        with_red += any(_redundant_entry(t, ix.identity, inv, ix.generates) is not None
-                        for t in members)
+        with_red += any(droppable(ix, t) for t in members)
     return OrbitStatistics(spec, size, len(classes), len(sizes),
                            tuple(sorted(sizes, reverse=True)), with_red, False)
+
+
+def reference_walk(ix, start):
+    """The per-node breadth-first walk: one tuple dequeued at a time,
+    tested for a droppable entry, then its children canonicalised one by
+    one.  Returns (verdict, member, path, visited) as the layer walk."""
+    mul, inv = ix.mult.item, ix.inv.item
+    start = least_conjugate(ix, start)
+    parents, queue = {start: None}, [start]
+    for node in queue:          # the list grows as it is read
+        if droppable(ix, node):
+            path, cur = [], node
+            while parents[cur] is not None:
+                cur, mv = parents[cur]
+                path.append(mv)
+            return "NielsenRedundant", node, tuple(reversed(path)), len(parents)
+        for mv in all_moves(len(start)):
+            child = least_conjugate(ix, mv.apply(node, mul, inv))
+            if child not in parents:
+                parents[child] = (node, mv)
+                queue.append(child)
+    return "NielsenIrredundant", None, None, len(parents)
+
+
+@pytest.mark.parametrize("spec", (
+    ProjSpecialLinear(2, 5), SpecialLinear(2, 5), ProjSpecialLinear(2, 7)), ids=case_id)
+def test_layer_walk_matches_reference_walk_on_every_irredundant_class(spec):
+    ix = IndexedGroup.from_spec(spec)
+    for size, sets in max_irredundant_size(spec).stats["classes"].items():
+        walks, _ = nielsen._layer_walk(ix, np.array(sets, dtype=np.int32), 10 ** 9, math.inf)
+        assert walks == [reference_walk(ix, t) for t in sets], size
+        # one start at a time gives each walk as in the batch
+        assert nielsen._layer_walk(ix, np.array(sets[-1:], dtype=np.int32), 10 ** 9,
+                                   math.inf)[0] == walks[-1:]
 
 
 @pytest.mark.parametrize("spec,size", (
