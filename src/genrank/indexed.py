@@ -2,49 +2,48 @@
 
 An IndexedGroup holds the full multiplication table of a group of
 modest order as a numpy array, plus inverse and element-order tables,
-conjugacy data, and helpers built on them: vectorized subgroup closure,
-generation tests, and canonical forms of tuples and sets under
-simultaneous conjugation.  Everything downstream of the table is pure
-array arithmetic, which is what makes the exhaustive searches over
-partial generating sets affordable.
+conjugacy data, and helpers that work on many rows in a few array
+passes, which keeps the exhaustive searches affordable: subgroup
+closure, generation tests, and canonical forms of tuples and sets
+under simultaneous conjugation.
 
 An instance owns every structure derived from its group, and
 `from_spec` keeps one per descriptor: the tables past `mult` are cached
 properties built on first use, and `m_search` keeps the exhaustive m
-search at default limits.
+search at default limits.  The table is built from the generators and
+the element index alone: one permutation a -> ag per generator g, then
+a breadth-first walk over the right Cayley graph from the identity,
+which fills column yg as the image of column y under that permutation.
 
-The table is built the same way for every group kind, from the group's
-generators and its element index alone: one permutation a -> ag per
-generator g, then a breadth-first walk over the right Cayley graph
-from the identity, which fills column yg of the table as the image of
-column y under that permutation.  The centre is read off the table as
-the elements commuting with every generator.
-
-Generation is decided by maximal-subgroup incidence: a set generates
+Closure grows rows of boolean masks a ball at a time: the next ball
+adds the last layer times each generator, one scatter per generator
+over all rows, so ball k is breadth-first layer k.  A set generates
 exactly when no maximal subgroup contains it.  Each element carries a
 row of packed uint64 words, one bit per maximal subgroup holding it, so
-the test is one AND over the set's rows, or over each row of an array
-of tuples at once.  The maximal subgroups are found once per group, on
-the first generation test of two or more distinct elements, by a
-breadth-first walk over conjugacy classes of subgroups; a group whose
-walk would run past a fixed number of join closures (large abelian
-groups have thousands of subgroups) answers by closure instead.
+the test is one AND over the set's rows.  The maximal subgroups come
+from a breadth-first walk over conjugacy classes of subgroups: for each
+subgroup H it lists one cyclic candidate c per normalizer orbit, closes
+every join <H, c> from H's mask in one call, and canonicalises the
+proper joins with one canonical_sets call per order.  A walk that would
+pass a fixed number of joins (large abelian groups have thousands of
+subgroups) leaves generation to closure.
 
-Canonical forms use the minimum-index convention: elements are indexed
-in encoding order, a conjugacy class is represented by its least index,
-and the canonical image of a tuple is the lexicographically least
-simultaneous conjugate.  The least conjugate of (t0, rest) always
-starts with the class representative of t0, and the conjugators
-achieving it form a coset of the centralizer of that representative,
-so later positions only ever narrow a candidate array.  A set is
-canonical as its least sorted image.  Central members stay put, and the
-least image of the rest starts with r0, their least class
-representative, so only the cosets centralizer(r0)·wit[x] for the
-members x in the class of r0 are tried.  A set of cyclic subgroups,
-each named by its least generator (its key), is canonical as the least
-sorted image of the keys.  That image starts with the least class
-representative among the members' generators, and only cosets of the
-normalizer of the subgroup it generates are tried.
+Canonical forms use the minimum-index convention: a conjugacy class is
+represented by its least index, and the canonical image of a tuple is
+its lexicographically least simultaneous conjugate.  That starts with
+the class representative of the first non-central entry, and the
+conjugators achieving it form a centralizer coset, so later positions
+only narrow a candidate array.  A set is canonical as its least sorted
+image: central members stay put, and only the cosets
+centralizer(r0)·wit[x] are tried, for r0 the least class
+representative of the rest and x its lead members, those in its class.
+A set of cyclic subgroups, each named by its least generator (its key),
+is canonical as the least sorted image of the keys, with normalizer
+cosets.  canonical_sets groups its rows by r0, pads them to the most
+lead members in the group, and narrows a slice of at most
+_CANONICAL_CELLS image entries at a time, which bounds its memory.  No
+plain np.unique is called: its first call imports numpy.ma, about 11 ms
+per process, so distinct values come from a scatter or bincount.
 """
 
 from __future__ import annotations
@@ -63,6 +62,8 @@ MAX_INDEXED_ORDER = 4096
 # (sl2:13) and 1,115 (psl2:19); cyclic:2^6 has 2,824 subgroups, and
 # walking them costs far more than answering by closure.
 _LATTICE_JOIN_CAP = 2000
+
+_CANONICAL_CELLS = 1 << 14         # image entries of one canonical_sets slice
 
 _INSTANCE_CACHE: dict[str, "IndexedGroup"] = {}
 
@@ -150,19 +151,16 @@ class IndexedGroup:
         if self.spec.is_abelian:        # every class is a point: no conj table
             return (np.arange(self.n, dtype=np.int32),
                     np.full(self.n, self.identity, dtype=np.int32))
-        conj = self.conj
-        rep = np.full(self.n, -1, dtype=np.int32)
-        wit = np.zeros(self.n, dtype=np.int32)
-        for i in range(self.n):
-            if rep[i] < 0:
-                members = np.unique(conj[:, i])
-                rep[members] = i
-                wit[members] = [np.flatnonzero(conj[:, x] == i)[0] for x in members]
+        rep = self.conj.min(axis=0)         # column x of conj is the class of x
+        wit = np.full(self.n, self.n, dtype=np.int32)
+        for r in np.flatnonzero(rep == np.arange(self.n)).tolist():
+            # g x g^-1 = r exactly when x = conj[g^-1, r]: the least such g
+            np.minimum.at(wit, self.conj[:, r], self.inv)
         return rep, wit
 
     def class_min_reps(self) -> list[int]:
         rep, _ = self._class_data
-        return sorted(int(v) for v in np.unique(rep))
+        return np.flatnonzero(rep == np.arange(self.n)).tolist()
 
     def centralizer(self, rep: int) -> np.ndarray:
         out = self._centralizers.get(rep)
@@ -188,31 +186,42 @@ class IndexedGroup:
 
     # -- closure and generation --------------------------------------
 
+    def closure_rows(self, masks: np.ndarray, gens: np.ndarray, cap: int | None = None,
+                     target: int | None = None):
+        """Grow each row of a boolean (rows x n) array a ball at a time by
+        its row of gens, until it stops growing, holds target or counts
+        past cap: the next ball adds the last layer times each generator,
+        one scatter per column of gens over all rows.  Returns (masks,
+        counts, exceeded, found) by row."""
+        masks, cap = masks.copy(), self.n if cap is None else cap
+        counts = masks.sum(axis=1)
+        exceeded = np.zeros(len(masks), dtype=bool)
+        found = np.zeros_like(exceeded) if target is None else masks[:, target].copy()
+        live = np.flatnonzero(~found)
+        layer = masks[live]
+        while live.size:
+            row, x = np.nonzero(layer)
+            grown = masks[live]
+            for col in gens[live].T:
+                grown[row, self.mult[x, col[row]]] = True
+            layer = grown & ~masks[live]
+            masks[live] = grown
+            counts[live] += layer.sum(axis=1)
+            grew = layer.any(axis=1)
+            if target is not None:
+                found[live] = grown[:, target]
+            exceeded[live] = grew & (counts[live] > cap) & ~found[live]
+            keep = grew & ~found[live] & ~exceeded[live]
+            live, layer = live[keep], layer[keep]
+        return masks, counts, exceeded, found
+
     def closure_mask(self, gens, cap: int | None = None, target: int | None = None):
-        """Vectorized closure BFS.  Returns (mask, count, exceeded,
-        found); stops early once count passes cap or target is hit."""
-        gens = np.unique(np.asarray(list(gens), dtype=np.int32)) if gens else \
-            np.empty(0, dtype=np.int32)
-        visited = np.zeros(self.n, dtype=bool)
-        visited[self.identity] = True
-        count = 1
-        found = target is not None and visited[target]
-        if found or gens.size == 0:
-            return visited, count, False, found
-        frontier = np.array([self.identity], dtype=np.int32)
-        while frontier.size:
-            prod = np.unique(self.mult[np.ix_(frontier, gens)].ravel())
-            new = prod[~visited[prod]]
-            if new.size == 0:
-                break
-            visited[new] = True
-            count += int(new.size)
-            if target is not None and visited[target]:
-                return visited, count, False, True
-            if cap is not None and count > cap:
-                return visited, count, True, found
-            frontier = new
-        return visited, count, False, found
+        """closure_rows of one row from the identity: (mask, count,
+        exceeded, found) of the subgroup generated by gens."""
+        mask, count, exceeded, found = self.closure_rows(
+            (np.arange(self.n) == self.identity)[None], np.array([list(gens)], dtype=np.int32),
+            cap=cap, target=target)
+        return mask[0], int(count[0]), bool(exceeded[0]), bool(found[0])
 
     def generates(self, gens) -> bool:
         distinct = np.array(sorted(set(gens)), dtype=np.int32)
@@ -267,9 +276,8 @@ class IndexedGroup:
         n = self.n
         abelian = self.spec.is_abelian      # conjugation is trivial: no conj table
         key = self.cyclic_key
-        cyclic = np.flatnonzero(key == np.arange(n))
-        cyclic = cyclic[cyclic != self.identity]
-        trivial, _, _, _ = self.closure_mask(())
+        cyclic = np.flatnonzero((key == np.arange(n)) & (np.arange(n) != self.identity))
+        trivial = np.arange(n) == self.identity
         queue = deque([((), trivial)] if n > 1 else [])     # the trivial group has none
         seen = {self.canonical_set((self.identity,))}
         maximal = []
@@ -280,24 +288,30 @@ class IndexedGroup:
             norm = np.arange(n) if abelian else \
                 np.flatnonzero(hmask[self.conj[:, members]].all(axis=1))
             reached = np.zeros(n, dtype=bool)
-            is_maximal = True
-            for c in cyclic[~hmask[cyclic]]:
-                if reached[c]:
-                    continue
-                reached[c if abelian else key[self.conj[norm, c]]] = True
-                joins += 1
-                if joins > _LATTICE_JOIN_CAP:
-                    return None
-                jmask, _, whole, _ = self.closure_mask(gens + (int(c),), cap=n // 2)
-                if whole:
-                    continue
-                is_maximal = False
-                ckey = self.canonical_set(np.flatnonzero(jmask))
-                if ckey not in seen:
-                    seen.add(ckey)
-                    queue.append((gens + (int(c),), jmask))
-            if is_maximal:
+            cands = []
+            for c in cyclic[~hmask[cyclic]].tolist():
+                if not reached[c]:
+                    reached[c if abelian else key[self.conj[norm, c]]] = True
+                    cands.append(c)
+            joins += len(cands)
+            if joins > _LATTICE_JOIN_CAP:
+                return None
+            # H is proper, so some candidate lies outside it
+            jmasks, counts, whole, _ = self.closure_rows(
+                np.broadcast_to(hmask, (len(cands), n)),
+                np.array([gens + (c,) for c in cands], np.int32), cap=n // 2)
+            proper = np.flatnonzero(~whole)
+            if proper.size == 0:
                 maximal.append((members, norm))
+            ckeys = {}
+            for order in np.flatnonzero(np.bincount(counts[proper])).tolist():
+                sel = proper[counts[proper] == order]
+                canon = self.canonical_sets(np.nonzero(jmasks[sel])[1].reshape(-1, order))
+                ckeys.update(zip(sel.tolist(), map(tuple, canon.tolist())))
+            for i in proper.tolist():
+                if ckeys[i] not in seen:
+                    seen.add(ckeys[i])
+                    queue.append((gens + (cands[i],), jmasks[i].copy()))
         conjugates = []
         for members, norm in maximal:
             # one conjugate per coset g N_G(M)
@@ -313,43 +327,53 @@ class IndexedGroup:
 
     # -- canonical forms under simultaneous conjugation ---------------
 
-    def _least_sorted_image(self, s: np.ndarray, conjugators: np.ndarray,
-                            key: np.ndarray | None = None) -> tuple:
-        cols = self.conj[conjugators[:, None], s]
-        cols = np.sort(cols if key is None else key[cols], axis=1)
-        best = np.lexsort(cols.T[::-1])[0]
-        return tuple(int(v) for v in cols[best])
-
     def canonical_set(self, s) -> tuple:
-        """Least sorted image of the set under conjugation: central
-        members stay put, and the image of the rest starts with r0, their
-        least class representative, so only the conjugators in
-        centralizer(r0)·wit[x], for the members x in the class of r0,
-        can reach it."""
-        s = np.array(sorted(int(v) for v in s), dtype=np.int32)
-        moving = s[~self.central[s]]
-        if moving.size == 0:
-            return tuple(int(v) for v in s)
-        rep, wit = self._class_data
-        r0 = rep[moving].min()
-        lead = moving[rep[moving] == r0]
-        return self._least_sorted_image(
-            s, self.mult[self.centralizer(int(r0))[:, None], wit[lead]].ravel())
+        """The least sorted image of one set, by canonical_sets."""
+        return tuple(self.canonical_sets(np.array([list(s)], dtype=np.int32))[0].tolist())
 
-    def canonical_family(self, s) -> tuple:
-        """Least sorted image of the cyclic subgroups <x>, x in s, under
-        conjugation, each named by its key.  The image starts with r0,
-        the least frep over the members, so only the conjugators in
-        normalizer(<r0>)·fwit[x], for the members x with frep[x] = r0,
-        can reach it; all n rows when <r0> is normal."""
-        key, frep, fwit = self._cyclic_data
-        s = np.asarray(s, dtype=np.int32)
+    def canonical_sets(self, rows: np.ndarray, families: bool = False) -> np.ndarray:
+        """The least sorted image of each row of an int32 array, read as a
+        set, under conjugation; with families each entry x names <x> and
+        the image is of the keys.  Only the cosets centralizer(r0)·wit[x]
+        (normalizer(<r0>)·fwit[x] for families) of the lead members x of
+        a row are tried, a slice of _CANONICAL_CELLS entries at a time,
+        narrowing column by column (module docstring)."""
+        n, k = self.n, rows.shape[1]
+        key, frep, wit = self._cyclic_data if families else (None, None, self._class_data[1])
+        out = np.sort(key[rows] if families else rows, axis=1)
         if self.spec.is_abelian:
-            return tuple(sorted(int(v) for v in key[s]))
-        r0 = frep[s].min()
-        lead = s[frep[s] == r0]
-        return self._least_sorted_image(
-            s, self.mult[self.normalizer(int(r0))[:, None], fwit[lead]].ravel(), key)
+            return out
+        lead = frep[rows] if families else \
+            np.where(self.central[rows], n, self._class_data[0][rows])
+        r0 = lead.min(axis=1)
+        live = np.flatnonzero(r0 < n)       # rows of central members only are sorted
+        for r in np.flatnonzero(np.bincount(r0[live])).tolist():
+            sel = live[r0[live] == r]
+            is_lead = lead[sel] == r
+            # the lead members first, short rows padded with their least one
+            x = np.sort(np.where(is_lead, rows[sel], n), axis=1)[:, :is_lead.sum(axis=1).max()]
+            lead_wit = wit[np.where(x < n, x, x[:, :1])]
+            coset = self.normalizer(r) if families else self.centralizer(r)
+            # candidate-major: each narrowing step reduces over axis 0
+            cands = self.mult[coset[:, None, None], lead_wit.T].reshape(-1, sel.size)
+            step = max(1, _CANONICAL_CELLS // (len(cands) * k))
+            for i in range(0, sel.size, step):
+                part = sel[i:i + step]
+                imgs = self.conj[cands[:, i:i + step, None], rows[part]]
+                if families:
+                    imgs = key[imgs]
+                imgs.sort(axis=2)
+                alive = np.ones(imgs.shape[:2], dtype=bool)
+                for j in range(k):
+                    if j >= 8 and j & (j - 1) == 0:     # do the live images agree?
+                        best = imgs[alive.argmax(axis=0), np.arange(part.size)]
+                        if ((imgs == best) | ~alive[:, :, None]).all():
+                            out[part, j:] = best[:, j:]
+                            break
+                    col = np.where(alive, imgs[:, :, j], n)
+                    out[part, j] = least = col.min(axis=0)
+                    alive &= col == least
+        return out
 
     def canonical_tuples(self, rows: np.ndarray) -> np.ndarray:
         """The least image of each row of an int32 array under
@@ -364,7 +388,7 @@ class IndexedGroup:
         live = np.flatnonzero(noncentral.any(axis=1))     # all-central rows are canonical
         v = rows[live, noncentral[live].argmax(axis=1)]
         out = rows.copy()
-        for r in np.unique(rep[v]).tolist():
+        for r in np.flatnonzero(np.bincount(rep[v])).tolist():
             sel = live[rep[v] == r]
             cands = self.mult[self.centralizer(r)[:, None], wit[v[rep[v] == r]]]
             imgs = self.conj.ravel()[cands[:, :, None] * self.n + rows[sel]]

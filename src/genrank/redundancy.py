@@ -164,22 +164,26 @@ class _SetSearch:
             irredundant, grows = self._children(part)
             if target is not None and size != target:
                 irredundant = ()
-            for s in _unseen(part, irredundant, seen_raw):
+            found = list(_unseen(part, irredundant, seen_raw))
+            if found:
                 if size > best_size:
-                    best_size, best_witness = size, s
+                    best_size, best_witness = size, found[0]
                 if target is not None:
                     return _SearchOutcome(best_size, best_witness, {}, nodes, False, pushed)
-                collected.setdefault(size, set()).add(ix.canonical_family(s))
+                collected.setdefault(size, set()).update(self._canonical(found, size))
             if target is not None and size >= target:
                 continue
-            for s in _unseen(part, grows, seen_raw):
-                c = ix.canonical_family(s)
+            for c in self._canonical(list(_unseen(part, grows, seen_raw)), size):
                 if c not in seen_canon:
                     seen_canon.add(c)
                     stack.append(c)
                     pushed += 1
         return _SearchOutcome(best_size, best_witness, self._expand(collected),
                               nodes, budget_hit, pushed)
+
+    def _canonical(self, sets: list, size: int) -> list:
+        rows = np.array(sets, dtype=np.int32).reshape(-1, size)
+        return list(map(tuple, self.ix.canonical_sets(rows, families=True).tolist()))
 
     def _children(self, part: tuple) -> tuple[list, list]:
         """The candidates x, in candidate order, for which part + {x}
@@ -220,18 +224,16 @@ class _SetSearch:
     def _expand(self, collected: dict) -> dict:
         """Classes of element sets: every choice of generators of the
         members of each recorded class, in canonical form."""
-        ix = self.ix
-        key = ix.cyclic_key
-        generators = {}
+        key = self.ix.cyclic_key
+        keys = {f for families in collected.values() for fam in families for f in fam}
+        generators = {f: np.flatnonzero(key == f).tolist() for f in keys}
         out = {}
         for size, families in collected.items():
             classes = set()
             for fam in families:
-                for f in fam:
-                    if f not in generators:
-                        generators[f] = np.flatnonzero(key == f).tolist()
-                classes.update(ix.canonical_set(choice) for choice in
-                               itertools.product(*(generators[f] for f in fam)))
+                choices = np.array(list(itertools.product(*(generators[f] for f in fam))),
+                                   dtype=np.int32)
+                classes.update(map(tuple, self.ix.canonical_sets(choices).tolist()))
             out[size] = sorted(classes)
         return out
 

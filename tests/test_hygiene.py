@@ -3,6 +3,9 @@ every name the package exports is read somewhere, and no module keeps a
 cache outside the allowed owners."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import genrank
@@ -91,3 +94,19 @@ def test_no_module_level_caches():
              for name in _caches(ast.parse(p.read_text(), str(p)))}
     assert "indexed._INSTANCE_CACHE" in found       # the check sees the registry
     assert sorted(found - _ALLOWED_CACHES) == []
+
+
+def test_commands_do_not_import_numpy_ma():
+    # plain np.unique imports numpy.ma (about 11 ms) on its first call
+    code = ("import contextlib, io, sys\n"
+            "from genrank.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    main(['rank', 'psl2:5'])\n"
+            "    main(['orbit', 'psl2:5', '--size', '3'])\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+from collections import deque
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from genrank.groups import (CayleyTableGroup, CyclicPower, GeneratingTuple,
                             ProductGroup, ProjSpecialLinear, SpecialLinear,
                             closure)
+from genrank import indexed
 from genrank.indexed import MAX_INDEXED_ORDER, IndexedGroup
 
 # Z/300 as a table: past 256 labels the encoding order is not the label order
@@ -203,6 +205,79 @@ def test_maximal_subgroup_counts(p, count):
         assert int(np.bitwise_count(np.bitwise_or.reduce(masks, axis=0)).sum()) == count
 
 
+def _reference_maximal_masks(ix):
+    """The maximal-subgroup walk with one closure_mask per join and one
+    canonical_set per proper join, packed as maximal_masks packs it."""
+    n, key = ix.n, ix.cyclic_key
+    cyclic = [c for c in np.flatnonzero(key == np.arange(n)).tolist() if c != ix.identity]
+    queue = deque([((), ix.closure_mask(())[0])])
+    seen = {ix.canonical_set((ix.identity,))}
+    maximal = []
+    while queue:
+        gens, hmask = queue.popleft()
+        members = np.flatnonzero(hmask)
+        norm = np.flatnonzero(hmask[ix.conj[:, members]].all(axis=1))
+        reached = np.zeros(n, dtype=bool)
+        is_maximal = True
+        for c in cyclic:
+            if hmask[c] or reached[c]:
+                continue
+            reached[key[ix.conj[norm, c]]] = True
+            jmask, _, whole, _ = ix.closure_mask(gens + (c,), cap=n // 2)
+            if not whole:
+                is_maximal = False
+                ckey = ix.canonical_set(np.flatnonzero(jmask))
+                if ckey not in seen:
+                    seen.add(ckey)
+                    queue.append((gens + (c,), jmask))
+        if is_maximal:
+            maximal.append((members, norm))
+    conjugates = []
+    for members, norm in maximal:
+        todo = np.ones(n, dtype=bool)
+        while todo.any():
+            g = int(np.argmax(todo))
+            todo[ix.mult[g, norm]] = False
+            conjugates.append(ix.conj[g, members])
+    masks = np.zeros((n, max(1, -(-len(conjugates) // 64))), dtype=np.uint64)
+    for bit, image in enumerate(conjugates):
+        masks[image, bit // 64] |= np.uint64(1 << (bit % 64))
+    return masks
+
+
+@pytest.mark.parametrize("spec", (
+    ProjSpecialLinear(2, 5), SpecialLinear(2, 5), ProjSpecialLinear(2, 7),
+    CyclicPower(5, 2), PSL2_5_X_C2), ids=lambda spec: spec.descriptor())
+def test_maximal_masks_match_the_per_join_walk(spec):
+    ix = IndexedGroup(spec)
+    assert np.array_equal(ix.maximal_masks, _reference_maximal_masks(ix))
+
+
+def test_closure_rows_match_closure_mask():
+    # each row grows from a proper subgroup by its generators and one
+    # more, as in the subgroup walk
+    rng = random.Random(59)
+    ix = IndexedGroup.from_spec(SpecialLinear(2, 5))
+    seen = set()
+    for _ in range(40):
+        gens = tuple(rng.randrange(ix.n) for _ in range(rng.randint(0, 2)))
+        start, size, _, _ = ix.closure_mask(gens)
+        if size > ix.n // 2:
+            continue
+        extra = [rng.randrange(ix.n) for _ in range(rng.randint(1, 6))]
+        cap = rng.choice((None, ix.n // 2))
+        rows = np.array([gens + (c,) for c in extra], dtype=np.int32)
+        masks, counts, exceeded, _ = ix.closure_rows(
+            np.broadcast_to(start, (len(extra), ix.n)), rows, cap=cap)
+        for c, mask, count, over in zip(extra, masks, counts, exceeded):
+            want, want_count, want_over, _ = ix.closure_mask(gens + (c,), cap=cap)
+            assert over == want_over
+            if not over:
+                assert count == want_count and np.array_equal(mask, want)
+            seen.add((cap, bool(over), count == ix.n))
+    assert {(None, False, True), (ix.n // 2, True, False)} <= seen
+
+
 def test_canonical_set_is_conjugation_invariant():
     rng = random.Random(31)
     spec = ProjSpecialLinear(2, 5)
@@ -240,7 +315,53 @@ def test_canonical_forms_match_brute_force(spec):
             s.add(rng.choice(centre))
         s = tuple(sorted(s))
         assert ix.canonical_set(s) == _least_image(ix, s), s
-        assert ix.canonical_family(s) == _least_image(ix, s, ix.cyclic_key), s
+        family = ix.canonical_sets(np.array([s], dtype=np.int32), families=True)
+        assert tuple(family[0].tolist()) == _least_image(ix, s, ix.cyclic_key), s
+
+
+def _random_rows(ix, rng, size, count):
+    """count sets of size distinct elements: random ones, ones holding
+    central members, and ones holding several members of one class."""
+    rep, _ = ix._class_data
+    centre = np.flatnonzero(ix.central).tolist()
+    rows = []
+    for trial in range(count):
+        s = set(rng.sample(centre, min(len(centre), rng.randint(1, size)))) \
+            if trial % 3 == 1 else set()
+        if trial % 3 == 2:
+            cls = np.flatnonzero(rep == rep[rng.randrange(ix.n)]).tolist()
+            s.update(rng.sample(cls, min(len(cls), size - 1)))
+        while len(s) < size:
+            s.add(rng.randrange(ix.n))
+        rows.append(sorted(s)[:size])
+    return np.array(rows, dtype=np.int32)
+
+
+@pytest.mark.parametrize("spec", (
+    ProjSpecialLinear(2, 5), SpecialLinear(2, 5), ProjSpecialLinear(2, 7),
+    CyclicPower(5, 2), PSL2_5_X_C2), ids=lambda spec: spec.descriptor())
+def test_canonical_sets_match_brute_force(spec, monkeypatch):
+    # one call per size holds rows of many r0 and lead counts; with eight
+    # image entries per slice every call spans many slices
+    rng = random.Random(53)
+    ix = IndexedGroup.from_spec(spec)
+    for cells in (indexed._CANONICAL_CELLS, 8):
+        monkeypatch.setattr(indexed, "_CANONICAL_CELLS", cells)
+        for size in range(1, 6):
+            rows = _random_rows(ix, rng, size, 120)
+            for families in (False, True):
+                got = ix.canonical_sets(rows, families=families)
+                name = ix.cyclic_key if families else None
+                assert got.shape == rows.shape
+                for row, canon in zip(rows.tolist(), got.tolist()):
+                    assert tuple(canon) == _least_image(ix, row, name), (row, families)
+    # a maximal subgroup plus one element: the images of the subgroup
+    # agree on many columns before the extra element tells them apart
+    members = np.flatnonzero(ix.maximal_masks[:, 0] & np.uint64(1)).tolist()
+    rows = np.array([sorted(members + [x]) for x in range(ix.n) if x not in members],
+                    dtype=np.int32)
+    for row, canon in zip(rows.tolist(), ix.canonical_sets(rows).tolist()):
+        assert tuple(canon) == _least_image(ix, row), row
 
 
 def _canonical_tuple(ix, t) -> tuple:
