@@ -296,7 +296,6 @@ class IndexedGroup:
             joins += len(cands)
             if joins > _LATTICE_JOIN_CAP:
                 return None
-            # H is proper, so some candidate lies outside it
             jmasks, counts, whole, _ = self.closure_rows(
                 np.broadcast_to(hmask, (len(cands), n)),
                 np.array([gens + (c,) for c in cands], np.int32), cap=n // 2)
@@ -306,7 +305,8 @@ class IndexedGroup:
             ckeys = {}
             for order in np.flatnonzero(np.bincount(counts[proper])).tolist():
                 sel = proper[counts[proper] == order]
-                canon = self.canonical_sets(np.nonzero(jmasks[sel])[1].reshape(-1, order))
+                rows = np.nonzero(jmasks[sel])[1].astype(np.int32).reshape(-1, order)
+                canon = self.canonical_sets(rows)
                 ckeys.update(zip(sel.tolist(), map(tuple, canon.tolist())))
             for i in proper.tolist():
                 if ckeys[i] not in seen:
