@@ -19,7 +19,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fp import MAX_MODULUS, FpMatrix, check_modulus, prime_factors, primes
+from .fp import (MAX_MODULUS, FpMatrix, check_modulus, invert, prime_factors, primes,
+                 row_reduce)
 from .groups import (GeneratingTuple, SpecialLinear, is_generating,
                      sl2_generation_report, subgroup_order)
 from .nielsen import NielsenMove, SearchLimits, is_nielsen_redundant
@@ -76,66 +77,23 @@ class RationalMatrix:
             flat.extend(as_fraction(v) for v in row)
         return cls(dim, tuple(flat))
 
-    @classmethod
-    def identity(cls, dim: int) -> "RationalMatrix":
-        return cls.from_rows([[1 if i == j else 0 for j in range(dim)]
-                              for i in range(dim)])
-
     def rows(self):
         n = self.dim
         return tuple(self.entries[i * n:(i + 1) * n] for i in range(n))
 
     def det(self) -> Fraction:
-        n = self.dim
-        a = [list(row) for row in
-             (self.entries[i * n:(i + 1) * n] for i in range(n))]
-        det = Fraction(1)
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != col:
-                a[col], a[pivot] = a[pivot], a[col]
-                det = -det
-            det *= a[col][col]
-            inv = 1 / a[col][col]
-            for r in range(col + 1, n):
-                factor = a[r][col] * inv
-                if factor:
-                    for c in range(col, n):
-                        a[r][c] -= factor * a[col][c]
-        return det
+        _, pivots, det = row_reduce(self.rows())
+        return det if len(pivots) == self.dim else Fraction(0)
 
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        n = self.dim
-        out = []
-        for i in range(n):
-            for j in range(n):
-                out.append(sum((self.entries[i * n + k] * other.entries[k * n + j]
-                                for k in range(n)), Fraction(0)))
-        return RationalMatrix(n, tuple(out))
+        n, a, b = self.dim, self.entries, other.entries
+        return RationalMatrix(n, tuple(sum((a[i * n + k] * b[k * n + j] for k in range(n)),
+                                           Fraction(0)) for i in range(n) for j in range(n)))
 
     def inverse(self) -> "RationalMatrix":
-        n = self.dim
-        a = [list(self.entries[i * n:(i + 1) * n]) +
-             [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if pivot is None:
-                raise ZeroDivisionError("matrix is singular")
-            a[col], a[pivot] = a[pivot], a[col]
-            inv = 1 / a[col][col]
-            a[col] = [v * inv for v in a[col]]
-            for r in range(n):
-                if r != col and a[r][col]:
-                    factor = a[r][col]
-                    a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
-        flat = []
-        for i in range(n):
-            flat.extend(a[i][n:])
-        return RationalMatrix(n, tuple(flat))
+        return RationalMatrix(self.dim, tuple(v for r in invert(self.rows()) for v in r))
 
     def is_identity(self) -> bool:
         n = self.dim

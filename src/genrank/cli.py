@@ -18,6 +18,7 @@ with the same inputs and seed are reproducible bytewise.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import re
@@ -33,7 +34,7 @@ from .groups import (CyclicPower, GeneratingTuple, GroupSpec, Integers,
                      ProductGroup, ProjSpecialLinear, SpecialLinear,
                      _MatrixGroup, product_generates)
 from .nielsen import mu_rank, orbit_statistics
-from .redundancy import (SearchLimits, irredundant_witness, is_redundant,
+from .redundancy import (RedundancyReport, SearchLimits, irredundant_witness,
                          max_irredundant_size, z_witness)
 
 EXIT_OK = 0
@@ -321,9 +322,12 @@ def _cmd_witness(args):
     if args.size < 1:
         raise DataError("size must be positive")
     spec = parse_group(args.group)
-    res = irredundant_witness(spec, args.size,
-                              involutions_only=args.involutions,
-                              limits=_limits(args), seed=args.seed)
+    try:    # an integer witness too long to print
+        res = irredundant_witness(spec, args.size,
+                                  involutions_only=args.involutions,
+                                  limits=_limits(args), seed=args.seed)
+    except ValueError as exc:
+        raise DataError(str(exc))
     payload = {
         "command": "witness",
         "group": spec.descriptor(),
@@ -339,23 +343,23 @@ def _cmd_witness(args):
 
 
 def _cmd_zdemo(args):
-    if args.size < 1:
-        raise DataError("size must be positive")
-    w = z_witness(args.size)
-    report = is_redundant(w)
-    drops = []
-    for i in range(len(w)):
-        rest = w.without(i)
-        g = math.gcd(*(abs(v) for v in rest.items)) if rest.items else 0
-        drops.append({"index": i, "generates_without": report.droppable[i],
-                      "gcd_without": g})
+    try:    # a size below 1, or entries too long to print
+        w = z_witness(args.size)
+    except ValueError as exc:
+        raise DataError(str(exc))
+    # the gcd without entry i joins the gcds of the entries before and after it
+    before = list(itertools.accumulate(w.items, math.gcd, initial=0))
+    after = list(itertools.accumulate(reversed(w.items), math.gcd, initial=0))[::-1]
+    gcds = [math.gcd(b, a) for b, a in zip(before, after[1:])]
+    report = RedundancyReport(w, before[-1] == 1, tuple(g == 1 for g in gcds))
     payload = {
         "command": "zdemo",
         "group": "z",
         "size": args.size,
         "witness": list(w.items),
         "verdict": report.verdict,
-        "drop_checks": drops,
+        "drop_checks": [{"index": i, "generates_without": d, "gcd_without": g}
+                        for i, (d, g) in enumerate(zip(report.droppable, gcds))],
     }
     return payload, EXIT_OK
 

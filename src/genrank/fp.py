@@ -1,6 +1,8 @@
 """Exact arithmetic over prime fields: square matrices and projective
 canonical forms (matrices modulo the center of SL_n).  An element of
 PSL_n(F_p) is a plain FpMatrix, its canonical coset representative.
+`row_reduce` is the package's one Gauss-Jordan elimination, over F_p or
+Q: every determinant, inverse and kernel past the closed forms uses it.
 
 Everything here is immutable, hashable and exact; no floats appear
 anywhere.  Moduli are validated at construction: a modulus must stay
@@ -19,6 +21,7 @@ from __future__ import annotations
 import itertools
 import struct
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 MAX_MODULUS = 1 << 15
@@ -100,6 +103,48 @@ def nth_roots_of_unity(p: int, n: int) -> tuple[int, ...]:
     return tuple(x for x in range(1, p) if pow(x, n, p) == 1)
 
 
+def row_reduce(rows, p: int | None = None) -> tuple[list, list, int | Fraction]:
+    """Gauss-Jordan elimination of equal-length rows over F_p, or over Q
+    when p is None: the reduced row echelon form, its pivot columns in
+    increasing order, and the product of the pivots negated once per row
+    swap (for a square matrix of full rank, its determinant)."""
+    a = [[v if isinstance(v, Fraction) else Fraction(v) for v in r] if p is None
+         else [v % p for v in r] for r in rows]
+    pivots, det = [], 1
+    for col in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        lead = a[r][col]
+        det = det * lead if piv == r else -det * lead
+        # the pivot row is zero left of col, so only columns col on change
+        if p is None:
+            a[r][col:] = prow = [v / lead for v in a[r][col:]]
+        else:
+            det, s = det % p, pow(lead, p - 2, p)
+            a[r][col:] = prow = [v * s % p for v in a[r][col:]]
+        for i, row in enumerate(a):
+            f = row[col]
+            if f and i != r:
+                row[col:] = [v - f * w for v, w in zip(row[col:], prow)] if p is None else \
+                    [(v - f * w) % p for v, w in zip(row[col:], prow)]
+        pivots.append(col)
+    return a, pivots, det
+
+
+def invert(rows, p: int | None = None) -> list:
+    """The rows of A^-1 over F_p (Q when p is None), read off the reduced
+    form of [A | I]: A is invertible exactly when every pivot lies in A."""
+    n = len(rows)
+    reduced, pivots, _ = row_reduce(
+        [[*r, *(int(i == j) for j in range(n))] for i, r in enumerate(rows)], p)
+    if pivots[-1] >= n:
+        raise ZeroDivisionError("matrix is singular")
+    return [r[n:] for r in reduced]
+
+
 @dataclass(frozen=True)
 class FpMatrix:
     """An n-by-n matrix over F_p.  Entries are residues stored row-major
@@ -179,23 +224,8 @@ class FpMatrix:
             return (e[0] * (e[4] * e[8] - e[5] * e[7])
                     - e[1] * (e[3] * e[8] - e[5] * e[6])
                     + e[2] * (e[3] * e[7] - e[4] * e[6])) % p
-        # Gaussian elimination for larger sizes.
-        rows = [list(r) for r in self.rows()]
-        det = 1
-        for col in range(n):
-            piv = next((r for r in range(col, n) if rows[r][col] % p), None)
-            if piv is None:
-                return 0
-            if piv != col:
-                rows[col], rows[piv] = rows[piv], rows[col]
-                det = -det
-            inv = pow(rows[col][col], p - 2, p)
-            det = det * rows[col][col] % p
-            for r in range(col + 1, n):
-                f = rows[r][col] * inv % p
-                if f:
-                    rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[col])]
-        return det % p
+        _, pivots, det = row_reduce(self.rows(), p)
+        return det if len(pivots) == n else 0
 
     def inverse(self) -> "FpMatrix":
         p, n, e = self.modulus, self.dim, self.entries
@@ -206,22 +236,7 @@ class FpMatrix:
             di = pow(d, p - 2, p)
             flat = (e[3] * di % p, -e[1] * di % p, -e[2] * di % p, e[0] * di % p)
             return FpMatrix(p, 2, tuple(x % p for x in flat))
-        # Gauss-Jordan on [A | I].
-        aug = [list(r) + [1 if i == j else 0 for j in range(n)]
-               for i, r in enumerate(self.rows())]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if aug[r][col] % p), None)
-            if piv is None:
-                raise ZeroDivisionError("matrix is singular")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = pow(aug[col][col], p - 2, p)
-            aug[col] = [x * inv % p for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[col])]
-        flat = tuple(aug[i][n + j] for i in range(n) for j in range(n))
-        return FpMatrix(p, n, flat)
+        return FpMatrix(p, n, tuple(v for r in invert(self.rows(), p) for v in r))
 
     def __pow__(self, k: int) -> "FpMatrix":
         base = self if k >= 0 else self.inverse()
@@ -235,15 +250,11 @@ class FpMatrix:
         return acc
 
     def is_identity(self) -> bool:
-        n = self.dim
-        return all(self.entries[i * n + j] == (1 if i == j else 0)
-                   for i in range(n) for j in range(n))
+        return self.entries[0] == 1 and self.is_scalar()
 
     def is_scalar(self) -> bool:
         n, e = self.dim, self.entries
-        c = e[0]
-        return all(e[i * n + j] == (c if i == j else 0)
-                   for i in range(n) for j in range(n))
+        return all(e[i * n + j] == (e[0] if i == j else 0) for i in range(n) for j in range(n))
 
     def encode(self) -> bytes:
         return struct.pack(f"<{len(self.entries)}H", *self.entries)

@@ -34,7 +34,7 @@ import struct
 from dataclasses import dataclass, field
 
 from .fp import (FpMatrix, canonical_rep, check_modulus, nonresidue,
-                 projective_canonicalize, sqrt_table)
+                 projective_canonicalize, row_reduce, sqrt_table)
 
 
 class CapExceeded(Exception):
@@ -890,34 +890,6 @@ def _simple_by_normal_closures(spec: GroupSpec) -> bool:
     return True
 
 
-def _kernel_mod_p(rows: list, p: int, width: int) -> list:
-    """A basis of the solutions x of rows . x = 0 over F_p."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for col in range(width):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] % p), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][col], p - 2, p)
-        rows[r] = [v * inv % p for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] % p:
-                f = rows[i][col]
-                rows[i] = [(v - f * w) % p for v, w in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    basis = []
-    for free in (c for c in range(width) if c not in pivots):
-        x = [0] * width
-        x[free] = 1
-        for i, col in enumerate(pivots):
-            x[col] = -rows[i][free] % p
-        basis.append(x)
-    return basis
-
-
 def _psl2_conjugator(g: ProjSpecialLinear, images: list) -> FpMatrix:
     """The PGL2(F_p) element c with c x c^-1 = images[i] in PSL2(F_p) for
     the standard generators x, scaled to determinant 1 or the least
@@ -930,16 +902,20 @@ def _psl2_conjugator(g: ProjSpecialLinear, images: list) -> FpMatrix:
         # row (i, j) of c x - s y c, over the unknowns c_ab at index 2a + b
         eqs = []
         for (x, y), s in zip(pairs, signs):
-            for i in range(2):
-                for j in range(2):
-                    row = [0] * 4
-                    for k in range(2):
-                        row[2 * i + k] += x[k][j]
-                        row[2 * k + j] -= s * y[i][k]
-                    eqs.append(row)
-        basis = _kernel_mod_p(eqs, p, 4)
-        if basis:
-            c = FpMatrix(p, 2, tuple(basis[0]))
+            for i, j in itertools.product(range(2), repeat=2):
+                row = [0] * 4
+                for k in range(2):
+                    row[2 * i + k] += x[k][j]
+                    row[2 * k + j] -= s * y[i][k]
+                eqs.append(row)
+        reduced, pivots, _ = row_reduce(eqs, p)
+        free = [j for j in range(4) if j not in pivots]
+        if free:
+            # the kernel vector with a 1 at the first free unknown
+            v = [int(j == free[0]) for j in range(4)]
+            for row, col in zip(reduced, pivots):
+                v[col] = -row[free[0]] % p
+            c = FpMatrix(p, 2, tuple(v))
             det = c.det()
             if det not in sqrt_table(p):
                 det = det * pow(nonresidue(p), p - 2, p) % p

@@ -23,22 +23,21 @@ search:
     set is recorded if its one-element-smaller subsets all fail to
     generate, and either way nothing grows from it.
 
-The search walks separated non-generating sets only, deduplicated two
-ways: literally (same set reached along another order) and up to
-simultaneous conjugation (a conjugate of a separated non-generating set
-is again one, and any extension of a set transfers to the conjugated
-copy).  Exhausting the walk therefore visits every conjugacy class of
-irredundant generating sets, which is what the maximum and the class
-inventory rely on.  A group whose maximal subgroups were not listed
-decides each extension by closure and prunes by independence, which
-every subset of an irredundant generating set has as well.
+The search walks separated non-generating sets only, deduplicated up
+to simultaneous conjugation: a conjugate of a separated non-generating
+set is again one, and any extension of a set transfers to the
+conjugated copy.  Exhausting the walk therefore visits every conjugacy
+class of irredundant generating sets, which is what the maximum and the
+class inventory rely on.  A group whose maximal subgroups were not
+listed decides each extension by closure and prunes by independence,
+which every subset of an irredundant generating set has as well.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import random
+import sys
 import time
 from dataclasses import dataclass
 
@@ -91,9 +90,6 @@ class RankSearchResult:
     notes: tuple = ()
 
 
-_RAW_DEDUP_CAP = 3_000_000
-
-
 @dataclass
 class _SearchOutcome:
     best_size: int
@@ -102,16 +98,6 @@ class _SearchOutcome:
     nodes: int
     budget_hit: bool
     pushed_classes: int
-
-
-def _unseen(part: tuple, fresh: list, seen_raw: set):
-    """The sets part + {x}, x in fresh, not met before as index sets."""
-    for x in fresh:
-        s = tuple(sorted(part + (x,)))
-        if s not in seen_raw:
-            if len(seen_raw) < _RAW_DEDUP_CAP:
-                seen_raw.add(s)
-            yield s
 
 
 class _SetSearch:
@@ -149,11 +135,9 @@ class _SetSearch:
         if ix.n == 1:
             return _SearchOutcome(0, (), {0: [()]} if target is None else {}, 0, False, 0)
         stack = [()]
-        seen_raw: set = set()
         seen_canon: set = set()
-        nodes = 0
+        nodes = pushed = 0
         budget_hit = False
-        pushed = 0
         while stack:
             if nodes >= limits.node_budget or time.monotonic() - t0 > limits.time_budget:
                 budget_hit = True
@@ -164,7 +148,7 @@ class _SetSearch:
             irredundant, grows = self._children(part)
             if target is not None and size != target:
                 irredundant = ()
-            found = list(_unseen(part, irredundant, seen_raw))
+            found = [tuple(sorted(part + (x,))) for x in irredundant]
             if found:
                 if size > best_size:
                     best_size, best_witness = size, found[0]
@@ -173,7 +157,7 @@ class _SetSearch:
                 collected.setdefault(size, set()).update(self._canonical(found, size))
             if target is not None and size >= target:
                 continue
-            for c in self._canonical(list(_unseen(part, grows, seen_raw)), size):
+            for c in self._canonical([part + (x,) for x in grows], size):
                 if c not in seen_canon:
                     seen_canon.add(c)
                     stack.append(c)
@@ -229,12 +213,10 @@ class _SetSearch:
         generators = {f: np.flatnonzero(key == f).tolist() for f in keys}
         out = {}
         for size, families in collected.items():
-            classes = set()
-            for fam in families:
-                choices = np.array(list(itertools.product(*(generators[f] for f in fam))),
-                                   dtype=np.int32)
-                classes.update(map(tuple, self.ix.canonical_sets(choices).tolist()))
-            out[size] = sorted(classes)
+            choices = np.array([c for fam in families
+                                for c in itertools.product(*(generators[f] for f in fam))],
+                               dtype=np.int32).reshape(-1, size)
+            out[size] = sorted(set(map(tuple, self.ix.canonical_sets(choices).tolist())))
         return out
 
 
@@ -242,11 +224,19 @@ def z_witness(n: int) -> GeneratingTuple:
     """An irredundant generating n-tuple of the integers: with q_1..q_n
     the first n primes and P their product, take x_i = P / q_i.  The
     gcd of all entries is 1, while dropping x_i leaves everything
-    divisible by q_i."""
+    divisible by q_i.  Refused as soon as P / 2 has more digits than
+    int's str conversion allows (sys.get_int_max_str_digits(), 0 for no
+    limit): such a witness could not be printed."""
     if n < 1:
         raise ValueError("need at least one entry")
-    first = list(itertools.islice(primes(), n))
-    total = math.prod(first)
+    limit = sys.get_int_max_str_digits()
+    bound = 2 * 10 ** limit if limit else None
+    first, total = [], 1
+    for q in itertools.islice(primes(), n):
+        first.append(q)
+        total *= q
+        if bound is not None and total >= bound:
+            raise ValueError(f"the size-{n} witness has entries of more than {limit} digits")
     return GeneratingTuple(Integers(), tuple(total // q for q in first))
 
 

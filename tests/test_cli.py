@@ -157,6 +157,23 @@ def test_zdemo(capsys):
     assert [d["gcd_without"] for d in doc["drop_checks"]] == [2, 3, 5]
 
 
+@pytest.mark.parametrize("argv", [("zdemo", "1300"), ("witness", "z", "--size", "1300")])
+def test_unprintable_z_witness_is_a_data_error(capsys, argv):
+    # entries of about 4,600 digits pass int's 4,300-digit str conversion limit
+    assert main(list(argv)) == EXIT_DATA
+    assert capsys.readouterr().out == ""
+
+
+def test_zdemo_at_the_digit_limit(capsys):
+    # the largest printable witness: 1,229 entries, drop gcds from prefix and suffix gcds
+    start = time.monotonic()
+    code, doc = run_json(capsys, "zdemo", "1229")
+    assert code == EXIT_OK and time.monotonic() - start < 10
+    assert doc["verdict"] == "IrredundantGenerating"
+    assert doc["drop_checks"][-1]["gcd_without"] == 9973
+    assert not any(d["generates_without"] for d in doc["drop_checks"])
+
+
 def test_certify_standard_pair(capsys, tmp_path):
     src = tmp_path / "pair.txt"
     src.write_text(STD_PAIR)

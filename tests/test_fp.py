@@ -1,12 +1,15 @@
 """Finite field and matrix layer checks against hand-computed values."""
 
+import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from genrank.fp import (FpMatrix, canonical_rep, is_prime, nonresidue,
+from genrank.fp import (FpMatrix, canonical_rep, invert, is_prime, nonresidue,
                         nth_roots_of_unity, projective_canonicalize,
-                        sqrt_table)
+                        row_reduce, sqrt_table)
 
 
 def mat(p, rows):
@@ -81,6 +84,72 @@ def test_dim3_matrix_inverse():
     assert m.det() == 1
     assert m.inverse().rows() == ((1, 6, 0), (0, 1, 0), (0, 0, 1))
     assert (m ** 7).is_identity() and not m.is_identity()
+
+
+def _leibniz(rows, p):
+    """The determinant as a signed sum over permutations."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += sign * math.prod(rows[i][perm[i]] for i in range(n))
+    return total if p is None else total % p
+
+
+def _rank(rows, p):
+    """The size of the largest nonzero minor."""
+    for k in range(min(len(rows), len(rows[0])), 0, -1):
+        for rs in itertools.combinations(range(len(rows)), k):
+            for cs in itertools.combinations(range(len(rows[0])), k):
+                if _leibniz([[rows[i][j] for j in cs] for i in rs], p):
+                    return k
+    return 0
+
+
+@pytest.mark.parametrize("p", [3, 7, 31, None], ids=lambda p: f"F{p}" if p else "Q")
+@pytest.mark.parametrize("n", range(1, 6))
+def test_row_reduce_against_brute_force(n, p):
+    rng = random.Random(100 * n + (p or 0))
+    residue = (lambda v: v) if p is None else (lambda v: v % p)
+
+    def entry():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if p is None else rng.randrange(p)
+
+    for trial in range(20):
+        rows = [[entry() for _ in range(n)] for _ in range(n)]
+        if trial % 3 == 0:      # a last row that repeats the others' span
+            rows[-1] = [residue(sum(2 * r[j] for r in rows[:-1])) for j in range(n)]
+        det = _leibniz(rows, p)
+        _, pivots, signed = row_reduce(rows, p)
+        assert (signed if len(pivots) == n else 0) == det
+        if p is not None:
+            assert FpMatrix.from_rows(p, rows).det() == det
+        if det:
+            inv = invert(rows, p)
+            assert [[residue(sum(a * b for a, b in zip(r, col))) for col in zip(*inv)]
+                    for r in rows] == [[int(i == j) for j in range(n)] for i in range(n)]
+            if p is not None:
+                m = FpMatrix.from_rows(p, rows)
+                assert (m * m.inverse()).is_identity()
+        else:
+            with pytest.raises(ZeroDivisionError, match="matrix is singular"):
+                invert(rows, p)
+            if p is not None:
+                with pytest.raises(ZeroDivisionError, match="matrix is singular"):
+                    FpMatrix.from_rows(p, rows).inverse()
+        # the kernel of the first k rows, one vector per free column
+        for k in range(1, n + 1):
+            system = rows[:k]
+            reduced, pivots, _ = row_reduce(system, p)
+            kernel = []
+            for free in (j for j in range(n) if j not in pivots):
+                v = [int(j == free) for j in range(n)]
+                for row, col in zip(reduced, pivots):
+                    v[col] = residue(-row[free])
+                kernel.append(v)
+            assert len(kernel) == n - _rank(system, p)
+            assert all(residue(sum(a * b for a, b in zip(r, v))) == 0
+                       for r in system for v in kernel)
 
 
 def test_sqrt_table():

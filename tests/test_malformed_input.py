@@ -11,7 +11,9 @@ broken headers, entries and JSON fields.
 Two more properties generate command-line options on valid groups of
 order at most 168: budgets (a NaN time budget must be refused with exit
 64, while inf and negative budgets are accepted), seeds, sizes,
-`--involutions`, and `certify`'s `--max-primes`, `--irredundancy K` and
+`--involutions`, `zdemo N` and `witness z --size N` for N up to 2,000
+(past 1,229 the integer witness has entries too long for int's
+4,300-digit str limit, and must be refused with exit 65), and `certify`'s `--max-primes`, `--irredundancy K` and
 `--nielsen K` with K bounded so that no run outlives the deadline (a
 count below 1 or not an integer must be refused with exit 64).
 
@@ -192,10 +194,19 @@ def _bad_count(argv) -> bool:
                for flag, value in zip(argv, argv[1:]))
 
 
+# sizes of the integer witness, on both sides of int's str digit limit
+Z_SIZES = st.integers(-1, 2000)
+
+
 @st.composite
 def _search_argv(draw) -> list:
-    command = draw(st.sampled_from(["rank", "mu", "witness", "orbit"]))
-    argv = [command, draw(SMALL_GROUPS)]
+    command = draw(st.sampled_from(["rank", "mu", "witness", "orbit", "zdemo", "witness z"]))
+    if command == "zdemo":
+        argv = ["zdemo", str(draw(Z_SIZES))]
+    elif command == "witness z":
+        argv = ["witness", "z", "--size", str(draw(Z_SIZES))]
+    else:
+        argv = [command, draw(SMALL_GROUPS)]
     if command == "witness":
         argv += ["--size", str(draw(st.integers(-1, 5)))]
         if draw(st.booleans()):
