@@ -269,8 +269,8 @@ def canonical_rep(m: FpMatrix) -> FpMatrix:
     lexicographically least."""
     p, n = m.modulus, m.dim
     if n == 2:
-        neg = -m
-        return m if m.entries <= neg.entries else neg
+        neg = tuple(-x % p for x in m.entries)
+        return m if m.entries <= neg else FpMatrix(p, 2, neg)
     best = m
     for c in nth_roots_of_unity(p, n):
         if c == 1:

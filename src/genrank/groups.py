@@ -31,7 +31,10 @@ import itertools
 import math
 import random
 import struct
+import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .fp import (FpMatrix, canonical_rep, check_modulus, nonresidue,
                  projective_canonicalize, row_reduce, sqrt_table)
@@ -566,7 +569,8 @@ def _inverse(a: tuple) -> tuple:
     return tuple(sorted(range(len(a)), key=a.__getitem__))
 
 
-def _basic_orbit_lengths(gens: list, base: tuple, degree: int) -> list:
+def _basic_orbit_lengths(gens: list, base: tuple, degree: int,
+                         deadline: float = math.inf) -> list:
     """Basic orbit lengths of a stabilizer chain of the permutation group
     on range(degree) that gens generate, along a known base: only the
     identity of the group fixes every base point.  Deterministic
@@ -584,7 +588,8 @@ def _basic_orbit_lengths(gens: list, base: tuple, degree: int) -> list:
     images, and only a residue that stops at some level j is made a full
     permutation; it joins S_{l+1}..S_j, and testing resumes at level j.
     At the end each S_{l+1} generates the stabilizer of b_l in <S_l>, by
-    Schreier's lemma."""
+    Schreier's lemma.  Raises TimeoutError at the first orbit point
+    grown or sifted after time.monotonic() passes deadline."""
     k = len(base)
     ident = tuple(range(degree))
     strong = [[(g, _inverse(g)) for g in gens]] + [[] for _ in range(k - 1)]
@@ -603,6 +608,8 @@ def _basic_orbit_lengths(gens: list, base: tuple, degree: int) -> list:
     while lv >= 0:
         orbit, img = list(images[lv]), images[lv]
         for x in orbit:
+            if time.monotonic() > deadline:
+                raise TimeoutError("stabilizer chain passed its deadline")
             for s, s_inv in strong[lv]:
                 y = s[x]
                 if y not in img:
@@ -611,6 +618,8 @@ def _basic_orbit_lengths(gens: list, base: tuple, degree: int) -> list:
                     orbit.append(y)
         resume = None
         for x in orbit:
+            if time.monotonic() > deadline:
+                raise TimeoutError("stabilizer chain passed its deadline")
             for i, (s, _) in enumerate(strong[lv]):
                 if (x, i) in tested[lv]:
                     continue
@@ -642,49 +651,47 @@ def _basic_orbit_lengths(gens: list, base: tuple, degree: int) -> list:
     return [len(img) for img in images]
 
 
-def _action_points(n: int, p: int, lines: bool) -> list:
-    """The nonzero row vectors of F_p^n, or when lines is set one vector
-    per line, the one whose first nonzero coordinate is 1."""
-    vecs = (v for v in itertools.product(range(p), repeat=n) if any(v))
-    if lines:
-        return [v for v in vecs if next(filter(None, v)) == 1]
-    return list(vecs)
-
-
-def subgroup_order(t: GeneratingTuple) -> int:
+def subgroup_order(t: GeneratingTuple, deadline: float = math.inf) -> int:
     """Exact order of the subgroup generated by a tuple of SL_n(F_p) or
     PSL_n(F_p), without listing its elements.  SL_n acts faithfully on
     the p^n - 1 nonzero row vectors by v -> v m, and PSL_n on the lines
-    through them; each distinct non-identity entry becomes a permutation
-    of those points, and the order is read off a stabilizer chain."""
+    through them, each held by its vector whose first nonzero coordinate
+    is 1; points are numbered in lexicographic order of those vectors.
+    Each distinct non-identity entry becomes a permutation of the
+    points: one integer matrix product of all points, the first-nonzero
+    normalisation for lines, and a lookup from the base-p code of each
+    image to its number.  The order is read off a stabilizer chain,
+    which raises TimeoutError once time.monotonic() passes deadline."""
     g = t.group
     if not isinstance(g, _MatrixGroup):
         raise ValueError("stabilizer-chain orders need an SL or PSL tuple")
     n, p, lines = g.n, g.p, isinstance(g, ProjSpecialLinear)
-    points = _action_points(n, p, lines)
-    index = {v: i for i, v in enumerate(points)}
+    weights = p ** np.arange(n - 1, -1, -1, dtype=np.int64)     # vector -> base-p code
+    points = np.arange(1, p ** n, dtype=np.int64)[:, None] // weights % p
 
-    def image(v, rows):
-        w = tuple(sum(c * r[j] for c, r in zip(v, rows)) % p for j in range(n))
-        if lines:
-            c = pow(next(filter(None, w)), p - 2, p)
-            w = tuple(x * c % p for x in w)
-        return index[w]
+    def lead(vecs):
+        """The first nonzero coordinate of each row."""
+        return vecs[np.arange(len(vecs)), (vecs != 0).argmax(axis=1)]
 
+    if lines:
+        points = points[lead(points) == 1]
+        inverse = np.array([0] + [pow(c, p - 2, p) for c in range(1, p)], dtype=np.int64)
+    number = np.full(p ** n, -1, dtype=np.int64)       # code -> point
+    number[points @ weights] = np.arange(len(points))
     ident = tuple(range(len(points)))
     gens = {}
     for x in t.items:
-        rows = x.rows()
-        perm = tuple(image(v, rows) for v in points)
+        images = points @ np.array(x.rows(), dtype=np.int64) % p
+        if lines:
+            images = images * inverse[lead(images)][:, None] % p
+        perm = tuple(number[images @ weights].tolist())
         if perm != ident:
             gens.setdefault(perm)
     # only the identity fixes every coordinate vector, and in PSL_n
     # every coordinate line and the line of the all-ones vector
-    frame = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    if lines:
-        frame.append((1,) * n)
-    base = tuple(index[v] for v in frame)
-    return math.prod(_basic_orbit_lengths(list(gens), base, len(points)))
+    frame = list(weights) + ([weights.sum()] if lines else [])
+    base = tuple(number[frame].tolist())
+    return math.prod(_basic_orbit_lengths(list(gens), base, len(points), deadline))
 
 
 # ---------------------------------------------------------------------------
@@ -820,18 +827,18 @@ def sl2_generation_report(t: GeneratingTuple) -> GenerationReport:
     return _sl2_verdict(t)
 
 
-def is_generating(t: GeneratingTuple) -> bool:
+def is_generating(t: GeneratingTuple, deadline: float = math.inf) -> bool:
     """Does the tuple generate its group?  For the integers this is a
     gcd condition; SL2/PSL2 with p >= 5 use the structural test, other
-    SL/PSL groups the stabilizer-chain order, other finite groups
-    closure enumeration."""
+    SL/PSL groups the stabilizer-chain order (which raises TimeoutError
+    past deadline), other finite groups closure enumeration."""
     g = t.group
     if isinstance(g, Integers):
         return math.gcd(*(abs(x) for x in t.items)) == 1 if t.items else False
     if isinstance(g, _MatrixGroup):
         if g.n == 2 and g.p >= 5:
             return sl2_generation_report(t).generates
-        return subgroup_order(t) == g.order
+        return subgroup_order(t, deadline) == g.order
     return closure(t).order == g.order
 
 

@@ -10,10 +10,14 @@ under simultaneous conjugation.
 An instance owns every structure derived from its group, and
 `from_spec` keeps one per descriptor: the tables past `mult` are cached
 properties built on first use, and `m_search` keeps the exhaustive m
-search at default limits.  The table is built from the generators and
-the element index alone: one permutation a -> ag per generator g, then
-a breadth-first walk over the right Cayley graph from the identity,
-which fills column yg as the image of column y under that permutation.
+search at default limits.  The table is built from the generators
+alone.  One breadth-first pass from the identity lists the elements and
+records each product ag; sorting by encoding gives `elements` and
+`index` and relabels the records into one permutation a -> ag per
+generator g, so no product is formed twice.  The table is then filled
+a breadth-first layer of the right Cayley graph at a time: column yg is
+column y under that permutation, one gather per layer and generator, a
+slice of at most _TABLE_CELLS entries at a time.
 
 Closure grows rows of boolean masks a ball at a time: the next ball
 adds the last layer times each generator, one scatter per generator
@@ -64,6 +68,8 @@ MAX_INDEXED_ORDER = 4096
 _LATTICE_JOIN_CAP = 2000
 
 _CANONICAL_CELLS = 1 << 14         # image entries of one canonical_sets slice
+_TABLE_CELLS = 1 << 14             # table entries of one layer gather (64 KB of
+                                   # int32; 256 KB slices raised the peak RSS)
 
 _INSTANCE_CACHE: dict[str, "IndexedGroup"] = {}
 
@@ -76,12 +82,11 @@ class IndexedGroup:
             raise ValueError(
                 f"indexing is limited to finite groups of order <= {MAX_INDEXED_ORDER}")
         self.spec = spec
-        self.elements = spec.elements()
+        self.elements, self.index, right = self._cayley_walk()
         self.n = len(self.elements)
-        self.index = {spec.encode(x): i for i, x in enumerate(self.elements)}
         self.identity = self.index[spec.encode(spec.identity())]
-        gens = [self.index[spec.encode(g)] for g in spec.generators()]
-        self.mult = self._build_mult(gens)
+        gens = [int(r[self.identity]) for r in right]      # the products 1·g
+        self.mult = self._build_mult(right)
         self._centralizers: dict[int, np.ndarray] = {}
         self._normalizers: dict[int, np.ndarray] = {}
         self.inv = np.argmax(self.mult == self.identity, axis=1).astype(np.int32)
@@ -99,31 +104,58 @@ class IndexedGroup:
             _INSTANCE_CACHE[key] = inst
         return inst
 
-    def _build_mult(self, gens) -> np.ndarray:
-        """The table from the right Cayley graph of the generators:
-        column yg is column y under the permutation a -> ag."""
-        spec, index, n = self.spec, self.index, self.n
-        right = []
-        for g in (self.elements[i] for i in gens):
-            try:
-                right.append(np.array([index[spec.encode(spec.mul(a, g))]
-                                       for a in self.elements], dtype=np.int32))
-            except KeyError:
-                raise AssertionError("product escaped the element table") from None
+    def _cayley_walk(self) -> tuple[list, dict, list]:
+        """One breadth-first pass from the identity over right
+        multiplication by the generators, recording every product:
+        (elements sorted by encoding, encoding -> position, and per
+        generator g the permutation a -> ag of positions)."""
+        spec = self.spec
+        gens = spec.generators()
+        e = spec.identity()
+        found = {spec.encode(e): 0}
+        elems = [e]
+        right = [[] for _ in gens]
+        for a in elems:             # breadth-first: the list grows as it is read
+            for g, r in zip(gens, right):
+                b = spec.mul(a, g)
+                i = found.setdefault(spec.encode(b), len(elems))
+                if i == len(elems):
+                    if i == spec.order:
+                        raise AssertionError("product escaped the element table")
+                    elems.append(b)
+                r.append(i)
+        if len(elems) < spec.order:
+            raise AssertionError("generators do not reach every element")
+        keys = list(found)          # in discovery order
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        pos = np.empty(len(keys), dtype=np.int32)       # discovery -> sorted
+        pos[order] = np.arange(len(keys), dtype=np.int32)
+        return ([elems[i] for i in order], {keys[i]: k for k, i in enumerate(order)},
+                [pos[np.array(r)[order]] for r in right])
+
+    def _build_mult(self, right: list) -> np.ndarray:
+        """The table from the right Cayley graph of the generators, a
+        breadth-first layer at a time: column yg is column y under the
+        permutation a -> ag, one gather per layer and generator, in
+        slices of at most _TABLE_CELLS entries."""
+        n = self.n
         cols = np.empty((n, n), dtype=np.int32)
         cols[self.identity] = np.arange(n, dtype=np.int32)
         done = np.zeros(n, dtype=bool)
         done[self.identity] = True
-        reached = [self.identity]
-        for y in reached:           # breadth-first: the list grows as it is read
+        layer = np.array([self.identity])
+        step = max(1, _TABLE_CELLS // n)
+        while layer.size:
+            reached = [layer[:0]]       # empty, for a group without generators
             for r in right:
-                z = int(r[y])
-                if not done[z]:
-                    done[z] = True
-                    cols[z] = r[cols[y]]
-                    reached.append(z)
-        if len(reached) < n:
-            raise AssertionError("generators do not reach every element")
+                z = r[layer]
+                new = ~done[z]
+                ys, zs = layer[new], z[new]
+                done[zs] = True
+                for i in range(0, zs.size, step):
+                    cols[zs[i:i + step]] = r[cols[ys[i:i + step]]]
+                reached.append(zs)
+            layer = np.concatenate(reached)
         return np.ascontiguousarray(cols.T)
 
     def _element_orders(self) -> np.ndarray:

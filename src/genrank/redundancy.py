@@ -287,10 +287,10 @@ def _sample_involutions(spec: GroupSpec, k: int, rng, tries: int = 400):
     return None
 
 
-def _verify_irredundant_generating(t: GeneratingTuple) -> bool:
-    if not is_generating(t):
+def _verify_irredundant_generating(t: GeneratingTuple, deadline: float) -> bool:
+    if not is_generating(t, deadline):
         return False
-    return not any(is_generating(t.without(i)) for i in range(len(t)))
+    return not any(is_generating(t.without(i), deadline) for i in range(len(t)))
 
 
 def _random_witness(spec: GroupSpec, k: int, rng, limits: SearchLimits, t0: float,
@@ -299,8 +299,9 @@ def _random_witness(spec: GroupSpec, k: int, rng, limits: SearchLimits, t0: floa
     uniform tuple first, then involution and uniform tuples in turn
     (involution tuples only, when asked), each verified by generation
     and drop tests.  Stops after `attempts` draws or at the time or node
-    budget; t0 and nodes carry the start time and the draw count of
-    earlier calls.  Returns (witness or None, draw count)."""
+    budget, also inside a stabilizer chain; t0 and nodes carry the start
+    time and the draw count of earlier calls.  Returns (witness or None,
+    draw count)."""
     for a in range(attempts):
         if time.monotonic() - t0 > limits.time_budget or nodes >= limits.node_budget:
             break
@@ -314,8 +315,11 @@ def _random_witness(spec: GroupSpec, k: int, rng, limits: SearchLimits, t0: floa
                 continue
         if cand is None:
             cand = _random_tuple(spec, k, rng)
-        if _verify_irredundant_generating(cand):
-            return cand, nodes
+        try:
+            if _verify_irredundant_generating(cand, t0 + limits.time_budget):
+                return cand, nodes
+        except TimeoutError:
+            break
     return None, nodes
 
 

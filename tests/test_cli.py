@@ -132,6 +132,14 @@ def test_witness_mode_keeps_time_budget(capsys):
     assert is_redundant(witness).verdict == "IrredundantGenerating"
 
 
+def test_witness_mode_stops_inside_the_stabilizer_chain(capsys):
+    # one chain call on sl3:47 (103,822 points) runs far past the budget
+    t0 = time.monotonic()
+    code, doc = run_json(capsys, "rank", "sl3:47", "--time-budget", "2")
+    assert time.monotonic() - t0 < 15
+    assert code == EXIT_BUDGET and doc["exhaustive"] is False
+
+
 def test_witness_command(capsys):
     code, doc = run_json(capsys, "witness", "psl2:5", "--size", "3")
     assert code == EXIT_OK

@@ -96,13 +96,21 @@ def test_no_module_level_caches():
     assert sorted(found - _ALLOWED_CACHES) == []
 
 
-def test_commands_do_not_import_numpy_ma():
+def test_commands_do_not_import_numpy_ma(tmp_path):
     # plain np.unique imports numpy.ma (about 11 ms) on its first call
+    pair = tmp_path / "sl3_standard.txt"
+    pair.write_text("sl 3\n0 0 1 1 0 0 0 1 0\n1 1 0 0 1 0 0 0 1\n")
+    # the psl3:3 projection takes the stabilizer chain's action on lines
+    product = tmp_path / "product.txt"
+    product.write_text("prod psl3:3 psl2:7\n1 1 0 0 1 0 0 0 1 | 0 6 1 0\n"
+                       "0 0 1 1 0 0 0 1 0 | 1 1 0 1\n")
     code = ("import contextlib, io, sys\n"
             "from genrank.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    main(['rank', 'psl2:5'])\n"
             "    main(['orbit', 'psl2:5', '--size', '3'])\n"
+            f"    main(['certify', {str(pair)!r}])\n"
+            f"    main(['product-check', {str(product)!r}])\n"
             "print('numpy.ma' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))

@@ -23,13 +23,16 @@ SPECS = (ProjSpecialLinear(2, 5), SpecialLinear(2, 5), CyclicPower(3, 2),
 
 
 def test_tables_agree_with_spec_operations():
-    for spec in SPECS:
+    for spec in SPECS + (CayleyTableGroup(((0,),)),):      # and a group with no generators
         ix = IndexedGroup.from_spec(spec)
         els = ix.elements
         assert ix.n == spec.order
         for a, b in itertools.product(range(ix.n), repeat=2):
             assert els[ix.mult[a, b]] == spec.mul(els[a], els[b])
         assert all(ix.mult[i, ix.inv[i]] == ix.identity for i in range(ix.n))
+        # the table's own enumeration keeps the order of spec.elements()
+        assert els == spec.elements()
+        assert ix.index == {spec.encode(x): i for i, x in enumerate(els)}
 
 
 @pytest.mark.parametrize("spec", (
