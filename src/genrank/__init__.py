@@ -9,11 +9,11 @@ certificates bytewise.
 """
 
 from .fp import FpMatrix, is_prime, projective_canonicalize
-from .groups import (CayleyTableGroup, CyclicPower, GeneratingTuple,
-                     GenerationReport, GroupSpec, Integers,
-                     ProductGenerationReport, ProductGroup, ProjSpecialLinear,
-                     SpecialLinear, SubgroupClosure, closure, is_generating,
-                     is_simple_finite, project_to_psl, product_generates,
+from .groups import (CyclicPower, GeneratingTuple, GenerationReport,
+                     GroupSpec, Integers, ProductGenerationReport,
+                     ProductGroup, ProjSpecialLinear, SpecialLinear,
+                     SubgroupClosure, closure, is_generating,
+                     is_simple_finite, product_generates,
                      sl2_generation_report)
 from .indexed import IndexedGroup
 from .redundancy import (InvolutionPairReport, RankSearchResult,
@@ -35,11 +35,11 @@ from .arithmetic import (DenominatorClash, DensityCertificate,
 
 __all__ = [
     "FpMatrix", "is_prime", "projective_canonicalize",
-    "CayleyTableGroup", "CyclicPower", "GeneratingTuple", "GenerationReport",
+    "CyclicPower", "GeneratingTuple", "GenerationReport",
     "GroupSpec", "Integers", "ProductGenerationReport", "ProductGroup",
     "ProjSpecialLinear", "SpecialLinear", "SubgroupClosure", "closure",
     "is_generating", "is_simple_finite",
-    "project_to_psl", "product_generates", "sl2_generation_report",
+    "product_generates", "sl2_generation_report",
     "IndexedGroup",
     "InvolutionPairReport", "RankSearchResult", "RedundancyReport",
     "SearchLimits", "WitnessSearchResult", "cyclic_power_rank_witness",

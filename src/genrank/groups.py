@@ -2,11 +2,11 @@
 generation tests.
 
 The group kinds supported here are special linear and projective special
-linear groups over prime fields, powers of cyclic groups, explicit
-multiplication tables, direct products, and the additive integers.
-Elements are plain values (matrices, residue vectors, table indices,
-ints); an element of PSL_n is the canonical representative matrix of its
-coset.  Each group kind validates and encodes its own elements.
+linear groups over prime fields, powers of cyclic groups, direct products,
+and the additive integers: the kinds a descriptor names.  Elements are
+plain values (matrices, residue vectors, tuples of factor elements, ints);
+an element of PSL_n is the canonical representative matrix of its coset.
+Each group kind validates and encodes its own elements.
 
 Subgroup orders of SL/PSL tuples come from a Schreier-Sims stabilizer
 chain of the action on nonzero vectors or on lines, which lists no
@@ -26,18 +26,16 @@ center * max(60, p+1) elements is therefore the whole group.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
-import random
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fp import (FpMatrix, canonical_rep, check_modulus, nonresidue,
-                 projective_canonicalize, row_reduce, sqrt_table)
+                 row_reduce, sqrt_table)
 
 
 class CapExceeded(Exception):
@@ -62,7 +60,8 @@ def psl_order(n: int, q: int) -> int:
 
 class GroupSpec:
     """Base for group descriptors.  Subclasses supply identity, binary
-    operation, inverse, element validation and byte encoding."""
+    operation, inverse, element validation, byte encoding and, for a
+    finite group, generators(); elements() is their closure."""
 
     @property
     def order(self):
@@ -98,17 +97,12 @@ class GroupSpec:
         Finite groups only."""
         if self.order is None:
             raise ValueError(f"{self.descriptor()} is infinite")
-        els = self._enumerate()
+        els = list(closure(GeneratingTuple(self, self.generators())).elements)
         if len(els) != self.order:
             raise AssertionError(
                 f"enumerated {len(els)} elements of {self.descriptor()}, "
                 f"expected {self.order}")
-        els.sort(key=self.encode)
         return els
-
-    def _enumerate(self) -> list:
-        gens = GeneratingTuple(self, tuple(self.generators()))
-        return list(closure(gens).elements)
 
     def conjugate(self, x, g):
         return self.mul(self.mul(g, x), self.inv(g))
@@ -286,9 +280,6 @@ class CyclicPower(GroupSpec):
             basis.append(tuple(v))
         return tuple(basis)
 
-    def _enumerate(self) -> list:
-        return list(itertools.product(range(self.modulus), repeat=self.copies))
-
     def random_element(self, rng):
         return tuple(rng.randrange(self.modulus) for _ in range(self.copies))
 
@@ -382,106 +373,11 @@ class ProductGroup(GroupSpec):
         return tuple(ident[:i] + (g,) + ident[i + 1:]
                      for i, f in enumerate(self.factors) for g in f.generators())
 
-    def _enumerate(self) -> list:
-        return [tuple(c) for c in itertools.product(*(f.elements() for f in self.factors))]
-
     def random_element(self, rng):
         return tuple(f.random_element(rng) for f in self.factors)
 
     def project(self, t: "GeneratingTuple", i: int) -> "GeneratingTuple":
         return GeneratingTuple(self.factors[i], tuple(x[i] for x in t.items))
-
-
-def _minimal_generating_tuple(spec: GroupSpec) -> tuple:
-    """Greedy generating tuple: repeatedly append the first element
-    outside the closure."""
-    els = spec.elements()
-    items: tuple = ()
-    cl = closure(GeneratingTuple(spec, items))
-    while cl.order < spec.order:
-        nxt = next(x for x in els if x not in cl)
-        items = items + (nxt,)
-        cl = closure(GeneratingTuple(spec, items))
-    return items
-
-
-@dataclass(frozen=True)
-class CayleyTableGroup(GroupSpec):
-    """A finite group given by an explicit multiplication table on
-    indices 0..n-1.  Identity and inverses are located by scanning; the
-    table is checked to be a latin square, and associativity is verified
-    exhaustively up to order 64 and by seeded spot checks above that."""
-
-    table: tuple
-    _identity: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        n = len(self.table)
-        if n == 0 or any(len(row) != n for row in self.table):
-            raise ValueError("multiplication table must be square and nonempty")
-        full = frozenset(range(n))
-        for row in self.table:
-            if frozenset(row) != full:
-                raise ValueError("table rows must be permutations")
-        for j in range(n):
-            if frozenset(row[j] for row in self.table) != full:
-                raise ValueError("table columns must be permutations")
-        t = self.table
-        e = next((i for i in range(n)
-                  if all(t[i][x] == x and t[x][i] == x for x in range(n))), None)
-        if e is None:
-            raise ValueError("table has no identity element")
-        object.__setattr__(self, "_identity", e)
-        if n <= 64:
-            triples = itertools.product(range(n), repeat=3)
-        else:
-            rng = random.Random(0)
-            triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                       for _ in range(10000))
-        for a, b, c in triples:
-            if t[t[a][b]][c] != t[a][t[b][c]]:
-                raise ValueError("table is not associative")
-
-    @classmethod
-    def from_spec(cls, spec: GroupSpec) -> "CayleyTableGroup":
-        els = spec.elements()
-        index = {spec.encode(x): i for i, x in enumerate(els)}
-        table = tuple(tuple(index[spec.encode(spec.mul(a, b))] for b in els)
-                      for a in els)
-        return cls(table)
-
-    @property
-    def order(self) -> int:
-        return len(self.table)
-
-    def descriptor(self) -> str:
-        digest = hashlib.sha256(repr(self.table).encode()).hexdigest()[:12]
-        return f"table:{len(self.table)}:{digest}"
-
-    def identity(self) -> int:
-        return self._identity
-
-    def mul(self, a, b):
-        return self.table[a][b]
-
-    def inv(self, a):
-        return self.table[a].index(self._identity)
-
-    def validate(self, x) -> None:
-        if not (isinstance(x, int) and 0 <= x < len(self.table)):
-            raise ValueError("element is not a table index")
-
-    def encode(self, x) -> bytes:
-        return struct.pack("<I", x)
-
-    def generators(self) -> tuple:
-        return _minimal_generating_tuple(self)
-
-    def _enumerate(self) -> list:
-        return list(range(len(self.table)))
-
-    def random_element(self, rng):
-        return rng.randrange(len(self.table))
 
 
 @dataclass(frozen=True)
@@ -840,17 +736,6 @@ def is_generating(t: GeneratingTuple, deadline: float = math.inf) -> bool:
             return sl2_generation_report(t).generates
         return subgroup_order(t, deadline) == g.order
     return closure(t).order == g.order
-
-
-def project_to_psl(t: GeneratingTuple) -> GeneratingTuple:
-    """Push an SL_n tuple down to PSL_n.  Generation transfers both ways
-    because the center of the perfect group SL_n(F_p) (p >= 5) consists
-    of non-generators."""
-    g = t.group
-    if not isinstance(g, SpecialLinear):
-        raise ValueError("projection expects an SL tuple")
-    target = ProjSpecialLinear(g.n, g.p)
-    return GeneratingTuple(target, tuple(projective_canonicalize(m) for m in t.items))
 
 
 # ---------------------------------------------------------------------------

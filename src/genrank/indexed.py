@@ -146,7 +146,7 @@ class IndexedGroup:
         layer = np.array([self.identity])
         step = max(1, _TABLE_CELLS // n)
         while layer.size:
-            reached = [layer[:0]]       # empty, for a group without generators
+            reached = []
             for r in right:
                 z = r[layer]
                 new = ~done[z]

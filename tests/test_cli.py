@@ -9,8 +9,9 @@ from genrank.cli import (EXIT_BUDGET, EXIT_DATA, EXIT_EVIDENCE_MIXED,
                          EXIT_NOT_CERTIFIED, EXIT_OK, EXIT_USAGE, DataError,
                          UsageError, main, parse_group)
 from genrank.fp import FpMatrix, projective_canonicalize
-from genrank.groups import (CyclicPower, GeneratingTuple, Integers,
-                            ProductGroup, ProjSpecialLinear, SpecialLinear)
+from genrank.groups import (CyclicPower, GeneratingTuple, GroupSpec,
+                            Integers, ProductGroup, ProjSpecialLinear,
+                            SpecialLinear)
 from genrank.redundancy import is_redundant
 
 STD_PAIR = "sl 2\n0 -1 1 0\n1 1 0 1\n"
@@ -52,6 +53,24 @@ def test_parse_group_errors():
             parse_group(bad)
     # modulus 1 is the trivial group, allowed on purpose
     assert parse_group("cyclic:1^2").order == 1
+
+
+def test_every_group_kind_round_trips_through_its_descriptor():
+    # a group kind that no descriptor names is unreachable from the commands
+    samples = (SpecialLinear(3, 5), ProjSpecialLinear(2, 7), CyclicPower(6, 2),
+               Integers(), ProductGroup((CyclicPower(2, 1), ProductGroup(
+                   (ProjSpecialLinear(2, 5), SpecialLinear(2, 3))))))
+
+    def kinds(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from kinds(sub)
+
+    concrete = {k for k in kinds(GroupSpec) if k.__module__ == "genrank.groups"
+                and k.descriptor is not GroupSpec.descriptor}
+    assert concrete == {type(spec) for spec in samples}
+    for spec in samples:
+        assert parse_group(spec.descriptor()) == spec
 
 
 def test_rank_known_value(capsys):

@@ -5,12 +5,11 @@ import random
 import pytest
 
 from genrank.fp import FpMatrix, canonical_rep, projective_canonicalize
-from genrank.groups import (CayleyTableGroup, CyclicPower, GeneratingTuple,
-                            Integers, ProductGroup, ProjSpecialLinear,
-                            SpecialLinear, _simple_by_normal_closures, closure,
+from genrank.groups import (CyclicPower, GeneratingTuple, Integers,
+                            ProductGroup, ProjSpecialLinear, SpecialLinear,
+                            _simple_by_normal_closures, closure,
                             is_generating, is_simple_finite, product_generates,
-                            project_to_psl, sl2_generation_report, sl_order,
-                            subgroup_order)
+                            sl2_generation_report, sl_order, subgroup_order)
 from genrank.indexed import IndexedGroup
 
 
@@ -200,32 +199,6 @@ def test_generation_report_reasons():
     assert not rep.generates
     assert rep.reason in ("invariant line pair",
                           "closure order " + str(len(closure(GeneratingTuple(spec, (d, w))).elements)))
-
-
-def test_project_to_psl_preserves_generation():
-    spec = SpecialLinear(2, 5)
-    t = standard_pair(spec)
-    pt = project_to_psl(t)
-    assert isinstance(pt.group, ProjSpecialLinear)
-    assert is_generating(pt)
-
-
-def test_cayley_table_round_trip():
-    base = CayleyTableGroup.from_spec(CyclicPower(3, 2))
-    # the same group relabelled by a -> 4 - a mod 9: the identity is label 4
-    relabel = [(4 - a) % 9 for a in range(9)]
-    moved = [[0] * 9 for _ in range(9)]
-    for a in range(9):
-        for b in range(9):
-            moved[relabel[a]][relabel[b]] = relabel[base.table[a][b]]
-    for table, e in ((base, 0), (CayleyTableGroup(tuple(map(tuple, moved))), 4)):
-        assert table.order == 9
-        assert table.identity() == e
-        for a in table.elements():
-            assert table.mul(a, table.inv(a)) == e
-            assert table.mul(table.inv(a), a) == e
-        gens = GeneratingTuple(table, tuple(table.generators()))
-        assert len(closure(gens).elements) == 9
 
 
 def test_elements_are_a_fresh_list_per_call():
