@@ -5,15 +5,17 @@ PSL_n(F_p) is a plain FpMatrix, its canonical coset representative.
 Q: every determinant, inverse and kernel past the closed forms uses it.
 
 Everything here is immutable, hashable and exact; no floats appear
-anywhere.  Moduli are validated at construction: a modulus must stay
-below 2**15, so that entry products fit in a machine word, and pass
-trial division.
+anywhere.  Moduli and entries are validated when a matrix is built
+from outside: a modulus must stay below 2**15, so that entry products
+fit in a machine word, and pass trial division.  Products, negations,
+scalings and inverses of validated matrices reduce every entry mod p
+themselves and skip the checks.
 
 The per-prime tables (`sqrt_table`, `nonresidue`, `nth_roots_of_unity`)
 are cached for the process, keyed by a modulus that passed
 `check_modulus` and so bounded by the primes below 2**15.
 `_known_primes` holds the primes `is_prime` has confirmed, for the
-`check_modulus` call of every FpMatrix construction.
+`check_modulus` call of every checked FpMatrix construction.
 """
 
 from __future__ import annotations
@@ -165,6 +167,19 @@ class FpMatrix:
                 raise ValueError(f"entry {e!r} out of range for F_{self.modulus}")
 
     @classmethod
+    def _reduced(cls, modulus: int, dim: int, entries: tuple) -> "FpMatrix":
+        """A matrix from entries already reduced mod the checked modulus
+        of another matrix, without __post_init__'s checks: the results
+        of products, negation, scaling and inversion.  The fields are set
+        one by one: filling __dict__ at once would give every matrix its
+        own dict, about 140 more bytes."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "modulus", modulus)
+        object.__setattr__(m, "dim", dim)
+        object.__setattr__(m, "entries", entries)
+        return m
+
+    @classmethod
     def from_rows(cls, modulus: int, rows) -> "FpMatrix":
         rows = [list(r) for r in rows]
         dim = len(rows)
@@ -198,21 +213,21 @@ class FpMatrix:
             b0, b1, b2, b3 = b
             flat = ((a0 * b0 + a1 * b2) % p, (a0 * b1 + a1 * b3) % p,
                     (a2 * b0 + a3 * b2) % p, (a2 * b1 + a3 * b3) % p)
-            return FpMatrix(p, 2, flat)
+            return FpMatrix._reduced(p, 2, flat)
         out = []
         for i in range(n):
             arow = a[i * n:(i + 1) * n]
             for j in range(n):
                 out.append(sum(arow[k] * b[k * n + j] for k in range(n)) % p)
-        return FpMatrix(p, n, tuple(out))
+        return FpMatrix._reduced(p, n, tuple(out))
 
     def __neg__(self) -> "FpMatrix":
         p = self.modulus
-        return FpMatrix(p, self.dim, tuple((-x) % p for x in self.entries))
+        return FpMatrix._reduced(p, self.dim, tuple((-x) % p for x in self.entries))
 
     def scaled(self, c: int) -> "FpMatrix":
         p = self.modulus
-        return FpMatrix(p, self.dim, tuple(x * c % p for x in self.entries))
+        return FpMatrix._reduced(p, self.dim, tuple(x * c % p for x in self.entries))
 
     def det(self) -> int:
         p, n, e = self.modulus, self.dim, self.entries
@@ -234,9 +249,9 @@ class FpMatrix:
             if d == 0:
                 raise ZeroDivisionError("matrix is singular")
             di = pow(d, p - 2, p)
-            flat = (e[3] * di % p, -e[1] * di % p, -e[2] * di % p, e[0] * di % p)
-            return FpMatrix(p, 2, tuple(x % p for x in flat))
-        return FpMatrix(p, n, tuple(v for r in invert(self.rows(), p) for v in r))
+            return FpMatrix._reduced(
+                p, 2, (e[3] * di % p, -e[1] * di % p, -e[2] * di % p, e[0] * di % p))
+        return FpMatrix._reduced(p, n, tuple(v for r in invert(self.rows(), p) for v in r))
 
     def __pow__(self, k: int) -> "FpMatrix":
         base = self if k >= 0 else self.inverse()
@@ -270,7 +285,7 @@ def canonical_rep(m: FpMatrix) -> FpMatrix:
     p, n = m.modulus, m.dim
     if n == 2:
         neg = tuple(-x % p for x in m.entries)
-        return m if m.entries <= neg else FpMatrix(p, 2, neg)
+        return m if m.entries <= neg else FpMatrix._reduced(p, 2, neg)
     best = m
     for c in nth_roots_of_unity(p, n):
         if c == 1:

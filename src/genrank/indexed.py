@@ -34,20 +34,28 @@ subgroups) leaves generation to closure.
 
 Canonical forms use the minimum-index convention: a conjugacy class is
 represented by its least index, and the canonical image of a tuple is
-its lexicographically least simultaneous conjugate.  That starts with
-the class representative of the first non-central entry, and the
-conjugators achieving it form a centralizer coset, so later positions
-only narrow a candidate array.  A set is canonical as its least sorted
-image: central members stay put, and only the cosets
-centralizer(r0)·wit[x] are tried, for r0 the least class
-representative of the rest and x its lead members, those in its class.
+its lexicographically least simultaneous conjugate.  The conjugators
+taking a tuple's first j entries to their least image m_0, ..., m_j-1
+form one coset Cw of the stabilizer C = C_G(m_0, ..., m_j-1), so entry
+j goes to the least conjugate of w t_j w^-1 under C.  The instance
+grows a chain of these stabilizers as rows reach them: each node holds
+the least conjugate of every element under its subgroup, a witness for
+each, and its children C_C(m), shared by member set, and one node
+stands for every subgroup of the centre.  A tuple position costs a few
+gathers over all rows, whatever the size of C.
+
+A set is canonical as its least sorted image: central members stay
+put, and only the cosets centralizer(r0)·wit[x] are tried, for r0 the
+least class representative of the rest and x its lead members, those
+in its class.
 A set of cyclic subgroups, each named by its least generator (its key),
 is canonical as the least sorted image of the keys, with normalizer
 cosets.  canonical_sets groups its rows by r0, pads them to the most
 lead members in the group, and narrows a slice of at most
-_CANONICAL_CELLS image entries at a time, which bounds its memory.  No
-plain np.unique is called: its first call imports numpy.ma, about 11 ms
-per process, so distinct values come from a scatter or bincount.
+_CANONICAL_CELLS image entries at a time, which bounds its memory.
+Neither this module nor `nielsen` calls np.unique: its first call
+imports numpy.ma, about 11 ms per process, so distinct values come from
+a scatter, a bincount or one argsort.
 """
 
 from __future__ import annotations
@@ -409,24 +417,83 @@ class IndexedGroup:
 
     def canonical_tuples(self, rows: np.ndarray) -> np.ndarray:
         """The least image of each row of an int32 array under
-        simultaneous conjugation: the rows whose first non-central entry
-        v has class representative r are conjugated by all of
-        centralizer(r)·wit[v] at once and narrowed position by position
-        to the least image."""
+        simultaneous conjugation, down the chain of conjugation
+        stabilizers (module docstring): a few flat gathers over all rows
+        per position, and one for the rest of the rows once every row
+        has reached the central node."""
         if self.spec.is_abelian:
             return rows
-        rep, wit = self._class_data
-        noncentral = ~self.central[rows]
-        live = np.flatnonzero(noncentral.any(axis=1))     # all-central rows are canonical
-        v = rows[live, noncentral[live].argmax(axis=1)]
-        out = rows.copy()
-        for r in np.flatnonzero(np.bincount(rep[v])).tolist():
-            sel = live[rep[v] == r]
-            cands = self.mult[self.centralizer(r)[:, None], wit[v[rep[v] == r]]]
-            imgs = self.conj.ravel()[cands[:, :, None] * self.n + rows[sel]]
-            alive = np.ones(cands.shape, dtype=bool)
-            for j in range(rows.shape[1]):
-                col = np.where(alive, imgs[:, :, j], self.n)
-                out[sel, j] = least = col.min(axis=0)
-                alive &= col == least
+        n, chain, k = self.n, self._chain, rows.shape[1]
+        conj, mult = self.conj.ravel(), self.mult.ravel()
+        out = np.empty_like(rows)
+        w = np.full(len(rows), self.identity, dtype=np.int32)   # conjugator so far
+        node = np.full(len(rows), _ROOT, dtype=np.int32)
+        for j in range(k):
+            if not node.any():          # all central: the rest is w t w^-1
+                out[:, j:] = conj.take(w[:, None] * n + rows[:, j:])
+                break
+            at = node * n + conj.take(w * n + rows[:, j])
+            out[:, j] = m = chain.omin.take(at)
+            if j + 1 < k:
+                w = mult.take(chain.owit.take(at) * n + w)
+                node = chain.child_of(node, m)
         return out
+
+    @cached_property
+    def _chain(self) -> "_StabilizerChain":
+        return _StabilizerChain(self)
+
+
+_CENTRAL, _ROOT = 0, 1          # chain nodes: every subgroup of the centre, and G
+
+
+class _StabilizerChain:
+    """The subgroups H = C_G(m_0, ..., m_j) that canonical_tuples meets,
+    grown on demand and named by their member sets.  Node h holds, for
+    every x, the least conjugate omin[h, x] of x under H and an element
+    owit[h, x] of H taking x there; child[h, m] is the node of C_H(m),
+    or -1 until a row needs it.  Every subgroup of the centre fixes
+    every element, so one node stands for all of them.  Rows index the
+    node arrays flat, node * n + x, in int32: at 12 bytes per entry,
+    memory runs out long before an index passes 2^31."""
+
+    def __init__(self, ix: IndexedGroup):
+        rep, wit = ix._class_data
+        ar = np.arange(ix.n, dtype=np.int32)
+        self.conj, self.central = ix.conj, ix.central
+        self.members = [np.flatnonzero(ix.central).astype(np.int32), ar]
+        self.nodes: dict[bytes, int] = {}
+        self.omin = np.stack((ar, rep))
+        self.owit = np.stack((np.full(ix.n, ix.identity, dtype=np.int32), wit))
+        self.child = np.full((2, ix.n), -1, dtype=np.int32)
+        self.child[_CENTRAL] = _CENTRAL
+
+    def child_of(self, node: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """child[node, m], adding the nodes no row has reached before."""
+        n = self.child.shape[1]
+        out = self.child.take(node * n + m)
+        missing = out < 0
+        if not missing.any():
+            return out
+        omin, owit = [self.omin], [self.owit]
+        for h, x in set(zip(node[missing].tolist(), m[missing].tolist())):
+            members = self.members[h]
+            fixed = members[self.conj[members, x] == x]
+            if len(fixed) == len(members):
+                c = h
+            elif self.central[fixed].all():
+                c = _CENTRAL
+            else:
+                c = self.nodes.setdefault(fixed.tobytes(), len(self.members))
+                if c == len(self.members):
+                    imgs = self.conj[fixed]
+                    at = imgs.argmin(axis=0)
+                    self.members.append(fixed)
+                    omin.append(imgs[at, np.arange(n)][None])
+                    owit.append(fixed[at][None])
+            self.child[h, x] = c
+        if len(omin) > 1:
+            self.omin, self.owit = np.concatenate(omin), np.concatenate(owit)
+            self.child = np.concatenate(
+                (self.child, np.full((len(omin) - 1, n), -1, dtype=np.int32)))
+        return self.child.take(node * n + m)

@@ -168,8 +168,23 @@ def _row_keys(rows: np.ndarray, n: int) -> np.ndarray:
     below n while they fit in int64, the row bytes past that."""
     k = rows.shape[1]
     if n ** k < 1 << 63:
-        return rows @ n ** np.arange(k - 1, -1, -1, dtype=np.int64)
+        keys = rows[:, 0].astype(np.int64)
+        for j in range(1, k):       # in place: a temporary per step raised the peak RSS
+            keys *= n
+            keys += rows[:, j]
+        return keys
     return np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * k))).ravel()
+
+
+def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(keys, return_index=True) from one argsort: the sorted
+    distinct keys, and the least position holding each."""
+    order = np.argsort(keys)
+    ranked = keys[order]
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = ranked[1:] != ranked[:-1]
+    starts = np.flatnonzero(starts)
+    return ranked[starts], np.minimum.reduceat(order, starts)
 
 
 def _children(ix: IndexedGroup, rows: np.ndarray, owner: np.ndarray, cells: np.ndarray,
@@ -189,7 +204,7 @@ def _children(ix: IndexedGroup, rows: np.ndarray, owner: np.ndarray, cells: np.n
             ix.mult[ext[lo:lo + step, left], ext[lo:lo + step, right]].reshape(-1, k))
         own = np.repeat(owner[lo:lo + step], moves)
         keys = _row_keys(np.column_stack((own, canon)), base)
-        uniq, first = np.unique(keys, return_index=True)
+        uniq, first = _first_occurrences(keys)
         at = np.searchsorted(known, uniq)
         fresh = known[np.minimum(at, len(known) - 1)] != uniq
         known = np.insert(known, at[fresh], uniq[fresh])
@@ -237,7 +252,7 @@ def _layer_walk(ix: IndexedGroup, starts: np.ndarray, node_budget: int, deadline
             todo = np.flatnonzero(live & ~redundant[owner] & ~drop)
             drop[todo] = ix.generates_rows(np.delete(layer[todo], i, axis=1))
         hit = np.flatnonzero(drop)
-        found, first = np.unique(owner[hit], return_index=True)
+        found, first = _first_occurrences(owner[hit])
         redundant[found] = True
         if found.size and not whole:
             stop = np.full(count, -1)
@@ -398,6 +413,24 @@ class OrbitStatistics:
         return self.orbits_with_redundant / self.orbit_count if self.orbit_count else 0.0
 
 
+def _generating_classes(ix: IndexedGroup, size: int, deadline: float) -> np.ndarray:
+    """The canonical generating tuples of one size in increasing order, as
+    far as the deadline allows.  A canonical tuple starts with a class
+    representative c: one block per c, canonicalised a slice of rows at a
+    time to bound memory; the blocks are freed before the orbit walks."""
+    weights = ix.n ** np.arange(size - 1, -1, -1, dtype=np.int64)
+    free = (np.arange(ix.n ** (size - 1))[:, None] // weights[1:] % ix.n).astype(np.int32)
+    blocks = [np.empty((0, size), dtype=np.int32)]
+    for c, lo in itertools.product(ix.class_min_reps(), range(0, len(free), _SLICE_ROWS)):
+        if time.monotonic() > deadline:
+            break
+        part = free[lo:lo + _SLICE_ROWS]
+        rows = np.column_stack((np.full(len(part), c, dtype=np.int32), part))
+        rows = rows[(ix.canonical_tuples(rows) == rows).all(axis=1)]
+        blocks.append(rows[ix.generates_rows(rows)])
+    return np.concatenate(blocks)
+
+
 def orbit_statistics(spec: GroupSpec, size: int,
                      limits: SearchLimits | None = None) -> OrbitStatistics:
     """Partition all conjugacy classes of generating tuples of one size
@@ -417,20 +450,7 @@ def orbit_statistics(spec: GroupSpec, size: int,
         raise ValueError("too many tuple classes at this size; pick a smaller size")
     ix = IndexedGroup.from_spec(spec)
     deadline = time.monotonic() + limits.time_budget
-
-    # a canonical tuple starts with a class representative c: one block per
-    # c, canonicalised a slice of rows at a time to bound memory
-    weights = ix.n ** np.arange(size - 1, -1, -1, dtype=np.int64)
-    free = (np.arange(ix.n ** (size - 1))[:, None] // weights[1:] % ix.n).astype(np.int32)
-    blocks = [np.empty((0, size), dtype=np.int32)]
-    for c, lo in itertools.product(ix.class_min_reps(), range(0, len(free), _SLICE_ROWS)):
-        if time.monotonic() > deadline:
-            break
-        part = free[lo:lo + _SLICE_ROWS]
-        rows = np.column_stack((np.full(len(part), c, dtype=np.int32), part))
-        rows = rows[(ix.canonical_tuples(rows) == rows).all(axis=1)]
-        blocks.append(rows[ix.generates_rows(rows)])
-    table = np.concatenate(blocks)
+    table = _generating_classes(ix, size, deadline)
     codes = _row_keys(table, ix.n)
     done = np.zeros(len(table), dtype=bool)
     orbit_sizes, with_red, stopped = [], 0, time.monotonic() > deadline

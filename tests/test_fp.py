@@ -220,3 +220,33 @@ def test_encode_is_injective_on_sl2_7():
                         seen[key] = m
                         count += 1
     assert count == 7 * (7 * 7 - 1)
+
+
+def test_derived_matrices_equal_checked_construction():
+    # products, negations, scalings and inverses skip the entry checks:
+    # each must equal, and hash as, the same entries built the checked way
+    rng = random.Random(61)
+    for p, n in ((2, 2), (5, 2), (7, 3), (3, 4)):
+        mats = []
+        while len(mats) < 3:
+            m = FpMatrix(p, n, tuple(rng.randrange(p) for _ in range(n * n)))
+            if m.det():
+                mats.append(m)
+        a, b, c = mats
+        for got in (a * b, b * c * a, -a, a.scaled(p - 1), a.scaled(2), a.inverse(),
+                    canonical_rep(b), a ** 5, a ** -3):
+            same = FpMatrix(p, n, got.entries)
+            assert got == same and hash(got) == hash(same)
+            assert all(type(e) is int and 0 <= e < p for e in got.entries)
+
+
+def test_outside_construction_keeps_every_check():
+    for args in ((6, 2, (1, 0, 0, 1)), (1, 1, (0,)), (5, 2, (1, 0, 0, 5)),
+                 (5, 2, (1, 0, 0, -1)), (5, 2, (1, 0, 0, 1.0)), (5, 2, (1, 0, 0)),
+                 (1 << 16, 1, (1,))):
+        with pytest.raises(ValueError):
+            FpMatrix(*args)
+    with pytest.raises(ValueError):
+        FpMatrix.from_rows(9, [[1, 0], [0, 1]])
+    with pytest.raises(ValueError):
+        FpMatrix.identity(4, 2)

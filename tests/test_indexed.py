@@ -405,6 +405,27 @@ def test_canonical_tuples_match_canonical_tuple(spec):
             assert tuple(canon) == _canonical_tuple(ix, row), row
 
 
+@pytest.mark.parametrize("spec", (SpecialLinear(2, 5), ProjSpecialLinear(2, 7), PSL2_5_X_C2),
+                         ids=lambda spec: spec.descriptor())
+def test_canonical_tuples_do_not_depend_on_which_rows_come_first(spec):
+    # the stabilizer chain grows with the rows it meets: fresh instances
+    # fed one row at a time, in reverse order or in one batch agree
+    rng = np.random.default_rng(47)
+    n = spec.order
+    centre = np.flatnonzero(IndexedGroup.from_spec(spec).central)
+    for k in range(1, 5):
+        rows = rng.integers(0, n, size=(150, k), dtype=np.int32)
+        rows[:40, 0] = rng.choice(centre, size=40)        # central leads
+        batch = IndexedGroup(spec).canonical_tuples(rows)
+        single = IndexedGroup(spec)
+        one_by_one = np.concatenate([single.canonical_tuples(r[None]) for r in rows])
+        reverse = IndexedGroup(spec).canonical_tuples(rows[::-1])[::-1]
+        assert (one_by_one == batch).all() and (reverse == batch).all()
+        empty = IndexedGroup(spec).canonical_tuples(np.empty((0, k), dtype=np.int32))
+        assert empty.shape == (0, k) and empty.dtype == np.int32
+        assert single.canonical_tuples(np.empty((0, k), dtype=np.int32)).shape == (0, k)
+
+
 def test_canonical_tuple_separates_nonconjugate():
     # class function values differ => tuples cannot collide
     spec = ProjSpecialLinear(2, 5)

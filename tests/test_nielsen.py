@@ -13,9 +13,9 @@ from genrank.groups import (CyclicPower, GeneratingTuple, Integers,
                             closure, is_generating)
 from genrank import nielsen
 from genrank.indexed import IndexedGroup
-from genrank.nielsen import (NielsenMove, OrbitStatistics, _orbit_walk_generic,
-                             all_moves, apply_move, is_nielsen_redundant, mu_rank,
-                             orbit_statistics)
+from genrank.nielsen import (NielsenMove, OrbitStatistics, _first_occurrences,
+                             _orbit_walk_generic, _row_keys, all_moves, apply_move,
+                             is_nielsen_redundant, mu_rank, orbit_statistics)
 from genrank.redundancy import SearchLimits, max_irredundant_size, z_witness
 
 
@@ -277,6 +277,29 @@ def test_class_listing_does_not_depend_on_the_slice_size(monkeypatch):
     whole = orbit_statistics(spec, 3)
     monkeypatch.setattr(nielsen, "_SLICE_ROWS", 1000)
     assert orbit_statistics(spec, 3) == whole
+
+
+def test_first_occurrences_match_np_unique():
+    rng = np.random.default_rng(53)
+    wide = rng.integers(0, 3, size=(500, 4), dtype=np.int32)
+    cases = (rng.integers(0, 40, size=2000), rng.integers(-5, 5, size=7),
+             np.full(300, 9, dtype=np.int64), np.empty(0, dtype=np.int64),
+             _row_keys(wide, 1 << 20))          # row bytes past int64 codes
+    assert cases[-1].dtype.kind == "V"
+    for keys in cases:
+        distinct, first = _first_occurrences(keys)
+        want_distinct, want_first = np.unique(keys, return_index=True)
+        assert distinct.shape == want_distinct.shape == first.shape
+        assert (distinct == want_distinct).all() and (first == want_first).all()
+
+
+def test_row_keys_are_base_n_codes():
+    rng = np.random.default_rng(59)
+    rows = rng.integers(0, 660, size=(400, 4), dtype=np.int32)
+    keys = _row_keys(rows, 660)
+    assert keys.dtype == np.int64
+    assert keys.tolist() == [sum(v * 660 ** (3 - j) for j, v in enumerate(r))
+                             for r in rows.tolist()]
 
 
 def test_all_triples_redundant_when_mu_is_two():
