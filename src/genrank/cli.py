@@ -23,6 +23,7 @@ import json
 import math
 import re
 import sys
+import time
 
 from .arithmetic import (DenominatorClash, DensityCertificate, PlanConfig,
                          RationalMatrix, RationalTuple, as_fraction,
@@ -63,6 +64,10 @@ _CYC_RE = re.compile(r"^cyclic:(\d+)\^(\d+)$")
 # parse_group recurses once per prod(...); the cap keeps that far below
 # the interpreter's recursion limit
 _MAX_PRODUCTS = 64
+# SL_n(F_p) and PSL_n(F_p) act on at most this many points, p^n: the
+# stabilizer chain lists them all before its first deadline check, and
+# sl3:101 (1,030,301 points) is the largest case measured
+_MAX_POINTS = 1 << 20
 
 
 def _split_top_level(s: str) -> list:
@@ -103,7 +108,12 @@ def parse_group(desc: str) -> GroupSpec:
             n, p = int(n_s), int(p_s)
             if p < 3:
                 raise ValueError("p must be prime >= 3")
-            return SpecialLinear(n, p) if kind == "sl" else ProjSpecialLinear(n, p)
+            spec = SpecialLinear(n, p) if kind == "sl" else ProjSpecialLinear(n, p)
+            # before any order arithmetic, which is unbounded in n; past
+            # n = 20 no p >= 3 is within the bound, so p ** n stays small
+            if n > 20 or p ** n > _MAX_POINTS:
+                raise ValueError(f"{desc} acts on {p}^{n} points, more than 2^20")
+            return spec
         except ValueError as exc:
             raise DataError(str(exc))
     m = _CYC_RE.match(desc)
@@ -424,17 +434,21 @@ def _cmd_certify(args):
 def _cmd_product_check(args):
     t = read_product_tuple(args.input)
     try:
-        report = product_generates(t)
+        report = product_generates(t, time.monotonic() + args.time_budget)
+        generates, diagnosis, code = report.generates, report.diagnosis, EXIT_OK
     except ValueError as exc:
         raise DataError(str(exc))
+    except TimeoutError:
+        generates, code = None, EXIT_BUDGET
+        diagnosis = f"the time budget of {args.time_budget:g} s ran out before a verdict"
     payload = {
         "command": "product-check",
         "group": t.group.descriptor(),
         "tuple_length": len(t),
-        "generates": report.generates,
-        "diagnosis": report.diagnosis,
+        "generates": generates,
+        "diagnosis": diagnosis,
     }
-    return payload, EXIT_OK
+    return payload, code
 
 
 def _cmd_orbit(args):

@@ -420,10 +420,12 @@ class SubgroupClosure:
         return self.group.encode(x) in self.encodings
 
 
-def closure(t: GeneratingTuple, cap: int | None = None) -> SubgroupClosure:
+def closure(t: GeneratingTuple, cap: int | None = None,
+            deadline: float = math.inf) -> SubgroupClosure:
     """Breadth-first closure of the tuple under right multiplication by
     its entries.  Exact when the subgroup has at most cap elements;
-    raises CapExceeded otherwise."""
+    raises CapExceeded otherwise, and TimeoutError at the first element
+    grown from after time.monotonic() passes deadline."""
     g = t.group
     if g.order is None:
         raise ValueError("closure enumeration needs a finite group")
@@ -437,6 +439,8 @@ def closure(t: GeneratingTuple, cap: int | None = None) -> SubgroupClosure:
     while frontier:
         nxt = []
         for a in frontier:
+            if time.monotonic() > deadline:
+                raise TimeoutError("closure passed its deadline")
             for x in gens:
                 b = g.mul(a, x)
                 kb = g.encode(b)
@@ -726,8 +730,8 @@ def sl2_generation_report(t: GeneratingTuple) -> GenerationReport:
 def is_generating(t: GeneratingTuple, deadline: float = math.inf) -> bool:
     """Does the tuple generate its group?  For the integers this is a
     gcd condition; SL2/PSL2 with p >= 5 use the structural test, other
-    SL/PSL groups the stabilizer-chain order (which raises TimeoutError
-    past deadline), other finite groups closure enumeration."""
+    SL/PSL groups the stabilizer-chain order, other finite groups
+    closure enumeration; the last two raise TimeoutError past deadline."""
     g = t.group
     if isinstance(g, Integers):
         return math.gcd(*(abs(x) for x in t.items)) == 1 if t.items else False
@@ -735,7 +739,7 @@ def is_generating(t: GeneratingTuple, deadline: float = math.inf) -> bool:
         if g.n == 2 and g.p >= 5:
             return sl2_generation_report(t).generates
         return subgroup_order(t, deadline) == g.order
-    return closure(t).order == g.order
+    return closure(t, deadline=deadline).order == g.order
 
 
 # ---------------------------------------------------------------------------
@@ -843,9 +847,12 @@ class ProductGenerationReport:
     isomorphism: dict | None = None
 
 
-def product_generates(t: GeneratingTuple) -> ProductGenerationReport:
+def product_generates(t: GeneratingTuple,
+                      deadline: float = math.inf) -> ProductGenerationReport:
     """Decide generation of a tuple in a product of two finite simple
-    groups by one closure capped at |G1|."""
+    groups by one closure capped at |G1|.  That closure and the projection
+    tests by chain or closure raise TimeoutError once time.monotonic()
+    passes deadline."""
     g = t.group
     if not isinstance(g, ProductGroup) or len(g.factors) != 2:
         raise ValueError("product check expects a product of exactly two factors")
@@ -853,15 +860,15 @@ def product_generates(t: GeneratingTuple) -> ProductGenerationReport:
     for name, f in (("first", g1), ("second", g2)):
         if not is_simple_finite(f):
             raise ValueError(f"{name} factor is not a supported simple group")
-    if not is_generating(g.project(t, 0)):
+    if not is_generating(g.project(t, 0), deadline):
         return ProductGenerationReport(False, "projection 1 proper")
-    if not is_generating(g.project(t, 1)):
+    if not is_generating(g.project(t, 1), deadline):
         return ProductGenerationReport(False, "projection 2 proper")
     if g1.order != g2.order:
         return ProductGenerationReport(
             True, "projections generate non-isomorphic simple factors")
     try:
-        graph = closure(t, cap=g1.order)
+        graph = closure(t, cap=g1.order, deadline=deadline)
     except CapExceeded:
         return ProductGenerationReport(True, "no isomorphism aligns the factor tuples")
     phi = {g1.encode(a): b for a, b in graph.elements}

@@ -18,11 +18,15 @@ sequence), so at each size only the orbits of irredundant generating
 classes have to be inspected, and a redundant member anywhere in an
 orbit settles that whole orbit.
 
-On indexed groups one walk serves is_nielsen_redundant, the mu ladder
-and orbit_statistics: a breadth-first layer at a time, every move
-applied to the whole layer, the children canonicalised in batches and
-tested for droppable entries on the packed maximal-subgroup masks.
-Groups past the tables keep a per-node walk over literal tuples.
+On indexed groups one walk serves is_nielsen_redundant and the mu
+ladder: a breadth-first layer at a time, every move applied to the whole
+layer, the children canonicalised in batches and tested for droppable
+entries on the packed maximal-subgroup masks; it records the move path
+and the classes visited, which both print.  Groups past the tables keep
+a per-node walk over literal tuples.  orbit_statistics lists every
+generating class first, so it needs no walk: the orbits are the
+connected components of the class table under the few moves that
+generate all the others, joined by an array union-find.
 """
 
 from __future__ import annotations
@@ -43,7 +47,8 @@ from .redundancy import (RankSearchResult, SearchLimits, irredundant_witness,
 _MOVE_KINDS = ("L", "R", "I", "S")
 
 # Rows canonicalised by one call: orbit_statistics lists the candidate
-# classes, and the layer walk canonicalises children, this many at a time.
+# classes and moves the class table, and the layer walk canonicalises
+# children, this many at a time.
 _SLICE_ROWS = 1 << 14
 
 
@@ -187,6 +192,20 @@ def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranked[starts], np.minimum.reduceat(order, starts)
 
 
+def _move_cells(moves: tuple, k: int) -> np.ndarray:
+    """Entry j of a k-tuple under moves[m] is the product of the columns
+    cells[m, j] of [t, t^-1, e], read off NielsenMove.apply on column
+    names."""
+    return np.array([[v if isinstance(v, tuple) else (2 * k, v) for v in mv.apply(
+        tuple(range(k)), lambda a, b: (a, b), lambda c: c + k)] for mv in moves], np.intp)
+
+
+def _moved(ix: IndexedGroup, rows: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Every move of cells applied to every row, in (row, move) order."""
+    ext = np.column_stack((rows, ix.inv[rows], np.full(len(rows), ix.identity, np.int32)))
+    return ix.mult[ext[:, cells[..., 0]], ext[:, cells[..., 1]]].reshape(-1, rows.shape[1])
+
+
 def _children(ix: IndexedGroup, rows: np.ndarray, owner: np.ndarray, cells: np.ndarray,
               known: np.ndarray, base: int):
     """The canonical forms one move away from rows, kept with the walk
@@ -194,14 +213,11 @@ def _children(ix: IndexedGroup, rows: np.ndarray, owner: np.ndarray, cells: np.n
     only when the key of (walk, form) is not in the sorted, nonempty
     known: (children, owners, keys, row ids, move ids).  Slices bound the
     memory, and each slice's keys join known for the slices after it."""
-    left, right = cells[..., 0], cells[..., 1]
-    moves, k = left.shape
-    ext = np.column_stack((rows, ix.inv[rows], np.full(len(rows), ix.identity, np.int32)))
+    moves = len(cells)
     step = max(1, _SLICE_ROWS // moves)
     parts = []
     for lo in range(0, len(rows) or 1, step):
-        canon = ix.canonical_tuples(
-            ix.mult[ext[lo:lo + step, left], ext[lo:lo + step, right]].reshape(-1, k))
+        canon = ix.canonical_tuples(_moved(ix, rows[lo:lo + step], cells))
         own = np.repeat(owner[lo:lo + step], moves)
         keys = _row_keys(np.column_stack((own, canon)), base)
         uniq, first = _first_occurrences(keys)
@@ -214,8 +230,7 @@ def _children(ix: IndexedGroup, rows: np.ndarray, owner: np.ndarray, cells: np.n
     return canon, own, keys, pos // moves, pos % moves
 
 
-def _layer_walk(ix: IndexedGroup, starts: np.ndarray, node_budget: int, deadline: float,
-                whole: bool = False):
+def _layer_walk(ix: IndexedGroup, starts: np.ndarray, node_budget: int, deadline: float):
     """Breadth-first walks over the canonical forms of the Nielsen orbits
     of the rows of starts, side by side a layer at a time, each walk's
     rows in (parent, move) order.  Moves are invertible, so children fall
@@ -223,18 +238,15 @@ def _layer_walk(ix: IndexedGroup, starts: np.ndarray, node_budget: int, deadline
     for duplicates.  Before each layer a walk past node_budget classes or
     the deadline is Unknown.  A walk stops at its first droppable member,
     having visited its layers so far and the new children of the members
-    ahead of it, or with whole set walks its entire orbit.  Returns
-    ([(verdict, member or None, path or None, visited) per start], layers)."""
+    ahead of it.  Returns [(verdict, member or None, path or None,
+    visited) per start]."""
     count, k = starts.shape
     moves = all_moves(k)
-    # entry j of a moved tuple is the product of the columns cells[move, j]
-    # of [t, t^-1, e], read off NielsenMove.apply on column names
-    cells = np.array([[v if isinstance(v, tuple) else (2 * k, v) for v in mv.apply(
-        tuple(range(k)), lambda a, b: (a, b), lambda c: c + k)] for mv in moves], np.intp)
+    cells = _move_cells(moves, k)
     base = max(ix.n, count)
     layer, owner = ix.canonical_tuples(starts), np.arange(count)
     keys = _row_keys(np.column_stack((owner, layer)), base)
-    prev, layers, links = keys[:0], [layer], []     # links: parent row and move per row
+    prev, links = keys[:0], []     # links: parent row and move per row
     visited = np.ones(count, dtype=np.int64)
     redundant = np.zeros(count, dtype=bool)
     out: list = [None] * count
@@ -254,7 +266,7 @@ def _layer_walk(ix: IndexedGroup, starts: np.ndarray, node_budget: int, deadline
         hit = np.flatnonzero(drop)
         found, first = _first_occurrences(owner[hit])
         redundant[found] = True
-        if found.size and not whole:
+        if found.size:
             stop = np.full(count, -1)
             stop[found] = hit[first]
             ahead = np.flatnonzero(stop[owner] > np.arange(len(layer)))
@@ -272,11 +284,10 @@ def _layer_walk(ix: IndexedGroup, starts: np.ndarray, node_budget: int, deadline
         layer, owner, new, parents, move_ids = _children(ix, layer[keep], owner[keep],
                                                          cells, known, base)
         prev, keys = keys, new
-        layers.append(layer)
         links.append((keep[parents], move_ids))
         visited += np.bincount(owner, minlength=count)
     return [walk or ("NielsenRedundant" if redundant[w] else "NielsenIrredundant", None, None,
-                     int(visited[w])) for w, walk in enumerate(out)], layers
+                     int(visited[w])) for w, walk in enumerate(out)]
 
 
 def is_nielsen_redundant(t: GeneratingTuple,
@@ -292,8 +303,8 @@ def is_nielsen_redundant(t: GeneratingTuple,
     notes: tuple = ()
     if g.order is not None and g.order <= MAX_INDEXED_ORDER:
         ix = IndexedGroup.from_spec(g)
-        (walk,), _ = _layer_walk(ix, np.array([ix.indices_of(t)], dtype=np.int32),
-                                 limits.node_budget, time.monotonic() + limits.time_budget)
+        (walk,) = _layer_walk(ix, np.array([ix.indices_of(t)], dtype=np.int32),
+                              limits.node_budget, time.monotonic() + limits.time_budget)
         to_tuple = ix.tuple_of
     else:
         walk = _orbit_walk_generic(g, t.items, limits)
@@ -372,8 +383,8 @@ def mu_rank(spec: GroupSpec, limits: SearchLimits | None = None,
     exhaustive = True
     for k in range(d + 1, m_val + 1):
         sets = classes.get(k, [])
-        walks, _ = _layer_walk(ix, np.array(sets, dtype=np.int32).reshape(-1, k),
-                               limits.node_budget, deadline)
+        walks = _layer_walk(ix, np.array(sets, dtype=np.int32).reshape(-1, k),
+                            limits.node_budget, deadline)
         for cset, (verdict, _, _, visited) in zip(sets, walks):
             orbit_nodes += visited
             if verdict == "NielsenIrredundant":
@@ -417,7 +428,7 @@ def _generating_classes(ix: IndexedGroup, size: int, deadline: float) -> np.ndar
     """The canonical generating tuples of one size in increasing order, as
     far as the deadline allows.  A canonical tuple starts with a class
     representative c: one block per c, canonicalised a slice of rows at a
-    time to bound memory; the blocks are freed before the orbit walks."""
+    time to bound memory; the blocks are freed before the moves."""
     weights = ix.n ** np.arange(size - 1, -1, -1, dtype=np.int64)
     free = (np.arange(ix.n ** (size - 1))[:, None] // weights[1:] % ix.n).astype(np.int32)
     blocks = [np.empty((0, size), dtype=np.int32)]
@@ -431,15 +442,56 @@ def _generating_classes(ix: IndexedGroup, size: int, deadline: float) -> np.ndar
     return np.concatenate(blocks)
 
 
+def _generating_moves(k: int) -> tuple:
+    """Moves that generate every Nielsen move of k-tuples: the neighbour
+    swaps S(i,i+1), I(0) and R(0,1,+1) (Nielsen, Math. Ann. 91, 1924).
+    The swaps generate every permutation of the entries, so I(i) and
+    R(i,j,+-1) are swap conjugates of I(0), R(0,1,+1) and its inverse,
+    and L(i,j,s) = I(i) R(i,j,-s) I(i)."""
+    if k < 2:
+        return all_moves(k)
+    return (*(NielsenMove("S", i, i + 1) for i in range(k - 1)), NielsenMove("I", 0),
+            NielsenMove("R", 0, 1, 1))
+
+
+def _components(edges: np.ndarray) -> np.ndarray:
+    """The least node of the connected component of each node, for the
+    graph on range(len(edges)) with an edge from v to each edges[v, c].
+    A union-find in array passes, a column of edges at a time: each root
+    is hooked to the least root across an edge (np.minimum.at), then
+    every node jumps to its root, until no column joins two roots.  A
+    node points at no larger node, so every root is its component's
+    least node."""
+    root = np.arange(len(edges), dtype=edges.dtype)
+    joined = True
+    while joined:
+        joined = False
+        for col in edges.T:
+            while (split := root != root[col]).any():
+                a, b = root[split], root[col[split]]
+                np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+                while ((jump := root[root]) != root).any():
+                    root = jump
+                joined = True
+    return root
+
+
 def orbit_statistics(spec: GroupSpec, size: int,
                      limits: SearchLimits | None = None) -> OrbitStatistics:
     """Partition all conjugacy classes of generating tuples of one size
     into Nielsen orbits and report which orbits contain a redundant
-    tuple.  Exact and exhaustive, hence limited to small groups.  Each
-    orbit is one whole-orbit layer walk from its least unreached class,
-    and its members are then marked off in the sorted class table; the
-    walk checks the budgets before every layer (the node budget counts
-    classes reached over all orbits) and an unfinished orbit is dropped."""
+    tuple.  Exact and exhaustive, hence limited to small groups.
+
+    Conjugation commutes with every move, so the orbits of classes are
+    the connected components of the class table under a set of moves
+    generating all the others (_generating_moves); a component ignores
+    edge direction, so the inverse moves come free.  One pass over the
+    table, a slice at a time, maps each class to the table ids of its
+    moved, canonicalised tuples and flags the classes with a droppable
+    entry; _components then joins the ids.  The deadline is checked
+    before every slice and, once passed, leaves no orbit.  Orbits are
+    counted in order of least class while their total size stays within
+    the node budget."""
     limits = limits or SearchLimits()
     if size < 1:
         raise ValueError("size must be positive")
@@ -452,23 +504,38 @@ def orbit_statistics(spec: GroupSpec, size: int,
     deadline = time.monotonic() + limits.time_budget
     table = _generating_classes(ix, size, deadline)
     codes = _row_keys(table, ix.n)
-    done = np.zeros(len(table), dtype=bool)
-    orbit_sizes, with_red, stopped = [], 0, time.monotonic() > deadline
-    for start in range(len(table)):
-        if done[start]:
-            continue
-        ((verdict, *_),), layers = _layer_walk(ix, table[start:start + 1],
-                                               limits.node_budget - sum(orbit_sizes),
-                                               deadline, whole=True)
-        if stopped := verdict == "Unknown":
+    cells = _move_cells(_generating_moves(size), size)
+    step = max(1, _SLICE_ROWS // len(cells))
+    edges = np.empty((len(table), len(cells)), dtype=np.int32)
+    droppable = np.zeros(len(table), dtype=bool)
+    stopped = time.monotonic() > deadline
+    for lo in range(0, len(table), step):
+        if stopped := time.monotonic() > deadline:
             break
-        members = _row_keys(np.concatenate(layers), ix.n)
-        ids = np.minimum(np.searchsorted(codes, members), len(codes) - 1)
-        if (codes[ids] != members).any():
+        rows = table[lo:lo + step]
+        moved = _row_keys(ix.canonical_tuples(_moved(ix, rows, cells)), ix.n)
+        order = np.argsort(moved)       # sorted needles search 2-4x faster
+        ids = np.empty(len(moved), dtype=np.intp)
+        ids[order] = np.minimum(np.searchsorted(codes, moved[order]), len(codes) - 1)
+        if (codes[ids] != moved).any():
             raise AssertionError("orbit left the generating-class table")
-        done[ids] = True
-        orbit_sizes.append(len(ids))
-        with_red += verdict == "NielsenRedundant"
+        edges[lo:lo + step] = ids.reshape(len(rows), -1)
+        # every class generates, so an entry is droppable exactly when the
+        # rest generates
+        drop = droppable[lo:lo + step]          # a view: the tests fill droppable
+        for i in range(size):
+            todo = np.flatnonzero(~drop)
+            drop[todo] = ix.generates_rows(np.delete(rows[todo], i, axis=1))
+    sizes, with_red = np.empty(0, dtype=np.int64), 0
+    if not stopped:
+        root = _components(edges)
+        least = np.flatnonzero(root == np.arange(len(root)))
+        redundant = np.zeros(len(table), dtype=bool)
+        redundant[root[droppable]] = True
+        sizes = np.bincount(root, minlength=len(root))[least]
+        within = np.cumsum(sizes) <= limits.node_budget
+        stopped = not within.all()
+        sizes, with_red = sizes[within], int(redundant[least[within]].sum())
     notes = ("stopped at the search budget before all orbits were walked",) if stopped else ()
-    return OrbitStatistics(spec, size, len(table), len(orbit_sizes),
-                           tuple(sorted(orbit_sizes, reverse=True)), with_red, stopped, notes)
+    return OrbitStatistics(spec, size, len(table), len(sizes),
+                           tuple(sorted(sizes.tolist(), reverse=True)), with_red, stopped, notes)

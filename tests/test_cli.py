@@ -402,6 +402,21 @@ def test_product_check_sl3_psl2(capsys, tmp_path):
     assert doc["diagnosis"] == "projections generate non-isomorphic simple factors"
 
 
+def test_product_check_honours_the_time_budget(capsys, tmp_path):
+    # the graph of the identity in SL3(5) x SL3(5): the capped closure
+    # lists 372,000 elements in pure Python, about 15 s without a budget
+    e12 = "1 1 0 0 1 0 0 0 1"
+    shift = "0 0 1 1 0 0 0 1 0"
+    diag = tmp_path / "diag.txt"
+    diag.write_text(f"prod sl3:5 sl3:5\n{e12} | {e12}\n{shift} | {shift}\n")
+    t0 = time.monotonic()
+    code, doc = run_json(capsys, "product-check", str(diag), "--time-budget", "1")
+    assert time.monotonic() - t0 < 5
+    assert code == EXIT_BUDGET
+    assert doc["generates"] is None
+    assert doc["diagnosis"] == "the time budget of 1 s ran out before a verdict"
+
+
 def test_product_check_psl3(capsys, tmp_path):
     # PSL3(3) x PSL3(3): decided by the capped closure, with no
     # isomorphism enumeration
@@ -438,6 +453,21 @@ def test_orbit_node_budget_stops_inside_an_orbit(capsys):
     assert doc["partial"] is True
     assert doc["orbit_count"] == 0 and doc["orbit_sizes"] == []
     assert doc["notes"] == ["stopped at the search budget before all orbits were walked"]
+
+
+@pytest.mark.parametrize("budget,sizes", (
+    (14, []), (36, [32]), (68, [36, 32]), (113, [36, 32, 32]), (114, [36, 32, 32, 14])))
+def test_orbit_node_budget_counts_whole_orbits(capsys, budget, sizes):
+    # psl2:7 pairs form orbits of 32, 36, 32 and 14 classes in order of
+    # least class; an orbit is reported while the running total is within
+    # the budget
+    code, doc = run_json(capsys, "orbit", "psl2:7", "--size", "2",
+                         "--node-budget", str(budget))
+    partial = len(sizes) < 4
+    assert code == (EXIT_BUDGET if partial else EXIT_OK)
+    assert doc["partial"] is partial
+    assert doc["orbit_sizes"] == sizes and doc["orbit_count"] == len(sizes)
+    assert doc["generating_classes"] == 114
 
 
 def test_json_output_is_deterministic(capsys):

@@ -97,7 +97,8 @@ def test_no_module_level_caches():
 
 
 def test_commands_do_not_import_numpy_ma(tmp_path):
-    # plain np.unique imports numpy.ma (about 11 ms) on its first call
+    # plain np.unique imports numpy.ma (about 11 ms) on its first call, and
+    # scipy would be imported inside every command that used it
     pair = tmp_path / "sl3_standard.txt"
     pair.write_text("sl 3\n0 0 1 1 0 0 0 1 0\n1 1 0 0 1 0 0 0 1\n")
     # the psl3:3 projection takes the stabilizer chain's action on lines
@@ -108,13 +109,15 @@ def test_commands_do_not_import_numpy_ma(tmp_path):
             "from genrank.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    main(['rank', 'psl2:5'])\n"
+            "    main(['mu', 'psl2:5'])\n"
             "    main(['orbit', 'psl2:5', '--size', '3'])\n"
             f"    main(['certify', {str(pair)!r}])\n"
             f"    main(['product-check', {str(product)!r}])\n"
-            "print('numpy.ma' in sys.modules)\n")
+            "print('numpy.ma' in sys.modules, any(name == 'scipy' or name.startswith('scipy.')\n"
+            "                                        for name in sys.modules))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"

@@ -235,17 +235,18 @@ def reference_walk(ix, start):
 def test_layer_walk_matches_reference_walk_on_every_irredundant_class(spec):
     ix = IndexedGroup.from_spec(spec)
     for size, sets in max_irredundant_size(spec).stats["classes"].items():
-        walks, _ = nielsen._layer_walk(ix, np.array(sets, dtype=np.int32), 10 ** 9, math.inf)
+        walks = nielsen._layer_walk(ix, np.array(sets, dtype=np.int32), 10 ** 9, math.inf)
         assert walks == [reference_walk(ix, t) for t in sets], size
         # one start at a time gives each walk as in the batch
         assert nielsen._layer_walk(ix, np.array(sets[-1:], dtype=np.int32), 10 ** 9,
-                                   math.inf)[0] == walks[-1:]
+                                   math.inf) == walks[-1:]
 
 
 @pytest.mark.parametrize("spec,size", (
     (CyclicPower(2, 2), 2), (ProjSpecialLinear(2, 5), 2), (ProjSpecialLinear(2, 5), 3),
     (SpecialLinear(2, 5), 2), (ProjSpecialLinear(2, 7), 2),
-    (ProductGroup((ProjSpecialLinear(2, 5), CyclicPower(2, 1))), 2)),
+    (ProductGroup((ProjSpecialLinear(2, 5), CyclicPower(2, 1))), 2),
+    (ProjSpecialLinear(2, 3), 4)),      # 1,680 classes, three neighbour swaps
     ids=case_id)
 def test_layer_walk_matches_per_node_walk(spec, size):
     assert orbit_statistics(spec, size) == reference_orbit_statistics(spec, size)
@@ -300,6 +301,34 @@ def test_row_keys_are_base_n_codes():
     assert keys.dtype == np.int64
     assert keys.tolist() == [sum(v * 660 ** (3 - j) for j, v in enumerate(r))
                              for r in rows.tolist()]
+
+
+def test_components_are_least_members():
+    """The union-find against a search from each node in turn, on sparse
+    random graphs with many components, one path through all nodes in a
+    random order, and a graph with no node."""
+    rng = np.random.default_rng(61)
+    order = rng.permutation(300).astype(np.int32)
+    path = np.empty((300, 1), dtype=np.int32)
+    path[order[:-1], 0], path[order[-1], 0] = order[1:], order[-1]
+    cases = [rng.integers(0, n, size=(n, c), dtype=np.int32)
+             for n, c in ((1, 1), (50, 1), (400, 1), (400, 2), (2000, 3))]
+    for edges in cases + [path, np.empty((0, 4), dtype=np.int32)]:
+        adjacent = [set() for _ in edges]
+        for v, row in enumerate(edges.tolist()):
+            for u in row:
+                adjacent[v].add(u)
+                adjacent[u].add(v)
+        want = [-1] * len(edges)
+        for v in range(len(edges)):
+            if want[v] < 0:
+                want[v], todo = v, [v]
+                for x in todo:          # the list grows as it is read
+                    for u in adjacent[x]:
+                        if want[u] < 0:
+                            want[u] = v
+                            todo.append(u)
+        assert nielsen._components(edges).tolist() == want
 
 
 def test_all_triples_redundant_when_mu_is_two():
