@@ -25,12 +25,16 @@ over all rows, so ball k is breadth-first layer k.  A set generates
 exactly when no maximal subgroup contains it.  Each element carries a
 row of packed uint64 words, one bit per maximal subgroup holding it, so
 the test is one AND over the set's rows.  The maximal subgroups come
-from a breadth-first walk over conjugacy classes of subgroups: for each
-subgroup H it lists one cyclic candidate c per normalizer orbit, closes
-every join <H, c> from H's mask in one call, and canonicalises the
-proper joins with one canonical_sets call per order.  A walk that would
-pass a fixed number of joins (large abelian groups have thousands of
-subgroups) leaves generation to closure.
+from a breadth-first walk over conjugacy classes of subgroups, a layer
+at a time: for each class H of the layer it lists one cyclic candidate
+c per normalizer orbit, and the joins <H, c> of the whole layer close
+together from H's masks, a slice of at most _JOIN_CELLS mask cells at a
+time.  Each class found puts the packed mask of one conjugate per coset
+of its normalizer into a set, so a proper join is new exactly when its
+packed mask is not there, and the conjugates of the maximal classes are
+the bits.  A walk that would pass a fixed number of joins (large
+abelian groups have thousands of subgroups) leaves generation to
+closure.
 
 Canonical forms use the minimum-index convention: a conjugacy class is
 represented by its least index, and the canonical image of a tuple is
@@ -60,7 +64,6 @@ a scatter, a bincount or one argsort.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
 
 import numpy as np
@@ -75,6 +78,7 @@ MAX_INDEXED_ORDER = 4096
 # walking them costs far more than answering by closure.
 _LATTICE_JOIN_CAP = 2000
 
+_JOIN_CELLS = 1 << 15             # mask cells of one slice of the subgroup walk
 _CANONICAL_CELLS = 1 << 14         # image entries of one canonical_sets slice
 _TABLE_CELLS = 1 << 14             # table entries of one layer gather (64 KB of
                                    # int32; 256 KB slices raised the peak RSS)
@@ -312,64 +316,76 @@ class IndexedGroup:
         # conjugates the join, so one c per normalizer orbit of cyclic
         # subgroups reaches every class; H is maximal when all of its
         # joins are the whole group.  By Lagrange a join past n/2
-        # elements is the whole group.
+        # elements is the whole group.  Every class at depth d has d
+        # generators, so a layer's joins close together, and they are
+        # read in the order a walk of one class at a time reads them,
+        # which fixes the classes and the bits.  seen holds the packed
+        # mask of every conjugate of every class found.
         n = self.n
         abelian = self.spec.is_abelian      # conjugation is trivial: no conj table
         key = self.cyclic_key
         cyclic = np.flatnonzero((key == np.arange(n)) & (np.arange(n) != self.identity))
-        trivial = np.arange(n) == self.identity
-        queue = deque([((), trivial)] if n > 1 else [])     # the trivial group has none
-        seen = {self.canonical_set((self.identity,))}
-        maximal = []
-        joins = 0
-        while queue:
-            gens, hmask = queue.popleft()
+        seen: set[bytes] = set()
+
+        def found(gens: tuple, hmask: np.ndarray) -> tuple:
             members = np.flatnonzero(hmask)
-            norm = np.arange(n) if abelian else \
-                np.flatnonzero(hmask[self.conj[:, members]].all(axis=1))
-            reached = np.zeros(n, dtype=bool)
-            cands = []
-            for c in cyclic[~hmask[cyclic]].tolist():
-                if not reached[c]:
-                    reached[c if abelian else key[self.conj[norm, c]]] = True
-                    cands.append(c)
-            joins += len(cands)
+            if abelian:
+                norm, conjugates = np.arange(n), members[None]
+            else:
+                # g normalizes H = <gens> when it conjugates each into H
+                norm = np.flatnonzero(hmask[self.conj[:, list(gens)]].all(axis=1))
+                # the least element of each coset g N_G(H): take as many of
+                # the least uncovered elements as there are cosets, and keep
+                # those whose coset holds no smaller element
+                todo, cosets = np.ones(n, dtype=bool), []
+                while todo.any():
+                    block = np.flatnonzero(todo)[:n // len(norm)]
+                    images = self.mult[block[:, None], norm]
+                    least = images.min(axis=1) == block
+                    todo[images[least]] = False
+                    cosets.append(block[least])
+                conjugates = self.conj[np.concatenate(cosets)[:, None], members]
+            packed = np.zeros((len(conjugates), n), dtype=bool)
+            np.put_along_axis(packed, conjugates, True, axis=1)
+            seen.update(map(bytes, np.packbits(packed, axis=1)))
+            return gens, hmask, norm, conjugates
+
+        layer = [found((), np.arange(n) == self.identity)] if n > 1 else []
+        conjugates, joins = [], 0         # the maximal classes' conjugates
+        step = max(1, _JOIN_CELLS // n)
+        while layer:
+            owner, rows = [], []
+            for h, (gens, hmask, norm, _) in enumerate(layer):
+                reached = np.zeros(n, dtype=bool)
+                for c in cyclic[~hmask[cyclic]].tolist():
+                    if not reached[c]:
+                        reached[c if abelian else key[self.conj[norm, c]]] = True
+                        owner.append(h)
+                        rows.append(gens + (c,))
+            joins += len(rows)
             if joins > _LATTICE_JOIN_CAP:
                 return None
-            jmasks, counts, whole, _ = self.closure_rows(
-                np.broadcast_to(hmask, (len(cands), n)),
-                np.array([gens + (c,) for c in cands], np.int32), cap=n // 2)
-            proper = np.flatnonzero(~whole)
-            if proper.size == 0:
-                maximal.append((members, norm))
-            ckeys = {}
-            for order in np.flatnonzero(np.bincount(counts[proper])).tolist():
-                sel = proper[counts[proper] == order]
-                rows = np.nonzero(jmasks[sel])[1].astype(np.int32).reshape(-1, order)
-                canon = self.canonical_sets(rows)
-                ckeys.update(zip(sel.tolist(), map(tuple, canon.tolist())))
-            for i in proper.tolist():
-                if ckeys[i] not in seen:
-                    seen.add(ckeys[i])
-                    queue.append((gens + (cands[i],), jmasks[i].copy()))
-        conjugates = []
-        for members, norm in maximal:
-            # one conjugate per coset g N_G(M)
-            todo = np.ones(n, dtype=bool)
-            while todo.any():
-                g = int(np.argmax(todo))
-                todo[self.mult[g, norm]] = False
-                conjugates.append(members if abelian else self.conj[g, members])
+            owner, rows = np.array(owner), np.array(rows, dtype=np.int32)
+            hmasks = np.stack([h[1] for h in layer])
+            is_maximal = np.ones(len(layer), dtype=bool)
+            below = []
+            for i in range(0, len(rows), step):
+                jmasks, _, whole, _ = self.closure_rows(
+                    hmasks[owner[i:i + step]], rows[i:i + step], cap=n // 2)
+                proper = np.flatnonzero(~whole)
+                is_maximal[owner[i + proper]] = False
+                for j, packed in zip(proper.tolist(),
+                                     np.packbits(jmasks[proper], axis=1)):
+                    if bytes(packed) not in seen:
+                        below.append(found(tuple(rows[i + j].tolist()), jmasks[j].copy()))
+            conjugates += [c for h in np.flatnonzero(is_maximal).tolist() for c in layer[h][3]]
+            layer = below
         masks = np.zeros((n, max(1, -(-len(conjugates) // 64))), dtype=np.uint64)
         for bit, image in enumerate(conjugates):
             masks[image, bit // 64] |= np.uint64(1 << (bit % 64))
         return masks
 
     # -- canonical forms under simultaneous conjugation ---------------
-
-    def canonical_set(self, s) -> tuple:
-        """The least sorted image of one set, by canonical_sets."""
-        return tuple(self.canonical_sets(np.array([list(s)], dtype=np.int32))[0].tolist())
 
     def canonical_sets(self, rows: np.ndarray, families: bool = False) -> np.ndarray:
         """The least sorted image of each row of an int32 array, read as a

@@ -207,13 +207,18 @@ def test_maximal_subgroup_counts(p, count):
         assert int(np.bitwise_count(np.bitwise_or.reduce(masks, axis=0)).sum()) == count
 
 
+def _canonical_set(ix, s) -> tuple:
+    """The least sorted image of one set: canonical_sets on one row."""
+    return tuple(ix.canonical_sets(np.array([list(s)], dtype=np.int32))[0].tolist())
+
+
 def _reference_maximal_masks(ix):
     """The maximal-subgroup walk with one closure_mask per join and one
-    canonical_set per proper join, packed as maximal_masks packs it."""
+    canonical set per proper join, packed as maximal_masks packs it."""
     n, key = ix.n, ix.cyclic_key
     cyclic = [c for c in np.flatnonzero(key == np.arange(n)).tolist() if c != ix.identity]
     queue = deque([((), ix.closure_mask(())[0])])
-    seen = {ix.canonical_set((ix.identity,))}
+    seen = {_canonical_set(ix, (ix.identity,))}
     maximal = []
     while queue:
         gens, hmask = queue.popleft()
@@ -228,7 +233,7 @@ def _reference_maximal_masks(ix):
             jmask, _, whole, _ = ix.closure_mask(gens + (c,), cap=n // 2)
             if not whole:
                 is_maximal = False
-                ckey = ix.canonical_set(np.flatnonzero(jmask))
+                ckey = _canonical_set(ix, np.flatnonzero(jmask))
                 if ckey not in seen:
                     seen.add(ckey)
                     queue.append((gens + (c,), jmask))
@@ -249,10 +254,52 @@ def _reference_maximal_masks(ix):
 
 @pytest.mark.parametrize("spec", (
     ProjSpecialLinear(2, 5), SpecialLinear(2, 5), ProjSpecialLinear(2, 7),
-    CyclicPower(5, 2), PSL2_5_X_C2), ids=lambda spec: spec.descriptor())
+    ProjSpecialLinear(2, 11), SpecialLinear(2, 7), CyclicPower(5, 2), CyclicPower(3, 3),
+    PSL2_5_X_C2), ids=lambda spec: spec.descriptor())
 def test_maximal_masks_match_the_per_join_walk(spec):
     ix = IndexedGroup(spec)
     assert np.array_equal(ix.maximal_masks, _reference_maximal_masks(ix))
+
+
+def test_maximal_masks_respect_the_join_cap(monkeypatch):
+    # the psl2:7 walk closes 148 joins in all
+    uncapped = IndexedGroup(ProjSpecialLinear(2, 7)).maximal_masks
+    monkeypatch.setattr(indexed, "_LATTICE_JOIN_CAP", 147)
+    assert IndexedGroup(ProjSpecialLinear(2, 7)).maximal_masks is None
+    monkeypatch.setattr(indexed, "_LATTICE_JOIN_CAP", 148)
+    assert np.array_equal(IndexedGroup(ProjSpecialLinear(2, 7)).maximal_masks, uncapped)
+
+
+DICKSON = ((ProjSpecialLinear(2, 5), {6: 10, 10: 6, 12: 5}),
+           (ProjSpecialLinear(2, 7), {21: 8, 24: 14}),
+           (ProjSpecialLinear(2, 11), {12: 55, 55: 12, 60: 22}),
+           (SpecialLinear(2, 5), {12: 10, 20: 6, 24: 5}),
+           (SpecialLinear(2, 7), {42: 8, 48: 14}))
+
+
+@pytest.mark.parametrize("spec, orders", DICKSON, ids=[s.descriptor() for s, _ in DICKSON])
+def test_maximal_masks_follow_dicksons_list(spec, orders):
+    # Dickson's list of the maximal subgroups of PSL2(p), conjugates
+    # counted apart; in SL2(p) each is the preimage of one of them.
+    # Each column is a subgroup, and by closure it and any element
+    # outside it generate the group (one element per right coset).
+    ix = IndexedGroup(spec)
+    bits = np.unpackbits(ix.maximal_masks.view(np.uint8), axis=1, bitorder="little")
+    columns = [np.flatnonzero(col) for col in bits.T if col.any()]
+    sizes = [len(col) for col in columns]
+    assert {k: sizes.count(k) for k in set(sizes)} == orders
+    for col in columns:
+        inside = np.zeros(ix.n, dtype=bool)
+        inside[col] = True
+        assert inside[ix.mult[col[:, None], col]].all()
+        gens = []
+        while ix.closure_mask(gens)[1] < len(col):
+            gens.append(int(col[~ix.closure_mask(gens)[0][col]][0]))
+        todo = ~inside
+        while todo.any():
+            x = int(np.argmax(todo))
+            todo[ix.mult[col, x]] = False
+            assert ix.closure_mask(gens + [x])[1] == ix.n
 
 
 def test_closure_rows_match_closure_mask():
@@ -286,11 +333,11 @@ def test_canonical_set_is_conjugation_invariant():
     ix = IndexedGroup.from_spec(spec)
     for _ in range(60):
         s = tuple(sorted({rng.randrange(ix.n) for _ in range(3)}))
-        c = ix.canonical_set(s)
+        c = _canonical_set(ix, s)
         g = rng.randrange(ix.n)
         moved = tuple(sorted(int(ix.conj[g, x]) for x in s))
-        assert ix.canonical_set(moved) == c
-        assert ix.canonical_set(c) == c
+        assert _canonical_set(ix, moved) == c
+        assert _canonical_set(ix, c) == c
 
 
 def _least_image(ix, s, name=None):
@@ -316,7 +363,7 @@ def test_canonical_forms_match_brute_force(spec):
         elif trial % 2:
             s.add(rng.choice(centre))
         s = tuple(sorted(s))
-        assert ix.canonical_set(s) == _least_image(ix, s), s
+        assert _canonical_set(ix, s) == _least_image(ix, s), s
         family = ix.canonical_sets(np.array([s], dtype=np.int32), families=True)
         assert tuple(family[0].tolist()) == _least_image(ix, s, ix.cyclic_key), s
 

@@ -3,6 +3,8 @@
 import math
 import random
 
+import numpy as np
+
 from genrank.fp import FpMatrix, projective_canonicalize
 from genrank.groups import (CyclicPower, GeneratingTuple, Integers,
                             ProjSpecialLinear, SpecialLinear, closure,
@@ -186,7 +188,8 @@ def test_class_counts_per_size():
         ix = indexed.IndexedGroup.from_spec(spec)
         for size, classes in res.stats["classes"].items():
             assert classes == sorted(set(classes))
-            assert all(ix.canonical_set(c) == c for c in classes)
+            assert all(tuple(ix.canonical_sets(np.array([c], dtype=np.int32))[0].tolist()) == c
+                       for c in classes)
 
 
 def test_closure_path_finds_the_mask_path_classes():
