@@ -312,8 +312,8 @@ def _limits(args) -> SearchLimits:
 def _cmd_rank(args):
     """rank (m) and mu: one payload shape."""
     spec = parse_group(args.group)
-    res = mu_rank(spec, limits=_limits(args)) if args.command == "mu" else \
-        max_irredundant_size(spec, limits=_limits(args), seed=args.seed)
+    rank = mu_rank if args.command == "mu" else max_irredundant_size
+    res = rank(spec, limits=_limits(args), seed=args.seed)
     payload = {
         "command": args.command,
         "group": spec.descriptor(),

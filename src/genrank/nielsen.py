@@ -18,15 +18,14 @@ sequence), so at each size only the orbits of irredundant generating
 classes have to be inspected, and a redundant member anywhere in an
 orbit settles that whole orbit.
 
-On indexed groups one walk serves is_nielsen_redundant and the mu
-ladder: a breadth-first layer at a time, every move applied to the whole
-layer, the children canonicalised in batches and tested for droppable
-entries on the packed maximal-subgroup masks; it records the move path
-and the classes visited, which both print.  Groups past the tables keep
-a per-node walk over literal tuples.  orbit_statistics lists every
-generating class first, so it needs no walk: the orbits are the
-connected components of the class table under the few moves that
-generate all the others, joined by an array union-find.
+On indexed groups is_nielsen_redundant walks one orbit a breadth-first
+layer at a time, every move applied to the whole layer and the children
+canonicalised and tested for droppable entries in batches; it records
+the move path and the classes visited.  Groups past the tables keep a
+per-node walk over literal tuples.  orbit_statistics (every generating
+class) and the mu ladder (the orderings of the irredundant generating
+sets of one size) walk no orbit: the orbits in their class tables are
+the connected components under the few moves that generate all others.
 """
 
 from __future__ import annotations
@@ -46,9 +45,8 @@ from .redundancy import (RankSearchResult, SearchLimits, irredundant_witness,
 
 _MOVE_KINDS = ("L", "R", "I", "S")
 
-# Rows canonicalised by one call: orbit_statistics lists the candidate
-# classes and moves the class table, and the layer walk canonicalises
-# children, this many at a time.
+# Rows that one call canonicalises or drop-tests: in class listings, in
+# the moves and drop tests of class tables, and in the layer walk.
 _SLICE_ROWS = 1 << 14
 
 
@@ -206,88 +204,68 @@ def _moved(ix: IndexedGroup, rows: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return ix.mult[ext[:, cells[..., 0]], ext[:, cells[..., 1]]].reshape(-1, rows.shape[1])
 
 
-def _children(ix: IndexedGroup, rows: np.ndarray, owner: np.ndarray, cells: np.ndarray,
-              known: np.ndarray, base: int):
-    """The canonical forms one move away from rows, kept with the walk
-    owning their row, at their first occurrence in (row, move) order and
-    only when the key of (walk, form) is not in the sorted, nonempty
-    known: (children, owners, keys, row ids, move ids).  Slices bound the
-    memory, and each slice's keys join known for the slices after it."""
+def _droppable(ix: IndexedGroup, rows: np.ndarray) -> np.ndarray:
+    """Which generating rows have an entry whose removal leaves a
+    generating tuple, as an identity, repeated or inverse entry does."""
+    drop = np.zeros(len(rows), dtype=bool)
+    for i in range(rows.shape[1]):
+        todo = np.flatnonzero(~drop)
+        drop[todo] = ix.generates_rows(np.delete(rows[todo], i, axis=1))
+    return drop
+
+
+def _children(ix: IndexedGroup, rows: np.ndarray, cells: np.ndarray, known: np.ndarray):
+    """The canonical forms one move away from rows whose keys are not in
+    the sorted, nonempty known, at their first occurrence in (row, move)
+    order: (children, keys, row ids, move ids).  Slices bound the memory,
+    and each slice's keys join known for the slices after it."""
     moves = len(cells)
     step = max(1, _SLICE_ROWS // moves)
     parts = []
     for lo in range(0, len(rows) or 1, step):
         canon = ix.canonical_tuples(_moved(ix, rows[lo:lo + step], cells))
-        own = np.repeat(owner[lo:lo + step], moves)
-        keys = _row_keys(np.column_stack((own, canon)), base)
+        keys = _row_keys(canon, ix.n)
         uniq, first = _first_occurrences(keys)
         at = np.searchsorted(known, uniq)
         fresh = known[np.minimum(at, len(known) - 1)] != uniq
         known = np.insert(known, at[fresh], uniq[fresh])
         first = np.sort(first[fresh])
-        parts.append((canon[first], own[first], keys[first], first + lo * moves))
-    canon, own, keys, pos = (np.concatenate(part) for part in zip(*parts))
-    return canon, own, keys, pos // moves, pos % moves
+        parts.append((canon[first], keys[first], first + lo * moves))
+    canon, keys, pos = (np.concatenate(part) for part in zip(*parts))
+    return canon, keys, pos // moves, pos % moves
 
 
-def _layer_walk(ix: IndexedGroup, starts: np.ndarray, node_budget: int, deadline: float):
-    """Breadth-first walks over the canonical forms of the Nielsen orbits
-    of the rows of starts, side by side a layer at a time, each walk's
-    rows in (parent, move) order.  Moves are invertible, so children fall
-    in the layer before, the same or the next: only those two are checked
-    for duplicates.  Before each layer a walk past node_budget classes or
-    the deadline is Unknown.  A walk stops at its first droppable member,
-    having visited its layers so far and the new children of the members
-    ahead of it.  Returns [(verdict, member or None, path or None,
-    visited) per start]."""
-    count, k = starts.shape
-    moves = all_moves(k)
-    cells = _move_cells(moves, k)
-    base = max(ix.n, count)
-    layer, owner = ix.canonical_tuples(starts), np.arange(count)
-    keys = _row_keys(np.column_stack((owner, layer)), base)
-    prev, links = keys[:0], []     # links: parent row and move per row
-    visited = np.ones(count, dtype=np.int64)
-    redundant = np.zeros(count, dtype=bool)
-    out: list = [None] * count
+def _layer_walk(ix: IndexedGroup, start, node_budget: int, deadline: float):
+    """Breadth-first walk over the canonical forms of the Nielsen orbit
+    of start a layer at a time, each layer's rows in (parent, move)
+    order.  Moves are invertible, so children fall in the layer before,
+    the same or the next: only those two are checked for duplicates.
+    Past node_budget classes or the deadline before a layer the walk is
+    Unknown.  It stops at the first droppable member, having visited its
+    layers so far and the new children of the members ahead of it.
+    Returns (verdict, member or None, path or None, visited)."""
+    moves = all_moves(len(start))
+    cells = _move_cells(moves, len(start))
+    layer = ix.canonical_tuples(np.array([start], dtype=np.int32))
+    keys = _row_keys(layer, ix.n)
+    prev, links, visited = keys[:0], [], 1     # links: parent row and move per row
     while len(layer):
+        if visited > node_budget or time.monotonic() > deadline:
+            return "Unknown", None, None, visited
         known = np.sort(np.concatenate([prev, keys]))
-        spent = np.zeros(count, dtype=bool)
-        spent[owner] = (visited[owner] > node_budget) | (time.monotonic() > deadline)
-        for w in np.flatnonzero(spent).tolist():
-            out[w] = ("Unknown", None, None, int(visited[w]))
-        live = ~spent[owner]
-        # the rows generate, so an entry is droppable exactly when the rest
-        # generates, as an identity, repeated or inverse entry always does
-        drop = np.zeros(len(layer), dtype=bool)
-        for i in range(k):
-            todo = np.flatnonzero(live & ~redundant[owner] & ~drop)
-            drop[todo] = ix.generates_rows(np.delete(layer[todo], i, axis=1))
-        hit = np.flatnonzero(drop)
-        found, first = _first_occurrences(owner[hit])
-        redundant[found] = True
-        if found.size:
-            stop = np.full(count, -1)
-            stop[found] = hit[first]
-            ahead = np.flatnonzero(stop[owner] > np.arange(len(layer)))
-            visited += np.bincount(_children(ix, layer[ahead], owner[ahead], cells,
-                                             known, base)[1], minlength=count)
-            for w in found.tolist():
-                r, path = int(stop[w]), []
-                for parents, move_ids in reversed(links):
-                    path.append(moves[move_ids[r]])
-                    r = parents[r]
-                out[w] = ("NielsenRedundant", tuple(layer[stop[w]].tolist()),
-                          tuple(reversed(path)), int(visited[w]))
-            live &= stop[owner] < 0
-        keep = np.flatnonzero(live)
-        layer, owner, new, parents, move_ids = _children(ix, layer[keep], owner[keep],
-                                                         cells, known, base)
+        if (drop := _droppable(ix, layer)).any():
+            r = stop = int(np.argmax(drop))
+            visited += len(_children(ix, layer[:stop], cells, known)[0])
+            path = []
+            for parents, move_ids in reversed(links):
+                path.append(moves[move_ids[r]])
+                r = parents[r]
+            return "NielsenRedundant", tuple(layer[stop].tolist()), tuple(path[::-1]), visited
+        layer, new, parents, move_ids = _children(ix, layer, cells, known)
         prev, keys = keys, new
-        links.append((keep[parents], move_ids))
-        visited += np.bincount(owner, minlength=count)
-    return [walk or ("NielsenRedundant" if redundant[w] else "NielsenIrredundant", None, None,
-                     int(visited[w])) for w, walk in enumerate(out)]
+        links.append((parents, move_ids))
+        visited += len(layer)
+    return "NielsenIrredundant", None, None, visited
 
 
 def is_nielsen_redundant(t: GeneratingTuple,
@@ -303,8 +281,8 @@ def is_nielsen_redundant(t: GeneratingTuple,
     notes: tuple = ()
     if g.order is not None and g.order <= MAX_INDEXED_ORDER:
         ix = IndexedGroup.from_spec(g)
-        (walk,) = _layer_walk(ix, np.array([ix.indices_of(t)], dtype=np.int32),
-                              limits.node_budget, time.monotonic() + limits.time_budget)
+        walk = _layer_walk(ix, ix.indices_of(t), limits.node_budget,
+                           time.monotonic() + limits.time_budget)
         to_tuple = ix.tuple_of
     else:
         walk = _orbit_walk_generic(g, t.items, limits)
@@ -330,17 +308,38 @@ def _mu_analytic_cyclic(spec: CyclicPower) -> RankSearchResult:
         notes=("value from column reduction over the residue ring",))
 
 
+def _ladder_rung(ix: IndexedGroup, sets: np.ndarray, node_budget: int, deadline: float):
+    """(classes, clean) for the rows of sets, the irredundant generating
+    sets of one size k: classes counts the table I_k, the canonical forms
+    of every ordering of every set, and clean says by set whether its
+    orbit has no redundant member, or is None past node_budget classes
+    or the deadline.  A moved tuple outside I_k generates, so it is
+    redundant; a component of I_k that no move leaves is closed under the
+    moves, so, the orbit being finite, under their inverses too."""
+    k = sets.shape[1]
+    perms = list(itertools.permutations(range(k)))      # the identity first
+    canon = ix.canonical_tuples(sets[:, perms].reshape(-1, k))
+    keys = _row_keys(canon, ix.n)
+    codes, first = _first_occurrences(keys)
+    if len(codes) > node_budget or (found := _orbits(ix, canon[first], codes, deadline)) is None:
+        return len(codes), None
+    root, leaves = found
+    leaky = np.bincount(root[leaves], minlength=len(root)) > 0
+    return len(codes), ~leaky[root[np.searchsorted(codes, keys[::len(perms)])]]
+
+
 def mu_rank(spec: GroupSpec, limits: SearchLimits | None = None,
-            force_search: bool = False) -> RankSearchResult:
+            force_search: bool = False, seed: int = 0) -> RankSearchResult:
     """Largest size of a Nielsen-irredundant generating tuple.
 
     The ladder runs over sizes from the minimal generating size d up to
     the maximal irredundant size m.  Size-d tuples are Nielsen
     irredundant outright (no generating tuple of any smaller size
-    exists, so no entry is ever droppable anywhere in an orbit).  At
-    each larger size every conjugacy class of irredundant generating
-    sets is walked; redundant generating tuples are Nielsen redundant
-    via the empty move sequence, so those classes cover everything."""
+    exists, so no entry is ever droppable anywhere in an orbit).
+    Redundant tuples are Nielsen redundant via the empty move sequence,
+    so at each larger size _ladder_rung decides the orbits of the
+    irredundant generating set classes, without walking them; a rung past
+    the node budget or the deadline ends the ladder."""
     limits = limits or SearchLimits()
     if isinstance(spec, Integers):
         return RankSearchResult(
@@ -354,7 +353,7 @@ def mu_rank(spec: GroupSpec, limits: SearchLimits | None = None,
         raise ValueError(f"unsupported infinite group {spec.descriptor()}")
     deadline = time.monotonic() + limits.time_budget
     if spec.order > MAX_INDEXED_ORDER:
-        w = irredundant_witness(spec, 2, limits=limits)
+        w = irredundant_witness(spec, 2, limits=limits, seed=seed)
         found = w.witness is not None and not spec.is_abelian
         return RankSearchResult(
             spec, "mu", 2 if found else None, w.witness if found else None,
@@ -365,7 +364,7 @@ def mu_rank(spec: GroupSpec, limits: SearchLimits | None = None,
                     f"ladder is limited to order <= {MAX_INDEXED_ORDER}") if found else
                    (f"group order exceeds the exhaustive bound {MAX_INDEXED_ORDER} "
                     "and no generating pair was found"),))
-    m_res = max_irredundant_size(spec, limits=limits, force_search=force_search)
+    m_res = max_irredundant_size(spec, limits=limits, seed=seed, force_search=force_search)
     if not m_res.exhaustive:
         return RankSearchResult(
             spec, "mu", None, None, exhaustive=False,
@@ -373,35 +372,26 @@ def mu_rank(spec: GroupSpec, limits: SearchLimits | None = None,
             notes=("the underlying irredundant-set search hit its budget",))
     classes = m_res.stats["classes"]
     ix = IndexedGroup.from_spec(spec)
-    d = min(classes)
-    m_val = max(classes)
-    mu = d
-    witness = ix.tuple_of(classes[d][0])
+    d, m_val = min(classes), max(classes)
+    mu, witness = d, ix.tuple_of(classes[d][0])
     notes = [f"size {d} is the minimal generating size; minimal tuples are "
              "Nielsen irredundant"]
-    orbit_nodes = 0
-    exhaustive = True
+    orbit_nodes, exhaustive = 0, True
     for k in range(d + 1, m_val + 1):
         sets = classes.get(k, [])
-        walks = _layer_walk(ix, np.array(sets, dtype=np.int32).reshape(-1, k),
-                            limits.node_budget, deadline)
-        for cset, (verdict, _, _, visited) in zip(sets, walks):
-            orbit_nodes += visited
-            if verdict == "NielsenIrredundant":
-                mu = k
-                witness = ix.tuple_of(cset)
-                break
-            if verdict == "Unknown":
-                exhaustive = False
-                notes.append(f"size {k}: an orbit walk hit the budget; "
-                             "the verdict there is open")
-                break
-    result_notes = tuple(notes if exhaustive else notes + [
-        "value is a lower bound"])
+        count, clean = _ladder_rung(ix, np.array(sets, dtype=np.int32).reshape(-1, k),
+                                    limits.node_budget, deadline)
+        orbit_nodes += count
+        if clean is None:
+            exhaustive = False
+            notes.append(f"size {k}: an orbit walk hit the budget; the verdict there is open")
+            break
+        if clean.any():
+            mu, witness = k, ix.tuple_of(sets[int(np.argmax(clean))])
     return RankSearchResult(
         spec, "mu", mu, witness, exhaustive=exhaustive,
         stats={"m": m_val, "nodes": m_res.stats["nodes"], "orbit_nodes": orbit_nodes},
-        notes=result_notes)
+        notes=tuple(notes if exhaustive else notes + ["value is a lower bound"]))
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +466,32 @@ def _components(edges: np.ndarray) -> np.ndarray:
     return root
 
 
+def _orbits(ix: IndexedGroup, table: np.ndarray, codes: np.ndarray, deadline: float):
+    """(root, leaves) for a sorted table of canonical tuples with row
+    codes codes, or None once the deadline passes before a slice: each
+    slice of rows is moved by _generating_moves, canonicalised and mapped
+    to table ids by binary search.  root names each class's component by
+    its least class (_components), and leaves flags the classes that
+    some move takes out of the table, with an edge to themselves."""
+    k = table.shape[1]
+    cells = _move_cells(_generating_moves(k), k)
+    step = max(1, _SLICE_ROWS // len(cells))
+    edges = np.empty((len(table), len(cells)), dtype=np.int32)
+    leaves = np.zeros(len(table), dtype=bool)
+    for lo in range(0, len(table) or 1, step):
+        if time.monotonic() > deadline:
+            return None
+        moved = _row_keys(ix.canonical_tuples(_moved(ix, table[lo:lo + step], cells)), ix.n)
+        order = np.argsort(moved)       # sorted needles search 2-4x faster
+        ids = np.empty(len(moved), dtype=np.intp)
+        ids[order] = np.minimum(np.searchsorted(codes, moved[order]), len(codes) - 1)
+        out = (codes[ids] != moved).reshape(-1, len(cells))
+        edges[lo:lo + step] = np.where(out, np.arange(lo, lo + len(out))[:, None],
+                                       ids.reshape(out.shape))
+        leaves[lo:lo + step] = out.any(axis=1)
+    return _components(edges), leaves
+
+
 def orbit_statistics(spec: GroupSpec, size: int,
                      limits: SearchLimits | None = None) -> OrbitStatistics:
     """Partition all conjugacy classes of generating tuples of one size
@@ -485,13 +501,10 @@ def orbit_statistics(spec: GroupSpec, size: int,
     Conjugation commutes with every move, so the orbits of classes are
     the connected components of the class table under a set of moves
     generating all the others (_generating_moves); a component ignores
-    edge direction, so the inverse moves come free.  One pass over the
-    table, a slice at a time, maps each class to the table ids of its
-    moved, canonicalised tuples and flags the classes with a droppable
-    entry; _components then joins the ids.  The deadline is checked
-    before every slice and, once passed, leaves no orbit.  Orbits are
-    counted in order of least class while their total size stays within
-    the node budget."""
+    edge direction, so the inverse moves come free.  The deadline is
+    checked before every slice of the drop tests and of _orbits and, once
+    passed, leaves no orbit.  Orbits are counted in order of least class
+    while their total size stays within the node budget."""
     limits = limits or SearchLimits()
     if size < 1:
         raise ValueError("size must be positive")
@@ -503,35 +516,19 @@ def orbit_statistics(spec: GroupSpec, size: int,
     ix = IndexedGroup.from_spec(spec)
     deadline = time.monotonic() + limits.time_budget
     table = _generating_classes(ix, size, deadline)
-    codes = _row_keys(table, ix.n)
-    cells = _move_cells(_generating_moves(size), size)
-    step = max(1, _SLICE_ROWS // len(cells))
-    edges = np.empty((len(table), len(cells)), dtype=np.int32)
-    droppable = np.zeros(len(table), dtype=bool)
-    stopped = time.monotonic() > deadline
-    for lo in range(0, len(table), step):
-        if stopped := time.monotonic() > deadline:
+    redundant = np.zeros(len(table), dtype=bool)
+    for lo in range(0, len(table), _SLICE_ROWS):
+        if time.monotonic() > deadline:         # then _orbits returns None
             break
-        rows = table[lo:lo + step]
-        moved = _row_keys(ix.canonical_tuples(_moved(ix, rows, cells)), ix.n)
-        order = np.argsort(moved)       # sorted needles search 2-4x faster
-        ids = np.empty(len(moved), dtype=np.intp)
-        ids[order] = np.minimum(np.searchsorted(codes, moved[order]), len(codes) - 1)
-        if (codes[ids] != moved).any():
-            raise AssertionError("orbit left the generating-class table")
-        edges[lo:lo + step] = ids.reshape(len(rows), -1)
-        # every class generates, so an entry is droppable exactly when the
-        # rest generates
-        drop = droppable[lo:lo + step]          # a view: the tests fill droppable
-        for i in range(size):
-            todo = np.flatnonzero(~drop)
-            drop[todo] = ix.generates_rows(np.delete(rows[todo], i, axis=1))
-    sizes, with_red = np.empty(0, dtype=np.int64), 0
+        redundant[lo:lo + _SLICE_ROWS] = _droppable(ix, table[lo:lo + _SLICE_ROWS])
+    found = _orbits(ix, table, _row_keys(table, ix.n), deadline)
+    sizes, with_red, stopped = np.empty(0, dtype=np.int64), 0, found is None
     if not stopped:
-        root = _components(edges)
+        root, leaves = found
+        if leaves.any():
+            raise AssertionError("orbit left the generating-class table")
+        redundant[root[redundant]] = True
         least = np.flatnonzero(root == np.arange(len(root)))
-        redundant = np.zeros(len(table), dtype=bool)
-        redundant[root[droppable]] = True
         sizes = np.bincount(root, minlength=len(root))[least]
         within = np.cumsum(sizes) <= limits.node_budget
         stopped = not within.all()

@@ -8,6 +8,7 @@ import pytest
 from genrank.cli import (EXIT_BUDGET, EXIT_DATA, EXIT_EVIDENCE_MIXED,
                          EXIT_NOT_CERTIFIED, EXIT_OK, EXIT_USAGE, DataError,
                          UsageError, main, parse_group)
+from genrank import nielsen
 from genrank.fp import FpMatrix, projective_canonicalize
 from genrank.groups import (CyclicPower, GeneratingTuple, GroupSpec,
                             Integers, ProductGroup, ProjSpecialLinear,
@@ -126,6 +127,38 @@ def test_budget_exit(capsys):
     code, doc = run_json(capsys, "rank", "sl2:5", "--node-budget", "5")
     assert code == EXIT_BUDGET
     assert doc["exhaustive"] is False
+
+
+def test_mu_ladder_budget_exits_two(capsys, monkeypatch):
+    # sl2:5: the m search visits 816 nodes, and its size-3 rung lists 992
+    # tuple classes; the deadline passes after an unbudgeted m search
+    search = nielsen.max_irredundant_size
+    for argv, patch in ((["--node-budget", "900"], False), (["--time-budget", "0"], True)):
+        if patch:
+            monkeypatch.setattr(nielsen, "max_irredundant_size", lambda spec, **kw: search(spec))
+        code = main(["mu", "sl2:5", *argv, "--format", "json"])
+        out, err = capsys.readouterr()
+        doc = json.loads(out)
+        assert code == EXIT_BUDGET and "Traceback" not in err
+        assert (doc["value"], doc["exhaustive"]) == (2, False)
+        assert doc["notes"][1:] == ["size 3: an orbit walk hit the budget; the verdict "
+                                    "there is open", "value is a lower bound"]
+
+
+def test_mu_passes_the_seed(capsys, monkeypatch):
+    seen = []
+    for name in ("irredundant_witness", "max_irredundant_size"):
+        def spy(*args, real=getattr(nielsen, name), name=name, **kw):
+            seen.append((name, kw["seed"]))
+            return real(*args, **kw)
+        monkeypatch.setattr(nielsen, name, spy)
+    run_json(capsys, "mu", "sl2:17", "--seed", "5")     # past the indexed tables
+    run_json(capsys, "mu", "psl2:5", "--seed", "6")
+    assert seen == [("irredundant_witness", 5), ("max_irredundant_size", 6)]
+    # seed 0 keeps the witness that mu printed before it took the seed
+    code, doc = run_json(capsys, "mu", "sl2:17", "--seed", "0")
+    assert doc["witness"] == [[[11, 2], [1, 8]], [[9, 1], [12, 9]]]
+    assert run_json(capsys, "mu", "sl2:17", "--seed", "1")[1]["witness"] != doc["witness"]
 
 
 def test_nan_time_budget_is_a_usage_error(capsys):

@@ -121,3 +121,18 @@ def test_commands_do_not_import_numpy_ma(tmp_path):
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False False"
+
+
+def test_module_level_definitions_are_used_or_exported():
+    # a function or class defined at module level in src/ is read
+    # somewhere in src/ (by name or as an attribute) or exported
+    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in SRC.glob("*.py")}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    defined = [(stem, node.name) for stem, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    assert ("nielsen", "mu_rank") in defined        # the check sees the definitions
+    unused = [f"{stem}.{name}" for stem, name in defined
+              if name not in read and name not in genrank.__all__]
+    assert unused == []

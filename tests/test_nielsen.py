@@ -162,6 +162,9 @@ def test_klein_four_orbit():
     assert stats.orbit_sizes == (6,)
     assert stats.orbits_with_redundant == 0
     assert not stats.partial
+    # no generating tuple of this size: an empty class table
+    for spec, size in ((ProjSpecialLinear(2, 5), 1), (CyclicPower(2, 3), 2)):
+        assert orbit_statistics(spec, size) == OrbitStatistics(spec, size, 0, 0, (), 0, False)
 
 
 def droppable(ix, t) -> bool:
@@ -235,11 +238,50 @@ def reference_walk(ix, start):
 def test_layer_walk_matches_reference_walk_on_every_irredundant_class(spec):
     ix = IndexedGroup.from_spec(spec)
     for size, sets in max_irredundant_size(spec).stats["classes"].items():
-        walks = nielsen._layer_walk(ix, np.array(sets, dtype=np.int32), 10 ** 9, math.inf)
-        assert walks == [reference_walk(ix, t) for t in sets], size
-        # one start at a time gives each walk as in the batch
-        assert nielsen._layer_walk(ix, np.array(sets[-1:], dtype=np.int32), 10 ** 9,
-                                   math.inf) == walks[-1:]
+        for t in sets:
+            assert nielsen._layer_walk(ix, t, 10 ** 9, math.inf) == reference_walk(ix, t), t
+
+
+@pytest.mark.parametrize("spec", (
+    ProjSpecialLinear(2, 5), SpecialLinear(2, 5), ProjSpecialLinear(2, 7),
+    ProjSpecialLinear(2, 3), SpecialLinear(2, 3), CyclicPower(6, 2), CyclicPower(2, 3),
+    CyclicPower(12, 1), ProductGroup((CyclicPower(2, 1), CyclicPower(6, 1))),
+    ProductGroup((ProjSpecialLinear(2, 3), CyclicPower(2, 2)))), ids=case_id)
+def test_ladder_rung_matches_reference_walk_on_every_irredundant_class(spec):
+    """Per class and at every size, d included: the orbit has no
+    redundant member exactly when the walk finds none, and the table
+    holds the least conjugates of all orderings of the classes."""
+    ix = IndexedGroup.from_spec(spec)
+    for size, sets in max_irredundant_size(spec, force_search=True).stats["classes"].items():
+        count, clean = nielsen._ladder_rung(ix, np.array(sets, dtype=np.int32), 10 ** 9,
+                                            math.inf)
+        assert clean.tolist() == [reference_walk(ix, t)[0] == "NielsenIrredundant"
+                                  for t in sets], size
+        assert count == len({least_conjugate(ix, p) for t in sets
+                             for p in itertools.permutations(t)}), size
+
+
+def test_orbits_flag_moves_out_of_a_partial_table():
+    """On the psl2:7 pairs without every other class of the first orbit,
+    moves out of the table are flagged on what is left of that orbit,
+    and the other orbits keep their components."""
+    ix = IndexedGroup.from_spec(ProjSpecialLinear(2, 7))
+    table = nielsen._generating_classes(ix, 2, math.inf)
+    root, leaves = nielsen._orbits(ix, table, _row_keys(table, ix.n), math.inf)
+    assert not leaves.any() and len(set(root.tolist())) == 4
+    keep = np.setdiff1d(np.arange(len(table)), np.flatnonzero(root == 0)[::2])
+    part, other = table[keep], root[keep] != 0
+    proot, pleaves = nielsen._orbits(ix, part, _row_keys(part, ix.n), math.inf)
+    assert pleaves[~other].any() and not pleaves[other].any()
+    assert keep[proot[other]].tolist() == root[keep][other].tolist()
+
+
+def test_mu_ladder_node_budget_bounds_the_table():
+    # sl2:5: the m search visits 816 nodes, and I_3 holds 992 tuple classes
+    spec = SpecialLinear(2, 5)
+    over, within = (mu_rank(spec, SearchLimits(node_budget=b)) for b in (991, 992))
+    assert (over.value, over.exhaustive, over.stats["orbit_nodes"]) == (2, False, 992)
+    assert (within.value, within.exhaustive, within.stats["orbit_nodes"]) == (2, True, 992)
 
 
 @pytest.mark.parametrize("spec,size", (
@@ -278,6 +320,20 @@ def test_class_listing_does_not_depend_on_the_slice_size(monkeypatch):
     whole = orbit_statistics(spec, 3)
     monkeypatch.setattr(nielsen, "_SLICE_ROWS", 1000)
     assert orbit_statistics(spec, 3) == whole
+
+
+def test_orbit_drop_tests_stop_at_the_deadline(monkeypatch):
+    # psl2:7 triples: 26,736 classes, two slices of drop tests; the first
+    # slice outlasts the budget, so the second never runs
+    calls, droppable = [], nielsen._droppable
+
+    def slow(ix, rows):
+        calls.append(len(rows))
+        time.sleep(1.2)
+        return droppable(ix, rows)
+    monkeypatch.setattr(nielsen, "_droppable", slow)
+    stats = orbit_statistics(ProjSpecialLinear(2, 7), 3, SearchLimits(time_budget=1.0))
+    assert len(calls) <= 1 and stats.partial and stats.orbit_count == 0
 
 
 def test_first_occurrences_match_np_unique():
