@@ -211,10 +211,12 @@ def reference_orbit_statistics(spec, size):
                            tuple(sorted(sizes, reverse=True)), with_red, False)
 
 
-def reference_walk(ix, start):
+def reference_walk(ix, start, verdicts=None):
     """The per-node breadth-first walk: one tuple dequeued at a time,
     tested for a droppable entry, then its children canonicalised one by
-    one.  Returns (verdict, member, path, visited) as the layer walk."""
+    one.  Returns (verdict, member, path, visited) as the layer walk.
+    Every class visited lies in the orbit of start, so the verdict holds
+    for it too: a dict verdicts gets an entry for each."""
     mul, inv = ix.mult.item, ix.inv.item
     start = least_conjugate(ix, start)
     parents, queue = {start: None}, [start]
@@ -224,13 +226,18 @@ def reference_walk(ix, start):
             while parents[cur] is not None:
                 cur, mv = parents[cur]
                 path.append(mv)
-            return "NielsenRedundant", node, tuple(reversed(path)), len(parents)
+            walk = "NielsenRedundant", node, tuple(reversed(path)), len(parents)
+            break
         for mv in all_moves(len(start)):
             child = least_conjugate(ix, mv.apply(node, mul, inv))
             if child not in parents:
                 parents[child] = (node, mv)
                 queue.append(child)
-    return "NielsenIrredundant", None, None, len(parents)
+    else:
+        walk = "NielsenIrredundant", None, None, len(parents)
+    if verdicts is not None:
+        verdicts.update(dict.fromkeys(parents, walk[0]))
+    return walk
 
 
 @pytest.mark.parametrize("spec", (
@@ -250,13 +257,16 @@ def test_layer_walk_matches_reference_walk_on_every_irredundant_class(spec):
 def test_ladder_rung_matches_reference_walk_on_every_irredundant_class(spec):
     """Per class and at every size, d included: the orbit has no
     redundant member exactly when the walk finds none, and the table
-    holds the least conjugates of all orderings of the classes."""
+    holds the least conjugates of all orderings of the classes.  A class
+    that an earlier walk visited takes that walk's verdict."""
     ix = IndexedGroup.from_spec(spec)
     for size, sets in max_irredundant_size(spec, force_search=True).stats["classes"].items():
         count, clean = nielsen._ladder_rung(ix, np.array(sets, dtype=np.int32), 10 ** 9,
                                             math.inf)
-        assert clean.tolist() == [reference_walk(ix, t)[0] == "NielsenIrredundant"
-                                  for t in sets], size
+        verdicts: dict = {}
+        want = [verdicts.get(least_conjugate(ix, t)) or reference_walk(ix, t, verdicts)[0]
+                for t in sets]
+        assert clean.tolist() == [v == "NielsenIrredundant" for v in want], size
         assert count == len({least_conjugate(ix, p) for t in sets
                              for p in itertools.permutations(t)}), size
 
