@@ -277,10 +277,7 @@ class IndexedGroup:
         if rows.shape[1] < 2:
             return (self.orders[rows] == self.n).any(axis=1) | (self.n == 1)
         if self.maximal_masks is None:
-            step, start = max(1, _JOIN_CELLS // self.n), np.arange(self.n) == self.identity
-            return np.concatenate([
-                self.closure_rows(np.tile(start, (len(part), 1)), part)[1] == self.n
-                for part in (rows[lo:lo + step] for lo in range(0, len(rows) or 1, step))])
+            return np.array([self.closure_mask(r)[1] == self.n for r in rows.tolist()], bool)
         return ~np.bitwise_and.reduce(self.maximal_masks[rows], axis=1).any(axis=1)
 
     @cached_property

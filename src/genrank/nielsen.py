@@ -312,13 +312,18 @@ def _ladder_rung(ix: IndexedGroup, sets: np.ndarray, node_budget: int, deadline:
     """(classes, clean) for the rows of sets, the irredundant generating
     sets of one size k: classes counts the table I_k, the canonical forms
     of every ordering of every set, and clean says by set whether its
-    orbit has no redundant member, or is None past node_budget classes
-    or the deadline.  A moved tuple outside I_k generates, so it is
-    redundant; a component of I_k that no move leaves is closed under the
-    moves, so, the orbit being finite, under their inverses too."""
+    orbit has no redundant member.  clean is None past the deadline before
+    a slice (classes is then 0) or past node_budget classes in the built
+    table.  A moved tuple outside I_k generates, so it is redundant; a
+    component of I_k that no move leaves is closed under the moves, so,
+    the orbit being finite, under their inverses too."""
     k = sets.shape[1]
     perms = list(itertools.permutations(range(k)))      # the identity first
-    canon = ix.canonical_tuples(sets[:, perms].reshape(-1, k))
+    canon = sets[:, perms].reshape(-1, k)
+    for lo in range(0, len(canon), _SLICE_ROWS):
+        if time.monotonic() > deadline:
+            return 0, None
+        canon[lo:lo + _SLICE_ROWS] = ix.canonical_tuples(canon[lo:lo + _SLICE_ROWS])
     keys = _row_keys(canon, ix.n)
     codes, first = _first_occurrences(keys)
     if len(codes) > node_budget or (found := _orbits(ix, canon[first], codes, deadline)) is None:
@@ -332,14 +337,13 @@ def mu_rank(spec: GroupSpec, limits: SearchLimits | None = None,
             force_search: bool = False, seed: int = 0) -> RankSearchResult:
     """Largest size of a Nielsen-irredundant generating tuple.
 
-    The ladder runs over sizes from the minimal generating size d up to
-    the maximal irredundant size m.  Size-d tuples are Nielsen
-    irredundant outright (no generating tuple of any smaller size
-    exists, so no entry is ever droppable anywhere in an orbit).
-    Redundant tuples are Nielsen redundant via the empty move sequence,
-    so at each larger size _ladder_rung decides the orbits of the
-    irredundant generating set classes, without walking them; a rung past
-    the node budget or the deadline ends the ladder."""
+    Size-d tuples, d the minimal generating size, are Nielsen irredundant
+    outright: no smaller generating tuple exists, so no entry is ever
+    droppable.  Redundant tuples are Nielsen redundant via the empty move
+    sequence, so the ladder runs from the maximal irredundant size m down
+    to d + 1, deciding each size's orbits with _ladder_rung, and stops at
+    the first clean orbit.  A rung past the node or time budget leaves its
+    size open, and the ladder goes on down."""
     limits = limits or SearchLimits()
     if isinstance(spec, Integers):
         return RankSearchResult(
@@ -372,26 +376,31 @@ def mu_rank(spec: GroupSpec, limits: SearchLimits | None = None,
             notes=("the underlying irredundant-set search hit its budget",))
     classes = m_res.stats["classes"]
     ix = IndexedGroup.from_spec(spec)
-    d, m_val = min(classes), max(classes)
-    mu, witness = d, ix.tuple_of(classes[d][0])
+    d = min(classes)
+    m_val = max(classes)
+    witness = ix.tuple_of(classes[d][0])
     notes = [f"size {d} is the minimal generating size; minimal tuples are "
              "Nielsen irredundant"]
-    orbit_nodes, exhaustive = 0, True
-    for k in range(d + 1, m_val + 1):
+    orbit_nodes = 0
+    exhaustive = True
+    for k in range(m_val, d, -1):
         sets = classes.get(k, [])
         count, clean = _ladder_rung(ix, np.array(sets, dtype=np.int32).reshape(-1, k),
                                     limits.node_budget, deadline)
         orbit_nodes += count
         if clean is None:
             exhaustive = False
-            notes.append(f"size {k}: an orbit walk hit the budget; the verdict there is open")
+            notes.append(f"size {k}: the class table passed the node or time budget; "
+                         "the verdict there is open")
+        elif clean.any():
+            witness = ix.tuple_of(sets[int(np.argmax(clean))])
             break
-        if clean.any():
-            mu, witness = k, ix.tuple_of(sets[int(np.argmax(clean))])
+    if not exhaustive:
+        notes.append("value is a lower bound")
     return RankSearchResult(
-        spec, "mu", mu, witness, exhaustive=exhaustive,
+        spec, "mu", len(witness), witness, exhaustive=exhaustive,
         stats={"m": m_val, "nodes": m_res.stats["nodes"], "orbit_nodes": orbit_nodes},
-        notes=tuple(notes if exhaustive else notes + ["value is a lower bound"]))
+        notes=tuple(notes))
 
 
 # ---------------------------------------------------------------------------

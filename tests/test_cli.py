@@ -141,8 +141,9 @@ def test_mu_ladder_budget_exits_two(capsys, monkeypatch):
         doc = json.loads(out)
         assert code == EXIT_BUDGET and "Traceback" not in err
         assert (doc["value"], doc["exhaustive"]) == (2, False)
-        assert doc["notes"][1:] == ["size 3: an orbit walk hit the budget; the verdict "
-                                    "there is open", "value is a lower bound"]
+        assert doc["notes"][1:] == ["size 3: the class table passed the node or time "
+                                    "budget; the verdict there is open",
+                                    "value is a lower bound"]
 
 
 def test_mu_passes_the_seed(capsys, monkeypatch):

@@ -185,13 +185,6 @@ def test_generates_past_the_join_cap_falls_back_to_closure():
         seen.add(verdict)
     assert ix.maximal_masks is None
     assert seen == {True, False}
-    # one batch of 1,200 rows, in three slices of closure_rows, against
-    # closure one row at a time
-    rows = np.array([[rng.randrange(ix.n) for _ in range(6)] for _ in range(1200)],
-                    dtype=np.int32)
-    verdicts = ix.generates_rows(rows).tolist()
-    assert verdicts == [_closure_generates(ix, r) for r in rows.tolist()]
-    assert set(verdicts) == {True, False}
 
 
 def test_generates_small_sets_from_orders():

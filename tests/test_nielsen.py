@@ -294,6 +294,71 @@ def test_mu_ladder_node_budget_bounds_the_table():
     assert (within.value, within.exhaustive, within.stats["orbit_nodes"]) == (2, True, 992)
 
 
+def _open_note(k):
+    return f"size {k}: the class table passed the node or time budget; the verdict there is open"
+
+
+def test_mu_ladder_runs_down_past_an_open_rung(monkeypatch):
+    # psl2:7: I_4 holds 36 tuple classes and I_3 630.  With the m search
+    # unbudgeted, node budget 100 decides size 4 and leaves size 3 open.
+    search = nielsen.max_irredundant_size
+    monkeypatch.setattr(nielsen, "max_irredundant_size", lambda spec, **kw: search(spec))
+    res = mu_rank(ProjSpecialLinear(2, 7), SearchLimits(node_budget=100))
+    assert (res.value, res.exhaustive, res.stats["orbit_nodes"]) == (2, False, 666)
+    assert res.notes[1:] == (_open_note(3), "value is a lower bound")
+
+
+def test_mu_ladder_stops_at_the_largest_clean_size(monkeypatch):
+    """No small group tried has a clean orbit above size d, so stub rungs
+    stand in on psl2:7 (d = 2, m = 4): the ladder runs down from m, the
+    first clean size is mu, and an open size above it leaves a lower
+    bound."""
+    spec = ProjSpecialLinear(2, 7)
+    ix = IndexedGroup.from_spec(spec)
+    classes = max_irredundant_size(spec).stats["classes"]
+    none = {k: [False] * len(classes[k]) for k in (3, 4)}
+    cases = (({4: [False, True], 3: None}, (4, 1), True, [4]),
+             ({4: None, 3: [False] * 5 + [True] * 102}, (3, 5), False, [4, 3]),
+             (none, (2, 0), True, [4, 3]))
+    for verdicts, (k, i), exhaustive, want_calls in cases:
+        calls = []
+
+        def rung(ix, sets, node_budget, deadline):
+            calls.append(sets.shape[1])
+            clean = verdicts[sets.shape[1]]
+            return 10 * sets.shape[1], None if clean is None else np.array(clean)
+        monkeypatch.setattr(nielsen, "_ladder_rung", rung)
+        res = mu_rank(spec)
+        assert (res.value, res.exhaustive, calls) == (k, exhaustive, want_calls)
+        assert res.witness == ix.tuple_of(classes[k][i])
+        assert res.stats["orbit_nodes"] == 10 * sum(want_calls)
+        assert res.notes[1:] == (() if exhaustive else (_open_note(4), "value is a lower bound"))
+
+
+def test_ladder_rung_builds_its_table_in_slices(monkeypatch):
+    # psl2:7 triples: 107 sets, 642 orderings, canonicalised 256 rows at a
+    # time; a deadline that passes during the first slice stops the rung
+    spec = ProjSpecialLinear(2, 7)
+    ix = IndexedGroup.from_spec(spec)
+    sets = np.array(max_irredundant_size(spec).stats["classes"][3], dtype=np.int32)
+    count, clean = nielsen._ladder_rung(ix, sets, 10 ** 9, math.inf)
+    monkeypatch.setattr(nielsen, "_SLICE_ROWS", 256)
+    calls, canonical = [], ix.canonical_tuples
+
+    def spy(rows, pause=0.0):
+        calls.append(len(rows))
+        time.sleep(pause)
+        return canonical(rows)
+    monkeypatch.setattr(ix, "canonical_tuples", spy)
+    sliced_count, sliced = nielsen._ladder_rung(ix, sets, 10 ** 9, math.inf)
+    assert (sliced_count, sliced.tolist()) == (count, clean.tolist())
+    assert calls[:3] == [256, 256, 130]
+    calls.clear()
+    monkeypatch.setattr(ix, "canonical_tuples", lambda rows: spy(rows, 1.2))
+    assert nielsen._ladder_rung(ix, sets, 10 ** 9, time.monotonic() + 1.0) == (0, None)
+    assert calls == [256]
+
+
 @pytest.mark.parametrize("spec,size", (
     (CyclicPower(2, 2), 2), (ProjSpecialLinear(2, 5), 2), (ProjSpecialLinear(2, 5), 3),
     (SpecialLinear(2, 5), 2), (ProjSpecialLinear(2, 7), 2),
