@@ -12,12 +12,13 @@ An instance owns every structure derived from its group, and
 properties built on first use, and `m_search` keeps the exhaustive m
 search at default limits.  The table is built from the generators
 alone.  One breadth-first pass from the identity lists the elements and
-records each product ag; sorting by encoding gives `elements` and
-`index` and relabels the records into one permutation a -> ag per
+records each product ga; sorting by encoding gives `elements` and
+`index` and relabels the records into one permutation a -> ga per
 generator g, so no product is formed twice.  The table is then filled
-a breadth-first layer of the right Cayley graph at a time: column yg is
-column y under that permutation, one gather per layer and generator, a
-slice of at most _TABLE_CELLS entries at a time.
+a breadth-first layer of the left Cayley graph at a time: row gy is row
+y under that permutation, one gather per layer and generator, a slice
+of at most _TABLE_CELLS entries at a time.  conj, built on first use,
+is filled along the same layers: row gy is row y under x -> g x g^-1.
 
 Closure grows rows of boolean masks a ball at a time: the next ball
 adds the last layer times each generator, one scatter per generator
@@ -80,8 +81,8 @@ _LATTICE_JOIN_CAP = 2000
 
 _JOIN_CELLS = 1 << 15             # mask cells of one slice of the subgroup walk
 _CANONICAL_CELLS = 1 << 14         # image entries of one canonical_sets slice
-_TABLE_CELLS = 1 << 14             # table entries of one layer gather (64 KB of
-                                   # int32; 256 KB slices raised the peak RSS)
+_TABLE_CELLS = 1 << 14             # table entries of one slice of a row fill (64
+                                   # KB of int32; 256 KB slices raised the peak RSS)
 
 _INSTANCE_CACHE: dict[str, "IndexedGroup"] = {}
 
@@ -94,17 +95,17 @@ class IndexedGroup:
             raise ValueError(
                 f"indexing is limited to finite groups of order <= {MAX_INDEXED_ORDER}")
         self.spec = spec
-        self.elements, self.index, right = self._cayley_walk()
+        self.elements, self.index, left = self._cayley_walk()
         self.n = len(self.elements)
         self.identity = self.index[spec.encode(spec.identity())]
-        gens = [int(r[self.identity]) for r in right]      # the products 1·g
-        self.mult = self._build_mult(right)
+        self._gens = [int(r[self.identity]) for r in left]     # the products g·1
+        self._layers = self._left_layers(left)
+        self.mult = self._fill_rows(left)
         self._centralizers: dict[int, np.ndarray] = {}
         self._normalizers: dict[int, np.ndarray] = {}
-        self.inv = np.argmax(self.mult == self.identity, axis=1).astype(np.int32)
-        self.orders = self._element_orders()
+        self.orders, self.inv = self._element_orders()
         # the centre: elements commuting with every generator
-        self.central = (self.mult[:, gens] == self.mult[gens, :].T).all(axis=1)
+        self.central = (self.mult[:, self._gens] == self.mult[self._gens, :].T).all(axis=1)
         self.m_search = None        # set by redundancy.max_irredundant_size
 
     @classmethod
@@ -117,19 +118,19 @@ class IndexedGroup:
         return inst
 
     def _cayley_walk(self) -> tuple[list, dict, list]:
-        """One breadth-first pass from the identity over right
+        """One breadth-first pass from the identity over left
         multiplication by the generators, recording every product:
         (elements sorted by encoding, encoding -> position, and per
-        generator g the permutation a -> ag of positions)."""
+        generator g the permutation a -> ga of positions)."""
         spec = self.spec
         gens = spec.generators()
         e = spec.identity()
         found = {spec.encode(e): 0}
         elems = [e]
-        right = [[] for _ in gens]
+        left = [[] for _ in gens]
         for a in elems:             # breadth-first: the list grows as it is read
-            for g, r in zip(gens, right):
-                b = spec.mul(a, g)
+            for g, r in zip(gens, left):
+                b = spec.mul(g, a)
                 i = found.setdefault(spec.encode(b), len(elems))
                 if i == len(elems):
                     if i == spec.order:
@@ -143,35 +144,47 @@ class IndexedGroup:
         pos = np.empty(len(keys), dtype=np.int32)       # discovery -> sorted
         pos[order] = np.arange(len(keys), dtype=np.int32)
         return ([elems[i] for i in order], {keys[i]: k for k, i in enumerate(order)},
-                [pos[np.array(r)[order]] for r in right])
+                [pos[np.array(r)[order]] for r in left])
 
-    def _build_mult(self, right: list) -> np.ndarray:
-        """The table from the right Cayley graph of the generators, a
-        breadth-first layer at a time: column yg is column y under the
-        permutation a -> ag, one gather per layer and generator, in
-        slices of at most _TABLE_CELLS entries."""
-        n = self.n
-        cols = np.empty((n, n), dtype=np.int32)
-        cols[self.identity] = np.arange(n, dtype=np.int32)
-        done = np.zeros(n, dtype=bool)
+    def _left_layers(self, left: list) -> list:
+        """The breadth-first layers of the left Cayley graph from the
+        identity, as (generator, ys, zs) with zs = g·ys the elements each
+        generator reaches first."""
+        done = np.zeros(self.n, dtype=bool)
         done[self.identity] = True
-        layer = np.array([self.identity])
-        step = max(1, _TABLE_CELLS // n)
+        layer, out = np.array([self.identity]), []
         while layer.size:
             reached = []
-            for r in right:
+            for k, r in enumerate(left):
                 z = r[layer]
                 new = ~done[z]
                 ys, zs = layer[new], z[new]
                 done[zs] = True
-                for i in range(0, zs.size, step):
-                    cols[zs[i:i + step]] = r[cols[ys[i:i + step]]]
+                out.append((k, ys, zs))
                 reached.append(zs)
             layer = np.concatenate(reached)
-        return np.ascontiguousarray(cols.T)
+        return out
 
-    def _element_orders(self) -> np.ndarray:
+    def _fill_rows(self, perms: list) -> np.ndarray:
+        """The n x n table whose identity row is the identity map and
+        whose row gy is row y under perms[g], filled along the left
+        layers a slice of at most _TABLE_CELLS entries at a time: mult
+        with a -> ga, conj with x -> g x g^-1, as (gy)x(gy)^-1 = g(y x
+        y^-1)g^-1."""
+        n = self.n
+        out = np.empty((n, n), dtype=np.int32)
+        out[self.identity] = np.arange(n, dtype=np.int32)
+        step = max(1, _TABLE_CELLS // n)
+        for k, ys, zs in self._layers:
+            for i in range(0, zs.size, step):
+                out[zs[i:i + step]] = perms[k][out[ys[i:i + step]]]
+        return out
+
+    def _element_orders(self) -> tuple[np.ndarray, np.ndarray]:
+        """(orders, inv) from the powers of every element: x^-1 is the
+        power x^(ord(x) - 1) just before the identity."""
         orders = np.zeros(self.n, dtype=np.int32)
+        inv, prev = np.empty_like(orders), np.full_like(orders, self.identity)
         cur = np.arange(self.n, dtype=np.int32)
         k = 0
         while (orders == 0).any():
@@ -180,13 +193,14 @@ class IndexedGroup:
                 raise AssertionError("element order exceeded group order")
             hit = (cur == self.identity) & (orders == 0)
             orders[hit] = k
-            cur = self.mult[cur, np.arange(self.n)]
-        return orders
+            inv[hit] = prev[hit]
+            prev, cur = cur, self.mult[cur, np.arange(self.n)]
+        return orders, inv
 
     @cached_property
     def conj(self) -> np.ndarray:
-        # conj[g, x] = g x g^{-1}
-        return self.mult[self.mult, self.inv[:, None]]
+        # conj[g, x] = g x g^{-1}, along the layers of mult
+        return self._fill_rows([self.mult[self.mult[g], self.inv[g]] for g in self._gens])
 
     @cached_property
     def _class_data(self) -> tuple[np.ndarray, np.ndarray]:

@@ -85,15 +85,39 @@ def test_orders_table():
 
 
 def test_conjugation_table():
-    rng = random.Random(9)
-    spec = ProjSpecialLinear(2, 5)
-    ix = IndexedGroup.from_spec(spec)
-    for _ in range(100):
-        g = rng.randrange(ix.n)
-        x = rng.randrange(ix.n)
-        lhs = ix.elements[ix.conj[g, x]]
-        rhs = spec.conjugate(ix.elements[x], ix.elements[g])
-        assert lhs == rhs
+    for spec in SPECS:
+        if spec.is_abelian:
+            continue
+        ix = IndexedGroup.from_spec(spec)
+        els = ix.elements
+        for g, x in itertools.product(range(ix.n), repeat=2):
+            assert els[ix.conj[g, x]] == spec.conjugate(els[x], els[g])
+    # the layer fill against the one-gather formula, on a larger group
+    ix = IndexedGroup.from_spec(SpecialLinear(2, 11))
+    assert (ix.conj == ix.mult[ix.mult, ix.inv[:, None]]).all()
+
+
+class _CountingSpec:
+    """A spec that counts its products."""
+
+    def __init__(self, spec):
+        self.spec, self.products = spec, 0
+
+    def __getattr__(self, name):
+        return getattr(self.spec, name)
+
+    def mul(self, a, b):
+        self.products += 1
+        return self.spec.mul(a, b)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.descriptor())
+def test_table_build_forms_each_product_once(spec):
+    counting = _CountingSpec(spec)
+    ix = IndexedGroup(counting)
+    ix.conj
+    assert counting.products == ix.n * len(spec.generators())
+    assert (ix.mult == IndexedGroup.from_spec(spec).mult).all()
 
 
 def test_central_mask():
