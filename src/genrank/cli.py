@@ -17,13 +17,13 @@ with the same inputs and seed are reproducible bytewise.
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
 import math
 import re
 import sys
 import time
+import types
 
 from .arithmetic import (DenominatorClash, DensityCertificate, PlanConfig,
                          RationalMatrix, RationalTuple, as_fraction,
@@ -52,11 +52,6 @@ class UsageError(Exception):
 
 class DataError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
 
 
 _SL_RE = re.compile(r"^(p?sl)(\d+):(\d+)$")
@@ -479,7 +474,7 @@ def _seconds(text: str) -> float:
     except ValueError:
         value = math.nan
     if math.isnan(value):
-        raise argparse.ArgumentTypeError(f"expected a number of seconds, got {text!r}")
+        raise ValueError(f"expected a number of seconds, got {text!r}")
     return value
 
 
@@ -490,75 +485,216 @@ def _count(text: str) -> int:
             return int(text)
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"expected a count of at least 1, got {text!r}")
+    raise ValueError(f"expected a count of at least 1, got {text!r}")
 
 
-def build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--node-budget", type=int, default=100_000_000)
-    common.add_argument("--time-budget", type=_seconds, default=600.0)
-    common.add_argument("--format", choices=("table", "json"), default="table")
+def _format(text: str) -> str:
+    if text not in ("table", "json"):
+        raise ValueError(f"expected table or json, got {text!r}")
+    return text
 
-    parser = _Parser(prog="genrank",
-                     description="irredundant generating sets and density certificates")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("rank", parents=[common],
-                       help="maximal irredundant generating size")
-    p.add_argument("group")
-    p.set_defaults(func=_cmd_rank)
+# ---------------------------------------------------------------------------
+# The command line: one table of commands, read by parse_args and by the
+# help text.  An option is (name, kind, type, default, metavar, help); a
+# "value" or "required" option takes one value, "list" one or more, and a
+# "flag" none.  Every command takes one positional (dest, type) and the
+# common options.
+# ---------------------------------------------------------------------------
 
-    p = sub.add_parser("mu", parents=[common],
-                       help="maximal Nielsen-irredundant generating size")
-    p.add_argument("group")
-    p.set_defaults(func=_cmd_rank)
+_COMMON = (
+    ("--seed", "value", int, 0, "N", "seed of the randomised searches"),
+    ("--node-budget", "value", int, 100_000_000, "N", "search node budget"),
+    ("--time-budget", "value", _seconds, 600.0, "S", "time budget in seconds"),
+    ("--format", "value", _format, "table", "{table,json}", "output format"),
+)
+_SIZE = ("--size", "required", int, None, "K", "size of the sets or tuples")
+_COMMANDS = {
+    "rank": (_cmd_rank, "maximal irredundant generating size", ("group", str), ()),
+    "mu": (_cmd_rank, "maximal Nielsen-irredundant generating size", ("group", str), ()),
+    "witness": (_cmd_witness, "find or rule out an irredundant generating set of a size",
+                ("group", str),
+                (_SIZE, ("--involutions", "flag", None, False, "", "only sets of involutions"))),
+    "zdemo": (_cmd_zdemo, "integer witness family with drop checks", ("size", int), ()),
+    "certify": (_cmd_certify, "density certificate for a rational tuple file", ("input", str), (
+        ("--out", "value", str, None, "PATH", "write the certificate here"),
+        ("--primes", "list", int, None, "P", "explicit primes to reduce at"),
+        ("--exceptional-floor", "value", int, 3, "P", "least prime of the plan"),
+        ("--max-primes", "value", _count, 10, "K", "most primes in the plan"),
+        ("--irredundancy", "value", _count, None, "K",
+         "assess irredundancy at the first K usable primes"),
+        ("--nielsen", "value", _count, None, "K",
+         "assess Nielsen irredundancy at the first K usable primes"),
+        ("--replay", "flag", None, False, "",
+         "treat the input as a stored certificate and re-run it"))),
+    "product-check": (_cmd_product_check, "generation in a product of two simple groups",
+                      ("input", str), ()),
+    "orbit": (_cmd_orbit, "Nielsen orbit statistics at one tuple size", ("group", str), (_SIZE,)),
+}
+_HELP = ("-h, --help", "help", None, None, "", "show this help and exit")
+_TOP_OPTIONS = {"-h": _HELP, "--help": _HELP}
+# a token that names no option but looks like a negative number is a value
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    p = sub.add_parser("witness", parents=[common],
-                       help="find or rule out an irredundant generating set of a size")
-    p.add_argument("group")
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--involutions", action="store_true")
-    p.set_defaults(func=_cmd_witness)
 
-    p = sub.add_parser("zdemo", parents=[common],
-                       help="integer witness family with drop checks")
-    p.add_argument("size", type=int)
-    p.set_defaults(func=_cmd_zdemo)
+class ShowHelp(Exception):
+    """Raised by parse_args with the help text to print."""
 
-    p = sub.add_parser("certify", parents=[common],
-                       help="density certificate for a rational tuple file")
-    p.add_argument("input")
-    p.add_argument("--out")
-    p.add_argument("--primes", type=int, nargs="+")
-    p.add_argument("--exceptional-floor", type=int, default=3)
-    p.add_argument("--max-primes", type=_count, default=10)
-    p.add_argument("--irredundancy", type=_count, metavar="K")
-    p.add_argument("--nielsen", type=_count, metavar="K")
-    p.add_argument("--replay", action="store_true",
-                   help="treat the input as a stored certificate and re-run it")
-    p.set_defaults(func=_cmd_certify)
 
-    p = sub.add_parser("product-check", parents=[common],
-                       help="generation in a product of two simple groups")
-    p.add_argument("input")
-    p.set_defaults(func=_cmd_product_check)
+def _help(command: str | None) -> str:
+    if command is None:
+        return "\n".join(["usage: genrank <command> [options]", "", "commands:",
+                          *(f"  {name:<13}  {_COMMANDS[name][1]}" for name in _COMMANDS),
+                          "", 'options of each command: "genrank <command> --help"'])
+    _, text, (dest, _), own = _COMMANDS[command]
+    lines = [f"usage: genrank {command} {dest.upper()} [options]", "", text, "", "options:"]
+    for name, kind, _, default, metavar, what in (*own, *_COMMON, _HELP):
+        if kind not in ("flag", "help"):
+            name += f" {metavar} [{metavar} ...]" if kind == "list" else f" {metavar}"
+        if kind == "required" or kind == "value" and default is not None:
+            what += " (required)" if default is None else f" (default {default})"
+        lines.append(f"  {name:<22}  {what}")
+    return "\n".join(lines)
 
-    p = sub.add_parser("orbit", parents=[common],
-                       help="Nielsen orbit statistics at one tuple size")
-    p.add_argument("group")
-    p.add_argument("--size", type=int, required=True)
-    p.set_defaults(func=_cmd_orbit)
-    return parser
+
+def _classify(token: str, options: dict):
+    """None for a value, else (option name, or None when no option has
+    that name; the value after = or glued to -h, or None).  A long option
+    may be named by a unique prefix."""
+    if not token or token[0] != "-":
+        return None
+    if token in options:
+        return token, None
+    if len(token) == 1:
+        return None
+    head, eq, value = token.partition("=")
+    if eq and head in options:
+        return head, value
+    if token[1] == "-":
+        found = [(name, value if eq else None) for name in options if name.startswith(head)]
+    else:
+        found = [(token[:2], token[2:])] if token[:2] in options else []
+    if len(found) > 1:
+        raise UsageError(f"ambiguous option: {token} could match "
+                         + ", ".join(name for name, _ in found))
+    if found:
+        return found[0]
+    if _NEGATIVE.match(token) or " " in token:
+        return None
+    return None, None
+
+
+def _check_flag(name: str, value) -> None:
+    """A flag takes no value; -h glued to more h's is -h repeated."""
+    if value is not None and (name[1] == "-" or not value or value.strip("h")):
+        raise UsageError(f"argument {name}: ignored explicit argument {value!r}")
+
+
+def _dest(name: str) -> str:
+    return name[2:].replace("-", "_")
+
+
+def _convert(name: str, convert, texts: list) -> list:
+    try:
+        return [convert(t) for t in texts]
+    except ValueError as exc:
+        raise UsageError(f"argument {name}: {exc}")
+
+
+def _parse_command(command: str, tokens: list, ns) -> list:
+    """Parse one command's tokens into ns: options and the positional in
+    any order, an option's values up to the next option or --, the last
+    of a repeated option.  Returns the tokens nothing took."""
+    func, _, (dest, dest_type), own = _COMMANDS[command]
+    options = {opt[0]: opt for opt in (*own, *_COMMON)}
+    vars(ns).update({_dest(name): opt[3] for name, opt in options.items()}, func=func)
+    options.update(_TOP_OPTIONS)
+    # all tokens are classified before any is used, so an ambiguous
+    # prefix is refused even after --help; past the first -- all are values
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    kinds = [_classify(t, options) for t in tokens[:end]] + [None] * (len(tokens) - end)
+    extras, seen, at, i = [], set(), None, 0
+    while i < len(tokens):
+        kind, i = kinds[i], i + 1
+        if i - 1 == end:
+            continue
+        if kind is None and at is None:
+            setattr(ns, dest, _convert(dest, dest_type, [tokens[i - 1]])[0])
+            at = i - 1
+            continue
+        if kind is None or kind[0] is None:
+            extras.append(tokens[i - 1])
+            continue
+        name, value = kind
+        how, convert = options[name][1:3]
+        seen.add(name)
+        if how in ("flag", "help"):
+            _check_flag(name, value)
+            if how == "help":
+                raise ShowHelp(_help(command))
+            setattr(ns, _dest(name), True)
+            continue
+        if value is None:
+            stop = i
+            while stop < len(tokens) and stop != end and kinds[stop] is None and (
+                    how == "list" or stop == i):
+                stop += 1
+            if stop == i:
+                raise UsageError(f"argument {name}: expected "
+                                 + ("at least one argument" if how == "list" else "one argument"))
+            texts, i = tokens[i:stop], stop
+        else:   # --name=-- gives an empty list, as it always did
+            texts = [value] if value != "--" else []
+        values = _convert(name, convert, texts)
+        setattr(ns, _dest(name), values[0] if how != "list" and len(values) == 1 else values)
+    if end < len(tokens) and at not in (end - 1, end + 1):     # a -- beside the positional goes
+        extras.append("--")
+    missing = [dest] * (at is None) + [opt[0] for opt in own
+                                       if opt[1] == "required" and opt[0] not in seen]
+    if missing:
+        raise UsageError("the following arguments are required: " + ", ".join(missing))
+    return extras
+
+
+def parse_args(argv: list) -> types.SimpleNamespace:
+    """The namespace of one command line: command, func, the positional
+    and every option of the command.  Raises UsageError for a command
+    line it refuses and ShowHelp for -h or --help.  Unknown options before
+    the command, like unknown tokens after it, are refused only once the
+    command's tokens parse."""
+    extras = []
+    for i, token in enumerate(argv):
+        kind = "--" if token == "--" else _classify(token, _TOP_OPTIONS)
+        if kind is None:
+            break
+        if kind == "--":
+            raise UsageError("the command must come before --")
+        if kind[0] is None:
+            extras.append(token)
+        else:
+            _check_flag(*kind)
+            raise ShowHelp(_help(None))
+    else:
+        raise UsageError("the following arguments are required: command")
+    command = argv[i]
+    if command not in _COMMANDS:
+        raise UsageError(f"invalid choice: {command!r} (choose from {', '.join(_COMMANDS)})")
+    ns = types.SimpleNamespace(command=command)
+    extras += _parse_command(command, argv[i + 1:], ns)
+    if extras:
+        raise UsageError("unrecognized arguments: " + " ".join(extras))
+    return ns
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ShowHelp as exc:
+        print(exc)
+        return EXIT_OK
     try:
         payload, code = args.func(args)
     except UsageError as exc:

@@ -513,7 +513,8 @@ def orbit_statistics(spec: GroupSpec, size: int,
     edge direction, so the inverse moves come free.  The deadline is
     checked before every slice of the drop tests and of _orbits and, once
     passed, leaves no orbit.  Orbits are counted in order of least class
-    while their total size stays within the node budget."""
+    while their total size stays within the node budget, so a budget
+    below 1 stops right after the class listing."""
     limits = limits or SearchLimits()
     if size < 1:
         raise ValueError("size must be positive")
@@ -525,6 +526,9 @@ def orbit_statistics(spec: GroupSpec, size: int,
     ix = IndexedGroup.from_spec(spec)
     deadline = time.monotonic() + limits.time_budget
     table = _generating_classes(ix, size, deadline)
+    notes = ("stopped at the search budget before all orbits were walked",)
+    if limits.node_budget < 1 and len(table):      # no orbit fits
+        return OrbitStatistics(spec, size, len(table), 0, (), 0, True, notes)
     redundant = np.zeros(len(table), dtype=bool)
     for lo in range(0, len(table), _SLICE_ROWS):
         if time.monotonic() > deadline:         # then _orbits returns None
@@ -542,6 +546,6 @@ def orbit_statistics(spec: GroupSpec, size: int,
         within = np.cumsum(sizes) <= limits.node_budget
         stopped = not within.all()
         sizes, with_red = sizes[within], int(redundant[least[within]].sum())
-    notes = ("stopped at the search budget before all orbits were walked",) if stopped else ()
     return OrbitStatistics(spec, size, len(table), len(sizes),
-                           tuple(sorted(sizes.tolist(), reverse=True)), with_red, stopped, notes)
+                           tuple(sorted(sizes.tolist(), reverse=True)), with_red, stopped,
+                           notes if stopped else ())

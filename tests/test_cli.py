@@ -1,13 +1,21 @@
-"""Command line behavior: grammar, exit codes, output determinism."""
+"""Command line behavior: grammar, exit codes, output determinism, and
+the option table against the argparse parser it replaced."""
 
+import argparse
+import contextlib
+import io
 import json
 import time
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from genrank import cli
 from genrank.cli import (EXIT_BUDGET, EXIT_DATA, EXIT_EVIDENCE_MIXED,
                          EXIT_NOT_CERTIFIED, EXIT_OK, EXIT_USAGE, DataError,
-                         UsageError, main, parse_group)
+                         ShowHelp, UsageError, main, parse_args, parse_group)
 from genrank import nielsen
 from genrank.fp import FpMatrix, projective_canonicalize
 from genrank.groups import (CyclicPower, GeneratingTuple, GroupSpec,
@@ -517,3 +525,168 @@ def test_table_output_renders(capsys):
     assert code == EXIT_OK
     assert "value: 3" in out
     assert "command: rank" in out
+
+
+# ---------------------------------------------------------------------------
+# The option table against argparse.
+# ---------------------------------------------------------------------------
+
+class _Reference(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _reference_parser() -> _Reference:
+    """The argparse parser that cli.parse_args replaced."""
+    common = _Reference(add_help=False)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--node-budget", type=int, default=100_000_000)
+    common.add_argument("--time-budget", type=cli._seconds, default=600.0)
+    common.add_argument("--format", choices=("table", "json"), default="table")
+
+    parser = _Reference(prog="genrank")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Reference)
+    for name, func, positional in (("rank", cli._cmd_rank, "group"),
+                                   ("mu", cli._cmd_rank, "group"),
+                                   ("witness", cli._cmd_witness, "group"),
+                                   ("zdemo", cli._cmd_zdemo, "size"),
+                                   ("certify", cli._cmd_certify, "input"),
+                                   ("product-check", cli._cmd_product_check, "input"),
+                                   ("orbit", cli._cmd_orbit, "group")):
+        p = sub.add_parser(name, parents=[common])
+        p.add_argument(positional, type=int if name == "zdemo" else None)
+        p.set_defaults(func=func)
+        if name in ("witness", "orbit"):
+            p.add_argument("--size", type=int, required=True)
+        if name == "witness":
+            p.add_argument("--involutions", action="store_true")
+        if name == "certify":
+            p.add_argument("--out")
+            p.add_argument("--primes", type=int, nargs="+")
+            p.add_argument("--exceptional-floor", type=int, default=3)
+            p.add_argument("--max-primes", type=cli._count, default=10)
+            p.add_argument("--irredundancy", type=cli._count)
+            p.add_argument("--nielsen", type=cli._count)
+            p.add_argument("--replay", action="store_true")
+    return parser
+
+
+def _reference_options(command: str) -> list:
+    sub = next(a for a in _reference_parser()._actions if a.dest == "command")
+    return [s for a in sub.choices[command]._actions for s in a.option_strings]
+
+
+def _outcome(parse, argv):
+    """("ok", vars), ("help",) or ("usage",)."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return "ok", vars(parse(argv))
+    except (SystemExit, ShowHelp):
+        return ("help",)
+    except UsageError:
+        return ("usage",)
+
+
+COMMAND_NAMES = ("rank", "mu", "witness", "zdemo", "certify", "product-check", "orbit")
+OPTIONS = {c: [s for s in _reference_options(c) if s not in ("-h", "--help")]
+           for c in COMMAND_NAMES}
+VALUES = ("0", "2", "7", "13", "-3", "-.5", "1.5", "inf", "json", "table", "psl2:5",
+          "-inf", "-nan", "nan", "x", "", "a b", "-1x")
+AWKWARD = ("--", "--node", "--n", "--s", "--se", "--si", "--t", "--f", "--m", "--i",
+           "--bogus", "-x", "-h", "--help", "--he", "-hh", "-hx", "-h=", "--help=", "--=",
+           "---", "-", "frobnicate", *COMMAND_NAMES)
+
+
+# values each option accepts; the other options take integers
+GOOD = {"--time-budget": ("1.5", "-.5", "inf", "0"), "--format": ("json", "table"),
+        "--max-primes": ("1", "3"), "--irredundancy": ("1", "3"), "--nielsen": ("2",),
+        "--out": ("c.json", "-3", "a b"), "--involutions": (), "--replay": ()}
+
+
+@st.composite
+def _argv(draw) -> list:
+    """A command, its positional and options in any order (some named by a
+    prefix, some as name=value, mostly with values they accept), then up
+    to two awkward tokens, values or other commands' options anywhere;
+    about a third of the draws parse."""
+    command = draw(st.sampled_from(COMMAND_NAMES))
+    items = [[draw(st.sampled_from(VALUES))]]
+    names = draw(st.lists(st.sampled_from(OPTIONS[command]), max_size=4))
+    for name in names + ["--size"] * ("--size" in OPTIONS[command] and draw(st.booleans())):
+        good = GOOD.get(name, ("2", "-3", "13"))
+        count = draw(st.integers(1, 3)) if name == "--primes" else min(len(good), 1)
+        values = draw(st.lists(st.sampled_from(good or VALUES), min_size=count, max_size=count))
+        if draw(st.integers(0, 7)) == 0:
+            values = draw(st.lists(st.sampled_from(VALUES), max_size=2))
+        if draw(st.integers(0, 4)) == 0:
+            name = name[:draw(st.integers(3, len(name)))]
+        items.append([f"{name}={values[0]}"] if values and draw(st.booleans())
+                     else [name, *values])
+    argv = [command] + [t for item in draw(st.permutations(items)) for t in item]
+    for _ in range(draw(st.sampled_from((0, 0, 1, 1, 2)))):
+        token = draw(st.sampled_from(AWKWARD + VALUES + tuple(OPTIONS["certify"])))
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+@settings(max_examples=500, deadline=timedelta(seconds=2), derandomize=True, database=None)
+@given(argv=_argv())
+def test_option_table_parses_as_argparse_did(argv):
+    expected = _outcome(_reference_parser().parse_args, argv)
+    assert _outcome(parse_args, argv) == expected
+    if expected == ("usage",):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(argv) == EXIT_USAGE
+        assert out.getvalue() == "" and "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("argv", (
+    ["witness", "--seed", "-3", "psl2:5", "--size=2", "--involutions"],
+    ["zdemo", "-1"],
+    ["certify", "--primes", "7", "13", "--", "f.txt"],
+    ["certify", "f.txt", "--prim=7", "--primes", "11", "--max=2", "--irr", "1"],
+    ["orbit", "--format=json", "--si", "3", "--node-budget", "-5", "--", "-g"],
+    ["rank", "--time-budget", "-.5", "psl2:5", "--time-budget", "inf"],
+    ["rank", "psl2:5", "--out=x"], ["rank", "psl2:5", "--time-budget", "-inf"],
+    ["rank", "psl2:5", "--time-budget", "-nan"], ["witness", "g", "--s", "2"],
+    ["rank", "psl2:5", "--seed"], ["rank", "a", "b"], ["--seed", "1", "rank", "g"],
+    ["rank", "g", "--seed", "1", "--"], ["certify", "f", "--primes"], [],
+    ["certify", "f", "--primes=--", "--out=--"], ["witness", "g", "-h", "--s"],
+    ["rank", "g", "-h", "--bogus"], ["--bogus", "rank", "g", "--help"]))
+def test_option_table_cases(argv):
+    assert _outcome(parse_args, argv) == _outcome(_reference_parser().parse_args, argv)
+
+
+@pytest.mark.parametrize("command", COMMAND_NAMES)
+def test_command_help_lists_every_option(capsys, command):
+    for flag in ("--help", "-h"):
+        assert main([command, "3", flag]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: genrank {command} ")
+        assert all(name in out for name in _reference_options(command))
+
+
+def test_help_lists_every_command(capsys):
+    for argv in (["--help"], ["-h"], ["--bogus", "--he"]):
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith("usage: genrank ")
+        assert all(f"  {name} " in out for name in COMMAND_NAMES)
+
+
+@pytest.mark.parametrize("argv,classes", ((["psl2:5", "--size", "3"], 3336),
+                                          (["sl2:5", "--size", "2"], 152)))
+@pytest.mark.parametrize("budget", ("0", "-1"))
+def test_orbit_node_budget_below_one_stops_after_the_class_listing(
+        capsys, monkeypatch, argv, classes, budget):
+    # no orbit fits, so neither the drop tests nor the components run
+    monkeypatch.setattr(nielsen, "_orbits", None)
+    monkeypatch.setattr(nielsen, "_droppable", None)
+    code, out = run(capsys, "orbit", *argv, "--node-budget", budget, "--format", "json")
+    assert code == EXIT_BUDGET
+    assert out == json.dumps({
+        "command": "orbit", "fraction_with_redundant": 0.0, "generating_classes": classes,
+        "group": argv[0], "notes": ["stopped at the search budget before all orbits were walked"],
+        "orbit_count": 0, "orbit_sizes": [], "orbits_with_redundant": 0, "partial": True,
+        "size": int(argv[2])}, indent=2, sort_keys=True) + "\n"

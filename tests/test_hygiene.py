@@ -97,8 +97,10 @@ def test_no_module_level_caches():
 
 
 def test_commands_do_not_import_numpy_ma(tmp_path):
-    # plain np.unique imports numpy.ma (about 11 ms) on its first call, and
-    # scipy would be imported inside every command that used it
+    # plain np.unique imports numpy.ma (about 11 ms) on its first call,
+    # scipy would be imported inside every command that used it, and
+    # argparse brings gettext, whose lookups import locale (together
+    # about 4 ms of every command)
     pair = tmp_path / "sl3_standard.txt"
     pair.write_text("sl 3\n0 0 1 1 0 0 0 1 0\n1 1 0 0 1 0 0 0 1\n")
     # the psl3:3 projection takes the stabilizer chain's action on lines
@@ -114,13 +116,14 @@ def test_commands_do_not_import_numpy_ma(tmp_path):
             f"    main(['certify', {str(pair)!r}])\n"
             f"    main(['product-check', {str(product)!r}])\n"
             "print('numpy.ma' in sys.modules, any(name == 'scipy' or name.startswith('scipy.')\n"
-            "                                        for name in sys.modules))\n")
+            "                                        for name in sys.modules),\n"
+            "      sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "False False []"
 
 
 def test_module_level_definitions_are_used_or_exported():
