@@ -613,7 +613,7 @@ def _parse_command(command: str, tokens: list, ns) -> list:
     # prefix is refused even after --help; past the first -- all are values
     end = tokens.index("--") if "--" in tokens else len(tokens)
     kinds = [_classify(t, options) for t in tokens[:end]] + [None] * (len(tokens) - end)
-    extras, seen, at, i = [], set(), None, 0
+    extras, at, i = [], None, 0
     while i < len(tokens):
         kind, i = kinds[i], i + 1
         if i - 1 == end:
@@ -627,7 +627,6 @@ def _parse_command(command: str, tokens: list, ns) -> list:
             continue
         name, value = kind
         how, convert = options[name][1:3]
-        seen.add(name)
         if how in ("flag", "help"):
             _check_flag(name, value)
             if how == "help":
@@ -649,8 +648,8 @@ def _parse_command(command: str, tokens: list, ns) -> list:
         setattr(ns, _dest(name), values[0] if how != "list" and len(values) == 1 else values)
     if end < len(tokens) and at not in (end - 1, end + 1):     # a -- beside the positional goes
         extras.append("--")
-    missing = [dest] * (at is None) + [opt[0] for opt in own
-                                       if opt[1] == "required" and opt[0] not in seen]
+    missing = [dest] * (at is None) + [opt[0] for opt in own if opt[1] == "required"
+                                       and getattr(ns, _dest(opt[0])) is None]
     if missing:
         raise UsageError("the following arguments are required: " + ", ".join(missing))
     return extras
