@@ -638,14 +638,14 @@ def _parse_command(command: str, tokens: list, ns) -> list:
             while stop < len(tokens) and stop != end and kinds[stop] is None and (
                     how == "list" or stop == i):
                 stop += 1
-            if stop == i:
-                raise UsageError(f"argument {name}: expected "
-                                 + ("at least one argument" if how == "list" else "one argument"))
             texts, i = tokens[i:stop], stop
-        else:   # --name=-- gives an empty list, as it always did
+        else:   # --name=-- gives no value, as -- ends the values
             texts = [value] if value != "--" else []
+        if not texts:
+            raise UsageError(f"argument {name}: expected "
+                             + ("at least one argument" if how == "list" else "one argument"))
         values = _convert(name, convert, texts)
-        setattr(ns, _dest(name), values[0] if how != "list" and len(values) == 1 else values)
+        setattr(ns, _dest(name), values if how == "list" else values[0])
     if end < len(tokens) and at not in (end - 1, end + 1):     # a -- beside the positional goes
         extras.append("--")
     missing = [dest] * (at is None) + [opt[0] for opt in own if opt[1] == "required"

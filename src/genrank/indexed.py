@@ -50,9 +50,9 @@ stands for every subgroup of the centre.  A tuple position costs a few
 gathers over all rows, whatever the size of C.
 
 A set is canonical as its least sorted image: central members stay
-put, and only the cosets centralizer(r0)·wit[x] are tried, for r0 the
-least class representative of the rest and x its lead members, those
-in its class.
+put, and only the cosets C·wit[x] are tried, C = C_G(r0) the members of
+the chain's node below the root at r0, for r0 the least class
+representative of the rest and x its lead members, those in its class.
 A set of cyclic subgroups, each named by its least generator (its key),
 is canonical as the least sorted image of the keys, with normalizer
 cosets.  canonical_sets groups its rows by r0, pads them to the most
@@ -101,7 +101,6 @@ class IndexedGroup:
         self._gens = [int(r[self.identity]) for r in left]     # the products g·1
         self._layers = self._left_layers(left)
         self.mult = self._fill_rows(left)
-        self._centralizers: dict[int, np.ndarray] = {}
         self._normalizers: dict[int, np.ndarray] = {}
         self.orders, self.inv = self._element_orders()
         # the centre: elements commuting with every generator
@@ -215,17 +214,6 @@ class IndexedGroup:
             # g x g^-1 = r exactly when x = conj[g^-1, r]: the least such g
             np.minimum.at(wit, self.conj[:, r], self.inv)
         return rep, wit
-
-    def class_min_reps(self) -> list[int]:
-        rep, _ = self._class_data
-        return np.flatnonzero(rep == np.arange(self.n)).tolist()
-
-    def centralizer(self, rep: int) -> np.ndarray:
-        out = self._centralizers.get(rep)
-        if out is None:
-            out = np.flatnonzero(self.conj[:, rep] == rep).astype(np.int32)
-            self._centralizers[rep] = out
-        return out
 
     def normalizer(self, key: int) -> np.ndarray:
         """The normalizer of <key>, for an element that is the key of
@@ -404,7 +392,7 @@ class IndexedGroup:
     def canonical_sets(self, rows: np.ndarray, families: bool = False) -> np.ndarray:
         """The least sorted image of each row of an int32 array, read as a
         set, under conjugation; with families each entry x names <x> and
-        the image is of the keys.  Only the cosets centralizer(r0)·wit[x]
+        the image is of the keys.  Only the cosets C_G(r0)·wit[x]
         (normalizer(<r0>)·fwit[x] for families) of the lead members x of
         a row are tried, a slice of _CANONICAL_CELLS entries at a time,
         narrowing column by column (module docstring)."""
@@ -423,7 +411,8 @@ class IndexedGroup:
             # the lead members first, short rows padded with their least one
             x = np.sort(np.where(is_lead, rows[sel], n), axis=1)[:, :is_lead.sum(axis=1).max()]
             lead_wit = wit[np.where(x < n, x, x[:, :1])]
-            coset = self.normalizer(r) if families else self.centralizer(r)
+            coset = self.normalizer(r) if families else self._chain.members[
+                self._chain.child_of(np.array([_ROOT]), np.array([r]))[0]]
             # candidate-major: each narrowing step reduces over axis 0
             cands = self.mult[coset[:, None, None], lead_wit.T].reshape(-1, sel.size)
             step = max(1, _CANONICAL_CELLS // (len(cands) * k))

@@ -39,15 +39,16 @@ from functools import partial
 import numpy as np
 
 from .groups import GeneratingTuple, GroupSpec, Integers, CyclicPower, is_generating
-from .indexed import MAX_INDEXED_ORDER, IndexedGroup
+from .indexed import _ROOT, MAX_INDEXED_ORDER, IndexedGroup
 from .redundancy import (RankSearchResult, SearchLimits, irredundant_witness,
                          max_irredundant_size)
 
 _MOVE_KINDS = ("L", "R", "I", "S")
 
-# Rows that one call canonicalises or drop-tests: in class listings, in
-# the moves and drop tests of class tables, and in the layer walk.
+# Rows that one call canonicalises or drop-tests: in the moves and drop
+# tests of class tables, and in the layer walk.
 _SLICE_ROWS = 1 << 14
+_LIST_CELLS = 1 << 10     # candidates per slice of the class listing (2^14 raised peak RSS)
 
 
 @dataclass(frozen=True)
@@ -218,7 +219,7 @@ def _children(ix: IndexedGroup, rows: np.ndarray, cells: np.ndarray, known: np.n
     """The canonical forms one move away from rows whose keys are not in
     the sorted, nonempty known, at their first occurrence in (row, move)
     order: (children, keys, row ids, move ids).  Slices bound the memory,
-    and each slice's keys join known for the slices after it."""
+    and one dedupe of their first occurrences keeps the earliest."""
     moves = len(cells)
     step = max(1, _SLICE_ROWS // moves)
     parts = []
@@ -226,13 +227,12 @@ def _children(ix: IndexedGroup, rows: np.ndarray, cells: np.ndarray, known: np.n
         canon = ix.canonical_tuples(_moved(ix, rows[lo:lo + step], cells))
         keys = _row_keys(canon, ix.n)
         uniq, first = _first_occurrences(keys)
-        at = np.searchsorted(known, uniq)
-        fresh = known[np.minimum(at, len(known) - 1)] != uniq
-        known = np.insert(known, at[fresh], uniq[fresh])
+        fresh = known[np.minimum(np.searchsorted(known, uniq), len(known) - 1)] != uniq
         first = np.sort(first[fresh])
         parts.append((canon[first], keys[first], first + lo * moves))
     canon, keys, pos = (np.concatenate(part) for part in zip(*parts))
-    return canon, keys, pos // moves, pos % moves
+    first = np.sort(_first_occurrences(keys)[1])    # pos increases along the slices
+    return canon[first], keys[first], pos[first] // moves, pos[first] % moves
 
 
 def _layer_walk(ix: IndexedGroup, start, node_budget: int, deadline: float):
@@ -425,20 +425,28 @@ class OrbitStatistics:
 
 def _generating_classes(ix: IndexedGroup, size: int, deadline: float) -> np.ndarray:
     """The canonical generating tuples of one size in increasing order, as
-    far as the deadline allows.  A canonical tuple starts with a class
-    representative c: one block per c, canonicalised a slice of rows at a
-    time to bound memory; the blocks are freed before the moves."""
-    weights = ix.n ** np.arange(size - 1, -1, -1, dtype=np.int64)
-    free = (np.arange(ix.n ** (size - 1))[:, None] // weights[1:] % ix.n).astype(np.int32)
-    blocks = [np.empty((0, size), dtype=np.int32)]
-    for c, lo in itertools.product(ix.class_min_reps(), range(0, len(free), _SLICE_ROWS)):
-        if time.monotonic() > deadline:
-            break
-        part = free[lo:lo + _SLICE_ROWS]
-        rows = np.column_stack((np.full(len(part), c, dtype=np.int32), part))
-        rows = rows[(ix.canonical_tuples(rows) == rows).all(axis=1)]
-        blocks.append(rows[ix.generates_rows(rows)])
-    return np.concatenate(blocks)
+    far as the deadline allows, _LIST_CELLS candidates at a time: a tuple
+    is canonical exactly when each entry is a fixed point of omin at the
+    chain node the entries before it reach (any element if G is abelian)."""
+    chain = None if ix.spec.is_abelian else ix._chain
+    ar, step = np.arange(ix.n, dtype=np.int32), max(1, _LIST_CELLS // ix.n)
+    rows, node = np.empty((1, 0), dtype=np.int32), np.full(1, _ROOT, dtype=np.int32)
+    for j in range(size):
+        parts, nodes = [np.empty((0, j + 1), dtype=np.int32)], [node[:0]]
+        for lo in range(0, len(rows), step):
+            if time.monotonic() > deadline:
+                break
+            h = node[lo:lo + step]
+            fixed = np.ones((len(h), ix.n), dtype=bool) if chain is None else chain.omin[h] == ar
+            x = np.tile(ar, len(h))[fixed.ravel()]      # row by row, in increasing order
+            count = fixed.sum(axis=1)
+            part = np.column_stack((np.repeat(rows[lo:lo + step], count, axis=0), x))
+            parts.append(part if j + 1 < size else part[ix.generates_rows(part)])
+            if j + 1 < size:
+                h = np.repeat(h, count)
+                nodes.append(h if chain is None else chain.child_of(h, x))
+        rows, node = np.concatenate(parts), np.concatenate(nodes)
+    return rows
 
 
 def _generating_moves(k: int) -> tuple:
@@ -518,13 +526,13 @@ def orbit_statistics(spec: GroupSpec, size: int,
     limits = limits or SearchLimits()
     if size < 1:
         raise ValueError("size must be positive")
-    if spec.order is None or spec.order > 1000:
-        raise ValueError("orbit statistics are limited to groups of order <= 1000")
+    if spec.order is None or spec.order > MAX_INDEXED_ORDER:
+        raise ValueError(f"orbit statistics are limited to groups of order <= {MAX_INDEXED_ORDER}")
     est = spec.order ** size if spec.is_abelian else spec.order ** (size - 1)
     if est > 2_000_000:
         raise ValueError("too many tuple classes at this size; pick a smaller size")
-    ix = IndexedGroup.from_spec(spec)
     deadline = time.monotonic() + limits.time_budget
+    ix = IndexedGroup.from_spec(spec)
     table = _generating_classes(ix, size, deadline)
     notes = ("stopped at the search budget before all orbits were walked",)
     if limits.node_budget < 1 and len(table):      # no orbit fits

@@ -109,12 +109,13 @@ class _SetSearch:
     pick one generator of every member.  With one it stops at the first
     irredundant generating set of that size and grows nothing past it.
     candidate_filter must take the same value on all generators of a
-    cyclic subgroup."""
+    cyclic subgroup.  The time budget counts from the monotonic time t0."""
 
-    def __init__(self, ix: IndexedGroup, limits: SearchLimits,
+    def __init__(self, ix: IndexedGroup, limits: SearchLimits, t0: float,
                  target_size: int | None = None, candidate_filter=None):
         self.ix = ix
         self.limits = limits
+        self.t0 = t0
         self.target_size = target_size
         key = ix.cyclic_key
         cands = [i for i in np.flatnonzero(key == np.arange(ix.n)).tolist()
@@ -128,7 +129,6 @@ class _SetSearch:
     def run(self) -> _SearchOutcome:
         ix = self.ix
         limits = self.limits
-        t0 = time.monotonic()
         best_size, best_witness = 0, None
         collected: dict = {}
         target = self.target_size
@@ -139,7 +139,7 @@ class _SetSearch:
         nodes = pushed = 0
         budget_hit = False
         while stack:
-            if nodes >= limits.node_budget or time.monotonic() - t0 > limits.time_budget:
+            if nodes >= limits.node_budget or time.monotonic() - self.t0 > limits.time_budget:
                 budget_hit = True
                 break
             part = stack.pop()
@@ -403,11 +403,12 @@ def max_irredundant_size(spec: GroupSpec, limits: SearchLimits | None = None,
         raise ValueError(f"unsupported infinite group {spec.descriptor()}")
     if spec.order > MAX_INDEXED_ORDER:
         return _witness_mode(spec, limits, seed)
+    t0 = time.monotonic()       # the budget holds the table build and subgroup walk
     ix = IndexedGroup.from_spec(spec)
     default = limits == SearchLimits()
     out = ix.m_search if default else None
     if out is None:
-        out = _SetSearch(ix, limits).run()
+        out = _SetSearch(ix, limits, t0).run()
         if default and not out.budget_hit:
             ix.m_search = out
     witness = ix.tuple_of(out.best_witness) if out.best_witness is not None else None
@@ -449,8 +450,8 @@ def irredundant_witness(spec: GroupSpec, size: int,
         return WitnessSearchResult(spec, size, w, False, {"nodes": 0})
     if spec.order is None:
         raise ValueError(f"unsupported infinite group {spec.descriptor()}")
+    t0 = time.monotonic()
     if spec.order > MAX_INDEXED_ORDER:
-        t0 = time.monotonic()
         witness, nodes = _random_witness(spec, size, random.Random(seed), limits, t0, 0,
                                          limits.node_budget, involutions_only)
         stats = {"nodes": nodes}
@@ -461,7 +462,7 @@ def irredundant_witness(spec: GroupSpec, size: int,
             ("random search found nothing; existence remains undecided",))
     ix = IndexedGroup.from_spec(spec)
     filt = (lambda i: ix.orders[i] == 2) if involutions_only else None
-    out = _SetSearch(ix, limits, target_size=size, candidate_filter=filt).run()
+    out = _SetSearch(ix, limits, t0, target_size=size, candidate_filter=filt).run()
     witness = None
     if out.best_witness is not None and out.best_size == size:
         witness = ix.tuple_of(out.best_witness)

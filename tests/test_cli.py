@@ -5,6 +5,9 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from datetime import timedelta
 
@@ -135,6 +138,20 @@ def test_budget_exit(capsys):
     code, doc = run_json(capsys, "rank", "sl2:5", "--node-budget", "5")
     assert code == EXIT_BUDGET
     assert doc["exhaustive"] is False
+
+
+@pytest.mark.parametrize("argv", (["witness", "psl2:19", "--size", "4"], ["rank", "psl2:19"]))
+def test_search_budget_holds_the_table_build(argv):
+    # in a fresh process the psl2:19 tables and subgroup walk take far
+    # longer than the budget, and the search's clock starts before them
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.dirname(os.path.dirname(cli.__file__)),
+                      os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-m", "genrank", *argv, "--time-budget", "0.05",
+                          "--format", "json"], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == EXIT_BUDGET, out.stderr
+    assert json.loads(out.stdout)["stats"]["nodes"] == 0
 
 
 def test_mu_ladder_budget_exits_two(capsys, monkeypatch):
@@ -535,9 +552,17 @@ class _Reference(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def _get_values(self, action, arg_strings):
+        # argparse drops the -- of --name=-- and gives the option an empty
+        # list, which no command expects; the option table refuses it
+        if action.option_strings and arg_strings == ["--"]:
+            self.error(f"argument {action.option_strings[0]}: expected one argument")
+        return super()._get_values(action, arg_strings)
+
 
 def _reference_parser() -> _Reference:
-    """The argparse parser that cli.parse_args replaced."""
+    """The argparse parser that cli.parse_args replaced, refusing
+    --name=-- as the option table does."""
     common = _Reference(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--node-budget", type=int, default=100_000_000)
@@ -606,9 +631,10 @@ GOOD = {"--time-budget": ("1.5", "-.5", "inf", "0"), "--format": ("json", "table
 @st.composite
 def _argv(draw) -> list:
     """A command, its positional and options in any order (some named by a
-    prefix, some as name=value, mostly with values they accept), then up
-    to two awkward tokens, values or other commands' options anywhere;
-    about a third of the draws parse."""
+    prefix, some as name=value, mostly with values they accept, a few
+    with --, refused as --name=--), then up to two awkward tokens, values
+    or other commands' options anywhere; about a third of the draws
+    parse."""
     command = draw(st.sampled_from(COMMAND_NAMES))
     items = [[draw(st.sampled_from(VALUES))]]
     names = draw(st.lists(st.sampled_from(OPTIONS[command]), max_size=4))
@@ -618,6 +644,8 @@ def _argv(draw) -> list:
         values = draw(st.lists(st.sampled_from(good or VALUES), min_size=count, max_size=count))
         if draw(st.integers(0, 7)) == 0:
             values = draw(st.lists(st.sampled_from(VALUES), max_size=2))
+        elif draw(st.integers(0, 9)) == 0:
+            values = ["--"]         # as --name=--, refused
         if draw(st.integers(0, 4)) == 0:
             name = name[:draw(st.integers(3, len(name)))]
         items.append([f"{name}={values[0]}"] if values and draw(st.booleans())
@@ -632,6 +660,10 @@ def _argv(draw) -> list:
 @settings(max_examples=500, deadline=timedelta(seconds=2), derandomize=True, database=None)
 @given(argv=_argv())
 def test_option_table_parses_as_argparse_did(argv):
+    _assert_parses_as_reference(argv)
+
+
+def _assert_parses_as_reference(argv):
     expected = _outcome(_reference_parser().parse_args, argv)
     assert _outcome(parse_args, argv) == expected
     if expected == ("usage",):
@@ -639,6 +671,13 @@ def test_option_table_parses_as_argparse_did(argv):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             assert main(argv) == EXIT_USAGE
         assert out.getvalue() == "" and "Traceback" not in err.getvalue()
+
+
+# --name=-- names no value: refused with exit 64 and nothing printed
+EMPTY_VALUES = (
+    ["witness", "psl2:5", "--size=--"], ["orbit", "psl2:5", "--size", "2", "--node-budget=--"],
+    ["rank", "psl2:5", "--time-budget=--"], ["rank", "psl2:5", "--seed=--"],
+    ["rank", "psl2:5", "--seed=--", "--help"], ["certify", "f", "--primes=--", "--out=--"])
 
 
 @pytest.mark.parametrize("argv", (
@@ -652,10 +691,13 @@ def test_option_table_parses_as_argparse_did(argv):
     ["rank", "psl2:5", "--time-budget", "-nan"], ["witness", "g", "--s", "2"],
     ["rank", "psl2:5", "--seed"], ["rank", "a", "b"], ["--seed", "1", "rank", "g"],
     ["rank", "g", "--seed", "1", "--"], ["certify", "f", "--primes"], [],
-    ["certify", "f", "--primes=--", "--out=--"], ["witness", "g", "-h", "--s"],
-    ["rank", "g", "-h", "--bogus"], ["--bogus", "rank", "g", "--help"]))
+    ["witness", "g", "-h", "--s"],
+    ["rank", "g", "-h", "--bogus"], ["--bogus", "rank", "g", "--help"],
+    ["rank", "psl2:5", "--help", "--seed=--"], *EMPTY_VALUES))
 def test_option_table_cases(argv):
-    assert _outcome(parse_args, argv) == _outcome(_reference_parser().parse_args, argv)
+    _assert_parses_as_reference(argv)
+    if argv in EMPTY_VALUES:
+        assert _outcome(parse_args, argv) == ("usage",)
 
 
 @pytest.mark.parametrize("command", COMMAND_NAMES)

@@ -185,8 +185,9 @@ def reference_orbit_statistics(spec, size):
     the orbits."""
     ix = IndexedGroup.from_spec(spec)
     mul, inv = ix.mult.item, ix.inv.item
+    rep = ix._class_data[0]
     classes = set()
-    for c in ix.class_min_reps():
+    for c in np.flatnonzero(rep == np.arange(ix.n)).tolist():
         for rest in itertools.product(range(ix.n), repeat=size - 1):
             t = (c,) + rest
             if least_conjugate(ix, t) == t and ix.closure_mask(t)[1] == ix.n:
@@ -247,6 +248,14 @@ def test_layer_walk_matches_reference_walk_on_every_irredundant_class(spec):
     for size, sets in max_irredundant_size(spec).stats["classes"].items():
         for t in sets:
             assert nielsen._layer_walk(ix, t, 10 ** 9, math.inf) == reference_walk(ix, t), t
+
+
+@pytest.mark.parametrize("spec", (ProjSpecialLinear(2, 5), SpecialLinear(2, 5)), ids=case_id)
+def test_layer_walk_dedupes_across_small_slices(monkeypatch, spec):
+    # one to five rows moved per slice, so children of a layer recur in
+    # later slices; the walk keeps each at its earliest (row, move)
+    monkeypatch.setattr(nielsen, "_SLICE_ROWS", 64)
+    test_layer_walk_matches_reference_walk_on_every_irredundant_class(spec)
 
 
 @pytest.mark.parametrize("spec", (
@@ -388,11 +397,59 @@ def test_pinned_orbit_sizes(spec, size, sizes):
     assert stats.orbits_with_redundant == (size == 3)
 
 
+def reference_class_blocks(ix, size):
+    """The canonical generating tuples of one size, by the brute-force
+    least_conjugate filter grown a position at a time, in increasing
+    order: one block per prefix.  The prefixes of a tuple that is its
+    own least conjugate are their own least conjugates, and a conjugator
+    that moves such a prefix p makes it larger, so p + (x,) passes
+    exactly when no conjugator fixing every entry of p takes x below x."""
+    ar = np.arange(ix.n, dtype=np.int32)
+
+    def extend(prefixes):
+        for p in prefixes:
+            fixing = ix.conj[(ix.conj[:, p] == p).all(axis=1)]
+            xs = ar[fixing.min(axis=0) == ar]
+            yield np.column_stack((np.broadcast_to(p, (len(xs), len(p))), xs))
+    prefixes = np.zeros((1, 0), dtype=np.int32)
+    for _ in range(size - 1):
+        prefixes = np.concatenate(list(extend(prefixes)))
+    for block in extend(prefixes):
+        yield block[ix.generates_rows(block)]
+
+
+@pytest.mark.parametrize("spec", (
+    ProjSpecialLinear(2, 5), SpecialLinear(2, 5), ProjSpecialLinear(2, 7),
+    ProductGroup((ProjSpecialLinear(2, 3), CyclicPower(2, 2))), CyclicPower(6, 2),
+    CyclicPower(12, 1)), ids=case_id)
+def test_class_listing_matches_the_least_conjugate_filter(monkeypatch, spec):
+    # two or more prefixes per slice: psl2:7 quadruples take 14,309 slices
+    monkeypatch.setattr(nielsen, "_LIST_CELLS", 400)
+    ix = IndexedGroup.from_spec(spec)
+    for size in range(1, 5):
+        table, at = nielsen._generating_classes(ix, size, math.inf), 0
+        assert table.dtype == np.int32 and table.shape[1] == size
+        for block in reference_class_blocks(ix, size):
+            assert (table[at:at + len(block)] == block).all(), (size, at)
+            at += len(block)
+        assert at == len(table), size
+
+
+def test_orbits_of_a_group_past_order_1000():
+    spec = ProjSpecialLinear(2, 13)     # order 1,092
+    stats = orbit_statistics(spec, 2)
+    assert (stats.generating_classes, stats.orbit_count) == (990, 13)
+    assert stats == reference_orbit_statistics(spec, 2)
+
+
 def test_class_listing_does_not_depend_on_the_slice_size(monkeypatch):
-    # psl2:7 triples list 168^2 candidate rows per class representative:
-    # one slice by default, 29 slices of 1,000 rows here
+    # psl2:7 triples: 197 canonical pairs, each followed by at most 168
+    # fixed points; at the last position 33 slices of six pairs by
+    # default, 197 of one pair here, and drop tests and moves in slices
+    # of 1,000 rows
     spec = ProjSpecialLinear(2, 7)
     whole = orbit_statistics(spec, 3)
+    monkeypatch.setattr(nielsen, "_LIST_CELLS", 200)
     monkeypatch.setattr(nielsen, "_SLICE_ROWS", 1000)
     assert orbit_statistics(spec, 3) == whole
 

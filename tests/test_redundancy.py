@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import numpy as np
 
@@ -196,10 +197,11 @@ def test_closure_path_finds_the_mask_path_classes():
     # past the join cap the search decides each candidate by closure and
     # prunes by independence, not by separation over maximal subgroups
     for spec in (ProjSpecialLinear(2, 5), SpecialLinear(2, 5)):
-        masked = redundancy._SetSearch(indexed.IndexedGroup(spec), SearchLimits()).run()
+        masked = redundancy._SetSearch(indexed.IndexedGroup(spec), SearchLimits(),
+                                        time.monotonic()).run()
         ix = indexed.IndexedGroup(spec)
         ix.maximal_masks = None
-        closed = redundancy._SetSearch(ix, SearchLimits()).run()
+        closed = redundancy._SetSearch(ix, SearchLimits(), time.monotonic()).run()
         assert not closed.budget_hit and not masked.budget_hit
         assert closed.collected == masked.collected
         assert {k: len(v) for k, v in closed.collected.items()} == ELEMENT_CLASSES[spec]
