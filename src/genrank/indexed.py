@@ -49,15 +49,15 @@ each, and its children C_C(m), shared by member set, and one node
 stands for every subgroup of the centre.  A tuple position costs a few
 gathers over all rows, whatever the size of C.
 
-A set is canonical as its least sorted image: central members stay
-put, and only the cosets C·wit[x] are tried, C = C_G(r0) the members of
-the chain's node below the root at r0, for r0 the least class
-representative of the rest and x its lead members, those in its class.
-A set of cyclic subgroups, each named by its least generator (its key),
-is canonical as the least sorted image of the keys, with normalizer
-cosets.  canonical_sets groups its rows by r0, pads them to the most
-lead members in the group, and narrows a slice of at most
-_CANONICAL_CELLS image entries at a time, which bounds its memory.
+A set is canonical as its least sorted image.  Under one conjugator the
+sorted image is the least ordering of the image, so the least sorted
+image is the least canonical tuple over the orderings of the set.  It
+is built a position at a time over branches, each a chain node with the
+images of the members not yet placed: entry j is the least omin over
+every branch of the row, and each (branch, member) pair that reaches it
+goes on as a branch.  A set of cyclic subgroups, each named by its
+least generator (its key), is canonical the same way down a second
+chain, for the action x -> key[g x g^-1].
 Neither this module nor `nielsen` calls np.unique: its first call
 imports numpy.ma, about 11 ms per process, so distinct values come from
 a scatter, a bincount or one argsort.
@@ -80,9 +80,8 @@ MAX_INDEXED_ORDER = 4096
 _LATTICE_JOIN_CAP = 2000
 
 _JOIN_CELLS = 1 << 15             # mask cells of one slice of the subgroup walk
-_CANONICAL_CELLS = 1 << 14         # image entries of one canonical_sets slice
-_TABLE_CELLS = 1 << 14             # table entries of one slice of a row fill (64
-                                   # KB of int32; 256 KB slices raised the peak RSS)
+_TABLE_CELLS = 1 << 14             # entries of one slice of a row fill or of canonical_sets
+                                   # (64 KB of int32; 256 KB slices raised the peak RSS)
 
 _INSTANCE_CACHE: dict[str, "IndexedGroup"] = {}
 
@@ -101,7 +100,6 @@ class IndexedGroup:
         self._gens = [int(r[self.identity]) for r in left]     # the products g·1
         self._layers = self._left_layers(left)
         self.mult = self._fill_rows(left)
-        self._normalizers: dict[int, np.ndarray] = {}
         self.orders, self.inv = self._element_orders()
         # the centre: elements commuting with every generator
         self.central = (self.mult[:, self._gens] == self.mult[self._gens, :].T).all(axis=1)
@@ -214,15 +212,6 @@ class IndexedGroup:
             # g x g^-1 = r exactly when x = conj[g^-1, r]: the least such g
             np.minimum.at(wit, self.conj[:, r], self.inv)
         return rep, wit
-
-    def normalizer(self, key: int) -> np.ndarray:
-        """The normalizer of <key>, for an element that is the key of
-        its cyclic subgroup."""
-        out = self._normalizers.get(key)
-        if out is None:
-            out = np.flatnonzero(self.cyclic_key[self.conj[:, key]] == key).astype(np.int32)
-            self._normalizers[key] = out
-        return out
 
     def indices_of(self, t: GeneratingTuple) -> tuple:
         return tuple(self.index[self.spec.encode(x)] for x in t.items)
@@ -392,46 +381,40 @@ class IndexedGroup:
     def canonical_sets(self, rows: np.ndarray, families: bool = False) -> np.ndarray:
         """The least sorted image of each row of an int32 array, read as a
         set, under conjugation; with families each entry x names <x> and
-        the image is of the keys.  Only the cosets C_G(r0)·wit[x]
-        (normalizer(<r0>)·fwit[x] for families) of the lead members x of
-        a row are tried, a slice of _CANONICAL_CELLS entries at a time,
-        narrowing column by column (module docstring)."""
-        n, k = self.n, rows.shape[1]
-        key, frep, wit = self._cyclic_data if families else (None, None, self._class_data[1])
-        out = np.sort(key[rows] if families else rows, axis=1)
+        the image is of the keys.  That image is the least canonical tuple
+        over the orderings of the row, built a position at a time down
+        the chain, a slice of _TABLE_CELLS row entries at a time (module
+        docstring)."""
+        out = np.sort(self.cyclic_key[rows] if families else rows, axis=1)
         if self.spec.is_abelian:
             return out
-        lead = frep[rows] if families else \
-            np.where(self.central[rows], n, self._class_data[0][rows])
-        r0 = lead.min(axis=1)
-        live = np.flatnonzero(r0 < n)       # rows of central members only are sorted
-        for r in np.flatnonzero(np.bincount(r0[live])).tolist():
-            sel = live[r0[live] == r]
-            is_lead = lead[sel] == r
-            # the lead members first, short rows padded with their least one
-            x = np.sort(np.where(is_lead, rows[sel], n), axis=1)[:, :is_lead.sum(axis=1).max()]
-            lead_wit = wit[np.where(x < n, x, x[:, :1])]
-            coset = self.normalizer(r) if families else self._chain.members[
-                self._chain.child_of(np.array([_ROOT]), np.array([r]))[0]]
-            # candidate-major: each narrowing step reduces over axis 0
-            cands = self.mult[coset[:, None, None], lead_wit.T].reshape(-1, sel.size)
-            step = max(1, _CANONICAL_CELLS // (len(cands) * k))
-            for i in range(0, sel.size, step):
-                part = sel[i:i + step]
-                imgs = self.conj[cands[:, i:i + step, None], rows[part]]
-                if families:
-                    imgs = key[imgs]
-                imgs.sort(axis=2)
-                alive = np.ones(imgs.shape[:2], dtype=bool)
-                for j in range(k):
-                    if j >= 8 and j & (j - 1) == 0:     # do the live images agree?
-                        best = imgs[alive.argmax(axis=0), np.arange(part.size)]
-                        if ((imgs == best) | ~alive[:, :, None]).all():
-                            out[part, j:] = best[:, j:]
-                            break
-                    col = np.where(alive, imgs[:, :, j], n)
-                    out[part, j] = least = col.min(axis=0)
-                    alive &= col == least
+        n, k = self.n, rows.shape[1]
+        chain = self._family_chain if families else self._chain
+        step = max(1, _TABLE_CELLS // k)
+        for lo in range(0, len(rows), step):
+            # branches: (row, chain node, images of the members not placed)
+            imgs = out[lo:lo + step].copy()
+            dup = (imgs[:, 1:] == imgs[:, :-1]).any()
+            br, s = np.arange(len(imgs)), len(imgs)
+            node = np.full(s, _ROOT, dtype=np.int32)
+            for j in range(k):
+                vals = chain.omin[node[:, None], imgs]
+                if len(br) == s and not node.any():     # one central branch a row
+                    out[lo:lo + step, j:] = np.sort(vals, axis=1)
+                    break
+                if dup:     # equal members are interchangeable: place the first
+                    vals[:, 1:][imgs[:, 1:] == imgs[:, :-1]] = n
+                least = np.full(s, n, dtype=np.int32)
+                np.minimum.at(least, br, vals.min(axis=1))
+                out[lo:lo + step, j] = least
+                if j + 1 < k:
+                    b, x = np.nonzero(vals == least[br][:, None])
+                    keep = np.ones((len(b), k - j), dtype=bool)
+                    keep[np.arange(len(b)), x] = False
+                    g = chain.owit[node[b], imgs[b, x]]
+                    imgs = self.conj[g[:, None], imgs[b][keep].reshape(len(b), -1)]
+                    br = br[b]
+                    node = chain.child_of(node[b], least[br])
         return out
 
     def canonical_tuples(self, rows: np.ndarray) -> np.ndarray:
@@ -460,29 +443,35 @@ class IndexedGroup:
 
     @cached_property
     def _chain(self) -> "_StabilizerChain":
-        return _StabilizerChain(self)
+        return _StabilizerChain(self, np.arange(self.n, dtype=np.int32), *self._class_data)
+
+    @cached_property
+    def _family_chain(self) -> "_StabilizerChain":
+        return _StabilizerChain(self, *self._cyclic_data)
 
 
 _CENTRAL, _ROOT = 0, 1          # chain nodes: every subgroup of the centre, and G
 
 
 class _StabilizerChain:
-    """The subgroups H = C_G(m_0, ..., m_j) that canonical_tuples meets,
-    grown on demand and named by their member sets.  Node h holds, for
-    every x, the least conjugate omin[h, x] of x under H and an element
-    owit[h, x] of H taking x there; child[h, m] is the node of C_H(m),
-    or -1 until a row needs it.  Every subgroup of the centre fixes
-    every element, so one node stands for all of them.  Rows index the
-    node arrays flat, node * n + x, in int32: at 12 bytes per entry,
-    memory runs out long before an index passes 2^31."""
+    """The stabilizers H of m_0, ..., m_j under one action of G by
+    conjugation, grown on demand and named by their member sets: g takes
+    x to key[g x g^-1], with key the identity map for elements (H is
+    C_G(m_0, ..., m_j)) and cyclic_key for cyclic subgroups (H
+    normalizes each <m_i>).  (key, rep, wit) is the root's row.  Node h holds, for every x, the least image omin[h, x]
+    of x under H and an element owit[h, x] of H taking x there;
+    child[h, m] is the node of the stabilizer of m in H, or -1 until a
+    row needs it.  Every subgroup of the centre fixes every element and
+    every cyclic subgroup, so one node stands for all of them.  Rows
+    index the node arrays flat, node * n + x, in int32: at 12 bytes per
+    entry, memory runs out long before an index passes 2^31."""
 
-    def __init__(self, ix: IndexedGroup):
-        rep, wit = ix._class_data
-        ar = np.arange(ix.n, dtype=np.int32)
-        self.conj, self.central = ix.conj, ix.central
-        self.members = [np.flatnonzero(ix.central).astype(np.int32), ar]
+    def __init__(self, ix: IndexedGroup, key: np.ndarray, rep: np.ndarray, wit: np.ndarray):
+        self.conj, self.central, self.key = ix.conj, ix.central, key
+        self.members = [np.flatnonzero(ix.central).astype(np.int32),
+                        np.arange(ix.n, dtype=np.int32)]
         self.nodes: dict[bytes, int] = {}
-        self.omin = np.stack((ar, rep))
+        self.omin = np.stack((key, rep))
         self.owit = np.stack((np.full(ix.n, ix.identity, dtype=np.int32), wit))
         self.child = np.full((2, ix.n), -1, dtype=np.int32)
         self.child[_CENTRAL] = _CENTRAL
@@ -497,7 +486,7 @@ class _StabilizerChain:
         omin, owit = [self.omin], [self.owit]
         for h, x in set(zip(node[missing].tolist(), m[missing].tolist())):
             members = self.members[h]
-            fixed = members[self.conj[members, x] == x]
+            fixed = members[self.key[self.conj[members, x]] == x]
             if len(fixed) == len(members):
                 c = h
             elif self.central[fixed].all():
@@ -505,11 +494,14 @@ class _StabilizerChain:
             else:
                 c = self.nodes.setdefault(fixed.tobytes(), len(self.members))
                 if c == len(self.members):
-                    imgs = self.conj[fixed]
-                    at = imgs.argmin(axis=0)
+                    imgs = self.key[self.conj[fixed]]
                     self.members.append(fixed)
-                    omin.append(imgs[at, np.arange(n)][None])
-                    owit.append(fixed[at][None])
+                    omin.append(imgs.min(axis=0)[None])
+                    # some member taking y to its least image, by a scatter: argmin
+                    # pages in a kernel the m search does not use (+0.1 MB peak RSS)
+                    g, y = np.nonzero(imgs == omin[-1])
+                    owit.append(np.empty((1, n), dtype=np.int32))
+                    owit[-1][0, y] = fixed[g]
             self.child[h, x] = c
         if len(omin) > 1:
             self.omin, self.owit = np.concatenate(omin), np.concatenate(owit)

@@ -528,9 +528,13 @@ def orbit_statistics(spec: GroupSpec, size: int,
         raise ValueError("size must be positive")
     if spec.order is None or spec.order > MAX_INDEXED_ORDER:
         raise ValueError(f"orbit statistics are limited to groups of order <= {MAX_INDEXED_ORDER}")
-    est = spec.order ** size if spec.is_abelian else spec.order ** (size - 1)
-    if est > 2_000_000:
-        raise ValueError("too many tuple classes at this size; pick a smaller size")
+    # n^size classes (n^(size-1) up to conjugation), a factor max(n, 2) at a
+    # time: no large integer, and every size from 22 on is refused
+    est = 1
+    for _ in range(size if spec.is_abelian else size - 1):
+        est *= max(spec.order, 2)
+        if est > 2_000_000:
+            raise ValueError("too many tuple classes at this size; pick a smaller size")
     deadline = time.monotonic() + limits.time_budget
     ix = IndexedGroup.from_spec(spec)
     table = _generating_classes(ix, size, deadline)

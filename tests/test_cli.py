@@ -529,6 +529,55 @@ def test_orbit_node_budget_counts_whole_orbits(capsys, budget, sizes):
     assert doc["generating_classes"] == 114
 
 
+@pytest.mark.parametrize("argv", (
+    ("orbit", "psl2:5", "--size", "10000000", "--time-budget", "1"),
+    ("orbit", "cyclic:1^1", "--size", "10000"), ("orbit", "cyclic:1^1", "--size", "22")))
+def test_orbit_refuses_large_sizes_at_once(capsys, argv):
+    # the class-count bound is decided before any large integer or table
+    # is built, the trivial group included
+    t0 = time.monotonic()
+    assert main(list(argv)) == EXIT_DATA
+    assert time.monotonic() - t0 < 1.5
+
+
+def _matrices(*flat):
+    return [[list(x[:2]), list(x[2:])] for x in flat]
+
+
+# stdout of exhaustive searches: the witness, nodes and pushed classes
+# depend on which canonical representative each node pushes
+PINNED_SEARCHES = (
+    (("rank", "psl2:7"), {
+        "command": "rank", "exhaustive": True, "group": "psl2:7", "notes": [], "rank": "m",
+        "seed": 0, "stats": {"nodes": 2418, "pushed_classes": 30,
+                             "recorded": {"2": 62, "3": 107, "4": 2}},
+        "value": 4,
+        "witness": _matrices((0, 1, 6, 0), (0, 2, 3, 0), (2, 6, 5, 5), (3, 2, 2, 4))}),
+    (("rank", "sl2:5"), {
+        "command": "rank", "exhaustive": True, "group": "sl2:5", "notes": [], "rank": "m",
+        "seed": 0, "stats": {"nodes": 816, "pushed_classes": 16,
+                             "recorded": {"2": 82, "3": 168}},
+        "value": 3, "witness": _matrices((0, 1, 4, 1), (0, 2, 2, 1), (2, 1, 3, 2))}),
+    (("mu", "psl2:7"), {
+        "command": "mu", "exhaustive": True, "group": "psl2:7",
+        "notes": ["size 2 is the minimal generating size; minimal tuples are Nielsen "
+                  "irredundant"],
+        "rank": "mu", "seed": 0, "stats": {"m": 4, "nodes": 2418, "orbit_nodes": 666},
+        "value": 2, "witness": _matrices((0, 1, 6, 0), (0, 1, 6, 1))}),
+    (("witness", "psl2:11", "--size", "3"), {
+        "command": "witness", "exhausted": False, "group": "psl2:11", "notes": [],
+        "seed": 0, "size": 3, "stats": {"nodes": 1215},
+        "witness": _matrices((0, 1, 10, 3), (0, 5, 2, 8), (5, 5, 8, 6))}))
+
+
+@pytest.mark.parametrize("argv, payload", PINNED_SEARCHES,
+                         ids=[" ".join(argv) for argv, _ in PINNED_SEARCHES])
+def test_search_output_is_pinned(capsys, argv, payload):
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == EXIT_OK
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def test_json_output_is_deterministic(capsys):
     _, first = run(capsys, "rank", "sl2:5", "--format", "json")
     _, second = run(capsys, "rank", "sl2:5", "--format", "json")

@@ -227,7 +227,8 @@ def test_maximal_subgroup_counts(p, count):
     for spec in (ProjSpecialLinear(2, p), SpecialLinear(2, p)):
         masks = IndexedGroup.from_spec(spec).maximal_masks
         assert masks.dtype == np.uint64
-        assert int(np.bitwise_count(np.bitwise_or.reduce(masks, axis=0)).sum()) == count
+        bits = np.unpackbits(np.bitwise_or.reduce(masks, axis=0).view(np.uint8))
+        assert int(bits.sum()) == count
 
 
 def _canonical_set(ix, s) -> tuple:
@@ -361,6 +362,11 @@ def test_canonical_set_is_conjugation_invariant():
         moved = tuple(sorted(int(ix.conj[g, x]) for x in s))
         assert _canonical_set(ix, moved) == c
         assert _canonical_set(ix, c) == c
+        # families: <x> goes to <g x g^-1>, whichever generator names it
+        family = ix.canonical_sets(np.array([s, moved, c], dtype=np.int32), families=True)
+        assert (family == family[0]).all()
+        again = ix.canonical_sets(family[:1], families=True)
+        assert (again == family[:1]).all()
 
 
 def _least_image(ix, s, name=None):
@@ -413,13 +419,14 @@ def _random_rows(ix, rng, size, count):
     ProjSpecialLinear(2, 5), SpecialLinear(2, 5), ProjSpecialLinear(2, 7),
     CyclicPower(5, 2), PSL2_5_X_C2), ids=lambda spec: spec.descriptor())
 def test_canonical_sets_match_brute_force(spec, monkeypatch):
-    # one call per size holds rows of many r0 and lead counts; with eight
-    # image entries per slice every call spans many slices
+    # one call per size holds rows of many kinds; with eight table entries
+    # per slice every call spans many slices
     rng = random.Random(53)
     ix = IndexedGroup.from_spec(spec)
-    for cells in (indexed._CANONICAL_CELLS, 8):
-        monkeypatch.setattr(indexed, "_CANONICAL_CELLS", cells)
-        for size in range(1, 6):
+    ix.conj, ix.maximal_masks           # tables built before the slice is patched
+    for cells in (indexed._TABLE_CELLS, 8):
+        monkeypatch.setattr(indexed, "_TABLE_CELLS", cells)
+        for size in range(1, 7):
             rows = _random_rows(ix, rng, size, 120)
             for families in (False, True):
                 got = ix.canonical_sets(rows, families=families)
@@ -428,12 +435,36 @@ def test_canonical_sets_match_brute_force(spec, monkeypatch):
                 for row, canon in zip(rows.tolist(), got.tolist()):
                     assert tuple(canon) == _least_image(ix, row, name), (row, families)
     # a maximal subgroup plus one element: the images of the subgroup
-    # agree on many columns before the extra element tells them apart
+    # agree on many positions before the extra element tells them apart
     members = np.flatnonzero(ix.maximal_masks[:, 0] & np.uint64(1)).tolist()
     rows = np.array([sorted(members + [x]) for x in range(ix.n) if x not in members],
                     dtype=np.int32)
-    for row, canon in zip(rows.tolist(), ix.canonical_sets(rows).tolist()):
-        assert tuple(canon) == _least_image(ix, row), row
+    for families in (False, True):
+        name = ix.cyclic_key if families else None
+        for row, canon in zip(rows.tolist(), ix.canonical_sets(rows, families).tolist()):
+            assert tuple(canon) == _least_image(ix, row, name), (row, families)
+
+
+@pytest.mark.parametrize("spec", (SpecialLinear(2, 5), ProjSpecialLinear(2, 7), PSL2_5_X_C2),
+                         ids=lambda spec: spec.descriptor())
+def test_canonical_families_do_not_depend_on_which_rows_come_first(spec):
+    # the family chain grows with the rows it meets: fresh instances fed
+    # one row at a time, in reverse order or in one batch agree
+    rng = np.random.default_rng(61)
+    n = spec.order
+    centre = np.flatnonzero(IndexedGroup.from_spec(spec).central)
+    for k in range(1, 5):
+        rows = rng.integers(0, n, size=(150, k), dtype=np.int32)
+        rows[:40, 0] = rng.choice(centre, size=40)        # central members
+        batch = IndexedGroup(spec).canonical_sets(rows, families=True)
+        single = IndexedGroup(spec)
+        one_by_one = np.concatenate([single.canonical_sets(r[None], families=True)
+                                     for r in rows])
+        reverse = IndexedGroup(spec).canonical_sets(rows[::-1], families=True)[::-1]
+        assert (one_by_one == batch).all() and (reverse == batch).all()
+        empty = np.empty((0, k), dtype=np.int32)
+        assert IndexedGroup(spec).canonical_sets(empty, families=True).shape == (0, k)
+        assert single.canonical_sets(empty, families=True).shape == (0, k)
 
 
 def _canonical_tuple(ix, t) -> tuple:
