@@ -411,6 +411,15 @@ def _evidence_primes(t: RationalTuple, prime_count: int, config: PlanConfig | No
                                      base.closure_evidence_cap)).candidates
 
 
+def _summary(records: list, names: dict) -> str:
+    """Over the primes with a verdict in names, those that generate:
+    never-generating if none, names[v] if all read v, else mixed."""
+    decided = {r.verdict for r in records if r.verdict in names}
+    if not decided:
+        return "never-generating"
+    return names[decided.pop()] if len(decided) == 1 else "mixed"
+
+
 def assess_irredundancy(t: RationalTuple, prime_count: int = 5,
                         config: PlanConfig | None = None) -> IrredundancyEvidence:
     """Redundancy verdicts of the reductions at the first usable
@@ -421,15 +430,8 @@ def assess_irredundancy(t: RationalTuple, prime_count: int = 5,
         rep = is_redundant(reduce_tuple_mod_p(t, p))
         records.append(PrimeIrredundancyRecord(p, rep.generates, rep.verdict,
                                                rep.droppable))
-    gen = [r for r in records if r.generates]
-    if not gen:
-        summary = "never-generating"
-    elif all(r.verdict == "IrredundantGenerating" for r in gen):
-        summary = "all-irredundant"
-    elif all(r.verdict == "RedundantGenerating" for r in gen):
-        summary = "all-redundant"
-    else:
-        summary = "mixed"
+    summary = _summary(records, {"IrredundantGenerating": "all-irredundant",
+                                 "RedundantGenerating": "all-redundant"})
     return IrredundancyEvidence(t.fingerprint(), tuple(records), summary)
 
 
@@ -465,18 +467,9 @@ def assess_nielsen_irredundancy(t: RationalTuple, prime_count: int = 3,
         rep = is_nielsen_redundant(gt, SearchLimits(limits.node_budget,
                                                     deadline - time.monotonic()))
         records.append(PrimeNielsenRecord(p, rep.verdict, rep.visited))
-    decided = [r for r in records if r.verdict in ("NielsenRedundant",
-                                                   "NielsenIrredundant")]
-    if any(r.verdict == "Unknown" for r in records):
-        summary = "undecided"
-    elif not decided:
-        summary = "never-generating"
-    elif all(r.verdict == "NielsenIrredundant" for r in decided):
-        summary = "all-nielsen-irredundant"
-    elif all(r.verdict == "NielsenRedundant" for r in decided):
-        summary = "all-nielsen-redundant"
-    else:
-        summary = "mixed"
+    summary = "undecided" if any(r.verdict == "Unknown" for r in records) else _summary(
+        records, {"NielsenIrredundant": "all-nielsen-irredundant",
+                  "NielsenRedundant": "all-nielsen-redundant"})
     return NielsenEvidence(t.fingerprint(), tuple(records), summary)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -392,8 +393,11 @@ def _cmd_certify(args):
         raise DataError(str(exc))
     serialized = serialize_certificate(result)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(serialized + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(serialized + "\n")
+        except OSError as exc:
+            raise DataError(f"cannot write {args.out}: {exc}")
     certified = isinstance(result, DensityCertificate)
     payload = {
         "command": "certify",
@@ -699,13 +703,14 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
+    except (DataError, DenominatorClash) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except DenominatorClash as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    emit(payload, args.format)
+    try:
+        emit(payload, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:     # the reader is gone: the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

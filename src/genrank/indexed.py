@@ -46,8 +46,10 @@ j goes to the least conjugate of w t_j w^-1 under C.  The instance
 grows a chain of these stabilizers as rows reach them: each node holds
 the least conjugate of every element under its subgroup, a witness for
 each, and its children C_C(m), shared by member set, and one node
-stands for every subgroup of the centre.  A tuple position costs a few
-gathers over all rows, whatever the size of C.
+stands for every subgroup of the centre.  The root is read off the
+conjugacy classes, any other node off its members' images, _TABLE_CELLS
+entries at a time.  A tuple position costs a few gathers over all rows,
+whatever the size of C.
 
 A set is canonical as its least sorted image.  Under one conjugator the
 sorted image is the least ordering of the image, so the least sorted
@@ -80,8 +82,8 @@ MAX_INDEXED_ORDER = 4096
 _LATTICE_JOIN_CAP = 2000
 
 _JOIN_CELLS = 1 << 15             # mask cells of one slice of the subgroup walk
-_TABLE_CELLS = 1 << 14             # entries of one slice of a row fill or of canonical_sets
-                                   # (64 KB of int32; 256 KB slices raised the peak RSS)
+_TABLE_CELLS = 1 << 14             # entries of one slice of a row or node fill or of
+                                   # canonical_sets (64 KB of int32; 256 KB raised the peak RSS)
 
 _INSTANCE_CACHE: dict[str, "IndexedGroup"] = {}
 
@@ -203,9 +205,6 @@ class IndexedGroup:
     def _class_data(self) -> tuple[np.ndarray, np.ndarray]:
         """(rep, wit): rep[x] is the least index in the class of x, and
         wit[x] a conjugator taking x to it."""
-        if self.spec.is_abelian:        # every class is a point: no conj table
-            return (np.arange(self.n, dtype=np.int32),
-                    np.full(self.n, self.identity, dtype=np.int32))
         rep = self.conj.min(axis=0)         # column x of conj is the class of x
         wit = np.full(self.n, self.n, dtype=np.int32)
         for r in np.flatnonzero(rep == np.arange(self.n)).tolist():
@@ -272,28 +271,16 @@ class IndexedGroup:
         return ~np.bitwise_and.reduce(self.maximal_masks[rows], axis=1).any(axis=1)
 
     @cached_property
-    def _cyclic_data(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(key, frep, fwit) over the generators x^k of <x>, k prime to
-        the order of x: key[x] is the least x^k, frep[x] the least
-        rep[x^k], and fwit[x] = wit[x^k] for that x^k, a conjugator
-        taking <x> to <frep[x]>."""
-        rep, wit = self._class_data
+    def cyclic_key(self) -> np.ndarray:
+        """key[x] is the least index generating the cyclic subgroup <x>:
+        the least x^k over k prime to the order of x."""
         ar = np.arange(self.n, dtype=np.int32)
-        cur = ar
-        key, frep, fwit = ar.copy(), rep.copy(), wit.copy()
+        cur, key = ar, ar.copy()
         for k in range(2, int(self.orders.max())):
             cur = self.mult[cur, ar]
             live = (k < self.orders) & (np.gcd(k, self.orders) == 1)
             np.minimum(key, cur, out=key, where=live)
-            better = np.flatnonzero(live & (rep[cur] < frep))
-            frep[better] = rep[cur[better]]
-            fwit[better] = wit[cur[better]]
-        return key, frep, fwit
-
-    @property
-    def cyclic_key(self) -> np.ndarray:
-        """key[x] is the least index generating the cyclic subgroup <x>."""
-        return self._cyclic_data[0]
+        return key
 
     @cached_property
     def maximal_masks(self) -> np.ndarray | None:
@@ -443,11 +430,11 @@ class IndexedGroup:
 
     @cached_property
     def _chain(self) -> "_StabilizerChain":
-        return _StabilizerChain(self, np.arange(self.n, dtype=np.int32), *self._class_data)
+        return _StabilizerChain(self, np.arange(self.n, dtype=np.int32))
 
     @cached_property
     def _family_chain(self) -> "_StabilizerChain":
-        return _StabilizerChain(self, *self._cyclic_data)
+        return _StabilizerChain(self, self.cyclic_key)
 
 
 _CENTRAL, _ROOT = 0, 1          # chain nodes: every subgroup of the centre, and G
@@ -457,8 +444,8 @@ class _StabilizerChain:
     """The stabilizers H of m_0, ..., m_j under one action of G by
     conjugation, grown on demand and named by their member sets: g takes
     x to key[g x g^-1], with key the identity map for elements (H is
-    C_G(m_0, ..., m_j)) and cyclic_key for cyclic subgroups (H
-    normalizes each <m_i>).  (key, rep, wit) is the root's row.  Node h holds, for every x, the least image omin[h, x]
+    C_G(m_0, ..., m_j)) and cyclic_key for cyclic subgroups (H normalizes
+    each <m_i>).  Node h holds, for every x, the least image omin[h, x]
     of x under H and an element owit[h, x] of H taking x there;
     child[h, m] is the node of the stabilizer of m in H, or -1 until a
     row needs it.  Every subgroup of the centre fixes every element and
@@ -466,14 +453,23 @@ class _StabilizerChain:
     index the node arrays flat, node * n + x, in int32: at 12 bytes per
     entry, memory runs out long before an index passes 2^31."""
 
-    def __init__(self, ix: IndexedGroup, key: np.ndarray, rep: np.ndarray, wit: np.ndarray):
+    def __init__(self, ix: IndexedGroup, key: np.ndarray):
+        n, (rep, wit) = ix.n, ix._class_data
         self.conj, self.central, self.key = ix.conj, ix.central, key
         self.members = [np.flatnonzero(ix.central).astype(np.int32),
-                        np.arange(ix.n, dtype=np.int32)]
+                        np.arange(n, dtype=np.int32)]
         self.nodes: dict[bytes, int] = {}
-        self.omin = np.stack((key, rep))
-        self.owit = np.stack((np.full(ix.n, ix.identity, dtype=np.int32), wit))
-        self.child = np.full((2, ix.n), -1, dtype=np.int32)
+        # the root takes x to y, a member of its class holding the least key:
+        # wit[x] takes x to the class representative and wit[y]^-1 that to y
+        least = np.full(n, n, dtype=np.int32)
+        np.minimum.at(least, rep, key)
+        holder = np.empty(n, dtype=np.int32)
+        y = np.flatnonzero(key == least[rep])
+        holder[rep[y]] = y
+        self.omin = np.stack((key, least[rep]))
+        self.owit = np.stack((np.full(n, ix.identity, dtype=np.int32),
+                              ix.mult[ix.inv[wit[holder[rep]]], wit]))
+        self.child = np.full((2, n), -1, dtype=np.int32)
         self.child[_CENTRAL] = _CENTRAL
 
     def child_of(self, node: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -484,6 +480,7 @@ class _StabilizerChain:
         if not missing.any():
             return out
         omin, owit = [self.omin], [self.owit]
+        step = max(1, _TABLE_CELLS // n)
         for h, x in set(zip(node[missing].tolist(), m[missing].tolist())):
             members = self.members[h]
             fixed = members[self.key[self.conj[members, x]] == x]
@@ -494,14 +491,18 @@ class _StabilizerChain:
             else:
                 c = self.nodes.setdefault(fixed.tobytes(), len(self.members))
                 if c == len(self.members):
-                    imgs = self.key[self.conj[fixed]]
                     self.members.append(fixed)
-                    omin.append(imgs.min(axis=0)[None])
-                    # some member taking y to its least image, by a scatter: argmin
-                    # pages in a kernel the m search does not use (+0.1 MB peak RSS)
-                    g, y = np.nonzero(imgs == omin[-1])
-                    owit.append(np.empty((1, n), dtype=np.int32))
-                    owit[-1][0, y] = fixed[g]
+                    # a running least image, and a witness from each slice reaching it
+                    # by a scatter (argmin pages in a kernel: +0.1 MB peak RSS)
+                    least, wit = np.full(n, n, dtype=np.int32), np.empty(n, dtype=np.int32)
+                    for i in range(0, len(fixed), step):
+                        part = fixed[i:i + step]
+                        imgs = self.key[self.conj[part]]
+                        np.minimum(least, imgs.min(axis=0), out=least)
+                        g, y = np.nonzero(imgs == least)
+                        wit[y] = part[g]
+                    omin.append(least[None])
+                    owit.append(wit[None])
             self.child[h, x] = c
         if len(omin) > 1:
             self.omin, self.owit = np.concatenate(omin), np.concatenate(owit)

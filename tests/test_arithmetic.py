@@ -4,9 +4,11 @@ import json
 import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from genrank import arithmetic
 from genrank.arithmetic import (DenominatorClash, DensityCertificate,
                                 NotCertifiedReport, PlanConfig,
                                 RationalMatrix, RationalTuple,
@@ -237,6 +239,11 @@ def test_irredundancy_evidence():
     ev2 = assess_irredundancy(redundant, prime_count=3)
     assert ev2.summary == "all-redundant"
     assert all(any(r.droppable) for r in ev2.records)
+    # redundant generating mod 5, irredundant generating mod 7
+    mixed = RationalTuple((rmat([[13, 4], [3, 1]]), s, rmat([[4, 13], [3, 10]])))
+    ev3 = assess_irredundancy(mixed, prime_count=2)
+    assert [r.verdict for r in ev3.records] == ["RedundantGenerating", "IrredundantGenerating"]
+    assert ev3.summary == "mixed"
 
 
 def test_nielsen_evidence():
@@ -251,3 +258,18 @@ def test_nielsen_evidence():
 def test_never_generating_summary():
     ev = assess_irredundancy(borel_pair(), prime_count=3)
     assert ev.summary == "never-generating"
+    ev2 = assess_nielsen_irredundancy(borel_pair(), prime_count=3)
+    assert [r.verdict for r in ev2.records] == ["NotGenerating"] * 3
+    assert ev2.summary == "never-generating"
+
+
+def test_mixed_nielsen_summary(monkeypatch):
+    # a generating pair of SL2(p) is always Nielsen irredundant, and a
+    # generating triple of SL2(5) or SL2(7) never is (mu = 2), so the
+    # walk's verdicts are set per call
+    verdicts = iter(("NielsenIrredundant", "NielsenRedundant"))
+    monkeypatch.setattr(arithmetic, "is_nielsen_redundant",
+                        lambda gt, limits: SimpleNamespace(verdict=next(verdicts), visited=1))
+    ev = assess_nielsen_irredundancy(standard_pair(), prime_count=2)
+    assert [r.verdict for r in ev.records] == ["NielsenIrredundant", "NielsenRedundant"]
+    assert ev.summary == "mixed"

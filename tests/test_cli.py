@@ -140,16 +140,20 @@ def test_budget_exit(capsys):
     assert doc["exhaustive"] is False
 
 
+def _genrank(argv, **kwargs) -> subprocess.CompletedProcess:
+    """genrank in a fresh process, importing this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.dirname(os.path.dirname(cli.__file__)),
+                      os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "genrank", *argv], env=env, text=True,
+                          timeout=120, **kwargs)
+
+
 @pytest.mark.parametrize("argv", (["witness", "psl2:19", "--size", "4"], ["rank", "psl2:19"]))
 def test_search_budget_holds_the_table_build(argv):
     # in a fresh process the psl2:19 tables and subgroup walk take far
     # longer than the budget, and the search's clock starts before them
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [os.path.dirname(os.path.dirname(cli.__file__)),
-                      os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-m", "genrank", *argv, "--time-budget", "0.05",
-                          "--format", "json"], env=env, capture_output=True, text=True,
-                         timeout=120)
+    out = _genrank([*argv, "--time-budget", "0.05", "--format", "json"], capture_output=True)
     assert out.returncode == EXIT_BUDGET, out.stderr
     assert json.loads(out.stdout)["stats"]["nodes"] == 0
 
@@ -303,6 +307,33 @@ def test_certify_undecided_nielsen_is_mixed_exit(capsys, tmp_path):
                          "--node-budget", "2")
     assert code == EXIT_EVIDENCE_MIXED
     assert doc["nielsen"]["summary"] == "undecided"
+
+
+def test_certify_out_to_an_unwritable_path_is_a_data_error(capsys, tmp_path):
+    src = tmp_path / "pair.txt"
+    src.write_text(STD_PAIR)
+    for path in (tmp_path / "missing" / "x.cert", tmp_path):
+        code = main(["certify", str(src), "--out", str(path)])
+        out, err = capsys.readouterr()
+        assert code == EXIT_DATA
+        assert out == "" and err.startswith(f"error: cannot write {path}: "), err
+
+
+@pytest.mark.parametrize("argv, want", (
+    (["rank", "psl2:7", "--format", "table"], EXIT_OK),
+    (["certify", "BOREL", "--format", "json"], EXIT_NOT_CERTIFIED)))
+def test_closed_stdout_exits_with_the_commands_code(argv, want, tmp_path):
+    # the reader closes its end of the pipe before genrank starts
+    src = tmp_path / "borel.txt"
+    src.write_text(BOREL_PAIR)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        out = _genrank([str(src) if a == "BOREL" else a for a in argv], stdout=write,
+                       stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert (out.returncode, out.stderr) == (want, "")
 
 
 def test_certify_counts_below_one_are_usage_errors(capsys, tmp_path):

@@ -527,6 +527,56 @@ def test_canonical_tuples_do_not_depend_on_which_rows_come_first(spec):
         assert single.canonical_tuples(np.empty((0, k), dtype=np.int32)).shape == (0, k)
 
 
+CHAIN_SPECS = (SpecialLinear(2, 5), ProjSpecialLinear(2, 7), SpecialLinear(2, 7), PSL2_5_X_C2)
+
+
+def _grow_chains(ix, seed) -> list:
+    """Canonical tuples, sets and families of random rows of sizes 1 to 4,
+    some with central leads: what grows both chains."""
+    rng = np.random.default_rng(seed)
+    centre, out = np.flatnonzero(ix.central), []
+    for k in range(1, 5):
+        rows = rng.integers(0, ix.n, size=(200, k), dtype=np.int32)
+        rows[:50, 0] = rng.choice(centre, size=50)
+        sets = np.sort(rows, axis=1)
+        out += [ix.canonical_tuples(rows), ix.canonical_sets(sets),
+                ix.canonical_sets(sets, families=True)]
+    return out
+
+
+def _check_chain_rows(ix):
+    """Brute force over the members M of every node of both chains, the
+    central node and the root among them: omin is the least key image
+    under M, and owit a member of M reaching it."""
+    ar = np.arange(ix.n)
+    for chain, key in ((ix._chain, ar), (ix._family_chain, ix.cyclic_key)):
+        assert len(chain.members) > 2          # nodes past the centre and the root
+        for h, members in enumerate(chain.members):
+            assert np.array_equal(chain.omin[h], key[ix.conj[members]].min(axis=0)), h
+            assert np.isin(chain.owit[h], members).all(), h
+            assert np.array_equal(key[ix.conj[chain.owit[h], ar]], chain.omin[h]), h
+
+
+@pytest.mark.parametrize("spec", CHAIN_SPECS, ids=lambda spec: spec.descriptor())
+def test_chain_rows_match_brute_force(spec):
+    # centres of order 2, 1, 2 and 2
+    ix = IndexedGroup(spec)
+    _grow_chains(ix, 67)
+    _check_chain_rows(ix)
+
+
+@pytest.mark.parametrize("spec", CHAIN_SPECS, ids=lambda spec: spec.descriptor())
+def test_chain_node_fills_do_not_depend_on_the_slice(spec, monkeypatch):
+    # with n table entries a slice, every node is filled one member at a time
+    want = _grow_chains(IndexedGroup(spec), 71)
+    ix = IndexedGroup(spec)
+    ix.conj                             # tables built before the slice is patched
+    monkeypatch.setattr(indexed, "_TABLE_CELLS", ix.n)
+    got = _grow_chains(ix, 71)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    _check_chain_rows(ix)
+
+
 def test_canonical_tuple_separates_nonconjugate():
     # class function values differ => tuples cannot collide
     spec = ProjSpecialLinear(2, 5)
