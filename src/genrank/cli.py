@@ -289,13 +289,6 @@ def _scalar(v) -> str:
     return str(v)
 
 
-def emit(payload: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print("\n".join(_render_lines(payload)))
-
-
 # ---------------------------------------------------------------------------
 # Commands.
 # ---------------------------------------------------------------------------
@@ -692,14 +685,11 @@ def parse_args(argv: list) -> types.SimpleNamespace:
 def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else list(argv))
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ShowHelp as exc:
-        print(exc)
-        return EXIT_OK
-    try:
         payload, code = args.func(args)
+        text = json.dumps(payload, indent=2, sort_keys=True) if args.format == "json" \
+            else "\n".join(_render_lines(payload))
+    except ShowHelp as exc:
+        text, code = str(exc), EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -707,7 +697,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     try:
-        emit(payload, args.format)
+        print(text)
         sys.stdout.flush()
     except BrokenPipeError:     # the reader is gone: the flush at exit goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

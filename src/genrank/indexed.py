@@ -8,34 +8,35 @@ closure, generation tests, and canonical forms of tuples and sets
 under simultaneous conjugation.
 
 An instance owns every structure derived from its group, and
-`from_spec` keeps one per descriptor: the tables past `mult` are cached
-properties built on first use, and `m_search` keeps the exhaustive m
-search at default limits.  The table is built from the generators
-alone.  One breadth-first pass from the identity lists the elements and
-records each product ga; sorting by encoding gives `elements` and
-`index` and relabels the records into one permutation a -> ga per
-generator g, so no product is formed twice.  The table is then filled
-a breadth-first layer of the left Cayley graph at a time: row gy is row
-y under that permutation, one gather per layer and generator, a slice
-of at most _TABLE_CELLS entries at a time.  conj, built on first use,
-is filled along the same layers: row gy is row y under x -> g x g^-1.
+`from_spec` keeps one per descriptor: `conj` is built with `mult`, the
+other tables on first use, and `m_search` keeps the exhaustive m search
+at default limits.  The table is built from the generators alone.  One
+breadth-first pass from the identity lists the elements and records
+each product ga; sorting by encoding gives `elements` and `index` and
+relabels the records into one permutation a -> ga per generator g, so
+no product is formed twice.  The table is then filled a breadth-first
+layer of the left Cayley graph at a time: row gy is row y under that
+permutation, one gather per layer and generator, a slice of at most
+_TABLE_CELLS entries at a time.  conj is filled along the same layers,
+row gy being row y under x -> g x g^-1, unless G is abelian.
 
 Closure grows rows of boolean masks a ball at a time: the next ball
 adds the last layer times each generator, one scatter per generator
 over all rows, so ball k is breadth-first layer k.  A set generates
 exactly when no maximal subgroup contains it.  Each element carries a
 row of packed uint64 words, one bit per maximal subgroup holding it, so
-the test is one AND over the set's rows.  The maximal subgroups come
-from a breadth-first walk over conjugacy classes of subgroups, a layer
-at a time: for each class H of the layer it lists one cyclic candidate
-c per normalizer orbit, and the joins <H, c> of the whole layer close
-together from H's masks, a slice of at most _JOIN_CELLS mask cells at a
-time.  Each class found puts the packed mask of one conjugate per coset
-of its normalizer into a set, so a proper join is new exactly when its
-packed mask is not there, and the conjugates of the maximal classes are
-the bits.  A walk that would pass a fixed number of joins (large
-abelian groups have thousands of subgroups) leaves generation to
-closure.
+the test is one AND over the set's rows.  In an abelian group the
+maximal subgroups are the kernels of the maps onto Z/p, p dividing n,
+read off a null space mod p.  Otherwise they come from a breadth-first
+walk over conjugacy classes of subgroups, a layer at a time: for each
+class H of the layer it lists one cyclic candidate c per normalizer
+orbit, and the joins <H, c> of the whole layer close together from H's
+masks, a slice of at most _JOIN_CELLS mask cells at a time.  Each class
+found puts the packed mask of one conjugate per coset of its normalizer
+into a set, so a proper join is new exactly when its packed mask is not
+there, and the conjugates of the maximal classes are the bits.  The
+table build, the walk and the kernels stop with TimeoutError at the
+caller's deadline, and only finished tables are kept.
 
 Canonical forms use the minimum-index convention: a conjugacy class is
 represented by its least index, and the canonical image of a tuple is
@@ -67,19 +68,17 @@ a scatter, a bincount or one argsort.
 
 from __future__ import annotations
 
+import itertools
+import math
+import time
 from functools import cached_property
 
 import numpy as np
 
+from .fp import prime_factors, row_reduce
 from .groups import GeneratingTuple, GroupSpec
 
 MAX_INDEXED_ORDER = 4096
-
-# Join closures the maximal-subgroup walk may run before generation
-# falls back to closure.  The largest indexed SL2/PSL2 groups need 921
-# (sl2:13) and 1,115 (psl2:19); cyclic:2^6 has 2,824 subgroups, and
-# walking them costs far more than answering by closure.
-_LATTICE_JOIN_CAP = 2000
 
 _JOIN_CELLS = 1 << 15             # mask cells of one slice of the subgroup walk
 _TABLE_CELLS = 1 << 14             # entries of one slice of a row or node fill or of
@@ -88,35 +87,43 @@ _TABLE_CELLS = 1 << 14             # entries of one slice of a row or node fill 
 _INSTANCE_CACHE: dict[str, "IndexedGroup"] = {}
 
 
+def _check(deadline: float) -> None:
+    if time.monotonic() > deadline:
+        raise TimeoutError("indexed build passed its deadline")
+
+
 class IndexedGroup:
     """Tables and canonical-form helpers for one finite group."""
 
-    def __init__(self, spec: GroupSpec):
+    def __init__(self, spec: GroupSpec, deadline: float = math.inf):
         if spec.order is None or spec.order > MAX_INDEXED_ORDER:
             raise ValueError(
                 f"indexing is limited to finite groups of order <= {MAX_INDEXED_ORDER}")
         self.spec = spec
-        self.elements, self.index, left = self._cayley_walk()
+        self.elements, self.index, left = self._cayley_walk(deadline)
         self.n = len(self.elements)
         self.identity = self.index[spec.encode(spec.identity())]
         self._gens = [int(r[self.identity]) for r in left]     # the products g·1
         self._layers = self._left_layers(left)
-        self.mult = self._fill_rows(left)
+        self.mult = self._fill_rows(left, deadline)
         self.orders, self.inv = self._element_orders()
         # the centre: elements commuting with every generator
         self.central = (self.mult[:, self._gens] == self.mult[self._gens, :].T).all(axis=1)
-        self.m_search = None        # set by redundancy.max_irredundant_size
+        # conj[g, x] = g x g^-1 along the layers of mult, or x in a read-only view
+        self.conj = np.broadcast_to(self.mult[self.identity], (self.n, self.n)) if \
+            spec.is_abelian else self._fill_rows([self.mult[self.mult[g], self.inv[g]]
+                                                  for g in self._gens], deadline)
+        # set by maximal_masks and by redundancy.max_irredundant_size
+        self._masks = self.m_search = None
 
     @classmethod
-    def from_spec(cls, spec: GroupSpec) -> "IndexedGroup":
+    def from_spec(cls, spec: GroupSpec, deadline: float = math.inf) -> "IndexedGroup":
         key = spec.descriptor()
-        inst = _INSTANCE_CACHE.get(key)
-        if inst is None:
-            inst = cls(spec)
-            _INSTANCE_CACHE[key] = inst
-        return inst
+        if key not in _INSTANCE_CACHE:      # only a finished build is kept
+            _INSTANCE_CACHE[key] = cls(spec, deadline)
+        return _INSTANCE_CACHE[key]
 
-    def _cayley_walk(self) -> tuple[list, dict, list]:
+    def _cayley_walk(self, deadline: float) -> tuple[list, dict, list]:
         """One breadth-first pass from the identity over left
         multiplication by the generators, recording every product:
         (elements sorted by encoding, encoding -> position, and per
@@ -128,6 +135,7 @@ class IndexedGroup:
         elems = [e]
         left = [[] for _ in gens]
         for a in elems:             # breadth-first: the list grows as it is read
+            _check(deadline)
             for g, r in zip(gens, left):
                 b = spec.mul(g, a)
                 i = found.setdefault(spec.encode(b), len(elems))
@@ -164,7 +172,7 @@ class IndexedGroup:
             layer = np.concatenate(reached)
         return out
 
-    def _fill_rows(self, perms: list) -> np.ndarray:
+    def _fill_rows(self, perms: list, deadline: float) -> np.ndarray:
         """The n x n table whose identity row is the identity map and
         whose row gy is row y under perms[g], filled along the left
         layers a slice of at most _TABLE_CELLS entries at a time: mult
@@ -176,6 +184,7 @@ class IndexedGroup:
         step = max(1, _TABLE_CELLS // n)
         for k, ys, zs in self._layers:
             for i in range(0, zs.size, step):
+                _check(deadline)
                 out[zs[i:i + step]] = perms[k][out[ys[i:i + step]]]
         return out
 
@@ -197,11 +206,6 @@ class IndexedGroup:
         return orders, inv
 
     @cached_property
-    def conj(self) -> np.ndarray:
-        # conj[g, x] = g x g^{-1}, along the layers of mult
-        return self._fill_rows([self.mult[self.mult[g], self.inv[g]] for g in self._gens])
-
-    @cached_property
     def _class_data(self) -> tuple[np.ndarray, np.ndarray]:
         """(rep, wit): rep[x] is the least index in the class of x, and
         wit[x] a conjugator taking x to it."""
@@ -220,19 +224,16 @@ class IndexedGroup:
 
     # -- closure and generation --------------------------------------
 
-    def closure_rows(self, masks: np.ndarray, gens: np.ndarray, cap: int | None = None,
-                     target: int | None = None):
+    def closure_rows(self, masks: np.ndarray, gens: np.ndarray, cap: int | None = None):
         """Grow each row of a boolean (rows x n) array a ball at a time by
-        its row of gens, until it stops growing, holds target or counts
-        past cap: the next ball adds the last layer times each generator,
-        one scatter per column of gens over all rows.  Returns (masks,
-        counts, exceeded, found) by row."""
+        its row of gens, until it stops growing or counts past cap: the
+        next ball adds the last layer times each generator, one scatter
+        per column of gens over all rows.  Returns (masks, counts,
+        exceeded) by row."""
         masks, cap = masks.copy(), self.n if cap is None else cap
         counts = masks.sum(axis=1)
         exceeded = np.zeros(len(masks), dtype=bool)
-        found = np.zeros_like(exceeded) if target is None else masks[:, target].copy()
-        live = np.flatnonzero(~found)
-        layer = masks[live]
+        live, layer = np.arange(len(masks)), masks
         while live.size:
             row, x = np.nonzero(layer)
             grown = masks[live]
@@ -242,33 +243,17 @@ class IndexedGroup:
             masks[live] = grown
             counts[live] += layer.sum(axis=1)
             grew = layer.any(axis=1)
-            if target is not None:
-                found[live] = grown[:, target]
-            exceeded[live] = grew & (counts[live] > cap) & ~found[live]
-            keep = grew & ~found[live] & ~exceeded[live]
+            exceeded[live] = grew & (counts[live] > cap)
+            keep = grew & ~exceeded[live]
             live, layer = live[keep], layer[keep]
-        return masks, counts, exceeded, found
+        return masks, counts, exceeded
 
-    def closure_mask(self, gens, cap: int | None = None, target: int | None = None):
-        """closure_rows of one row from the identity: (mask, count,
-        exceeded, found) of the subgroup generated by gens."""
-        mask, count, exceeded, found = self.closure_rows(
-            (np.arange(self.n) == self.identity)[None], np.array([list(gens)], dtype=np.int32),
-            cap=cap, target=target)
-        return mask[0], int(count[0]), bool(exceeded[0]), bool(found[0])
-
-    def generates(self, gens) -> bool:
-        distinct = np.array(sorted(set(gens)), dtype=np.int32)
-        return bool(self.generates_rows(distinct.reshape(1, -1))[0])
-
-    def generates_rows(self, rows: np.ndarray) -> np.ndarray:
+    def generates_rows(self, rows: np.ndarray, deadline: float = math.inf) -> np.ndarray:
         """Which rows generate: one column by element order, more by the
-        maximal masks, or by closure past the join cap."""
+        maximal masks, built by the deadline."""
         if rows.shape[1] < 2:
             return (self.orders[rows] == self.n).any(axis=1) | (self.n == 1)
-        if self.maximal_masks is None:
-            return np.array([self.closure_mask(r)[1] == self.n for r in rows.tolist()], bool)
-        return ~np.bitwise_and.reduce(self.maximal_masks[rows], axis=1).any(axis=1)
+        return ~np.bitwise_and.reduce(self.maximal_masks(deadline)[rows], axis=1).any(axis=1)
 
     @cached_property
     def cyclic_key(self) -> np.ndarray:
@@ -282,73 +267,100 @@ class IndexedGroup:
             np.minimum(key, cur, out=key, where=live)
         return key
 
-    @cached_property
-    def maximal_masks(self) -> np.ndarray | None:
-        """The n x words uint64 incidence of elements and maximal
-        subgroups (conjugates counted apart): bit b % 64 of word b // 64
-        of row x is set when x lies in subgroup b.  None when the
-        subgroup walk passed _LATTICE_JOIN_CAP."""
-        # Breadth-first over conjugacy classes of proper subgroups, from
-        # the trivial one.  Every subgroup above H contains some <H, c>
-        # with c outside H, and conjugating c by the normalizer of H
-        # conjugates the join, so one c per normalizer orbit of cyclic
-        # subgroups reaches every class; H is maximal when all of its
-        # joins are the whole group.  By Lagrange a join past n/2
-        # elements is the whole group.  Every class at depth d has d
-        # generators, so a layer's joins close together, and they are
-        # read in the order a walk of one class at a time reads them,
-        # which fixes the classes and the bits.  seen holds the packed
-        # mask of every conjugate of every class found.
-        n = self.n
-        abelian = self.spec.is_abelian      # conjugation is trivial: no conj table
-        key = self.cyclic_key
+    def maximal_masks(self, deadline: float = math.inf) -> np.ndarray:
+        """The n x words uint64 incidence of elements and maximal subgroups
+        (conjugates counted apart): bit b % 64 of word b // 64 of row x is
+        set when x lies in subgroup b.  Built on first use by the deadline,
+        or not at all: past it the build raises TimeoutError."""
+        if self._masks is None:
+            subgroups = (self._kernels if self.spec.is_abelian else self._maximal_walk)(deadline)
+            masks = np.zeros((self.n, max(1, -(-len(subgroups) // 64))), dtype=np.uint64)
+            for bit, members in enumerate(subgroups):
+                masks[members, bit // 64] |= np.uint64(1 << (bit % 64))
+            self._masks = masks
+        return self._masks
+
+    def _kernels(self, deadline: float) -> list:
+        """The members of each maximal subgroup of an abelian group: the
+        kernel of a map onto Z/p, p | n, for each line of maps.  With c[x]
+        the generator counts on a path of left layers to x, the map taking
+        the generators to v is x -> c[x] @ v, well defined when v is
+        orthogonal mod p to each c[g·y] - c[y] - e_g."""
+        r = len(self._gens)
+        c, eye = np.zeros((self.n, r), dtype=np.int64), np.eye(r, dtype=np.int64)
+        for k, ys, zs in self._layers:
+            c[zs] = c[ys] + eye[k]
+        relations = np.concatenate([c[self.mult[g]] - c - e for g, e in zip(self._gens, eye)])
+        out = []
+        for p in prime_factors(self.n):
+            # the reduced form does not depend on the order of the distinct rows
+            reduced, pivots, _ = row_reduce(list(set(map(tuple, (relations % p).tolist()))), p)
+            free = [j for j in range(r) if j not in pivots]
+            basis = eye[free]       # the null space: a 1 at one free column each
+            basis[:, pivots] = -np.array(reduced, dtype=np.int64)[:len(pivots), free].T % p
+            # one map per line: the first nonzero coefficient is 1
+            for coeffs in itertools.product(range(p), repeat=len(free)):
+                if next((a for a in coeffs if a), 0) == 1:
+                    _check(deadline)
+                    out.append(np.flatnonzero(c @ (np.array(coeffs) @ basis) % p == 0))
+        return out
+
+    def _maximal_walk(self, deadline: float) -> list:
+        # The members of each maximal subgroup, by a breadth-first walk
+        # over conjugacy classes of proper subgroups from the trivial
+        # one.  Every subgroup above H contains some <H, c> with c outside
+        # H, and conjugating c by the normalizer of H conjugates the join,
+        # so one c per normalizer orbit of cyclic subgroups reaches every
+        # class; H is maximal when all of its joins are the whole group.  By
+        # Lagrange a join past n/2 elements is the whole group.  Every class
+        # at depth d has d generators, so a layer's joins close together,
+        # and they are read in the order a walk of one class at a time
+        # reads them, which fixes the classes and the bits.  seen holds the
+        # packed mask of every conjugate of every class found.
+        n, key, conj = self.n, self.cyclic_key, self.conj
         cyclic = np.flatnonzero((key == np.arange(n)) & (np.arange(n) != self.identity))
         seen: set[bytes] = set()
 
         def found(gens: tuple, hmask: np.ndarray) -> tuple:
             members = np.flatnonzero(hmask)
-            if abelian:
-                norm, conjugates = np.arange(n), members[None]
-            else:
-                # g normalizes H = <gens> when it conjugates each into H
-                norm = np.flatnonzero(hmask[self.conj[:, list(gens)]].all(axis=1))
-                # the least element of each coset g N_G(H): take as many of
-                # the least uncovered elements as there are cosets, and keep
-                # those whose coset holds no smaller element
-                todo, cosets = np.ones(n, dtype=bool), []
-                while todo.any():
-                    block = np.flatnonzero(todo)[:n // len(norm)]
-                    images = self.mult[block[:, None], norm]
-                    least = images.min(axis=1) == block
-                    todo[images[least]] = False
-                    cosets.append(block[least])
-                conjugates = self.conj[np.concatenate(cosets)[:, None], members]
+            # g normalizes H = <gens> when it conjugates each into H
+            norm = np.flatnonzero(hmask[conj[:, list(gens)]].all(axis=1))
+            # the least element of each coset g N_G(H): take as many of
+            # the least uncovered elements as there are cosets, and keep
+            # those whose coset holds no smaller element
+            todo, cosets = np.ones(n, dtype=bool), []
+            while todo.any():
+                block = np.flatnonzero(todo)[:n // len(norm)]
+                images = self.mult[block[:, None], norm]
+                least = images.min(axis=1) == block
+                todo[images[least]] = False
+                cosets.append(block[least])
+            conjugates = conj[np.concatenate(cosets)[:, None], members]
             packed = np.zeros((len(conjugates), n), dtype=bool)
             np.put_along_axis(packed, conjugates, True, axis=1)
             seen.update(map(bytes, np.packbits(packed, axis=1)))
             return gens, hmask, norm, conjugates
 
-        layer = [found((), np.arange(n) == self.identity)] if n > 1 else []
-        conjugates, joins = [], 0         # the maximal classes' conjugates
+        layer = [found((), np.arange(n) == self.identity)]
+        conjugates = []         # the maximal classes' conjugates
         step = max(1, _JOIN_CELLS // n)
         while layer:
             owner, rows = [], []
             for h, (gens, hmask, norm, _) in enumerate(layer):
+                _check(deadline)
                 reached = np.zeros(n, dtype=bool)
                 for c in cyclic[~hmask[cyclic]].tolist():
                     if not reached[c]:
-                        reached[c if abelian else key[self.conj[norm, c]]] = True
+                        reached[key[conj[norm, c]]] = True
                         owner.append(h)
                         rows.append(gens + (c,))
-            joins += len(rows)
-            if joins > _LATTICE_JOIN_CAP:
-                return None
             owner, rows = np.array(owner), np.array(rows, dtype=np.int32)
             hmasks = np.stack([h[1] for h in layer])
             is_maximal = np.ones(len(layer), dtype=bool)
             below = []
             for i in range(0, len(rows), step):
-                jmasks, _, whole, _ = self.closure_rows(
+                _check(deadline)
+                jmasks, _, whole = self.closure_rows(
                     hmasks[owner[i:i + step]], rows[i:i + step], cap=n // 2)
                 proper = np.flatnonzero(~whole)
                 is_maximal[owner[i + proper]] = False
@@ -358,10 +370,7 @@ class IndexedGroup:
                         below.append(found(tuple(rows[i + j].tolist()), jmasks[j].copy()))
             conjugates += [c for h in np.flatnonzero(is_maximal).tolist() for c in layer[h][3]]
             layer = below
-        masks = np.zeros((n, max(1, -(-len(conjugates) // 64))), dtype=np.uint64)
-        for bit, image in enumerate(conjugates):
-            masks[image, bit // 64] |= np.uint64(1 << (bit % 64))
-        return masks
+        return conjugates
 
     # -- canonical forms under simultaneous conjugation ---------------
 

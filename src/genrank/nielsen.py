@@ -34,7 +34,6 @@ import itertools
 import time
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -154,7 +153,7 @@ def _orbit_walk_generic(g: GroupSpec, items: tuple, limits: SearchLimits):
             while parents[cur] is not None:
                 cur, mv = parents[cur]
                 path.append(mv)
-            return "NielsenRedundant", node, tuple(reversed(path)), len(parents)
+            return "NielsenRedundant", GeneratingTuple(g, node), tuple(path[::-1]), len(parents)
         for mv in moves:
             child = mv.apply(node, g.mul, g.inv)
             if child not in parents:
@@ -205,13 +204,13 @@ def _moved(ix: IndexedGroup, rows: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return ix.mult[ext[:, cells[..., 0]], ext[:, cells[..., 1]]].reshape(-1, rows.shape[1])
 
 
-def _droppable(ix: IndexedGroup, rows: np.ndarray) -> np.ndarray:
+def _droppable(ix: IndexedGroup, rows: np.ndarray, deadline: float) -> np.ndarray:
     """Which generating rows have an entry whose removal leaves a
     generating tuple, as an identity, repeated or inverse entry does."""
     drop = np.zeros(len(rows), dtype=bool)
     for i in range(rows.shape[1]):
         todo = np.flatnonzero(~drop)
-        drop[todo] = ix.generates_rows(np.delete(rows[todo], i, axis=1))
+        drop[todo] = ix.generates_rows(np.delete(rows[todo], i, axis=1), deadline)
     return drop
 
 
@@ -253,7 +252,7 @@ def _layer_walk(ix: IndexedGroup, start, node_budget: int, deadline: float):
         if visited > node_budget or time.monotonic() > deadline:
             return "Unknown", None, None, visited
         known = np.sort(np.concatenate([prev, keys]))
-        if (drop := _droppable(ix, layer)).any():
+        if (drop := _droppable(ix, layer, deadline)).any():
             r = stop = int(np.argmax(drop))
             visited += len(_children(ix, layer[:stop], cells, known)[0])
             path = []
@@ -280,20 +279,21 @@ def is_nielsen_redundant(t: GeneratingTuple,
         return OrbitReport(t, "NielsenIrredundant", None, None, 1)
     notes: tuple = ()
     if g.order is not None and g.order <= MAX_INDEXED_ORDER:
-        ix = IndexedGroup.from_spec(g)
-        walk = _layer_walk(ix, ix.indices_of(t), limits.node_budget,
-                           time.monotonic() + limits.time_budget)
-        to_tuple = ix.tuple_of
+        deadline = time.monotonic() + limits.time_budget
+        try:
+            ix = IndexedGroup.from_spec(g, deadline)
+            verdict, end, path, visited = _layer_walk(ix, ix.indices_of(t),
+                                                      limits.node_budget, deadline)
+            end = None if end is None else ix.tuple_of(end)
+        except TimeoutError:        # the tables or masks were not finished
+            verdict, end, path, visited = "Unknown", None, None, 0
     else:
-        walk = _orbit_walk_generic(g, t.items, limits)
-        to_tuple = partial(GeneratingTuple, g)
+        verdict, end, path, visited = _orbit_walk_generic(g, t.items, limits)
         if g.order is None or not g.is_abelian:
             notes = ("orbit deduplication is literal, not up to conjugation",)
-    verdict, end, path, visited = walk
     if verdict == "Unknown":
         notes += ("orbit walk stopped at the search budget",)
-    return OrbitReport(t, verdict, path, None if end is None else to_tuple(end),
-                       visited, notes)
+    return OrbitReport(t, verdict, path, end, visited, notes)
 
 
 def _mu_analytic_cyclic(spec: CyclicPower) -> RankSearchResult:
@@ -441,7 +441,7 @@ def _generating_classes(ix: IndexedGroup, size: int, deadline: float) -> np.ndar
             x = np.tile(ar, len(h))[fixed.ravel()]      # row by row, in increasing order
             count = fixed.sum(axis=1)
             part = np.column_stack((np.repeat(rows[lo:lo + step], count, axis=0), x))
-            parts.append(part if j + 1 < size else part[ix.generates_rows(part)])
+            parts.append(part if j + 1 < size else part[ix.generates_rows(part, deadline)])
             if j + 1 < size:
                 h = np.repeat(h, count)
                 nodes.append(h if chain is None else chain.child_of(h, x))
@@ -536,16 +536,19 @@ def orbit_statistics(spec: GroupSpec, size: int,
         if est > 2_000_000:
             raise ValueError("too many tuple classes at this size; pick a smaller size")
     deadline = time.monotonic() + limits.time_budget
-    ix = IndexedGroup.from_spec(spec)
-    table = _generating_classes(ix, size, deadline)
     notes = ("stopped at the search budget before all orbits were walked",)
+    try:
+        ix = IndexedGroup.from_spec(spec, deadline)
+        table = _generating_classes(ix, size, deadline)
+    except TimeoutError:        # the tables or masks were not finished
+        return OrbitStatistics(spec, size, 0, 0, (), 0, True, notes)
     if limits.node_budget < 1 and len(table):      # no orbit fits
         return OrbitStatistics(spec, size, len(table), 0, (), 0, True, notes)
     redundant = np.zeros(len(table), dtype=bool)
     for lo in range(0, len(table), _SLICE_ROWS):
         if time.monotonic() > deadline:         # then _orbits returns None
             break
-        redundant[lo:lo + _SLICE_ROWS] = _droppable(ix, table[lo:lo + _SLICE_ROWS])
+        redundant[lo:lo + _SLICE_ROWS] = _droppable(ix, table[lo:lo + _SLICE_ROWS], deadline)
     found = _orbits(ix, table, _row_keys(table, ix.n), deadline)
     sizes, with_red, stopped = np.empty(0, dtype=np.int64), 0, found is None
     if not stopped:

@@ -28,9 +28,8 @@ to simultaneous conjugation: a conjugate of a separated non-generating
 set is again one, and any extension of a set transfers to the
 conjugated copy.  Exhausting the walk therefore visits every conjugacy
 class of irredundant generating sets, which is what the maximum and the
-class inventory rely on.  A group whose maximal subgroups were not
-listed decides each extension by closure and prunes by independence,
-which every subset of an irredundant generating set has as well.
+class inventory rely on.  The time budget holds the table build, the
+maximal masks, the walk and the expansion of the classes found.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ import numpy as np
 from .fp import prime_factors, primes
 from .groups import (CyclicPower, GeneratingTuple, GroupSpec, Integers,
                      closure, is_generating)
-from .indexed import MAX_INDEXED_ORDER, IndexedGroup
+from .indexed import _TABLE_CELLS, MAX_INDEXED_ORDER, IndexedGroup
 
 
 @dataclass
@@ -117,18 +116,16 @@ class _SetSearch:
         self.limits = limits
         self.t0 = t0
         self.target_size = target_size
-        key = ix.cyclic_key
-        cands = [i for i in np.flatnonzero(key == np.arange(ix.n)).tolist()
+        self.masks = ix.maximal_masks(t0 + limits.time_budget)
+        cands = [i for i in np.flatnonzero(ix.cyclic_key == np.arange(ix.n)).tolist()
                  if i != ix.identity and (candidate_filter is None or candidate_filter(i))]
         self.cands = np.array(sorted(cands, key=lambda i: (int(ix.orders[i]), i)),
                               dtype=np.int32)
-        if ix.maximal_masks is not None:
-            self.full = np.bitwise_or.reduce(ix.maximal_masks, axis=0)
-            self.cand_masks = ix.maximal_masks[self.cands]
+        self.full = np.bitwise_or.reduce(self.masks, axis=0)
+        self.cand_masks = self.masks[self.cands]
 
     def run(self) -> _SearchOutcome:
-        ix = self.ix
-        limits = self.limits
+        ix, limits = self.ix, self.limits
         best_size, best_witness = 0, None
         collected: dict = {}
         target = self.target_size
@@ -162,8 +159,9 @@ class _SetSearch:
                     seen_canon.add(c)
                     stack.append(c)
                     pushed += 1
-        return _SearchOutcome(best_size, best_witness, self._expand(collected),
-                              nodes, budget_hit, pushed)
+        classes, stopped = self._expand(collected)
+        return _SearchOutcome(best_size, best_witness, classes, nodes, budget_hit or stopped,
+                              pushed)
 
     def _canonical(self, sets: list, size: int) -> list:
         rows = np.array(sets, dtype=np.int32).reshape(-1, size)
@@ -176,48 +174,41 @@ class _SetSearch:
         lies outside some maximal subgroup that holds the rest: every
         subset of an irredundant generating set is, so nothing else can
         grow into one.  By the maximal masks this is one pass over all
-        candidates; past the join cap each candidate is decided by
-        closure, with independence in place of separation."""
-        ix, cands = self.ix, self.cands
-        if ix.maximal_masks is not None:
-            # row 0 is every maximal subgroup: the AND over no member
-            rows = np.vstack([self.full, ix.maximal_masks[list(part)]])
-            common = np.bitwise_and.reduce(rows, axis=0)
-            rest = np.empty((len(part), rows.shape[1]), dtype=np.uint64)
-            for i in range(len(part)):
-                rest[i] = np.bitwise_and.reduce(np.delete(rows, i + 1, axis=0), axis=0)
-            cand = self.cand_masks[:, None, :]
-            generates = ~(self.cand_masks & common).any(axis=1)
-            drops_fail = (cand & rest).any(axis=2).all(axis=1)
-            separated = (common & ~self.cand_masks).any(axis=1) & \
-                (cand & rest & ~rows[1:]).any(axis=2).all(axis=1)
-            return (cands[generates & drops_fail].tolist(),
-                    cands[~generates & separated].tolist())
-        irredundant, grows = [], []
-        inside = ix.closure_mask(part)[0]
-        for x in cands[~inside[cands]].tolist():
-            s = part + (x,)
-            rests = [s[:i] + s[i + 1:] for i in range(len(part))]
-            if ix.generates(s):
-                if not any(ix.generates(r) for r in rests):
-                    irredundant.append(x)
-            elif not any(ix.closure_mask(r, target=v)[3] for r, v in zip(rests, s)):
-                grows.append(x)
-        return irredundant, grows
+        candidates."""
+        # row 0 is every maximal subgroup: the AND over no member
+        rows = np.vstack([self.full, self.masks[list(part)]])
+        common = np.bitwise_and.reduce(rows, axis=0)
+        rest = np.empty((len(part), rows.shape[1]), dtype=np.uint64)
+        for i in range(len(part)):
+            rest[i] = np.bitwise_and.reduce(np.delete(rows, i + 1, axis=0), axis=0)
+        cand = self.cand_masks[:, None, :]
+        generates = ~(self.cand_masks & common).any(axis=1)
+        drops_fail = (cand & rest).any(axis=2).all(axis=1)
+        separated = (common & ~self.cand_masks).any(axis=1) & \
+            (cand & rest & ~rows[1:]).any(axis=2).all(axis=1)
+        return (self.cands[generates & drops_fail].tolist(),
+                self.cands[~generates & separated].tolist())
 
-    def _expand(self, collected: dict) -> dict:
+    def _expand(self, collected: dict) -> tuple[dict, bool]:
         """Classes of element sets: every choice of generators of the
-        members of each recorded class, in canonical form."""
-        key = self.ix.cyclic_key
+        members of each recorded class, in canonical form, a slice of
+        canonical_sets at a time.  Past the deadline before a slice it stops:
+        (the classes expanded so far, whether it stopped)."""
+        key, deadline = self.ix.cyclic_key, self.t0 + self.limits.time_budget
         keys = {f for families in collected.values() for fam in families for f in fam}
         generators = {f: np.flatnonzero(key == f).tolist() for f in keys}
         out = {}
         for size, families in collected.items():
-            choices = np.array([c for fam in families
-                                for c in itertools.product(*(generators[f] for f in fam))],
-                               dtype=np.int32).reshape(-1, size)
-            out[size] = sorted(set(map(tuple, self.ix.canonical_sets(choices).tolist())))
-        return out
+            choices = itertools.chain.from_iterable(
+                itertools.product(*(generators[f] for f in fam)) for fam in families)
+            found = set()
+            while rows := list(itertools.islice(choices, _TABLE_CELLS // size)):
+                if time.monotonic() > deadline:
+                    return out | {size: sorted(found)}, True
+                found.update(map(tuple, self.ix.canonical_sets(
+                    np.array(rows, dtype=np.int32)).tolist()))
+            out[size] = sorted(found)
+        return out, False
 
 
 def z_witness(n: int) -> GeneratingTuple:
@@ -404,13 +395,16 @@ def max_irredundant_size(spec: GroupSpec, limits: SearchLimits | None = None,
     if spec.order > MAX_INDEXED_ORDER:
         return _witness_mode(spec, limits, seed)
     t0 = time.monotonic()       # the budget holds the table build and subgroup walk
-    ix = IndexedGroup.from_spec(spec)
     default = limits == SearchLimits()
-    out = ix.m_search if default else None
-    if out is None:
-        out = _SetSearch(ix, limits, t0).run()
-        if default and not out.budget_hit:
-            ix.m_search = out
+    try:
+        ix = IndexedGroup.from_spec(spec, t0 + limits.time_budget)
+        out = ix.m_search if default else None
+        if out is None:
+            out = _SetSearch(ix, limits, t0).run()
+            if default and not out.budget_hit:
+                ix.m_search = out
+    except TimeoutError:        # the tables or masks were not finished
+        out = _SearchOutcome(0, None, {}, 0, True, 0)
     witness = ix.tuple_of(out.best_witness) if out.best_witness is not None else None
     recorded = {k: len(v) for k, v in out.collected.items()}
     return RankSearchResult(
@@ -460,9 +454,12 @@ def irredundant_witness(spec: GroupSpec, size: int,
         return WitnessSearchResult(
             spec, size, None, False, stats,
             ("random search found nothing; existence remains undecided",))
-    ix = IndexedGroup.from_spec(spec)
-    filt = (lambda i: ix.orders[i] == 2) if involutions_only else None
-    out = _SetSearch(ix, limits, t0, target_size=size, candidate_filter=filt).run()
+    try:
+        ix = IndexedGroup.from_spec(spec, t0 + limits.time_budget)
+        filt = (lambda i: ix.orders[i] == 2) if involutions_only else None
+        out = _SetSearch(ix, limits, t0, target_size=size, candidate_filter=filt).run()
+    except TimeoutError:        # the tables or masks were not finished
+        out = _SearchOutcome(0, None, {}, 0, True, 0)
     witness = None
     if out.best_witness is not None and out.best_size == size:
         witness = ix.tuple_of(out.best_witness)

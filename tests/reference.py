@@ -1,0 +1,47 @@
+"""Helpers for the tests: the closure of one generating set on the
+indexed tables, generation of one set by the maximal masks, and the
+reference paths that read no mask: generation by closure, and the m
+search deciding each extension by closure."""
+
+import numpy as np
+
+from genrank import redundancy
+
+
+def closure_mask(ix, gens, cap=None, target=None):
+    """The subgroup generated by gens, grown from the identity by
+    closure_rows: (mask, count, exceeded, found), found saying whether
+    it holds target."""
+    mask, count, exceeded = ix.closure_rows(
+        (np.arange(ix.n) == ix.identity)[None], np.array([list(gens)], dtype=np.int32), cap=cap)
+    return mask[0], int(count[0]), bool(exceeded[0]), target is not None and bool(mask[0, target])
+
+
+def generates(ix, gens) -> bool:
+    """Whether the set of gens generates, by generates_rows on its
+    distinct members."""
+    distinct = np.array(sorted(set(gens)), dtype=np.int32)
+    return bool(ix.generates_rows(distinct.reshape(1, -1))[0])
+
+
+def closure_generates(ix, gens) -> bool:
+    return closure_mask(ix, gens)[1] == ix.n
+
+
+class ClosureSearch(redundancy._SetSearch):
+    """The m search deciding each extension by closure and pruning by
+    independence, which every subset of an irredundant generating set
+    has as well, in place of separation over the maximal masks."""
+
+    def _children(self, part: tuple) -> tuple[list, list]:
+        ix, irredundant, grows = self.ix, [], []
+        inside = closure_mask(ix, part)[0]
+        for x in self.cands[~inside[self.cands]].tolist():
+            s = part + (x,)
+            rests = [s[:i] + s[i + 1:] for i in range(len(part))]
+            if closure_generates(ix, s):
+                if not any(closure_generates(ix, r) for r in rests):
+                    irredundant.append(x)
+            elif not any(closure_mask(ix, r, target=v)[3] for r, v in zip(rests, s)):
+                grows.append(x)
+        return irredundant, grows

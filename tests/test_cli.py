@@ -321,7 +321,8 @@ def test_certify_out_to_an_unwritable_path_is_a_data_error(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv, want", (
     (["rank", "psl2:7", "--format", "table"], EXIT_OK),
-    (["certify", "BOREL", "--format", "json"], EXIT_NOT_CERTIFIED)))
+    (["certify", "BOREL", "--format", "json"], EXIT_NOT_CERTIFIED),
+    (["--help"], EXIT_OK), (["rank", "--help"], EXIT_OK)))
 def test_closed_stdout_exits_with_the_commands_code(argv, want, tmp_path):
     # the reader closes its end of the pipe before genrank starts
     src = tmp_path / "borel.txt"

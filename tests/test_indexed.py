@@ -12,6 +12,7 @@ from genrank.groups import (CyclicPower, GeneratingTuple, ProductGroup,
                             ProjSpecialLinear, SpecialLinear, closure)
 from genrank import indexed
 from genrank.indexed import MAX_INDEXED_ORDER, IndexedGroup
+from reference import closure_generates, closure_mask, generates
 
 # past 256 residues the encoding order is not the residue order
 Z300 = CyclicPower(300, 1)
@@ -136,7 +137,7 @@ def test_closure_mask_matches_object_closure():
     for _ in range(25):
         k = rng.choice((1, 2))
         gens = [rng.randrange(ix.n) for _ in range(k)]
-        mask, count, exceeded, found = ix.closure_mask(gens)
+        mask, count, exceeded, found = closure_mask(ix, gens)
         assert not exceeded
         t = GeneratingTuple(spec, tuple(ix.elements[i] for i in gens))
         brute = closure(t)
@@ -149,11 +150,11 @@ def test_closure_mask_cap_and_target():
     spec = ProjSpecialLinear(2, 7)
     ix = IndexedGroup.from_spec(spec)
     gens = ix.indices_of(GeneratingTuple(spec, tuple(spec.generators())))
-    mask, count, exceeded, found = ix.closure_mask(list(gens), cap=20)
+    mask, count, exceeded, found = closure_mask(ix, list(gens), cap=20)
     assert exceeded and count > 20
-    # target short-circuits as soon as the element appears
+    # found says whether the closure holds target
     target = int(np.flatnonzero(~mask)[0]) if (~mask).any() else 5
-    mask2, count2, exceeded2, found2 = ix.closure_mask(list(gens), target=target)
+    mask2, count2, exceeded2, found2 = closure_mask(ix, list(gens), target=target)
     assert found2
 
 
@@ -165,67 +166,52 @@ def test_generates_matches_is_generating():
             k = rng.choice((2, 3))
             gens = tuple(rng.randrange(ix.n) for _ in range(k))
             t = GeneratingTuple(spec, tuple(ix.elements[i] for i in gens))
-            assert ix.generates(gens) == (closure(t).order == spec.order)
-
-
-def _closure_generates(ix, gens) -> bool:
-    return ix.closure_mask(gens)[1] == ix.n
+            assert generates(ix, gens) == (closure(t).order == spec.order)
 
 
 def test_generates_matches_closure_on_every_pair_of_sl2_5():
     ix = IndexedGroup.from_spec(SpecialLinear(2, 5))
     for i in range(ix.n):
         for j in range(ix.n):
-            assert ix.generates((i, j)) == _closure_generates(ix, (i, j)), (i, j)
+            assert generates(ix, (i, j)) == closure_generates(ix, (i, j)), (i, j)
 
 
 @pytest.mark.parametrize("spec", (
     ProjSpecialLinear(2, 7), SpecialLinear(2, 7), ProjSpecialLinear(2, 11),
-    ProductGroup((ProjSpecialLinear(2, 5), CyclicPower(2, 1))), CyclicPower(6, 2)),
+    ProductGroup((ProjSpecialLinear(2, 5), CyclicPower(2, 1))), CyclicPower(6, 2),
+    CyclicPower(2, 6), ProductGroup((CyclicPower(2, 3), CyclicPower(2, 2)))),
     ids=lambda spec: spec.descriptor())
 def test_generates_matches_closure_on_random_tuples(spec):
+    # (Z/2)^6 and (Z/2)^3 x (Z/2)^2 have thousands of subgroups but read
+    # their 63 and 31 maximal ones off the kernels onto Z/2
     rng = random.Random(41)
     ix = IndexedGroup.from_spec(spec)
     seen = set()
     for _ in range(300):
-        gens = tuple(rng.randrange(ix.n) for _ in range(rng.randint(2, 4)))
-        verdict = ix.generates(gens)
-        assert verdict == _closure_generates(ix, gens), gens
+        size = rng.randint(2, 8 if spec.is_abelian else 4)
+        gens = tuple(rng.randrange(ix.n) for _ in range(size))
+        verdict = generates(ix, gens)
+        assert verdict == closure_generates(ix, gens), gens
         seen.add(verdict)
-    assert ix.maximal_masks is not None
-    assert seen == {True, False}
-
-
-def test_generates_past_the_join_cap_falls_back_to_closure():
-    # (Z/2)^6 has 2,824 subgroups: the walk stops at the join cap
-    ix = IndexedGroup.from_spec(CyclicPower(2, 6))
-    rng = random.Random(43)
-    seen = set()
-    for _ in range(200):
-        gens = tuple(rng.randrange(ix.n) for _ in range(rng.randint(2, 8)))
-        verdict = ix.generates(gens)
-        assert verdict == _closure_generates(ix, gens), gens
-        seen.add(verdict)
-    assert ix.maximal_masks is None
     assert seen == {True, False}
 
 
 def test_generates_small_sets_from_orders():
     for spec in (CyclicPower(12, 1), ProjSpecialLinear(2, 5)):
         ix = IndexedGroup(spec)
-        assert ix.generates(()) is False
+        assert generates(ix, ()) is False
         for i in range(ix.n):
-            assert ix.generates((i, i)) == _closure_generates(ix, (i,))
+            assert generates(ix, (i, i)) == closure_generates(ix, (i,))
         # no set of two or more distinct elements was asked about
-        assert "maximal_masks" not in vars(ix)
-    assert IndexedGroup(CyclicPower(1, 2)).generates(())
+        assert ix._masks is None
+    assert generates(IndexedGroup(CyclicPower(1, 2)), ())
 
 
 @pytest.mark.parametrize("p, count", ((5, 21), (7, 22), (11, 89)))
 def test_maximal_subgroup_counts(p, count):
     # the centre of SL2(p) is Frattini: both groups have the same count
     for spec in (ProjSpecialLinear(2, p), SpecialLinear(2, p)):
-        masks = IndexedGroup.from_spec(spec).maximal_masks
+        masks = IndexedGroup.from_spec(spec).maximal_masks()
         assert masks.dtype == np.uint64
         bits = np.unpackbits(np.bitwise_or.reduce(masks, axis=0).view(np.uint8))
         assert int(bits.sum()) == count
@@ -241,7 +227,7 @@ def _reference_maximal_masks(ix):
     canonical set per proper join, packed as maximal_masks packs it."""
     n, key = ix.n, ix.cyclic_key
     cyclic = [c for c in np.flatnonzero(key == np.arange(n)).tolist() if c != ix.identity]
-    queue = deque([((), ix.closure_mask(())[0])])
+    queue = deque([((), closure_mask(ix, ())[0])])
     seen = {_canonical_set(ix, (ix.identity,))}
     maximal = []
     while queue:
@@ -254,7 +240,7 @@ def _reference_maximal_masks(ix):
             if hmask[c] or reached[c]:
                 continue
             reached[key[ix.conj[norm, c]]] = True
-            jmask, _, whole, _ = ix.closure_mask(gens + (c,), cap=n // 2)
+            jmask, _, whole, _ = closure_mask(ix, gens + (c,), cap=n // 2)
             if not whole:
                 is_maximal = False
                 ckey = _canonical_set(ix, np.flatnonzero(jmask))
@@ -276,54 +262,65 @@ def _reference_maximal_masks(ix):
     return masks
 
 
+def _columns(masks) -> list:
+    """The member sets of the maximal subgroups, packed, in bit order."""
+    bits = np.unpackbits(masks.view(np.uint8), axis=1, bitorder="little")
+    return [bytes(np.packbits(col)) for col in bits.T if col.any()]
+
+
 @pytest.mark.parametrize("spec", (
     ProjSpecialLinear(2, 5), SpecialLinear(2, 5), ProjSpecialLinear(2, 7),
     ProjSpecialLinear(2, 11), SpecialLinear(2, 7), CyclicPower(5, 2), CyclicPower(3, 3),
-    PSL2_5_X_C2), ids=lambda spec: spec.descriptor())
+    PSL2_5_X_C2, CyclicPower(2, 5), ProductGroup((CyclicPower(4, 1), CyclicPower(6, 1)))),
+    ids=lambda spec: spec.descriptor())
 def test_maximal_masks_match_the_per_join_walk(spec):
+    # an abelian group reads its maximal subgroups off the kernels onto
+    # Z/p, in another order: every reader ANDs or ORs across the bits
     ix = IndexedGroup(spec)
-    assert np.array_equal(ix.maximal_masks, _reference_maximal_masks(ix))
-
-
-def test_maximal_masks_respect_the_join_cap(monkeypatch):
-    # the psl2:7 walk closes 148 joins in all
-    uncapped = IndexedGroup(ProjSpecialLinear(2, 7)).maximal_masks
-    monkeypatch.setattr(indexed, "_LATTICE_JOIN_CAP", 147)
-    assert IndexedGroup(ProjSpecialLinear(2, 7)).maximal_masks is None
-    monkeypatch.setattr(indexed, "_LATTICE_JOIN_CAP", 148)
-    assert np.array_equal(IndexedGroup(ProjSpecialLinear(2, 7)).maximal_masks, uncapped)
+    masks, want = ix.maximal_masks(), _reference_maximal_masks(ix)
+    if spec.is_abelian:
+        assert sorted(_columns(masks)) == sorted(_columns(want))
+        assert masks.shape == want.shape
+    else:
+        assert np.array_equal(masks, want)
 
 
 DICKSON = ((ProjSpecialLinear(2, 5), {6: 10, 10: 6, 12: 5}),
            (ProjSpecialLinear(2, 7), {21: 8, 24: 14}),
            (ProjSpecialLinear(2, 11), {12: 55, 55: 12, 60: 22}),
            (SpecialLinear(2, 5), {12: 10, 20: 6, 24: 5}),
-           (SpecialLinear(2, 7), {42: 8, 48: 14}))
+           (SpecialLinear(2, 7), {42: 8, 48: 14}),
+           (ProjSpecialLinear(2, 13), {12: 182, 14: 78, 78: 14}),
+           (ProjSpecialLinear(2, 17), {16: 153, 18: 136, 24: 204, 136: 18}),
+           (ProjSpecialLinear(2, 19), {18: 190, 20: 171, 60: 114, 171: 20}),
+           (SpecialLinear(2, 11), {24: 55, 110: 12, 120: 22}),
+           (SpecialLinear(2, 13), {24: 182, 28: 78, 156: 14}))
 
 
 @pytest.mark.parametrize("spec, orders", DICKSON, ids=[s.descriptor() for s, _ in DICKSON])
 def test_maximal_masks_follow_dicksons_list(spec, orders):
     # Dickson's list of the maximal subgroups of PSL2(p), conjugates
     # counted apart; in SL2(p) each is the preimage of one of them.
-    # Each column is a subgroup, and by closure it and any element
-    # outside it generate the group (one element per right coset).
+    # Up to p = 11 each column is checked by closure: it is a subgroup,
+    # and it and any element outside it generate the group (one element
+    # per right coset).  Past that only the counts are.
     ix = IndexedGroup(spec)
-    bits = np.unpackbits(ix.maximal_masks.view(np.uint8), axis=1, bitorder="little")
+    bits = np.unpackbits(ix.maximal_masks().view(np.uint8), axis=1, bitorder="little")
     columns = [np.flatnonzero(col) for col in bits.T if col.any()]
     sizes = [len(col) for col in columns]
     assert {k: sizes.count(k) for k in set(sizes)} == orders
-    for col in columns:
+    for col in columns if spec.p <= 11 else ():
         inside = np.zeros(ix.n, dtype=bool)
         inside[col] = True
         assert inside[ix.mult[col[:, None], col]].all()
         gens = []
-        while ix.closure_mask(gens)[1] < len(col):
-            gens.append(int(col[~ix.closure_mask(gens)[0][col]][0]))
+        while closure_mask(ix, gens)[1] < len(col):
+            gens.append(int(col[~closure_mask(ix, gens)[0][col]][0]))
         todo = ~inside
         while todo.any():
             x = int(np.argmax(todo))
             todo[ix.mult[col, x]] = False
-            assert ix.closure_mask(gens + [x])[1] == ix.n
+            assert closure_mask(ix, gens + [x])[1] == ix.n
 
 
 def test_closure_rows_match_closure_mask():
@@ -334,16 +331,16 @@ def test_closure_rows_match_closure_mask():
     seen = set()
     for _ in range(40):
         gens = tuple(rng.randrange(ix.n) for _ in range(rng.randint(0, 2)))
-        start, size, _, _ = ix.closure_mask(gens)
+        start, size, _, _ = closure_mask(ix, gens)
         if size > ix.n // 2:
             continue
         extra = [rng.randrange(ix.n) for _ in range(rng.randint(1, 6))]
         cap = rng.choice((None, ix.n // 2))
         rows = np.array([gens + (c,) for c in extra], dtype=np.int32)
-        masks, counts, exceeded, _ = ix.closure_rows(
+        masks, counts, exceeded = ix.closure_rows(
             np.broadcast_to(start, (len(extra), ix.n)), rows, cap=cap)
         for c, mask, count, over in zip(extra, masks, counts, exceeded):
-            want, want_count, want_over, _ = ix.closure_mask(gens + (c,), cap=cap)
+            want, want_count, want_over, _ = closure_mask(ix, gens + (c,), cap=cap)
             assert over == want_over
             if not over:
                 assert count == want_count and np.array_equal(mask, want)
@@ -423,7 +420,7 @@ def test_canonical_sets_match_brute_force(spec, monkeypatch):
     # per slice every call spans many slices
     rng = random.Random(53)
     ix = IndexedGroup.from_spec(spec)
-    ix.conj, ix.maximal_masks           # tables built before the slice is patched
+    ix.maximal_masks()                  # tables built before the slice is patched
     for cells in (indexed._TABLE_CELLS, 8):
         monkeypatch.setattr(indexed, "_TABLE_CELLS", cells)
         for size in range(1, 7):
@@ -436,7 +433,7 @@ def test_canonical_sets_match_brute_force(spec, monkeypatch):
                     assert tuple(canon) == _least_image(ix, row, name), (row, families)
     # a maximal subgroup plus one element: the images of the subgroup
     # agree on many positions before the extra element tells them apart
-    members = np.flatnonzero(ix.maximal_masks[:, 0] & np.uint64(1)).tolist()
+    members = np.flatnonzero(ix.maximal_masks()[:, 0] & np.uint64(1)).tolist()
     rows = np.array([sorted(members + [x]) for x in range(ix.n) if x not in members],
                     dtype=np.int32)
     for families in (False, True):

@@ -17,6 +17,7 @@ from genrank.nielsen import (NielsenMove, OrbitStatistics, _first_occurrences,
                              _orbit_walk_generic, _row_keys, all_moves, apply_move,
                              is_nielsen_redundant, mu_rank, orbit_statistics)
 from genrank.redundancy import SearchLimits, max_irredundant_size, z_witness
+from reference import closure_mask
 
 
 def case_id(value):
@@ -170,7 +171,7 @@ def test_klein_four_orbit():
 def droppable(ix, t) -> bool:
     """An entry of a generating tuple is droppable when the closure of
     the rest is the whole group."""
-    return any(ix.closure_mask(t[:i] + t[i + 1:])[1] == ix.n for i in range(len(t)))
+    return any(closure_mask(ix, t[:i] + t[i + 1:])[1] == ix.n for i in range(len(t)))
 
 
 def least_conjugate(ix, t) -> tuple:
@@ -190,7 +191,7 @@ def reference_orbit_statistics(spec, size):
     for c in np.flatnonzero(rep == np.arange(ix.n)).tolist():
         for rest in itertools.product(range(ix.n), repeat=size - 1):
             t = (c,) + rest
-            if least_conjugate(ix, t) == t and ix.closure_mask(t)[1] == ix.n:
+            if least_conjugate(ix, t) == t and closure_mask(ix, t)[1] == ix.n:
                 classes.add(t)
     seen, sizes, with_red = set(), [], 0
     for start in sorted(classes):
@@ -459,10 +460,10 @@ def test_orbit_drop_tests_stop_at_the_deadline(monkeypatch):
     # slice outlasts the budget, so the second never runs
     calls, droppable = [], nielsen._droppable
 
-    def slow(ix, rows):
+    def slow(ix, rows, deadline):
         calls.append(len(rows))
         time.sleep(1.2)
-        return droppable(ix, rows)
+        return droppable(ix, rows, deadline)
     monkeypatch.setattr(nielsen, "_droppable", slow)
     stats = orbit_statistics(ProjSpecialLinear(2, 7), 3, SearchLimits(time_budget=1.0))
     assert len(calls) <= 1 and stats.partial and stats.orbit_count == 0

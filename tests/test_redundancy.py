@@ -1,5 +1,6 @@
 """Irredundance verdicts and the maximal irredundant size search."""
 
+import itertools
 import math
 import random
 import time
@@ -15,6 +16,7 @@ from genrank.redundancy import (SearchLimits, cyclic_power_rank_witness,
                                 involution_pair_is_proper,
                                 irredundant_witness, is_redundant,
                                 max_irredundant_size, z_witness)
+from reference import ClosureSearch
 
 
 def test_z_witness_values():
@@ -194,14 +196,63 @@ def test_class_counts_per_size():
 
 
 def test_closure_path_finds_the_mask_path_classes():
-    # past the join cap the search decides each candidate by closure and
-    # prunes by independence, not by separation over maximal subgroups
+    # the reference search decides each candidate by closure and prunes
+    # by independence, not by separation over maximal subgroups
     for spec in (ProjSpecialLinear(2, 5), SpecialLinear(2, 5)):
         masked = redundancy._SetSearch(indexed.IndexedGroup(spec), SearchLimits(),
                                         time.monotonic()).run()
-        ix = indexed.IndexedGroup(spec)
-        ix.maximal_masks = None
-        closed = redundancy._SetSearch(ix, SearchLimits(), time.monotonic()).run()
+        closed = ClosureSearch(indexed.IndexedGroup(spec), SearchLimits(),
+                               time.monotonic()).run()
         assert not closed.budget_hit and not masked.budget_hit
         assert closed.collected == masked.collected
         assert {k: len(v) for k, v in closed.collected.items()} == ELEMENT_CLASSES[spec]
+
+
+def test_a_budget_stop_keeps_only_finished_tables(monkeypatch):
+    # psl2:7 reads the clock about 215 times while its tables are built,
+    # 17 times in the subgroup walk and 34 times in the search; after
+    # each stop the next default call finishes what is missing
+    spec = ProjSpecialLinear(2, 7)
+    masks = indexed.IndexedGroup(spec).maximal_masks()
+    stopped = set()
+    for readings in (1, 100, 220, 240):
+        monkeypatch.setattr(indexed, "_INSTANCE_CACHE", {})
+        with monkeypatch.context() as m:
+            # a clock that reads 0 until it has been read `readings` times
+            count = itertools.count()
+            m.setattr(redundancy.time, "monotonic",
+                      lambda: 0.0 if next(count) < readings else 1e9)
+            res = max_irredundant_size(spec, SearchLimits(time_budget=1.0))
+        assert not res.exhaustive
+        ix = indexed._INSTANCE_CACHE.get(spec.descriptor())
+        if ix is None:
+            stopped.add("tables")
+        elif ix._masks is None:
+            stopped.add("masks")
+        else:
+            assert np.array_equal(ix._masks, masks) and ix.m_search is None
+            stopped.add("search")
+        res = max_irredundant_size(spec)
+        assert res.exhaustive and res.value == 4
+        assert res.stats["recorded"] == ELEMENT_CLASSES[spec]
+    assert stopped == {"tables", "masks", "search"}
+
+
+def test_expansion_stops_at_the_deadline(monkeypatch):
+    # the clock passes the deadline while the first slice of element sets
+    # is canonicalised, so the expansion stops before the second
+    ix = indexed.IndexedGroup(SpecialLinear(2, 5))
+    monkeypatch.setattr(redundancy, "_TABLE_CELLS", 8)
+    clock = [0.0]
+    monkeypatch.setattr(redundancy.time, "monotonic", lambda: clock[0])
+    canonical_sets = ix.canonical_sets
+
+    def late(rows, families=False):
+        if not families:        # element sets: the expansion has begun
+            clock[0] = 1e9
+        return canonical_sets(rows, families)
+
+    monkeypatch.setattr(ix, "canonical_sets", late)
+    out = redundancy._SetSearch(ix, SearchLimits(time_budget=1.0), 0.0).run()
+    assert out.budget_hit and out.best_size == 3
+    assert len(out.collected) == 1 and 0 < sum(map(len, out.collected.values())) <= 4
