@@ -420,6 +420,11 @@ class SubgroupClosure:
         return self.group.encode(x) in self.encodings
 
 
+def check_deadline(deadline: float) -> None:
+    if time.monotonic() > deadline:
+        raise TimeoutError("passed the caller's deadline")
+
+
 def closure(t: GeneratingTuple, cap: int | None = None,
             deadline: float = math.inf) -> SubgroupClosure:
     """Breadth-first closure of the tuple under right multiplication by
@@ -439,8 +444,7 @@ def closure(t: GeneratingTuple, cap: int | None = None,
     while frontier:
         nxt = []
         for a in frontier:
-            if time.monotonic() > deadline:
-                raise TimeoutError("closure passed its deadline")
+            check_deadline(deadline)
             for x in gens:
                 b = g.mul(a, x)
                 kb = g.encode(b)
@@ -465,17 +469,20 @@ def _compose(a: tuple, b: tuple) -> tuple:
     return tuple(map(b.__getitem__, a))
 
 
-def _inverse(a: tuple) -> tuple:
-    return tuple(sorted(range(len(a)), key=a.__getitem__))
+def _inverse(a) -> tuple:
+    inv = np.empty(len(a), dtype=np.int64)      # one scatter: inv[a[i]] = i
+    inv[np.asarray(a)] = np.arange(len(a))
+    return tuple(inv.tolist())
 
 
 def _basic_orbit_lengths(gens: list, base: tuple, degree: int,
                          deadline: float = math.inf) -> list:
     """Basic orbit lengths of a stabilizer chain of the permutation group
-    on range(degree) that gens generate, along a known base: only the
-    identity of the group fixes every base point.  Deterministic
-    Schreier-Sims (Seress, Permutation Group Algorithms, 2003, ch. 4);
-    the group order is the product of the lengths.
+    on range(degree) that the (permutation, inverse) pairs gens generate,
+    along a known base: only the identity of the group fixes every base
+    point.  Deterministic Schreier-Sims (Seress, Permutation Group
+    Algorithms, 2003, ch. 4); the group order is the product of the
+    lengths.
 
     Level l holds strong generators S_l fixing b_0..b_{l-1}, each with
     its inverse, and a Schreier tree of the orbit of b_l under S_l: the
@@ -492,7 +499,7 @@ def _basic_orbit_lengths(gens: list, base: tuple, degree: int,
     grown or sifted after time.monotonic() passes deadline."""
     k = len(base)
     ident = tuple(range(degree))
-    strong = [[(g, _inverse(g)) for g in gens]] + [[] for _ in range(k - 1)]
+    strong = [list(gens)] + [[] for _ in range(k - 1)]
     images = [{b: base} for b in base]
     tree = [{} for _ in base]
     tested = [set() for _ in base]
@@ -508,8 +515,7 @@ def _basic_orbit_lengths(gens: list, base: tuple, degree: int,
     while lv >= 0:
         orbit, img = list(images[lv]), images[lv]
         for x in orbit:
-            if time.monotonic() > deadline:
-                raise TimeoutError("stabilizer chain passed its deadline")
+            check_deadline(deadline)
             for s, s_inv in strong[lv]:
                 y = s[x]
                 if y not in img:
@@ -518,8 +524,7 @@ def _basic_orbit_lengths(gens: list, base: tuple, degree: int,
                     orbit.append(y)
         resume = None
         for x in orbit:
-            if time.monotonic() > deadline:
-                raise TimeoutError("stabilizer chain passed its deadline")
+            check_deadline(deadline)
             for i, (s, _) in enumerate(strong[lv]):
                 if (x, i) in tested[lv]:
                     continue
@@ -561,10 +566,12 @@ def subgroup_order(t: GeneratingTuple, deadline: float = math.inf) -> int:
     points: one integer matrix product of all points, the first-nonzero
     normalisation for lines, and a lookup from the base-p code of each
     image to its number.  The order is read off a stabilizer chain,
-    which raises TimeoutError once time.monotonic() passes deadline."""
+    which raises TimeoutError once time.monotonic() passes deadline, as
+    do the listing of the points and each permutation."""
     g = t.group
     if not isinstance(g, _MatrixGroup):
         raise ValueError("stabilizer-chain orders need an SL or PSL tuple")
+    check_deadline(deadline)
     n, p, lines = g.n, g.p, isinstance(g, ProjSpecialLinear)
     weights = p ** np.arange(n - 1, -1, -1, dtype=np.int64)     # vector -> base-p code
     points = np.arange(1, p ** n, dtype=np.int64)[:, None] // weights % p
@@ -579,19 +586,21 @@ def subgroup_order(t: GeneratingTuple, deadline: float = math.inf) -> int:
     number = np.full(p ** n, -1, dtype=np.int64)       # code -> point
     number[points @ weights] = np.arange(len(points))
     ident = tuple(range(len(points)))
-    gens = {}
+    gens = {}       # each distinct non-identity permutation -> its inverse
     for x in t.items:
         images = points @ np.array(x.rows(), dtype=np.int64) % p
         if lines:
             images = images * inverse[lead(images)][:, None] % p
-        perm = tuple(number[images @ weights].tolist())
-        if perm != ident:
-            gens.setdefault(perm)
+        perm = number[images @ weights]
+        check_deadline(deadline)
+        key = tuple(perm.tolist())
+        if key != ident and key not in gens:
+            gens[key] = _inverse(perm)
     # only the identity fixes every coordinate vector, and in PSL_n
     # every coordinate line and the line of the all-ones vector
     frame = list(weights) + ([weights.sum()] if lines else [])
     base = tuple(number[frame].tolist())
-    return math.prod(_basic_orbit_lengths(list(gens), base, len(points), deadline))
+    return math.prod(_basic_orbit_lengths(list(gens.items()), base, len(points), deadline))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@ no product is formed twice.  The table is then filled a breadth-first
 layer of the left Cayley graph at a time: row gy is row y under that
 permutation, one gather per layer and generator, a slice of at most
 _TABLE_CELLS entries at a time.  conj is filled along the same layers,
-row gy being row y under x -> g x g^-1, unless G is abelian.
+row gy being row y under x -> g x g^-1, unless G is abelian.  Both hold
+uint16, 2n^2 bytes each, and the index arrays kept beside them int32: a
+uint16 times a Python int wraps, so arithmetic on entries takes n as intp.
 
 Closure grows rows of boolean masks a ball at a time: the next ball
 adds the last layer times each generator, one scatter per generator
@@ -70,26 +72,22 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from functools import cached_property
 
 import numpy as np
 
 from .fp import prime_factors, row_reduce
-from .groups import GeneratingTuple, GroupSpec
+from .groups import GeneratingTuple, GroupSpec, check_deadline
 
 MAX_INDEXED_ORDER = 4096
+assert MAX_INDEXED_ORDER < 1 << 16, "mult and conj hold element indices as uint16"
 
 _JOIN_CELLS = 1 << 15             # mask cells of one slice of the subgroup walk
 _TABLE_CELLS = 1 << 14             # entries of one slice of a row or node fill or of
-                                   # canonical_sets (64 KB of int32; 256 KB raised the peak RSS)
+                                   # canonical_sets (32 KB of uint16, 64 KB of int32; 4x that
+                                   # raised the peak RSS)
 
 _INSTANCE_CACHE: dict[str, "IndexedGroup"] = {}
-
-
-def _check(deadline: float) -> None:
-    if time.monotonic() > deadline:
-        raise TimeoutError("indexed build passed its deadline")
 
 
 class IndexedGroup:
@@ -135,7 +133,7 @@ class IndexedGroup:
         elems = [e]
         left = [[] for _ in gens]
         for a in elems:             # breadth-first: the list grows as it is read
-            _check(deadline)
+            check_deadline(deadline)
             for g, r in zip(gens, left):
                 b = spec.mul(g, a)
                 i = found.setdefault(spec.encode(b), len(elems))
@@ -148,8 +146,8 @@ class IndexedGroup:
             raise AssertionError("generators do not reach every element")
         keys = list(found)          # in discovery order
         order = sorted(range(len(keys)), key=keys.__getitem__)
-        pos = np.empty(len(keys), dtype=np.int32)       # discovery -> sorted
-        pos[order] = np.arange(len(keys), dtype=np.int32)
+        pos = np.empty(len(keys), dtype=np.uint16)      # discovery -> sorted
+        pos[order] = np.arange(len(keys), dtype=np.uint16)
         return ([elems[i] for i in order], {keys[i]: k for k, i in enumerate(order)},
                 [pos[np.array(r)[order]] for r in left])
 
@@ -179,12 +177,12 @@ class IndexedGroup:
         with a -> ga, conj with x -> g x g^-1, as (gy)x(gy)^-1 = g(y x
         y^-1)g^-1."""
         n = self.n
-        out = np.empty((n, n), dtype=np.int32)
-        out[self.identity] = np.arange(n, dtype=np.int32)
+        out = np.empty((n, n), dtype=np.uint16)
+        out[self.identity] = np.arange(n, dtype=np.uint16)
         step = max(1, _TABLE_CELLS // n)
         for k, ys, zs in self._layers:
             for i in range(0, zs.size, step):
-                _check(deadline)
+                check_deadline(deadline)
                 out[zs[i:i + step]] = perms[k][out[ys[i:i + step]]]
         return out
 
@@ -209,7 +207,7 @@ class IndexedGroup:
     def _class_data(self) -> tuple[np.ndarray, np.ndarray]:
         """(rep, wit): rep[x] is the least index in the class of x, and
         wit[x] a conjugator taking x to it."""
-        rep = self.conj.min(axis=0)         # column x of conj is the class of x
+        rep = self.conj.min(axis=0).astype(np.int32)    # column x of conj is the class of x
         wit = np.full(self.n, self.n, dtype=np.int32)
         for r in np.flatnonzero(rep == np.arange(self.n)).tolist():
             # g x g^-1 = r exactly when x = conj[g^-1, r]: the least such g
@@ -301,7 +299,7 @@ class IndexedGroup:
             # one map per line: the first nonzero coefficient is 1
             for coeffs in itertools.product(range(p), repeat=len(free)):
                 if next((a for a in coeffs if a), 0) == 1:
-                    _check(deadline)
+                    check_deadline(deadline)
                     out.append(np.flatnonzero(c @ (np.array(coeffs) @ basis) % p == 0))
         return out
 
@@ -347,7 +345,7 @@ class IndexedGroup:
         while layer:
             owner, rows = [], []
             for h, (gens, hmask, norm, _) in enumerate(layer):
-                _check(deadline)
+                check_deadline(deadline)
                 reached = np.zeros(n, dtype=bool)
                 for c in cyclic[~hmask[cyclic]].tolist():
                     if not reached[c]:
@@ -359,7 +357,7 @@ class IndexedGroup:
             is_maximal = np.ones(len(layer), dtype=bool)
             below = []
             for i in range(0, len(rows), step):
-                _check(deadline)
+                check_deadline(deadline)
                 jmasks, _, whole = self.closure_rows(
                     hmasks[owner[i:i + step]], rows[i:i + step], cap=n // 2)
                 proper = np.flatnonzero(~whole)
@@ -421,7 +419,7 @@ class IndexedGroup:
         has reached the central node."""
         if self.spec.is_abelian:
             return rows
-        n, chain, k = self.n, self._chain, rows.shape[1]
+        n, chain, k = np.intp(self.n), self._chain, rows.shape[1]
         conj, mult = self.conj.ravel(), self.mult.ravel()
         out = np.empty_like(rows)
         w = np.full(len(rows), self.identity, dtype=np.int32)   # conjugator so far

@@ -201,7 +201,8 @@ def _move_cells(moves: tuple, k: int) -> np.ndarray:
 def _moved(ix: IndexedGroup, rows: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """Every move of cells applied to every row, in (row, move) order."""
     ext = np.column_stack((rows, ix.inv[rows], np.full(len(rows), ix.identity, np.int32)))
-    return ix.mult[ext[:, cells[..., 0]], ext[:, cells[..., 1]]].reshape(-1, rows.shape[1])
+    moved = ix.mult[ext[:, cells[..., 0]], ext[:, cells[..., 1]]]
+    return moved.astype(np.int32).reshape(-1, rows.shape[1])    # keyed like every int32 row
 
 
 def _droppable(ix: IndexedGroup, rows: np.ndarray, deadline: float) -> np.ndarray:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from genrank import groups
 from genrank.fp import FpMatrix, canonical_rep, projective_canonicalize
 from genrank.groups import (CyclicPower, GeneratingTuple, Integers,
                             ProductGroup, ProjSpecialLinear, SpecialLinear,
@@ -147,6 +148,21 @@ def test_subgroup_order_pinned_values():
     assert not is_generating(sl3_pair(7, unipotent=True))
     with pytest.raises(ValueError):
         subgroup_order(GeneratingTuple(CyclicPower(6, 2), ((1, 0),)))
+
+
+def test_subgroup_order_checks_its_deadline_before_each_stage(monkeypatch):
+    # a clock past the deadline at its k-th read: read 1 is before the
+    # points are listed, and each later read follows a permutation and
+    # comes before its inverse, so k - 2 inverses are formed
+    inverses = []
+    real = groups._inverse
+    monkeypatch.setattr(groups, "_inverse", lambda a: inverses.append(1) or real(a))
+    for k in (1, 2, 3):
+        reads, inverses[:] = iter(range(1, 100)), []
+        monkeypatch.setattr(groups.time, "monotonic", lambda: next(reads))
+        with pytest.raises(TimeoutError):
+            subgroup_order(sl3_pair(5), deadline=k - 0.5)
+        assert next(reads) == k + 1 and len(inverses) == max(0, k - 2)
 
 
 def test_random_element_draws_without_enumerating():

@@ -139,3 +139,21 @@ def test_module_level_definitions_are_used_or_exported():
     unused = [f"{stem}.{name}" for stem, name in defined
               if name not in read and name not in genrank.__all__]
     assert unused == []
+
+
+def test_uint16_only_where_the_tables_are_built():
+    # mult and conj hold element indices as uint16; every other index
+    # array stays int32, since a uint16 times a Python int wraps
+    built = {("indexed", "_cayley_walk"), ("indexed", "_fill_rows")}
+    uses, inside = set(), set()
+    for p in SRC.glob("*.py"):
+        tree = ast.parse(p.read_text(), str(p))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "uint16") or \
+                    (isinstance(node, ast.Constant) and node.value == "uint16"):
+                uses.add((p.stem, node.lineno))
+            if isinstance(node, ast.FunctionDef) and (p.stem, node.name) in built:
+                inside |= {(p.stem, n.lineno) for n in ast.walk(node)
+                           if isinstance(n, ast.Attribute) and n.attr == "uint16"}
+    assert inside                           # the check sees the tables
+    assert sorted(uses - inside) == []

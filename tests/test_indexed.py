@@ -12,6 +12,7 @@ from genrank.groups import (CyclicPower, GeneratingTuple, ProductGroup,
                             ProjSpecialLinear, SpecialLinear, closure)
 from genrank import indexed
 from genrank.indexed import MAX_INDEXED_ORDER, IndexedGroup
+from genrank.nielsen import _move_cells, _moved, _row_keys, all_moves
 from reference import closure_generates, closure_mask, generates
 
 # past 256 residues the encoding order is not the residue order
@@ -596,3 +597,53 @@ def test_order_limit_enforced():
     with pytest.raises(ValueError):
         IndexedGroup.from_spec(SpecialLinear(2, 17))
     assert SpecialLinear(2, 17).order > MAX_INDEXED_ORDER
+
+
+# -- uint16 tables: entries index, arithmetic stays wide ---------------------
+
+PSL2_11 = ProjSpecialLinear(2, 11)      # n = 660: x * n passes 2^16
+
+
+def test_tables_are_uint16_and_index_arrays_int32():
+    assert MAX_INDEXED_ORDER < 1 << 16
+    ix = IndexedGroup.from_spec(PSL2_11)
+    for table in (ix.mult, ix.conj):
+        assert table.dtype == np.uint16 and table.nbytes == 2 * ix.n * ix.n
+    rep, wit = ix._class_data
+    assert {a.dtype for a in (ix.inv, ix.orders, ix.cyclic_key, rep, wit)} == {np.dtype(np.int32)}
+    assert ix._chain.omin.dtype == ix._chain.owit.dtype == np.int32
+
+
+@pytest.mark.parametrize("k", (2, 3, 4))
+def test_canonical_forms_past_16_bits_match_int64_brute_force(k):
+    # every conjugate g x g^-1 of every entry, from mult in int64
+    ix = IndexedGroup.from_spec(PSL2_11)
+    mult = ix.mult.astype(np.int64)
+    conj = mult[mult, ix.inv.astype(np.int64)[:, None]]
+    key = ix.cyclic_key
+    rows = np.random.default_rng(53 + k).integers(0, ix.n, size=(40, k), dtype=np.int32)
+    tuples, sets = ix.canonical_tuples(rows), ix.canonical_sets(rows)
+    families = ix.canonical_sets(rows, families=True)
+    assert tuples.dtype == np.int32
+    for row, t, s, f in zip(rows, tuples, sets, families):
+        images = conj[:, row]                   # one row per conjugator
+        assert tuple(t) == min(map(tuple, images.tolist()))
+        assert tuple(s) == min(map(tuple, np.sort(images, axis=1).tolist()))
+        assert tuple(f) == min(map(tuple, np.sort(key[images], axis=1).tolist()))
+
+
+@pytest.mark.parametrize("k", (3, 7))
+def test_moved_rows_are_int32_and_key_like_built_rows(k):
+    # 660^7 passes 2^63, so k = 7 keys rows by their bytes
+    ix = IndexedGroup.from_spec(PSL2_11)
+    rows = np.random.default_rng(59).integers(0, ix.n, size=(30, k), dtype=np.int32)
+    moves = all_moves(k)
+    moved = _moved(ix, rows, _move_cells(moves, k))
+    assert moved.dtype == ix.canonical_tuples(moved).dtype == np.int32
+    mul, inv = ix.mult.item, ix.inv.item
+    built = np.array([mv.apply(tuple(r), mul, inv) for r in rows.tolist() for mv in moves],
+                     dtype=np.int32)
+    keys = _row_keys(moved, ix.n)
+    assert np.array_equal(keys, _row_keys(built, ix.n))
+    assert (keys.dtype == np.int64) == (k < 7)
+    assert len(set(keys.tolist())) == len(set(map(tuple, built.tolist())))
