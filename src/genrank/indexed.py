@@ -8,19 +8,21 @@ closure, generation tests, and canonical forms of tuples and sets
 under simultaneous conjugation.
 
 An instance owns every structure derived from its group, and
-`from_spec` keeps one per descriptor: `conj` is built with `mult`, the
-other tables on first use, and `m_search` keeps the exhaustive m search
-at default limits.  The table is built from the generators alone.  One
-breadth-first pass from the identity lists the elements and records
-each product ga; sorting by encoding gives `elements` and `index` and
-relabels the records into one permutation a -> ga per generator g, so
-no product is formed twice.  The table is then filled a breadth-first
-layer of the left Cayley graph at a time: row gy is row y under that
-permutation, one gather per layer and generator, a slice of at most
-_TABLE_CELLS entries at a time.  conj is filled along the same layers,
-row gy being row y under x -> g x g^-1, unless G is abelian.  Both hold
-uint16, 2n^2 bytes each, and the index arrays kept beside them int32: a
-uint16 times a Python int wraps, so arithmetic on entries takes n as intp.
+`from_spec` keeps one per descriptor: `mult` and `inv` are built at
+once, the other tables on first use, and `m_search` keeps the
+exhaustive m search at default limits.  The table is built from the
+generators alone.  One breadth-first pass from the identity lists the
+elements and records each product ga; sorting by encoding gives
+`elements` and `index` and relabels the records into one permutation
+a -> ga per generator g, so no product is formed twice.  The table is
+then filled a breadth-first layer of the left Cayley graph at a time:
+row gy is row y under that permutation, one gather per layer and
+generator, a slice of at most _TABLE_CELLS entries at a time.  It is
+the only n x n table: g x g^-1 is read as mult[mult[g, x], inv[g]],
+two gathers, by `conj_at` for index arrays and `conj_rows` for whole
+rows.  mult holds uint16, 2n^2 bytes, and the index arrays kept beside
+it int32: a uint16 times a Python int wraps, so arithmetic on entries
+takes n as intp.
 
 Closure grows rows of boolean masks a ball at a time: the next ball
 adds the last layer times each generator, one scatter per generator
@@ -42,17 +44,19 @@ caller's deadline, and only finished tables are kept.
 
 Canonical forms use the minimum-index convention: a conjugacy class is
 represented by its least index, and the canonical image of a tuple is
-its lexicographically least simultaneous conjugate.  The conjugators
-taking a tuple's first j entries to their least image m_0, ..., m_j-1
-form one coset Cw of the stabilizer C = C_G(m_0, ..., m_j-1), so entry
-j goes to the least conjugate of w t_j w^-1 under C.  The instance
-grows a chain of these stabilizers as rows reach them: each node holds
-the least conjugate of every element under its subgroup, a witness for
-each, and its children C_C(m), shared by member set, and one node
-stands for every subgroup of the centre.  The root is read off the
-conjugacy classes, any other node off its members' images, _TABLE_CELLS
-entries at a time.  A tuple position costs a few gathers over all rows,
-whatever the size of C.
+its lexicographically least simultaneous conjugate.  The classes are
+listed one column at a time: the least index r with no class yet is the
+least member of its class, and g r g^-1 over every g is that class.  The
+conjugators taking a tuple's first j entries to their least image m_0,
+..., m_j-1 form one coset Cw of the stabilizer C = C_G(m_0, ...,
+m_j-1), so entry j goes to the least conjugate of w t_j w^-1 under C.
+The instance grows a chain of these stabilizers as rows reach them:
+each node holds the least conjugate of every element under its
+subgroup, a witness for each, and its children C_C(m), shared by member
+set, and one node stands for every subgroup of the centre.  The root is
+read off the conjugacy classes, any other node off its members' images,
+_TABLE_CELLS entries at a time.  A tuple position costs a few gathers
+over all rows, whatever the size of C.
 
 A set is canonical as its least sorted image.  Under one conjugator the
 sorted image is the least ordering of the image, so the least sorted
@@ -80,12 +84,12 @@ from .fp import prime_factors, row_reduce
 from .groups import GeneratingTuple, GroupSpec, check_deadline
 
 MAX_INDEXED_ORDER = 4096
-assert MAX_INDEXED_ORDER < 1 << 16, "mult and conj hold element indices as uint16"
+assert MAX_INDEXED_ORDER < 1 << 16, "mult holds element indices as uint16"
 
 _JOIN_CELLS = 1 << 15             # mask cells of one slice of the subgroup walk
-_TABLE_CELLS = 1 << 14             # entries of one slice of a row or node fill or of
-                                   # canonical_sets (32 KB of uint16, 64 KB of int32; 4x that
-                                   # raised the peak RSS)
+_TABLE_CELLS = 1 << 14             # entries of one slice of a row or node fill, of a node's
+                                   # child test, of the walk's candidates or of canonical_sets
+                                   # (32 KB of uint16, 64 KB of int32; 4x that raised the peak RSS)
 
 _INSTANCE_CACHE: dict[str, "IndexedGroup"] = {}
 
@@ -107,10 +111,6 @@ class IndexedGroup:
         self.orders, self.inv = self._element_orders()
         # the centre: elements commuting with every generator
         self.central = (self.mult[:, self._gens] == self.mult[self._gens, :].T).all(axis=1)
-        # conj[g, x] = g x g^-1 along the layers of mult, or x in a read-only view
-        self.conj = np.broadcast_to(self.mult[self.identity], (self.n, self.n)) if \
-            spec.is_abelian else self._fill_rows([self.mult[self.mult[g], self.inv[g]]
-                                                  for g in self._gens], deadline)
         # set by maximal_masks and by redundancy.max_irredundant_size
         self._masks = self.m_search = None
 
@@ -171,11 +171,9 @@ class IndexedGroup:
         return out
 
     def _fill_rows(self, perms: list, deadline: float) -> np.ndarray:
-        """The n x n table whose identity row is the identity map and
-        whose row gy is row y under perms[g], filled along the left
-        layers a slice of at most _TABLE_CELLS entries at a time: mult
-        with a -> ga, conj with x -> g x g^-1, as (gy)x(gy)^-1 = g(y x
-        y^-1)g^-1."""
+        """mult: the identity row is the identity map and row gy is row y
+        under perms[g], a -> ga, filled along the left layers a slice of
+        at most _TABLE_CELLS entries at a time."""
         n = self.n
         out = np.empty((n, n), dtype=np.uint16)
         out[self.identity] = np.arange(n, dtype=np.uint16)
@@ -183,7 +181,7 @@ class IndexedGroup:
         for k, ys, zs in self._layers:
             for i in range(0, zs.size, step):
                 check_deadline(deadline)
-                out[zs[i:i + step]] = perms[k][out[ys[i:i + step]]]
+                out[zs[i:i + step]] = perms[k].take(out[ys[i:i + step]])
         return out
 
     def _element_orders(self) -> tuple[np.ndarray, np.ndarray]:
@@ -203,15 +201,30 @@ class IndexedGroup:
             prev, cur = cur, self.mult[cur, np.arange(self.n)]
         return orders, inv
 
+    def conj_at(self, g, x) -> np.ndarray:
+        """g x g^-1 for index arrays g and x, broadcast together, by two
+        flat takes."""
+        n, mult = np.intp(self.n), self.mult.ravel()
+        return mult.take(mult.take(g * n + x) * n + self.inv[g])
+
+    def conj_rows(self, g: np.ndarray) -> np.ndarray:
+        """Row i is x -> g_i x g_i^-1 over every x, by one flat take."""
+        return self.mult.ravel().take(self.mult[g] * np.intp(self.n) + self.inv[g][:, None])
+
     @cached_property
     def _class_data(self) -> tuple[np.ndarray, np.ndarray]:
         """(rep, wit): rep[x] is the least index in the class of x, and
-        wit[x] a conjugator taking x to it."""
-        rep = self.conj.min(axis=0).astype(np.int32)    # column x of conj is the class of x
-        wit = np.full(self.n, self.n, dtype=np.int32)
-        for r in np.flatnonzero(rep == np.arange(self.n)).tolist():
-            # g x g^-1 = r exactly when x = conj[g^-1, r]: the least such g
-            np.minimum.at(wit, self.conj[:, r], self.inv)
+        wit[x] a conjugator taking x to it, one class at a time."""
+        n = self.n
+        rep, wit = np.full(n, n, dtype=np.int32), np.full(n, n, dtype=np.int32)
+        r = 0
+        while r < n:        # r is the least index with no class yet
+            column = self.mult[self.mult[:, r], self.inv]      # g r g^-1 for every g
+            rep[column] = r
+            # g x g^-1 = r exactly when x = g^-1 r g: the least such g
+            np.minimum.at(wit, column, self.inv)
+            unclassed = rep[r:] == n
+            r += int(unclassed.argmax()) if unclassed.any() else n
         return rep, wit
 
     def indices_of(self, t: GeneratingTuple) -> tuple:
@@ -271,40 +284,47 @@ class IndexedGroup:
         set when x lies in subgroup b.  Built on first use by the deadline,
         or not at all: past it the build raises TimeoutError."""
         if self._masks is None:
-            subgroups = (self._kernels if self.spec.is_abelian else self._maximal_walk)(deadline)
-            masks = np.zeros((self.n, max(1, -(-len(subgroups) // 64))), dtype=np.uint64)
-            for bit, members in enumerate(subgroups):
-                masks[members, bit // 64] |= np.uint64(1 << (bit % 64))
-            self._masks = masks
+            self._masks = (self._kernels if self.spec.is_abelian else self._maximal_walk)(deadline)
         return self._masks
 
-    def _kernels(self, deadline: float) -> list:
-        """The members of each maximal subgroup of an abelian group: the
-        kernel of a map onto Z/p, p | n, for each line of maps.  With c[x]
-        the generator counts on a path of left layers to x, the map taking
-        the generators to v is x -> c[x] @ v, well defined when v is
+    def _kernels(self, deadline: float) -> np.ndarray:
+        """The maximal masks of an abelian group: the kernel of a map onto
+        Z/p, p | n, for each line of maps, 64 lines a word.  With c[x] the
+        generator counts on a path of left layers to x, the map taking the
+        generators to v is x -> c[x] @ v, well defined when v is
         orthogonal mod p to each c[g·y] - c[y] - e_g."""
         r = len(self._gens)
         c, eye = np.zeros((self.n, r), dtype=np.int64), np.eye(r, dtype=np.int64)
         for k, ys, zs in self._layers:
             c[zs] = c[ys] + eye[k]
         relations = np.concatenate([c[self.mult[g]] - c - e for g, e in zip(self._gens, eye)])
-        out = []
+        maps, mods = [], []
         for p in prime_factors(self.n):
-            # the reduced form does not depend on the order of the distinct rows
-            reduced, pivots, _ = row_reduce(list(set(map(tuple, (relations % p).tolist()))), p)
+            # the distinct nonzero rows: the reduced form does not depend on their order
+            rows = relations % p
+            rows = set(map(tuple, rows[rows.any(axis=1)].tolist()))
+            reduced, pivots, _ = row_reduce(list(rows), p)
+            reduced = np.array(reduced, dtype=np.int64).reshape(-1, r)
             free = [j for j in range(r) if j not in pivots]
             basis = eye[free]       # the null space: a 1 at one free column each
-            basis[:, pivots] = -np.array(reduced, dtype=np.int64)[:len(pivots), free].T % p
+            basis[:, pivots] = -reduced[:len(pivots), free].T % p
             # one map per line: the first nonzero coefficient is 1
-            for coeffs in itertools.product(range(p), repeat=len(free)):
-                if next((a for a in coeffs if a), 0) == 1:
-                    check_deadline(deadline)
-                    out.append(np.flatnonzero(c @ (np.array(coeffs) @ basis) % p == 0))
-        return out
+            lines = [a for a in itertools.product(range(p), repeat=len(free))
+                     if next((x for x in a if x), 0) == 1]
+            maps += (np.array(lines, dtype=np.int64).reshape(-1, len(free)) @ basis % p).tolist()
+            mods += [p] * len(lines)
+        maps, mods = np.array(maps, dtype=np.int64).reshape(-1, r), np.array(mods)
+        masks = np.zeros((self.n, max(1, -(-len(maps) // 64))), dtype=np.uint64)
+        for i in range(0, len(maps), 64):
+            check_deadline(deadline)
+            inside = np.zeros((self.n, 64), dtype=bool)      # column b: x in kernel i + b
+            values = c @ maps[i:i + 64].T
+            inside[:, :values.shape[1]] = values % mods[i:i + 64] == 0
+            masks[:, i // 64] = np.packbits(inside, axis=1, bitorder="little").view("<u8")[:, 0]
+        return masks
 
-    def _maximal_walk(self, deadline: float) -> list:
-        # The members of each maximal subgroup, by a breadth-first walk
+    def _maximal_walk(self, deadline: float) -> np.ndarray:
+        # The maximal masks of any other group, by a breadth-first walk
         # over conjugacy classes of proper subgroups from the trivial
         # one.  Every subgroup above H contains some <H, c> with c outside
         # H, and conjugating c by the normalizer of H conjugates the join,
@@ -315,14 +335,15 @@ class IndexedGroup:
         # and they are read in the order a walk of one class at a time
         # reads them, which fixes the classes and the bits.  seen holds the
         # packed mask of every conjugate of every class found.
-        n, key, conj = self.n, self.cyclic_key, self.conj
-        cyclic = np.flatnonzero((key == np.arange(n)) & (np.arange(n) != self.identity))
+        n, key, ar = self.n, self.cyclic_key, np.arange(self.n)
+        cyclic = np.flatnonzero((key == ar) & (ar != self.identity))
         seen: set[bytes] = set()
 
         def found(gens: tuple, hmask: np.ndarray) -> tuple:
             members = np.flatnonzero(hmask)
             # g normalizes H = <gens> when it conjugates each into H
-            norm = np.flatnonzero(hmask[conj[:, list(gens)]].all(axis=1))
+            norm = np.flatnonzero(hmask[self.conj_at(
+                ar[:, None], np.array(gens, dtype=np.int32))].all(axis=1))
             # the least element of each coset g N_G(H): take as many of
             # the least uncovered elements as there are cosets, and keep
             # those whose coset holds no smaller element
@@ -333,7 +354,7 @@ class IndexedGroup:
                 least = images.min(axis=1) == block
                 todo[images[least]] = False
                 cosets.append(block[least])
-            conjugates = conj[np.concatenate(cosets)[:, None], members]
+            conjugates = self.conj_at(np.concatenate(cosets)[:, None], members)
             packed = np.zeros((len(conjugates), n), dtype=bool)
             np.put_along_axis(packed, conjugates, True, axis=1)
             seen.update(map(bytes, np.packbits(packed, axis=1)))
@@ -346,12 +367,19 @@ class IndexedGroup:
             owner, rows = [], []
             for h, (gens, hmask, norm, _) in enumerate(layer):
                 check_deadline(deadline)
-                reached = np.zeros(n, dtype=bool)
-                for c in cyclic[~hmask[cyclic]].tolist():
-                    if not reached[c]:
-                        reached[key[conj[norm, c]]] = True
-                        owner.append(h)
-                        rows.append(gens + (c,))
+                # c outside H is a candidate when it is the least key of its
+                # normalizer orbit, a slice of _TABLE_CELLS orbit entries at a time
+                out = cyclic[~hmask[cyclic]]
+                if gens:
+                    least, part = out.copy(), max(1, _TABLE_CELLS // len(out))
+                    for i in range(0, len(norm), part):
+                        orbit = key[self.conj_at(norm[i:i + part, None], out)]
+                        np.minimum(least, orbit.min(axis=0), out=least)
+                else:       # H = 1, normalized by G: the family chain's root row
+                    least = self._family_chain.omin[_ROOT, out]
+                for c in out[least == out].tolist():
+                    owner.append(h)
+                    rows.append(gens + (c,))
             owner, rows = np.array(owner), np.array(rows, dtype=np.int32)
             hmasks = np.stack([h[1] for h in layer])
             is_maximal = np.ones(len(layer), dtype=bool)
@@ -368,7 +396,10 @@ class IndexedGroup:
                         below.append(found(tuple(rows[i + j].tolist()), jmasks[j].copy()))
             conjugates += [c for h in np.flatnonzero(is_maximal).tolist() for c in layer[h][3]]
             layer = below
-        return conjugates
+        masks = np.zeros((n, max(1, -(-len(conjugates) // 64))), dtype=np.uint64)
+        for bit, members in enumerate(conjugates):
+            masks[members, bit // 64] |= np.uint64(1 << (bit % 64))
+        return masks
 
     # -- canonical forms under simultaneous conjugation ---------------
 
@@ -406,7 +437,7 @@ class IndexedGroup:
                     keep = np.ones((len(b), k - j), dtype=bool)
                     keep[np.arange(len(b)), x] = False
                     g = chain.owit[node[b], imgs[b, x]]
-                    imgs = self.conj[g[:, None], imgs[b][keep].reshape(len(b), -1)]
+                    imgs = self.conj_at(g[:, None], imgs[b][keep].reshape(len(b), -1))
                     br = br[b]
                     node = chain.child_of(node[b], least[br])
         return out
@@ -420,15 +451,15 @@ class IndexedGroup:
         if self.spec.is_abelian:
             return rows
         n, chain, k = np.intp(self.n), self._chain, rows.shape[1]
-        conj, mult = self.conj.ravel(), self.mult.ravel()
+        mult = self.mult.ravel()
         out = np.empty_like(rows)
         w = np.full(len(rows), self.identity, dtype=np.int32)   # conjugator so far
         node = np.full(len(rows), _ROOT, dtype=np.int32)
         for j in range(k):
             if not node.any():          # all central: the rest is w t w^-1
-                out[:, j:] = conj.take(w[:, None] * n + rows[:, j:])
+                out[:, j:] = self.conj_at(w[:, None], rows[:, j:])
                 break
-            at = node * n + conj.take(w * n + rows[:, j])
+            at = node * n + self.conj_at(w, rows[:, j])
             out[:, j] = m = chain.omin.take(at)
             if j + 1 < k:
                 w = mult.take(chain.owit.take(at) * n + w)
@@ -462,7 +493,7 @@ class _StabilizerChain:
 
     def __init__(self, ix: IndexedGroup, key: np.ndarray):
         n, (rep, wit) = ix.n, ix._class_data
-        self.conj, self.central, self.key = ix.conj, ix.central, key
+        self.ix, self.key = ix, key
         self.members = [np.flatnonzero(ix.central).astype(np.int32),
                         np.arange(n, dtype=np.int32)]
         self.nodes: dict[bytes, int] = {}
@@ -488,12 +519,23 @@ class _StabilizerChain:
             return out
         omin, owit = [self.omin], [self.owit]
         step = max(1, _TABLE_CELLS // n)
-        for h, x in set(zip(node[missing].tolist(), m[missing].tolist())):
+        pairs = set(zip(node[missing].tolist(), m[missing].tolist()))
+        xs: dict[int, list] = {}
+        for h, x in pairs:
+            xs.setdefault(h, []).append(x)
+        fixing = {}         # the members of h fixing x: one read per node and slice
+        for h, hx in xs.items():
             members = self.members[h]
-            fixed = members[self.key[self.conj[members, x]] == x]
+            width = max(1, _TABLE_CELLS // len(members))
+            for i in range(0, len(hx), width):
+                block = np.array(hx[i:i + width])
+                hit = self.key[self.ix.conj_at(members[:, None], block)] == block
+                fixing.update(((h, x), members[col]) for x, col in zip(hx[i:i + width], hit.T))
+        for h, x in pairs:
+            members, fixed = self.members[h], fixing[h, x]
             if len(fixed) == len(members):
                 c = h
-            elif self.central[fixed].all():
+            elif self.ix.central[fixed].all():
                 c = _CENTRAL
             else:
                 c = self.nodes.setdefault(fixed.tobytes(), len(self.members))
@@ -504,7 +546,7 @@ class _StabilizerChain:
                     least, wit = np.full(n, n, dtype=np.int32), np.empty(n, dtype=np.int32)
                     for i in range(0, len(fixed), step):
                         part = fixed[i:i + step]
-                        imgs = self.key[self.conj[part]]
+                        imgs = self.key[self.ix.conj_rows(part)]
                         np.minimum(least, imgs.min(axis=0), out=least)
                         g, y = np.nonzero(imgs == least)
                         wit[y] = part[g]

@@ -151,10 +151,13 @@ class _SetSearch:
                     best_size, best_witness = size, found[0]
                 if target is not None:
                     return _SearchOutcome(best_size, best_witness, {}, nodes, False, pushed)
-                collected.setdefault(size, set()).update(self._canonical(found, size))
             if target is not None and size >= target:
-                continue
-            for c in self._canonical([part + (x,) for x in grows], size):
+                grows = ()
+            # the recorded sets and the children in one canonical_sets call
+            canon = self._canonical(found + [part + (x,) for x in grows], size)
+            if found:
+                collected.setdefault(size, set()).update(canon[:len(found)])
+            for c in canon[len(found):]:
                 if c not in seen_canon:
                     seen_canon.add(c)
                     stack.append(c)
@@ -164,6 +167,8 @@ class _SetSearch:
                               pushed)
 
     def _canonical(self, sets: list, size: int) -> list:
+        if not sets:
+            return []
         rows = np.array(sets, dtype=np.int32).reshape(-1, size)
         return list(map(tuple, self.ix.canonical_sets(rows, families=True).tolist()))
 

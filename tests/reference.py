@@ -1,11 +1,23 @@
-"""Helpers for the tests: the closure of one generating set on the
-indexed tables, generation of one set by the maximal masks, and the
-reference paths that read no mask: generation by closure, and the m
-search deciding each extension by closure."""
+"""Helpers for the tests: the dense conjugation table, the closure of
+one generating set on the indexed tables, generation of one set by the
+maximal masks, and the reference paths that read no mask: generation
+by closure, and the m search deciding each extension by closure."""
+
+import weakref
 
 import numpy as np
 
 from genrank import redundancy
+
+_CONJ_TABLES = weakref.WeakKeyDictionary()
+
+
+def conj_table(ix) -> np.ndarray:
+    """The n x n table of g x g^-1 at [g, x], by one dense gather, kept
+    while its instance lives: brute-force references read it per tuple."""
+    if ix not in _CONJ_TABLES:
+        _CONJ_TABLES[ix] = ix.mult[ix.mult, ix.inv[:, None]]
+    return _CONJ_TABLES[ix]
 
 
 def closure_mask(ix, gens, cap=None, target=None):

@@ -142,7 +142,7 @@ def test_module_level_definitions_are_used_or_exported():
 
 
 def test_uint16_only_where_the_tables_are_built():
-    # mult and conj hold element indices as uint16; every other index
+    # mult holds element indices as uint16; every other index
     # array stays int32, since a uint16 times a Python int wraps
     built = {("indexed", "_cayley_walk"), ("indexed", "_fill_rows")}
     uses, inside = set(), set()

@@ -13,7 +13,7 @@ from genrank.groups import (CyclicPower, GeneratingTuple, ProductGroup,
 from genrank import indexed
 from genrank.indexed import MAX_INDEXED_ORDER, IndexedGroup
 from genrank.nielsen import _move_cells, _moved, _row_keys, all_moves
-from reference import closure_generates, closure_mask, generates
+from reference import closure_generates, closure_mask, conj_table, generates
 
 # past 256 residues the encoding order is not the residue order
 Z300 = CyclicPower(300, 1)
@@ -87,16 +87,55 @@ def test_orders_table():
 
 
 def test_conjugation_table():
+    # the dense reference against the group model
     for spec in SPECS:
         if spec.is_abelian:
             continue
         ix = IndexedGroup.from_spec(spec)
-        els = ix.elements
+        els, conj = ix.elements, conj_table(ix)
         for g, x in itertools.product(range(ix.n), repeat=2):
-            assert els[ix.conj[g, x]] == spec.conjugate(els[x], els[g])
-    # the layer fill against the one-gather formula, on a larger group
-    ix = IndexedGroup.from_spec(SpecialLinear(2, 11))
-    assert (ix.conj == ix.mult[ix.mult, ix.inv[:, None]]).all()
+            assert els[conj[g, x]] == spec.conjugate(els[x], els[g])
+
+
+def _reference_class_data(ix, conj):
+    """(rep, wit) off the dense table: column x of conj is the class of
+    x, and wit[x] the least g^-1 with g r g^-1 = x."""
+    rep = conj.min(axis=0).astype(np.int32)
+    wit = np.full(ix.n, ix.n, dtype=np.int32)
+    for r in np.flatnonzero(rep == np.arange(ix.n)).tolist():
+        np.minimum.at(wit, conj[:, r], ix.inv)
+    return rep, wit
+
+
+@pytest.mark.parametrize("spec", (
+    ProjSpecialLinear(2, 5), ProjSpecialLinear(2, 11), SpecialLinear(2, 7), PSL2_5_X_C2),
+    ids=lambda spec: spec.descriptor())
+def test_conjugation_reads_match_the_dense_table(spec):
+    # psl2:11 has n = 660, where g * n + x passes 16 bits
+    ix = IndexedGroup.from_spec(spec)
+    conj, ar = conj_table(ix), np.arange(ix.n, dtype=np.int32)
+    assert np.array_equal(ix.conj_rows(ar), conj)
+    assert np.array_equal(ix.conj_at(ar[:, None], ar), conj)
+    rng = np.random.default_rng(ix.n)
+    g, x = (rng.integers(0, ix.n, size=(50, 3), dtype=np.int32) for _ in range(2))
+    assert np.array_equal(ix.conj_at(g, x), conj[g, x])
+    assert np.array_equal(ix.conj_at(g[:, :1], x), conj[g[:, :1], x])
+    assert np.array_equal(ix.conj_rows(g[:, 0]), conj[g[:, 0]])
+    for got, want in zip(ix._class_data, _reference_class_data(ix, conj)):
+        assert got.dtype == np.int32 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("spec", (ProjSpecialLinear(2, 7), SpecialLinear(2, 5), PSL2_5_X_C2),
+                         ids=lambda spec: spec.descriptor())
+def test_mult_is_the_only_square_table(spec):
+    # every derived structure built: classes, keys, masks and both chains
+    ix = IndexedGroup(spec)
+    rows = np.random.default_rng(3).integers(0, ix.n, size=(100, 3), dtype=np.int32)
+    ix.canonical_tuples(rows), ix.canonical_sets(rows), ix.canonical_sets(rows, families=True)
+    ix.maximal_masks()
+    square = [name for name, value in vars(ix).items()
+              if isinstance(value, np.ndarray) and value.shape == (ix.n, ix.n)]
+    assert square == ["mult"]
 
 
 class _CountingSpec:
@@ -117,7 +156,8 @@ class _CountingSpec:
 def test_table_build_forms_each_product_once(spec):
     counting = _CountingSpec(spec)
     ix = IndexedGroup(counting)
-    ix.conj             # filled from mult: no product of elements
+    if not spec.is_abelian:
+        ix._chain       # classes and chain read from mult: no product of elements
     assert counting.products == ix.n * len(spec.generators())
 
 
@@ -226,7 +266,7 @@ def _canonical_set(ix, s) -> tuple:
 def _reference_maximal_masks(ix):
     """The maximal-subgroup walk with one closure_mask per join and one
     canonical set per proper join, packed as maximal_masks packs it."""
-    n, key = ix.n, ix.cyclic_key
+    n, key, conj = ix.n, ix.cyclic_key, conj_table(ix)
     cyclic = [c for c in np.flatnonzero(key == np.arange(n)).tolist() if c != ix.identity]
     queue = deque([((), closure_mask(ix, ())[0])])
     seen = {_canonical_set(ix, (ix.identity,))}
@@ -234,13 +274,13 @@ def _reference_maximal_masks(ix):
     while queue:
         gens, hmask = queue.popleft()
         members = np.flatnonzero(hmask)
-        norm = np.flatnonzero(hmask[ix.conj[:, members]].all(axis=1))
+        norm = np.flatnonzero(hmask[conj[:, members]].all(axis=1))
         reached = np.zeros(n, dtype=bool)
         is_maximal = True
         for c in cyclic:
             if hmask[c] or reached[c]:
                 continue
-            reached[key[ix.conj[norm, c]]] = True
+            reached[key[conj[norm, c]]] = True
             jmask, _, whole, _ = closure_mask(ix, gens + (c,), cap=n // 2)
             if not whole:
                 is_maximal = False
@@ -256,7 +296,7 @@ def _reference_maximal_masks(ix):
         while todo.any():
             g = int(np.argmax(todo))
             todo[ix.mult[g, norm]] = False
-            conjugates.append(ix.conj[g, members])
+            conjugates.append(conj[g, members])
     masks = np.zeros((n, max(1, -(-len(conjugates) // 64))), dtype=np.uint64)
     for bit, image in enumerate(conjugates):
         masks[image, bit // 64] |= np.uint64(1 << (bit % 64))
@@ -353,11 +393,12 @@ def test_canonical_set_is_conjugation_invariant():
     rng = random.Random(31)
     spec = ProjSpecialLinear(2, 5)
     ix = IndexedGroup.from_spec(spec)
+    conj = conj_table(ix)
     for _ in range(60):
         s = tuple(sorted({rng.randrange(ix.n) for _ in range(3)}))
         c = _canonical_set(ix, s)
         g = rng.randrange(ix.n)
-        moved = tuple(sorted(int(ix.conj[g, x]) for x in s))
+        moved = tuple(sorted(int(conj[g, x]) for x in s))
         assert _canonical_set(ix, moved) == c
         assert _canonical_set(ix, c) == c
         # families: <x> goes to <g x g^-1>, whichever generator names it
@@ -370,7 +411,7 @@ def test_canonical_set_is_conjugation_invariant():
 def _least_image(ix, s, name=None):
     """Brute force: the least sorted image over all n conjugators, each
     image entry passed through name (the cyclic key, for families)."""
-    cols = ix.conj[:, list(s)]
+    cols = conj_table(ix)[:, list(s)]
     cols = np.sort(cols if name is None else name[cols], axis=1)
     return tuple(int(v) for v in cols[np.lexsort(cols.T[::-1])[0]])
 
@@ -467,7 +508,7 @@ def test_canonical_families_do_not_depend_on_which_rows_come_first(spec):
 
 def _canonical_tuple(ix, t) -> tuple:
     """Brute force: the least of tuple(conj[g, t]) over all n conjugators."""
-    return min(tuple(int(v) for v in row) for row in ix.conj[:, list(t)])
+    return min(tuple(int(v) for v in row) for row in conj_table(ix)[:, list(t)])
 
 
 def test_canonical_tuple_is_conjugation_invariant():
@@ -476,7 +517,7 @@ def test_canonical_tuple_is_conjugation_invariant():
     ix = IndexedGroup.from_spec(spec)
     rows = np.array([[rng.randrange(ix.n) for _ in range(3)] for _ in range(60)],
                     dtype=np.int32)
-    moved = ix.conj[[rng.randrange(ix.n) for _ in range(60)]][np.arange(60)[:, None], rows]
+    moved = conj_table(ix)[[rng.randrange(ix.n) for _ in range(60)]][np.arange(60)[:, None], rows]
     canon = ix.canonical_tuples(rows)
     assert (ix.canonical_tuples(moved) == canon).all()
     assert (ix.canonical_tuples(canon) == canon).all()
@@ -546,13 +587,13 @@ def _check_chain_rows(ix):
     """Brute force over the members M of every node of both chains, the
     central node and the root among them: omin is the least key image
     under M, and owit a member of M reaching it."""
-    ar = np.arange(ix.n)
+    ar, conj = np.arange(ix.n), conj_table(ix)
     for chain, key in ((ix._chain, ar), (ix._family_chain, ix.cyclic_key)):
         assert len(chain.members) > 2          # nodes past the centre and the root
         for h, members in enumerate(chain.members):
-            assert np.array_equal(chain.omin[h], key[ix.conj[members]].min(axis=0)), h
+            assert np.array_equal(chain.omin[h], key[conj[members]].min(axis=0)), h
             assert np.isin(chain.owit[h], members).all(), h
-            assert np.array_equal(key[ix.conj[chain.owit[h], ar]], chain.omin[h]), h
+            assert np.array_equal(key[conj[chain.owit[h], ar]], chain.omin[h]), h
 
 
 @pytest.mark.parametrize("spec", CHAIN_SPECS, ids=lambda spec: spec.descriptor())
@@ -567,8 +608,7 @@ def test_chain_rows_match_brute_force(spec):
 def test_chain_node_fills_do_not_depend_on_the_slice(spec, monkeypatch):
     # with n table entries a slice, every node is filled one member at a time
     want = _grow_chains(IndexedGroup(spec), 71)
-    ix = IndexedGroup(spec)
-    ix.conj                             # tables built before the slice is patched
+    ix = IndexedGroup(spec)                 # mult built before the slice is patched
     monkeypatch.setattr(indexed, "_TABLE_CELLS", ix.n)
     got = _grow_chains(ix, 71)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -607,8 +647,7 @@ PSL2_11 = ProjSpecialLinear(2, 11)      # n = 660: x * n passes 2^16
 def test_tables_are_uint16_and_index_arrays_int32():
     assert MAX_INDEXED_ORDER < 1 << 16
     ix = IndexedGroup.from_spec(PSL2_11)
-    for table in (ix.mult, ix.conj):
-        assert table.dtype == np.uint16 and table.nbytes == 2 * ix.n * ix.n
+    assert ix.mult.dtype == np.uint16 and ix.mult.nbytes == 2 * ix.n * ix.n
     rep, wit = ix._class_data
     assert {a.dtype for a in (ix.inv, ix.orders, ix.cyclic_key, rep, wit)} == {np.dtype(np.int32)}
     assert ix._chain.omin.dtype == ix._chain.owit.dtype == np.int32

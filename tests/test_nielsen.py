@@ -17,7 +17,7 @@ from genrank.nielsen import (NielsenMove, OrbitStatistics, _first_occurrences,
                              _orbit_walk_generic, _row_keys, all_moves, apply_move,
                              is_nielsen_redundant, mu_rank, orbit_statistics)
 from genrank.redundancy import SearchLimits, max_irredundant_size, z_witness
-from reference import closure_mask
+from reference import closure_mask, conj_table
 
 
 def case_id(value):
@@ -176,7 +176,7 @@ def droppable(ix, t) -> bool:
 
 def least_conjugate(ix, t) -> tuple:
     """Brute force: the least of tuple(conj[g, t]) over all g."""
-    cols = ix.conj[:, list(t)]
+    cols = conj_table(ix)[:, list(t)]
     return tuple(int(v) for v in cols[np.lexsort(cols.T[::-1])[0]])
 
 
@@ -405,11 +405,11 @@ def reference_class_blocks(ix, size):
     own least conjugate are their own least conjugates, and a conjugator
     that moves such a prefix p makes it larger, so p + (x,) passes
     exactly when no conjugator fixing every entry of p takes x below x."""
-    ar = np.arange(ix.n, dtype=np.int32)
+    ar, conj = np.arange(ix.n, dtype=np.int32), conj_table(ix)
 
     def extend(prefixes):
         for p in prefixes:
-            fixing = ix.conj[(ix.conj[:, p] == p).all(axis=1)]
+            fixing = conj[(conj[:, p] == p).all(axis=1)]
             xs = ar[fixing.min(axis=0) == ar]
             yield np.column_stack((np.broadcast_to(p, (len(xs), len(p))), xs))
     prefixes = np.zeros((1, 0), dtype=np.int32)

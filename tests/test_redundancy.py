@@ -209,13 +209,13 @@ def test_closure_path_finds_the_mask_path_classes():
 
 
 def test_a_budget_stop_keeps_only_finished_tables(monkeypatch):
-    # psl2:7 reads the clock about 215 times while its tables are built,
+    # psl2:7 reads the clock about 192 times while its table is built,
     # 17 times in the subgroup walk and 34 times in the search; after
     # each stop the next default call finishes what is missing
     spec = ProjSpecialLinear(2, 7)
     masks = indexed.IndexedGroup(spec).maximal_masks()
     stopped = set()
-    for readings in (1, 100, 220, 240):
+    for readings in (1, 100, 200, 240):
         monkeypatch.setattr(indexed, "_INSTANCE_CACHE", {})
         with monkeypatch.context() as m:
             # a clock that reads 0 until it has been read `readings` times
