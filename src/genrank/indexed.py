@@ -7,22 +7,21 @@ passes, which keeps the exhaustive searches affordable: subgroup
 closure, generation tests, and canonical forms of tuples and sets
 under simultaneous conjugation.
 
-An instance owns every structure derived from its group, and
-`from_spec` keeps one per descriptor: `mult` and `inv` are built at
-once, the other tables on first use, and `m_search` keeps the
-exhaustive m search at default limits.  The table is built from the
-generators alone.  One breadth-first pass from the identity lists the
-elements and records each product ga; sorting by encoding gives
-`elements` and `index` and relabels the records into one permutation
-a -> ga per generator g, so no product is formed twice.  The table is
-then filled a breadth-first layer of the left Cayley graph at a time:
-row gy is row y under that permutation, one gather per layer and
-generator, a slice of at most _TABLE_CELLS entries at a time.  It is
-the only n x n table: g x g^-1 is read as mult[mult[g, x], inv[g]],
-two gathers, by `conj_at` for index arrays and `conj_rows` for whole
-rows.  mult holds uint16, 2n^2 bytes, and the index arrays kept beside
-it int32: a uint16 times a Python int wraps, so arithmetic on entries
-takes n as intp.
+An instance owns every structure derived from its group and lives as
+long as the call that built it: `mult` and `inv` are built at once, the
+other tables on first use.  The table is built from the generators
+alone.  One breadth-first pass from the identity lists the elements
+and records each product ga; sorting by encoding gives `elements` and
+`index` and relabels the records into one permutation a -> ga per
+generator g, so no product is formed twice.  The table is then filled
+a breadth-first layer of the left Cayley graph at a time: row gy is row
+y under that permutation, one gather per layer and generator, a slice
+of at most _TABLE_CELLS entries at a time.  It is the only n x n
+table: g x g^-1 is read as mult[mult[g, x], inv[g]], two gathers, by
+`conj_at` for index arrays and `conj_rows` for whole rows.  mult holds
+uint16, 2n^2 bytes, and the index arrays kept beside it int32: a
+uint16 times a Python int wraps, so arithmetic on entries takes n as
+intp.
 
 Closure grows rows of boolean masks a ball at a time: the next ball
 adds the last layer times each generator, one scatter per generator
@@ -40,7 +39,7 @@ found puts the packed mask of one conjugate per coset of its normalizer
 into a set, so a proper join is new exactly when its packed mask is not
 there, and the conjugates of the maximal classes are the bits.  The
 table build, the walk and the kernels stop with TimeoutError at the
-caller's deadline, and only finished tables are kept.
+caller's deadline.
 
 Canonical forms use the minimum-index convention: a conjugacy class is
 represented by its least index, and the canonical image of a tuple is
@@ -91,8 +90,6 @@ _TABLE_CELLS = 1 << 14             # entries of one slice of a row or node fill,
                                    # child test, of the walk's candidates or of canonical_sets
                                    # (32 KB of uint16, 64 KB of int32; 4x that raised the peak RSS)
 
-_INSTANCE_CACHE: dict[str, "IndexedGroup"] = {}
-
 
 class IndexedGroup:
     """Tables and canonical-form helpers for one finite group."""
@@ -111,15 +108,7 @@ class IndexedGroup:
         self.orders, self.inv = self._element_orders()
         # the centre: elements commuting with every generator
         self.central = (self.mult[:, self._gens] == self.mult[self._gens, :].T).all(axis=1)
-        # set by maximal_masks and by redundancy.max_irredundant_size
-        self._masks = self.m_search = None
-
-    @classmethod
-    def from_spec(cls, spec: GroupSpec, deadline: float = math.inf) -> "IndexedGroup":
-        key = spec.descriptor()
-        if key not in _INSTANCE_CACHE:      # only a finished build is kept
-            _INSTANCE_CACHE[key] = cls(spec, deadline)
-        return _INSTANCE_CACHE[key]
+        self._masks = None          # set by maximal_masks
 
     def _cayley_walk(self, deadline: float) -> tuple[list, dict, list]:
         """One breadth-first pass from the identity over left

@@ -39,8 +39,8 @@ import numpy as np
 
 from .groups import GeneratingTuple, GroupSpec, Integers, CyclicPower, is_generating
 from .indexed import _ROOT, MAX_INDEXED_ORDER, IndexedGroup
-from .redundancy import (RankSearchResult, SearchLimits, irredundant_witness,
-                         max_irredundant_size)
+from .redundancy import (RankSearchResult, SearchLimits, _searched_rank,
+                         irredundant_witness)
 
 _MOVE_KINDS = ("L", "R", "I", "S")
 
@@ -282,7 +282,7 @@ def is_nielsen_redundant(t: GeneratingTuple,
     if g.order is not None and g.order <= MAX_INDEXED_ORDER:
         deadline = time.monotonic() + limits.time_budget
         try:
-            ix = IndexedGroup.from_spec(g, deadline)
+            ix = IndexedGroup(g, deadline)
             verdict, end, path, visited = _layer_walk(ix, ix.indices_of(t),
                                                       limits.node_budget, deadline)
             end = None if end is None else ix.tuple_of(end)
@@ -335,16 +335,8 @@ def _ladder_rung(ix: IndexedGroup, sets: np.ndarray, node_budget: int, deadline:
 
 
 def mu_rank(spec: GroupSpec, limits: SearchLimits | None = None,
-            force_search: bool = False, seed: int = 0) -> RankSearchResult:
-    """Largest size of a Nielsen-irredundant generating tuple.
-
-    Size-d tuples, d the minimal generating size, are Nielsen irredundant
-    outright: no smaller generating tuple exists, so no entry is ever
-    droppable.  Redundant tuples are Nielsen redundant via the empty move
-    sequence, so the ladder runs from the maximal irredundant size m down
-    to d + 1, deciding each size's orbits with _ladder_rung, and stops at
-    the first clean orbit.  A rung past the node or time budget leaves its
-    size open, and the ladder goes on down."""
+            seed: int = 0) -> RankSearchResult:
+    """Largest size of a Nielsen-irredundant generating tuple (_mu_ladder)."""
     limits = limits or SearchLimits()
     if isinstance(spec, Integers):
         return RankSearchResult(
@@ -352,11 +344,10 @@ def mu_rank(spec: GroupSpec, limits: SearchLimits | None = None,
             stats={"m": None, "nodes": 0, "orbit_nodes": 0},
             notes=("any longer integer tuple reduces to a unit entry by the "
                    "euclidean algorithm through Nielsen moves",))
-    if isinstance(spec, CyclicPower) and not force_search:
+    if isinstance(spec, CyclicPower):
         return _mu_analytic_cyclic(spec)
     if spec.order is None:
         raise ValueError(f"unsupported infinite group {spec.descriptor()}")
-    deadline = time.monotonic() + limits.time_budget
     if spec.order > MAX_INDEXED_ORDER:
         w = irredundant_witness(spec, 2, limits=limits, seed=seed)
         found = w.witness is not None and not spec.is_abelian
@@ -369,21 +360,32 @@ def mu_rank(spec: GroupSpec, limits: SearchLimits | None = None,
                     f"ladder is limited to order <= {MAX_INDEXED_ORDER}") if found else
                    (f"group order exceeds the exhaustive bound {MAX_INDEXED_ORDER} "
                     "and no generating pair was found"),))
-    m_res = max_irredundant_size(spec, limits=limits, seed=seed, force_search=force_search)
+    return _mu_ladder(spec, limits)
+
+
+def _mu_ladder(spec: GroupSpec, limits: SearchLimits) -> RankSearchResult:
+    """mu of an indexed group, on the tables of its m search.
+
+    Size-d tuples, d the minimal generating size, are Nielsen irredundant
+    outright: no smaller generating tuple exists, so no entry is ever
+    droppable.  Redundant tuples are Nielsen redundant via the empty move
+    sequence, so the ladder runs from the maximal irredundant size m down
+    to d + 1, deciding each size's orbits with _ladder_rung, and stops at
+    the first clean orbit.  A rung past the node or time budget leaves its
+    size open, and the ladder goes on down."""
+    deadline = time.monotonic() + limits.time_budget
+    m_res, ix = _searched_rank(spec, limits)
     if not m_res.exhaustive:
         return RankSearchResult(
             spec, "mu", None, None, exhaustive=False,
             stats={"m": m_res.value, "nodes": m_res.stats["nodes"], "orbit_nodes": 0},
             notes=("the underlying irredundant-set search hit its budget",))
     classes = m_res.stats["classes"]
-    ix = IndexedGroup.from_spec(spec)
-    d = min(classes)
-    m_val = max(classes)
+    d, m_val = min(classes), max(classes)
     witness = ix.tuple_of(classes[d][0])
     notes = [f"size {d} is the minimal generating size; minimal tuples are "
              "Nielsen irredundant"]
-    orbit_nodes = 0
-    exhaustive = True
+    orbit_nodes, exhaustive = 0, True
     for k in range(m_val, d, -1):
         sets = classes.get(k, [])
         count, clean = _ladder_rung(ix, np.array(sets, dtype=np.int32).reshape(-1, k),
@@ -539,7 +541,7 @@ def orbit_statistics(spec: GroupSpec, size: int,
     deadline = time.monotonic() + limits.time_budget
     notes = ("stopped at the search budget before all orbits were walked",)
     try:
-        ix = IndexedGroup.from_spec(spec, deadline)
+        ix = IndexedGroup(spec, deadline)
         table = _generating_classes(ix, size, deadline)
     except TimeoutError:        # the tables or masks were not finished
         return OrbitStatistics(spec, size, 0, 0, (), 0, True, notes)

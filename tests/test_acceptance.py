@@ -107,7 +107,7 @@ def test_criterion_3_rank_table():
 def test_criterion_4_fast_test_equals_closure():
     disagreements = 0
     spec5 = SpecialLinear(2, 5)
-    ix5 = IndexedGroup.from_spec(spec5)
+    ix5 = IndexedGroup(spec5)
     els5 = ix5.elements
     for i in range(ix5.n):
         for j in range(ix5.n):
@@ -121,7 +121,7 @@ def test_criterion_4_fast_test_equals_closure():
     rng = random.Random(2024)
     for p in (7, 11):
         spec = SpecialLinear(2, p)
-        ix = IndexedGroup.from_spec(spec)
+        ix = IndexedGroup(spec)
         for _ in range(10_000):
             k = rng.choice((2, 3))
             gens = tuple(rng.randrange(ix.n) for _ in range(k))
@@ -213,7 +213,7 @@ def test_criterion_8_product_generation(pgl2):
     checked = 0
     for f1, f2 in cases:
         prod = ProductGroup((f1, f2))
-        ix1, ix2 = IndexedGroup.from_spec(f1), IndexedGroup.from_spec(f2)
+        ix1, ix2 = IndexedGroup(f1), IndexedGroup(f2)
         full = ix1.n * ix2.n
         for _ in range(1000):
             k = rng.choice((2, 3))

@@ -24,7 +24,7 @@ from genrank.fp import FpMatrix, projective_canonicalize
 from genrank.groups import (CyclicPower, GeneratingTuple, GroupSpec,
                             Integers, ProductGroup, ProjSpecialLinear,
                             SpecialLinear)
-from genrank.redundancy import is_redundant
+from genrank.redundancy import SearchLimits, is_redundant
 
 STD_PAIR = "sl 2\n0 -1 1 0\n1 1 0 1\n"
 HUGE_PRIME = 1_000_000_000_000_000_003     # trial division would run to 10^9
@@ -161,10 +161,11 @@ def test_search_budget_holds_the_table_build(argv):
 def test_mu_ladder_budget_exits_two(capsys, monkeypatch):
     # sl2:5: the m search visits 816 nodes, and its size-3 rung lists 992
     # tuple classes; the deadline passes after an unbudgeted m search
-    search = nielsen.max_irredundant_size
+    search = nielsen._searched_rank
     for argv, patch in ((["--node-budget", "900"], False), (["--time-budget", "0"], True)):
         if patch:
-            monkeypatch.setattr(nielsen, "max_irredundant_size", lambda spec, **kw: search(spec))
+            monkeypatch.setattr(nielsen, "_searched_rank",
+                                lambda spec, limits: search(spec, SearchLimits()))
         code = main(["mu", "sl2:5", *argv, "--format", "json"])
         out, err = capsys.readouterr()
         doc = json.loads(out)
@@ -176,15 +177,20 @@ def test_mu_ladder_budget_exits_two(capsys, monkeypatch):
 
 
 def test_mu_passes_the_seed(capsys, monkeypatch):
+    # the random pair search past the indexed tables takes the seed; the
+    # exhaustive ladder draws nothing, so a seed leaves its output alone
     seen = []
-    for name in ("irredundant_witness", "max_irredundant_size"):
-        def spy(*args, real=getattr(nielsen, name), name=name, **kw):
-            seen.append((name, kw["seed"]))
-            return real(*args, **kw)
-        monkeypatch.setattr(nielsen, name, spy)
+    real = nielsen.irredundant_witness
+
+    def spy(*args, **kw):
+        seen.append(kw["seed"])
+        return real(*args, **kw)
+
+    monkeypatch.setattr(nielsen, "irredundant_witness", spy)
     run_json(capsys, "mu", "sl2:17", "--seed", "5")     # past the indexed tables
-    run_json(capsys, "mu", "psl2:5", "--seed", "6")
-    assert seen == [("irredundant_witness", 5), ("max_irredundant_size", 6)]
+    assert seen == [5]
+    doc = run_json(capsys, "mu", "psl2:5", "--seed", "6")[1]
+    assert seen == [5] and doc == {**run_json(capsys, "mu", "psl2:5")[1], "seed": 6}
     # seed 0 keeps the witness that mu printed before it took the seed
     code, doc = run_json(capsys, "mu", "sl2:17", "--seed", "0")
     assert doc["witness"] == [[[11, 2], [1, 8]], [[9, 1], [12, 9]]]

@@ -224,7 +224,7 @@ def test_elements_are_a_fresh_list_per_call():
     first.reverse()
     first.pop()
     assert spec.elements() == expected
-    assert IndexedGroup.from_spec(spec).elements == expected
+    assert IndexedGroup(spec).elements == expected
 
 
 def test_simplicity_classifier():

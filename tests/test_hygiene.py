@@ -52,12 +52,12 @@ def test_exports_resolve_and_are_read():
     assert missing == [] and unread == []
 
 
-# State kept across calls at module level: the one registry of indexed
-# groups (each IndexedGroup owns what is derived from its group), and
-# fp's primality memo and per-prime tables, keyed by a prime below
-# fp.MAX_MODULUS.
-_ALLOWED_CACHES = {"indexed._INSTANCE_CACHE", "fp._known_primes", "fp.sqrt_table",
-                   "fp.nonresidue", "fp.nth_roots_of_unity"}
+# State kept across calls at module level: only fp's primality memo and
+# per-prime tables, keyed by a prime below fp.MAX_MODULUS.  An
+# IndexedGroup owns what is derived from its group and lives as long as
+# the call that built it.
+_ALLOWED_CACHES = {"fp._known_primes", "fp.sqrt_table", "fp.nonresidue",
+                   "fp.nth_roots_of_unity"}
 _CONTAINER_CALLS = {"dict", "set", "list", "defaultdict", "OrderedDict", "Counter",
                     "deque"}
 
@@ -92,7 +92,7 @@ def _caches(tree: ast.Module) -> list[str]:
 def test_no_module_level_caches():
     found = {f"{p.stem}.{name}" for p in SRC.glob("*.py")
              for name in _caches(ast.parse(p.read_text(), str(p)))}
-    assert "indexed._INSTANCE_CACHE" in found       # the check sees the registry
+    assert "fp._known_primes" in found      # the check sees the primality memo
     assert sorted(found - _ALLOWED_CACHES) == []
 
 

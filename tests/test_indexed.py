@@ -24,7 +24,7 @@ SPECS = (ProjSpecialLinear(2, 5), SpecialLinear(2, 5), CyclicPower(3, 2),
 
 def test_tables_agree_with_spec_operations():
     for spec in SPECS + (CyclicPower(1, 1),):      # and the trivial group
-        ix = IndexedGroup.from_spec(spec)
+        ix = IndexedGroup(spec)
         els = ix.elements
         assert ix.n == spec.order
         for a, b in itertools.product(range(ix.n), repeat=2):
@@ -33,7 +33,7 @@ def test_tables_agree_with_spec_operations():
         # the table's own enumeration keeps the order of spec.elements()
         assert els == spec.elements()
         assert ix.index == {spec.encode(x): i for i, x in enumerate(els)}
-    assert IndexedGroup.from_spec(Z300).elements != [(a,) for a in range(300)]
+    assert IndexedGroup(Z300).elements != [(a,) for a in range(300)]
 
 
 @pytest.mark.parametrize("spec", (
@@ -70,7 +70,7 @@ def test_table_builder_rejects_broken_specs():
 
 def test_orders_table():
     for spec in SPECS:
-        ix = IndexedGroup.from_spec(spec)
+        ix = IndexedGroup(spec)
         for i in (0, 1, ix.n // 2, ix.n - 1):
             x = ix.elements[i]
             k = int(ix.orders[i])
@@ -91,7 +91,7 @@ def test_conjugation_table():
     for spec in SPECS:
         if spec.is_abelian:
             continue
-        ix = IndexedGroup.from_spec(spec)
+        ix = IndexedGroup(spec)
         els, conj = ix.elements, conj_table(ix)
         for g, x in itertools.product(range(ix.n), repeat=2):
             assert els[conj[g, x]] == spec.conjugate(els[x], els[g])
@@ -112,7 +112,7 @@ def _reference_class_data(ix, conj):
     ids=lambda spec: spec.descriptor())
 def test_conjugation_reads_match_the_dense_table(spec):
     # psl2:11 has n = 660, where g * n + x passes 16 bits
-    ix = IndexedGroup.from_spec(spec)
+    ix = IndexedGroup(spec)
     conj, ar = conj_table(ix), np.arange(ix.n, dtype=np.int32)
     assert np.array_equal(ix.conj_rows(ar), conj)
     assert np.array_equal(ix.conj_at(ar[:, None], ar), conj)
@@ -164,7 +164,7 @@ def test_table_build_forms_each_product_once(spec):
 def test_central_mask():
     for spec, centre in ((SpecialLinear(2, 5), 2), (ProjSpecialLinear(2, 5), 1),
                          (PSL2_5_X_C2, 2), (CyclicPower(3, 2), 9)):
-        ix = IndexedGroup.from_spec(spec)
+        ix = IndexedGroup(spec)
         assert int(ix.central.sum()) == centre
         # central means commuting with every element, not only the generators
         assert all((ix.mult[x] == ix.mult[:, x]).all() == ix.central[x]
@@ -174,7 +174,7 @@ def test_central_mask():
 def test_closure_mask_matches_object_closure():
     rng = random.Random(17)
     spec = ProjSpecialLinear(2, 5)
-    ix = IndexedGroup.from_spec(spec)
+    ix = IndexedGroup(spec)
     for _ in range(25):
         k = rng.choice((1, 2))
         gens = [rng.randrange(ix.n) for _ in range(k)]
@@ -189,7 +189,7 @@ def test_closure_mask_matches_object_closure():
 
 def test_closure_mask_cap_and_target():
     spec = ProjSpecialLinear(2, 7)
-    ix = IndexedGroup.from_spec(spec)
+    ix = IndexedGroup(spec)
     gens = ix.indices_of(GeneratingTuple(spec, tuple(spec.generators())))
     mask, count, exceeded, found = closure_mask(ix, list(gens), cap=20)
     assert exceeded and count > 20
@@ -202,7 +202,7 @@ def test_closure_mask_cap_and_target():
 def test_generates_matches_is_generating():
     rng = random.Random(29)
     for spec in (ProjSpecialLinear(2, 5), SpecialLinear(2, 5)):
-        ix = IndexedGroup.from_spec(spec)
+        ix = IndexedGroup(spec)
         for _ in range(120):
             k = rng.choice((2, 3))
             gens = tuple(rng.randrange(ix.n) for _ in range(k))
@@ -211,7 +211,7 @@ def test_generates_matches_is_generating():
 
 
 def test_generates_matches_closure_on_every_pair_of_sl2_5():
-    ix = IndexedGroup.from_spec(SpecialLinear(2, 5))
+    ix = IndexedGroup(SpecialLinear(2, 5))
     for i in range(ix.n):
         for j in range(ix.n):
             assert generates(ix, (i, j)) == closure_generates(ix, (i, j)), (i, j)
@@ -226,7 +226,7 @@ def test_generates_matches_closure_on_random_tuples(spec):
     # (Z/2)^6 and (Z/2)^3 x (Z/2)^2 have thousands of subgroups but read
     # their 63 and 31 maximal ones off the kernels onto Z/2
     rng = random.Random(41)
-    ix = IndexedGroup.from_spec(spec)
+    ix = IndexedGroup(spec)
     seen = set()
     for _ in range(300):
         size = rng.randint(2, 8 if spec.is_abelian else 4)
@@ -252,7 +252,7 @@ def test_generates_small_sets_from_orders():
 def test_maximal_subgroup_counts(p, count):
     # the centre of SL2(p) is Frattini: both groups have the same count
     for spec in (ProjSpecialLinear(2, p), SpecialLinear(2, p)):
-        masks = IndexedGroup.from_spec(spec).maximal_masks()
+        masks = IndexedGroup(spec).maximal_masks()
         assert masks.dtype == np.uint64
         bits = np.unpackbits(np.bitwise_or.reduce(masks, axis=0).view(np.uint8))
         assert int(bits.sum()) == count
@@ -368,7 +368,7 @@ def test_closure_rows_match_closure_mask():
     # each row grows from a proper subgroup by its generators and one
     # more, as in the subgroup walk
     rng = random.Random(59)
-    ix = IndexedGroup.from_spec(SpecialLinear(2, 5))
+    ix = IndexedGroup(SpecialLinear(2, 5))
     seen = set()
     for _ in range(40):
         gens = tuple(rng.randrange(ix.n) for _ in range(rng.randint(0, 2)))
@@ -392,7 +392,7 @@ def test_closure_rows_match_closure_mask():
 def test_canonical_set_is_conjugation_invariant():
     rng = random.Random(31)
     spec = ProjSpecialLinear(2, 5)
-    ix = IndexedGroup.from_spec(spec)
+    ix = IndexedGroup(spec)
     conj = conj_table(ix)
     for _ in range(60):
         s = tuple(sorted({rng.randrange(ix.n) for _ in range(3)}))
@@ -422,7 +422,7 @@ def _least_image(ix, s, name=None):
 def test_canonical_forms_match_brute_force(spec):
     # random sets, sets holding central elements, sets of central elements only
     rng = random.Random(47)
-    ix = IndexedGroup.from_spec(spec)
+    ix = IndexedGroup(spec)
     centre = np.flatnonzero(ix.central).tolist()
     for trial in range(150):
         s = {rng.randrange(ix.n) for _ in range(rng.randint(1, 4))}
@@ -461,7 +461,7 @@ def test_canonical_sets_match_brute_force(spec, monkeypatch):
     # one call per size holds rows of many kinds; with eight table entries
     # per slice every call spans many slices
     rng = random.Random(53)
-    ix = IndexedGroup.from_spec(spec)
+    ix = IndexedGroup(spec)
     ix.maximal_masks()                  # tables built before the slice is patched
     for cells in (indexed._TABLE_CELLS, 8):
         monkeypatch.setattr(indexed, "_TABLE_CELLS", cells)
@@ -491,7 +491,7 @@ def test_canonical_families_do_not_depend_on_which_rows_come_first(spec):
     # one row at a time, in reverse order or in one batch agree
     rng = np.random.default_rng(61)
     n = spec.order
-    centre = np.flatnonzero(IndexedGroup.from_spec(spec).central)
+    centre = np.flatnonzero(IndexedGroup(spec).central)
     for k in range(1, 5):
         rows = rng.integers(0, n, size=(150, k), dtype=np.int32)
         rows[:40, 0] = rng.choice(centre, size=40)        # central members
@@ -514,7 +514,7 @@ def _canonical_tuple(ix, t) -> tuple:
 def test_canonical_tuple_is_conjugation_invariant():
     rng = random.Random(37)
     spec = ProjSpecialLinear(2, 5)
-    ix = IndexedGroup.from_spec(spec)
+    ix = IndexedGroup(spec)
     rows = np.array([[rng.randrange(ix.n) for _ in range(3)] for _ in range(60)],
                     dtype=np.int32)
     moved = conj_table(ix)[[rng.randrange(ix.n) for _ in range(60)]][np.arange(60)[:, None], rows]
@@ -530,7 +530,7 @@ def test_canonical_tuple_is_conjugation_invariant():
 def test_canonical_tuples_match_canonical_tuple(spec):
     # random rows, rows whose leading entries are central, all-central rows
     rng = np.random.default_rng(41)
-    ix = IndexedGroup.from_spec(spec)
+    ix = IndexedGroup(spec)
     centre = np.flatnonzero(ix.central)
     for k in range(1, 5):
         rows = rng.integers(0, ix.n, size=(600, k), dtype=np.int32)
@@ -552,7 +552,7 @@ def test_canonical_tuples_do_not_depend_on_which_rows_come_first(spec):
     # fed one row at a time, in reverse order or in one batch agree
     rng = np.random.default_rng(47)
     n = spec.order
-    centre = np.flatnonzero(IndexedGroup.from_spec(spec).central)
+    centre = np.flatnonzero(IndexedGroup(spec).central)
     for k in range(1, 5):
         rows = rng.integers(0, n, size=(150, k), dtype=np.int32)
         rows[:40, 0] = rng.choice(centre, size=40)        # central leads
@@ -618,7 +618,7 @@ def test_chain_node_fills_do_not_depend_on_the_slice(spec, monkeypatch):
 def test_canonical_tuple_separates_nonconjugate():
     # class function values differ => tuples cannot collide
     spec = ProjSpecialLinear(2, 5)
-    ix = IndexedGroup.from_spec(spec)
+    ix = IndexedGroup(spec)
     by_order = {}
     for i in range(ix.n):
         by_order.setdefault(int(ix.orders[i]), i)
@@ -627,15 +627,9 @@ def test_canonical_tuple_separates_nonconjugate():
     assert (canon[0] != canon[1]).any()
 
 
-def test_from_spec_is_cached():
-    a = IndexedGroup.from_spec(ProjSpecialLinear(2, 5))
-    b = IndexedGroup.from_spec(ProjSpecialLinear(2, 5))
-    assert a is b
-
-
 def test_order_limit_enforced():
     with pytest.raises(ValueError):
-        IndexedGroup.from_spec(SpecialLinear(2, 17))
+        IndexedGroup(SpecialLinear(2, 17))
     assert SpecialLinear(2, 17).order > MAX_INDEXED_ORDER
 
 
@@ -646,7 +640,7 @@ PSL2_11 = ProjSpecialLinear(2, 11)      # n = 660: x * n passes 2^16
 
 def test_tables_are_uint16_and_index_arrays_int32():
     assert MAX_INDEXED_ORDER < 1 << 16
-    ix = IndexedGroup.from_spec(PSL2_11)
+    ix = IndexedGroup(PSL2_11)
     assert ix.mult.dtype == np.uint16 and ix.mult.nbytes == 2 * ix.n * ix.n
     rep, wit = ix._class_data
     assert {a.dtype for a in (ix.inv, ix.orders, ix.cyclic_key, rep, wit)} == {np.dtype(np.int32)}
@@ -656,7 +650,7 @@ def test_tables_are_uint16_and_index_arrays_int32():
 @pytest.mark.parametrize("k", (2, 3, 4))
 def test_canonical_forms_past_16_bits_match_int64_brute_force(k):
     # every conjugate g x g^-1 of every entry, from mult in int64
-    ix = IndexedGroup.from_spec(PSL2_11)
+    ix = IndexedGroup(PSL2_11)
     mult = ix.mult.astype(np.int64)
     conj = mult[mult, ix.inv.astype(np.int64)[:, None]]
     key = ix.cyclic_key
@@ -674,7 +668,7 @@ def test_canonical_forms_past_16_bits_match_int64_brute_force(k):
 @pytest.mark.parametrize("k", (3, 7))
 def test_moved_rows_are_int32_and_key_like_built_rows(k):
     # 660^7 passes 2^63, so k = 7 keys rows by their bytes
-    ix = IndexedGroup.from_spec(PSL2_11)
+    ix = IndexedGroup(PSL2_11)
     rows = np.random.default_rng(59).integers(0, ix.n, size=(30, k), dtype=np.int32)
     moves = all_moves(k)
     moved = _moved(ix, rows, _move_cells(moves, k))

@@ -11,12 +11,13 @@ import pytest
 from genrank.groups import (CyclicPower, GeneratingTuple, Integers,
                             ProductGroup, ProjSpecialLinear, SpecialLinear,
                             closure, is_generating)
-from genrank import nielsen
+from genrank import indexed, nielsen
 from genrank.indexed import IndexedGroup
 from genrank.nielsen import (NielsenMove, OrbitStatistics, _first_occurrences,
                              _orbit_walk_generic, _row_keys, all_moves, apply_move,
                              is_nielsen_redundant, mu_rank, orbit_statistics)
-from genrank.redundancy import SearchLimits, max_irredundant_size, z_witness
+from genrank.redundancy import (SearchLimits, _searched_rank, max_irredundant_size,
+                                z_witness)
 from reference import closure_mask, conj_table
 
 
@@ -127,7 +128,7 @@ def test_generic_and_indexed_walk_agree():
             verdict = _orbit_walk_generic(spec, t.items, SearchLimits())[0]
             assert is_nielsen_redundant(t).verdict == verdict
         # an irredundant class: no entry is droppable before the first move
-        ix = IndexedGroup.from_spec(spec)
+        ix = IndexedGroup(spec)
         t = ix.tuple_of(max_irredundant_size(spec).stats["classes"][size][-1])
         verdict = _orbit_walk_generic(spec, t.items, SearchLimits())[0]
         assert is_nielsen_redundant(t).verdict == verdict == (
@@ -184,7 +185,7 @@ def reference_orbit_statistics(spec, size):
     """The per-node walk: the least conjugate, NielsenMove.apply and
     closure on one Python tuple at a time, with sets for the classes and
     the orbits."""
-    ix = IndexedGroup.from_spec(spec)
+    ix = IndexedGroup(spec)
     mul, inv = ix.mult.item, ix.inv.item
     rep = ix._class_data[0]
     classes = set()
@@ -245,7 +246,7 @@ def reference_walk(ix, start, verdicts=None):
 @pytest.mark.parametrize("spec", (
     ProjSpecialLinear(2, 5), SpecialLinear(2, 5), ProjSpecialLinear(2, 7)), ids=case_id)
 def test_layer_walk_matches_reference_walk_on_every_irredundant_class(spec):
-    ix = IndexedGroup.from_spec(spec)
+    ix = IndexedGroup(spec)
     for size, sets in max_irredundant_size(spec).stats["classes"].items():
         for t in sets:
             assert nielsen._layer_walk(ix, t, 10 ** 9, math.inf) == reference_walk(ix, t), t
@@ -269,8 +270,8 @@ def test_ladder_rung_matches_reference_walk_on_every_irredundant_class(spec):
     redundant member exactly when the walk finds none, and the table
     holds the least conjugates of all orderings of the classes.  A class
     that an earlier walk visited takes that walk's verdict."""
-    ix = IndexedGroup.from_spec(spec)
-    for size, sets in max_irredundant_size(spec, force_search=True).stats["classes"].items():
+    res, ix = _searched_rank(spec, SearchLimits())
+    for size, sets in res.stats["classes"].items():
         count, clean = nielsen._ladder_rung(ix, np.array(sets, dtype=np.int32), 10 ** 9,
                                             math.inf)
         verdicts: dict = {}
@@ -285,7 +286,7 @@ def test_orbits_flag_moves_out_of_a_partial_table():
     """On the psl2:7 pairs without every other class of the first orbit,
     moves out of the table are flagged on what is left of that orbit,
     and the other orbits keep their components."""
-    ix = IndexedGroup.from_spec(ProjSpecialLinear(2, 7))
+    ix = IndexedGroup(ProjSpecialLinear(2, 7))
     table = nielsen._generating_classes(ix, 2, math.inf)
     root, leaves = nielsen._orbits(ix, table, _row_keys(table, ix.n), math.inf)
     assert not leaves.any() and len(set(root.tolist())) == 4
@@ -311,8 +312,8 @@ def _open_note(k):
 def test_mu_ladder_runs_down_past_an_open_rung(monkeypatch):
     # psl2:7: I_4 holds 36 tuple classes and I_3 630.  With the m search
     # unbudgeted, node budget 100 decides size 4 and leaves size 3 open.
-    search = nielsen.max_irredundant_size
-    monkeypatch.setattr(nielsen, "max_irredundant_size", lambda spec, **kw: search(spec))
+    monkeypatch.setattr(nielsen, "_searched_rank",
+                        lambda spec, limits: _searched_rank(spec, SearchLimits()))
     res = mu_rank(ProjSpecialLinear(2, 7), SearchLimits(node_budget=100))
     assert (res.value, res.exhaustive, res.stats["orbit_nodes"]) == (2, False, 666)
     assert res.notes[1:] == (_open_note(3), "value is a lower bound")
@@ -324,7 +325,7 @@ def test_mu_ladder_stops_at_the_largest_clean_size(monkeypatch):
     first clean size is mu, and an open size above it leaves a lower
     bound."""
     spec = ProjSpecialLinear(2, 7)
-    ix = IndexedGroup.from_spec(spec)
+    ix = IndexedGroup(spec)
     classes = max_irredundant_size(spec).stats["classes"]
     none = {k: [False] * len(classes[k]) for k in (3, 4)}
     cases = (({4: [False, True], 3: None}, (4, 1), True, [4]),
@@ -349,7 +350,7 @@ def test_ladder_rung_builds_its_table_in_slices(monkeypatch):
     # psl2:7 triples: 107 sets, 642 orderings, canonicalised 256 rows at a
     # time; a deadline that passes during the first slice stops the rung
     spec = ProjSpecialLinear(2, 7)
-    ix = IndexedGroup.from_spec(spec)
+    ix = IndexedGroup(spec)
     sets = np.array(max_irredundant_size(spec).stats["classes"][3], dtype=np.int32)
     count, clean = nielsen._ladder_rung(ix, sets, 10 ** 9, math.inf)
     monkeypatch.setattr(nielsen, "_SLICE_ROWS", 256)
@@ -426,7 +427,7 @@ def reference_class_blocks(ix, size):
 def test_class_listing_matches_the_least_conjugate_filter(monkeypatch, spec):
     # two or more prefixes per slice: psl2:7 quadruples take 14,309 slices
     monkeypatch.setattr(nielsen, "_LIST_CELLS", 400)
-    ix = IndexedGroup.from_spec(spec)
+    ix = IndexedGroup(spec)
     for size in range(1, 5):
         table, at = nielsen._generating_classes(ix, size, math.inf), 0
         assert table.dtype == np.int32 and table.shape[1] == size
@@ -554,8 +555,27 @@ def test_mu_values_small_groups():
 def test_mu_cyclic_forced_search_agrees():
     for spec in (CyclicPower(6, 1), CyclicPower(2, 2), CyclicPower(4, 1)):
         fast = mu_rank(spec)
-        slow = mu_rank(spec, force_search=True)
+        slow = nielsen._mu_ladder(spec, SearchLimits())
         assert fast.value == slow.value, spec.descriptor()
+
+
+def test_each_call_builds_its_own_tables(monkeypatch):
+    # no table outlives its call: mu hands the m search's table to the
+    # ladder, and a second m search builds a second table
+    built = []
+    init = IndexedGroup.__init__
+
+    def counted(self, spec, *args, **kw):
+        built.append(spec)
+        init(self, spec, *args, **kw)
+
+    monkeypatch.setattr(indexed.IndexedGroup, "__init__", counted)
+    assert mu_rank(ProjSpecialLinear(2, 7)).exhaustive
+    assert built == [ProjSpecialLinear(2, 7)]
+    built.clear()
+    first = max_irredundant_size(ProjSpecialLinear(2, 5))
+    assert max_irredundant_size(ProjSpecialLinear(2, 5)) == first and first.exhaustive
+    assert built == [ProjSpecialLinear(2, 5)] * 2
 
 
 def test_mu_does_not_exceed_m():

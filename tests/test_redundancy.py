@@ -76,7 +76,7 @@ def test_cyclic_analytic_matches_forced_search():
     for spec in (CyclicPower(2, 1), CyclicPower(6, 1), CyclicPower(2, 2),
                  CyclicPower(12, 1), CyclicPower(6, 2), CyclicPower(30, 1)):
         fast = max_irredundant_size(spec)
-        slow = max_irredundant_size(spec, force_search=True)
+        slow = redundancy._searched_rank(spec, SearchLimits())[0]
         assert fast.value == slow.value, spec.descriptor()
         assert fast.exhaustive and slow.exhaustive
 
@@ -88,6 +88,21 @@ def test_cyclic_rank_formula():
     for (m, k), want in cases.items():
         res = max_irredundant_size(CyclicPower(m, k))
         assert res.value == want, (m, k)
+
+
+def test_cyclic_witness_check_stops_at_the_time_budget(monkeypatch):
+    # the value is structural: a clock past the deadline at the first drop
+    # test leaves it exact and says that the check stopped
+    spec = CyclicPower(2, 6)
+    for readings, note in ((1, "witness verification stopped at the time budget"),
+                           (10 ** 9, "witness verified by drop tests")):
+        with monkeypatch.context() as m:
+            count = itertools.count()
+            m.setattr(redundancy.time, "monotonic",
+                      lambda: 0.0 if next(count) < readings else 1e9)
+            res = max_irredundant_size(spec, SearchLimits(time_budget=1.0))
+        assert (res.value, res.exhaustive) == (6, True)
+        assert res.notes == ("value from the basis rank of each prime part", note)
 
 
 def test_cyclic_witness_drop_checks():
@@ -154,25 +169,6 @@ def test_maximal_size_monotone_family():
     assert m7 == 4
 
 
-def test_default_m_search_runs_once_per_group(monkeypatch):
-    # a fresh IndexedGroup registry, so no earlier search is remembered
-    monkeypatch.setattr(indexed, "_INSTANCE_CACHE", {})
-    runs = []
-    run = redundancy._SetSearch.run
-
-    def counted(search):
-        runs.append(search.target_size)
-        return run(search)
-
-    monkeypatch.setattr(redundancy._SetSearch, "run", counted)
-    spec = ProjSpecialLinear(2, 5)
-    first = max_irredundant_size(spec)
-    second = max_irredundant_size(spec)
-    assert first is not second and first == second
-    assert first.value == 3 and first.exhaustive
-    assert runs == [None]
-
-
 # element classes of irredundant generating sets per size, as counted by
 # the element-level search that the search over cyclic subgroups replaced
 ELEMENT_CLASSES = {
@@ -188,7 +184,7 @@ def test_class_counts_per_size():
         res = max_irredundant_size(spec)
         assert res.exhaustive and res.value == max(counts)
         assert res.stats["recorded"] == counts, spec.descriptor()
-        ix = indexed.IndexedGroup.from_spec(spec)
+        ix = indexed.IndexedGroup(spec)
         for size, classes in res.stats["classes"].items():
             assert classes == sorted(set(classes))
             assert all(tuple(ix.canonical_sets(np.array([c], dtype=np.int32))[0].tolist()) == c
@@ -210,27 +206,36 @@ def test_closure_path_finds_the_mask_path_classes():
 
 def test_a_budget_stop_keeps_only_finished_tables(monkeypatch):
     # psl2:7 reads the clock about 192 times while its table is built,
-    # 17 times in the subgroup walk and 34 times in the search; after
-    # each stop the next default call finishes what is missing
+    # 17 times in the subgroup walk and 34 times in the search; spies on
+    # the build, the masks and the search tell which stage stopped, and
+    # the next default call builds everything again
     spec = ProjSpecialLinear(2, 7)
     masks = indexed.IndexedGroup(spec).maximal_masks()
+    stages = ((indexed.IndexedGroup, "__init__"), (indexed.IndexedGroup, "maximal_masks"),
+              (redundancy._SetSearch, "run"))
     stopped = set()
     for readings in (1, 100, 200, 240):
-        monkeypatch.setattr(indexed, "_INSTANCE_CACHE", {})
+        finished = {}       # the return value of each stage that finished
         with monkeypatch.context() as m:
+            for owner, name in stages:
+                def spy(self, *args, real=getattr(owner, name), name=name, **kw):
+                    finished[name] = real(self, *args, **kw)
+                    return finished[name]
+                m.setattr(owner, name, spy)
             # a clock that reads 0 until it has been read `readings` times
             count = itertools.count()
             m.setattr(redundancy.time, "monotonic",
                       lambda: 0.0 if next(count) < readings else 1e9)
             res = max_irredundant_size(spec, SearchLimits(time_budget=1.0))
         assert not res.exhaustive
-        ix = indexed._INSTANCE_CACHE.get(spec.descriptor())
-        if ix is None:
+        if "__init__" not in finished:
             stopped.add("tables")
-        elif ix._masks is None:
+        elif "maximal_masks" not in finished:
+            assert "run" not in finished
             stopped.add("masks")
         else:
-            assert np.array_equal(ix._masks, masks) and ix.m_search is None
+            assert np.array_equal(finished["maximal_masks"], masks)
+            assert finished["run"].budget_hit
             stopped.add("search")
         res = max_irredundant_size(spec)
         assert res.exhaustive and res.value == 4
