@@ -336,7 +336,7 @@ def _ladder_rung(ix: IndexedGroup, sets: np.ndarray, node_budget: int, deadline:
 
 def mu_rank(spec: GroupSpec, limits: SearchLimits | None = None,
             seed: int = 0) -> RankSearchResult:
-    """Largest size of a Nielsen-irredundant generating tuple (_mu_ladder)."""
+    """Largest size of a Nielsen-irredundant generating tuple; see _mu_ladder."""
     limits = limits or SearchLimits()
     if isinstance(spec, Integers):
         return RankSearchResult(
