@@ -16,19 +16,17 @@ from .groups import (CyclicPower, GeneratingTuple, GenerationReport,
                      is_simple_finite, product_generates,
                      sl2_generation_report)
 from .indexed import IndexedGroup
-from .redundancy import (InvolutionPairReport, RankSearchResult,
-                         RedundancyReport, SearchLimits, WitnessSearchResult,
-                         cyclic_power_rank_witness, involution_pair_is_proper,
+from .redundancy import (RankSearchResult, RedundancyReport, SearchLimits,
+                         WitnessSearchResult, cyclic_power_rank_witness,
                          irredundant_witness, is_redundant,
                          max_irredundant_size, z_witness)
 from .nielsen import (NielsenMove, OrbitReport, OrbitStatistics, all_moves,
-                      apply_move, is_nielsen_redundant, mu_rank,
-                      orbit_statistics)
+                      is_nielsen_redundant, mu_rank, orbit_statistics)
 from .arithmetic import (DenominatorClash, DensityCertificate,
                          IrredundancyEvidence, NielsenEvidence,
                          NotCertifiedReport, PlanConfig, PrimePlan,
-                         RationalMatrix, RationalTuple, apply_move_rational,
-                         assess_irredundancy, assess_nielsen_irredundancy,
+                         RationalMatrix, RationalTuple, assess_irredundancy,
+                         assess_nielsen_irredundancy,
                          certify_density, deserialize_certificate,
                          plan_primes, reduce_matrix_mod_p, reduce_tuple_mod_p,
                          replay_certificate, serialize_certificate)
@@ -41,16 +39,15 @@ __all__ = [
     "is_generating", "is_simple_finite",
     "product_generates", "sl2_generation_report",
     "IndexedGroup",
-    "InvolutionPairReport", "RankSearchResult", "RedundancyReport",
-    "SearchLimits", "WitnessSearchResult", "cyclic_power_rank_witness",
-    "involution_pair_is_proper", "irredundant_witness", "is_redundant",
+    "RankSearchResult", "RedundancyReport", "SearchLimits", "WitnessSearchResult",
+    "cyclic_power_rank_witness", "irredundant_witness", "is_redundant",
     "max_irredundant_size", "z_witness",
     "NielsenMove", "OrbitReport", "OrbitStatistics", "all_moves",
-    "apply_move", "is_nielsen_redundant", "mu_rank", "orbit_statistics",
+    "is_nielsen_redundant", "mu_rank", "orbit_statistics",
     "DenominatorClash", "DensityCertificate", "IrredundancyEvidence",
     "NielsenEvidence", "NotCertifiedReport", "PlanConfig", "PrimePlan",
-    "RationalMatrix", "RationalTuple", "apply_move_rational",
-    "assess_irredundancy", "assess_nielsen_irredundancy", "certify_density",
+    "RationalMatrix", "RationalTuple", "assess_irredundancy",
+    "assess_nielsen_irredundancy", "certify_density",
     "deserialize_certificate", "plan_primes", "reduce_matrix_mod_p",
     "reduce_tuple_mod_p", "replay_certificate", "serialize_certificate",
 ]

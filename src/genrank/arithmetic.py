@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +22,7 @@ from .fp import (MAX_MODULUS, FpMatrix, check_modulus, invert, prime_factors, pr
                  row_reduce)
 from .groups import (GeneratingTuple, SpecialLinear, is_generating,
                      sl2_generation_report, subgroup_order)
-from .nielsen import NielsenMove, SearchLimits, is_nielsen_redundant
+from .nielsen import SearchLimits, is_nielsen_redundant
 from .redundancy import is_redundant
 
 SCHEMA_VERSION = 1
@@ -471,10 +470,3 @@ def assess_nielsen_irredundancy(t: RationalTuple, prime_count: int = 3,
         records, {"NielsenIrredundant": "all-nielsen-irredundant",
                   "NielsenRedundant": "all-nielsen-redundant"})
     return NielsenEvidence(t.fingerprint(), tuple(records), summary)
-
-
-def apply_move_rational(t: RationalTuple, mv: NielsenMove) -> RationalTuple:
-    """The Nielsen move acting on exact rational matrices; reduction
-    modulo any usable prime commutes with it."""
-    mv.check_length(len(t.matrices))
-    return RationalTuple(mv.apply(t.matrices, operator.mul, RationalMatrix.inverse))

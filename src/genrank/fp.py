@@ -3,6 +3,8 @@ canonical forms (matrices modulo the center of SL_n).  An element of
 PSL_n(F_p) is a plain FpMatrix, its canonical coset representative.
 `row_reduce` is the package's one Gauss-Jordan elimination, over F_p or
 Q: every determinant, inverse and kernel past the closed forms uses it.
+The lines over F_{p^2} that a 2x2 matrix fixes or moves
+(`eigenlines_mod_center`, `line_image`) back the structural SL2 test.
 
 Everything here is immutable, hashable and exact; no floats appear
 anywhere.  Moduli and entries are validated when a matrix is built
@@ -302,3 +304,74 @@ def projective_canonicalize(m: FpMatrix) -> FpMatrix:
     if m.det() != 1:
         raise ValueError("projective canonicalization expects determinant 1")
     return canonical_rep(m)
+
+
+def _fp2_mul(x, y, p, d):
+    return ((x[0] * y[0] + d * x[1] * y[1]) % p, (x[0] * y[1] + x[1] * y[0]) % p)
+
+
+def _fp2_inv(x, p, d):
+    n = (x[0] * x[0] - d * x[1] * x[1]) % p
+    if n == 0:
+        raise ZeroDivisionError("zero norm in quadratic extension")
+    ni = pow(n, p - 2, p)
+    return (x[0] * ni % p, (-x[1]) * ni % p)
+
+
+def _line_id(v0, v1, p, d) -> int:
+    """Identify the line spanned by (v0, v1) over F_{p^2}: lines (1, y)
+    get id y0 + p*y1, the line (0, 1) gets id p*p."""
+    if v0 != (0, 0):
+        y = _fp2_mul(v1, _fp2_inv(v0, p, d), p, d)
+        return y[0] + p * y[1]
+    if v1 == (0, 0):
+        raise ValueError("zero vector spans no line")
+    return p * p
+
+
+def _line_vector(lid: int, p: int):
+    if lid == p * p:
+        return ((0, 0), (1, 0))
+    return ((1, 0), (lid % p, lid // p))
+
+
+def line_image(m: FpMatrix, lid: int) -> int:
+    """Image of a projective line over F_{p^2} under a matrix over F_p."""
+    p = m.modulus
+    d = nonresidue(p)
+    a, b, c, e = m.entries
+    v0, v1 = _line_vector(lid, p)
+    w0 = ((a * v0[0] + b * v1[0]) % p, (a * v0[1] + b * v1[1]) % p)
+    w1 = ((c * v0[0] + e * v1[0]) % p, (c * v0[1] + e * v1[1]) % p)
+    return _line_id(w0, w1, p, d)
+
+
+def eigenlines_mod_center(m: FpMatrix) -> tuple[int, ...]:
+    """Eigenlines over F_{p^2} of a non-scalar determinant-one 2x2
+    matrix, as sorted line ids.  One line when the discriminant
+    vanishes, two otherwise."""
+    p = m.modulus
+    d = nonresidue(p)
+    a, b, c, e = m.entries
+    tr = (a + e) % p
+    inv2 = pow(2, p - 2, p)
+    disc = (tr * tr - 4) % p
+    roots = sqrt_table(p)
+
+    def kernel_line(lam):
+        v0, v1 = (b % p, 0), ((lam[0] - a) % p, lam[1])
+        if v0 == (0, 0) and v1 == (0, 0):
+            v0, v1 = ((lam[0] - e) % p, lam[1]), (c % p, 0)
+        return _line_id(v0, v1, p, d)
+
+    if disc == 0:
+        return (kernel_line((tr * inv2 % p, 0)),)
+    if disc in roots:
+        s = roots[disc]
+        lams = sorted({(tr + s) * inv2 % p, (tr - s) * inv2 % p})
+        return tuple(sorted(kernel_line((l, 0)) for l in lams))
+    t2 = disc * pow(d, p - 2, p) % p
+    s = roots[t2]
+    lam = (tr * inv2 % p, s * inv2 % p)
+    lam_conj = (lam[0], (p - lam[1]) % p)
+    return tuple(sorted({kernel_line(lam), kernel_line(lam_conj)}))

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fp import (FpMatrix, canonical_rep, check_modulus, nonresidue,
-                 row_reduce, sqrt_table)
+from .fp import (FpMatrix, canonical_rep, check_modulus, eigenlines_mod_center,
+                 line_image, nonresidue, nth_roots_of_unity, row_reduce, sqrt_table)
 
 
 class CapExceeded(Exception):
@@ -61,7 +61,10 @@ def psl_order(n: int, q: int) -> int:
 class GroupSpec:
     """Base for group descriptors.  Subclasses supply identity, binary
     operation, inverse, element validation, byte encoding and, for a
-    finite group, generators(); elements() is their closure."""
+    finite group, generators(); elements() is their closure.  A finite
+    group encodes x as little-endian 16-bit words, each below its bound in
+    word_moduli(); left_rows(g, rows) gives the words of g x for each row
+    of words x, g given by its words, and decode(words) the element."""
 
     @property
     def order(self):
@@ -168,6 +171,17 @@ class _MatrixGroup(GroupSpec):
     def encode(self, x) -> bytes:
         return x.encode()
 
+    def word_moduli(self) -> tuple:
+        return (self.p,) * (self.n * self.n)
+
+    def left_rows(self, g, rows):
+        n = self.n      # (g x)[i, j] is the sum over k of g[i, k] x[k, j]
+        terms = g.reshape(1, n, n, 1) * rows.reshape(-1, 1, n, n)
+        return terms.sum(axis=2).reshape(len(rows), -1) % self.p
+
+    def decode(self, words) -> FpMatrix:
+        return FpMatrix(self.p, self.n, tuple(words.tolist()))
+
     def identity(self) -> FpMatrix:
         # the identity matrix is its own canonical representative
         return FpMatrix.identity(self.p, self.n)
@@ -215,6 +229,17 @@ class ProjSpecialLinear(_MatrixGroup):
 
     def inv(self, a):
         return canonical_rep(a.inverse())
+
+    def left_rows(self, g, rows):
+        # canonical_rep's least c x, c^n = 1: x's first nonzero entry decides
+        out = super().left_rows(g, rows)
+        lead = out[:, 0]
+        for j in range(1, self.n):
+            lead = lead + (lead == 0) * out[:, j]
+        roots = np.array(nth_roots_of_unity(self.p, self.n))
+        scaled = lead[:, None] * roots % self.p
+        least = (scaled == scaled.min(axis=1)[:, None]).argmax(axis=1)
+        return out * roots[least][:, None] % self.p
 
     def validate(self, x) -> None:
         super().validate(x)
@@ -271,6 +296,15 @@ class CyclicPower(GroupSpec):
 
     def encode(self, x) -> bytes:
         return struct.pack(f"<{self.copies}H", *x)
+
+    def word_moduli(self) -> tuple:
+        return (self.modulus,) * self.copies
+
+    def left_rows(self, g, rows):
+        return (rows + g) % self.modulus
+
+    def decode(self, words) -> tuple:
+        return tuple(words.tolist())
 
     def generators(self) -> tuple:
         basis = []
@@ -367,6 +401,20 @@ class ProductGroup(GroupSpec):
     def encode(self, x) -> bytes:
         return b"".join(f.encode(v) for f, v in zip(self.factors, x))
 
+    def _spans(self):
+        """Each factor with the slice of its words in the encoding."""
+        ends = [0, *itertools.accumulate(len(f.word_moduli()) for f in self.factors)]
+        return zip(self.factors, map(slice, ends, ends[1:]))
+
+    def word_moduli(self) -> tuple:
+        return sum((f.word_moduli() for f in self.factors), ())
+
+    def left_rows(self, g, rows):
+        return np.concatenate([f.left_rows(g[s], rows[:, s]) for f, s in self._spans()], axis=1)
+
+    def decode(self, words) -> tuple:
+        return tuple(f.decode(words[s]) for f, s in self._spans())
+
     def generators(self) -> tuple:
         # each factor generator, with identities in the other slots
         ident = self.identity()
@@ -397,10 +445,6 @@ class GeneratingTuple:
 
     def without(self, i: int) -> "GeneratingTuple":
         return GeneratingTuple(self.group, self.items[:i] + self.items[i + 1:])
-
-    def conjugated(self, g) -> "GeneratingTuple":
-        return GeneratingTuple(self.group,
-                               tuple(self.group.conjugate(x, g) for x in self.items))
 
 
 @dataclass(frozen=True)
@@ -606,77 +650,6 @@ def subgroup_order(t: GeneratingTuple, deadline: float = math.inf) -> int:
 # ---------------------------------------------------------------------------
 # Structural generation test for SL2 / PSL2, p >= 5.
 # ---------------------------------------------------------------------------
-
-def _fp2_mul(x, y, p, d):
-    return ((x[0] * y[0] + d * x[1] * y[1]) % p, (x[0] * y[1] + x[1] * y[0]) % p)
-
-
-def _fp2_inv(x, p, d):
-    n = (x[0] * x[0] - d * x[1] * x[1]) % p
-    if n == 0:
-        raise ZeroDivisionError("zero norm in quadratic extension")
-    ni = pow(n, p - 2, p)
-    return (x[0] * ni % p, (-x[1]) * ni % p)
-
-
-def _line_id(v0, v1, p, d) -> int:
-    """Identify the line spanned by (v0, v1) over F_{p^2}: lines (1, y)
-    get id y0 + p*y1, the line (0, 1) gets id p*p."""
-    if v0 != (0, 0):
-        y = _fp2_mul(v1, _fp2_inv(v0, p, d), p, d)
-        return y[0] + p * y[1]
-    if v1 == (0, 0):
-        raise ValueError("zero vector spans no line")
-    return p * p
-
-
-def _line_vector(lid: int, p: int):
-    if lid == p * p:
-        return ((0, 0), (1, 0))
-    return ((1, 0), (lid % p, lid // p))
-
-
-def line_image(m: FpMatrix, lid: int) -> int:
-    """Image of a projective line over F_{p^2} under a matrix over F_p."""
-    p = m.modulus
-    d = nonresidue(p)
-    a, b, c, e = m.entries
-    v0, v1 = _line_vector(lid, p)
-    w0 = ((a * v0[0] + b * v1[0]) % p, (a * v0[1] + b * v1[1]) % p)
-    w1 = ((c * v0[0] + e * v1[0]) % p, (c * v0[1] + e * v1[1]) % p)
-    return _line_id(w0, w1, p, d)
-
-
-def eigenlines_mod_center(m: FpMatrix) -> tuple[int, ...]:
-    """Eigenlines over F_{p^2} of a non-scalar determinant-one 2x2
-    matrix, as sorted line ids.  One line when the discriminant
-    vanishes, two otherwise."""
-    p = m.modulus
-    d = nonresidue(p)
-    a, b, c, e = m.entries
-    tr = (a + e) % p
-    inv2 = pow(2, p - 2, p)
-    disc = (tr * tr - 4) % p
-    roots = sqrt_table(p)
-
-    def kernel_line(lam):
-        v0, v1 = (b % p, 0), ((lam[0] - a) % p, lam[1])
-        if v0 == (0, 0) and v1 == (0, 0):
-            v0, v1 = ((lam[0] - e) % p, lam[1]), (c % p, 0)
-        return _line_id(v0, v1, p, d)
-
-    if disc == 0:
-        return (kernel_line((tr * inv2 % p, 0)),)
-    if disc in roots:
-        s = roots[disc]
-        lams = sorted({(tr + s) * inv2 % p, (tr - s) * inv2 % p})
-        return tuple(sorted(kernel_line((l, 0)) for l in lams))
-    t2 = disc * pow(d, p - 2, p) % p
-    s = roots[t2]
-    lam = (tr * inv2 % p, s * inv2 % p)
-    lam_conj = (lam[0], (p - lam[1]) % p)
-    return tuple(sorted({kernel_line(lam), kernel_line(lam_conj)}))
-
 
 @dataclass(frozen=True)
 class GenerationReport:

@@ -9,16 +9,17 @@ under simultaneous conjugation.
 
 An instance owns every structure derived from its group and lives as
 long as the call that built it: `mult` and `inv` are built at once, the
-other tables on first use.  The table is built from the generators
-alone.  One breadth-first pass from the identity lists the elements
-and records each product ga; sorting by encoding gives `elements` and
-`index` and relabels the records into one permutation a -> ga per
-generator g, so no product is formed twice.  The table is then filled
-a breadth-first layer of the left Cayley graph at a time: row gy is row
-y under that permutation, one gather per layer and generator, a slice
-of at most _TABLE_CELLS entries at a time.  It is the only n x n
-table: g x g^-1 is read as mult[mult[g, x], inv[g]], two gathers, by
-`conj_at` for index arrays and `conj_rows` for whole rows.  mult holds
+other tables on first use.  An element is its row of encoding words,
+and the table is built from the generators alone, a breadth-first
+layer of the left Cayley graph at a time: one `spec.left_rows` per
+layer and generator g gives every ga, and a lookup over the mixed-radix
+keys of the words, ordered as the encodings are, tells the new ones.
+Read in key order, the lookup sorts the elements and relabels the
+products into one permutation a -> ga per generator, so no product is
+formed twice.  Row gy of mult is then row y under that permutation, one
+gather per layer and generator.  It is the only n x n table: g x g^-1
+is read as mult[mult[g, x], inv[g]], two gathers, by `conj_at` for
+index arrays and `conj_rows` for whole rows.  mult holds
 uint16, 2n^2 bytes, and the index arrays kept beside it int32: a
 uint16 times a Python int wraps, so arithmetic on entries takes n as
 intp.
@@ -30,16 +31,16 @@ exactly when no maximal subgroup contains it.  Each element carries a
 row of packed uint64 words, one bit per maximal subgroup holding it, so
 the test is one AND over the set's rows.  In an abelian group the
 maximal subgroups are the kernels of the maps onto Z/p, p dividing n,
-read off a null space mod p.  Otherwise they come from a breadth-first
-walk over conjugacy classes of subgroups, a layer at a time: for each
-class H of the layer it lists one cyclic candidate c per normalizer
-orbit, and the joins <H, c> of the whole layer close together from H's
-masks, a slice of at most _JOIN_CELLS mask cells at a time.  Each class
-found puts the packed mask of one conjugate per coset of its normalizer
-into a set, so a proper join is new exactly when its packed mask is not
-there, and the conjugates of the maximal classes are the bits.  The
-table build, the walk and the kernels stop with TimeoutError at the
-caller's deadline.
+read off the words, its coordinates.  Otherwise they come from a
+breadth-first walk over conjugacy classes of subgroups, a layer at a
+time: for each class H of the layer it lists one cyclic candidate c per
+normalizer orbit, and the joins <H, c> of the whole layer close
+together from H's masks, a slice of at most _JOIN_CELLS mask cells at a
+time.  Each class found puts the packed mask of one conjugate per coset
+of its normalizer into a set, so a proper join is new exactly when its
+packed mask is not there, and the conjugates of the maximal classes are
+the bits.  The table build, the walk and the kernels stop with
+TimeoutError at the caller's deadline.
 
 Canonical forms use the minimum-index convention: a conjugacy class is
 represented by its least index, and the canonical image of a tuple is
@@ -79,8 +80,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .fp import prime_factors, row_reduce
-from .groups import GeneratingTuple, GroupSpec, check_deadline
+from .fp import prime_factors
+from .groups import (GeneratingTuple, GroupSpec, ProjSpecialLinear, SpecialLinear,
+                     check_deadline, psl_order)
 
 MAX_INDEXED_ORDER = 4096
 assert MAX_INDEXED_ORDER < 1 << 16, "mult holds element indices as uint16"
@@ -99,65 +101,68 @@ class IndexedGroup:
             raise ValueError(
                 f"indexing is limited to finite groups of order <= {MAX_INDEXED_ORDER}")
         self.spec = spec
-        self.elements, self.index, left = self._cayley_walk(deadline)
-        self.n = len(self.elements)
-        self.identity = self.index[spec.encode(spec.identity())]
+        m = spec.word_moduli()
+        self._moduli = np.array(m, dtype=np.int64)
+        self._strides = np.array([math.prod(m[j + 1:]) for j in range(len(m))], dtype=np.int64)
+        self._words, self._index, left, self._layers = self._cayley_walk(deadline)
+        self.n = len(self._words)
+        self.identity = self.indices_of(GeneratingTuple(spec, (spec.identity(),)))[0]
         self._gens = [int(r[self.identity]) for r in left]     # the products g·1
-        self._layers = self._left_layers(left)
         self.mult = self._fill_rows(left, deadline)
         self.orders, self.inv = self._element_orders()
         # the centre: elements commuting with every generator
         self.central = (self.mult[:, self._gens] == self.mult[self._gens, :].T).all(axis=1)
         self._masks = None          # set by maximal_masks
 
-    def _cayley_walk(self, deadline: float) -> tuple[list, dict, list]:
-        """One breadth-first pass from the identity over left
-        multiplication by the generators, recording every product:
-        (elements sorted by encoding, encoding -> position, and per
-        generator g the permutation a -> ga of positions)."""
-        spec = self.spec
-        gens = spec.generators()
-        e = spec.identity()
-        found = {spec.encode(e): 0}
-        elems = [e]
-        left = [[] for _ in gens]
-        for a in elems:             # breadth-first: the list grows as it is read
-            check_deadline(deadline)
-            for g, r in zip(gens, left):
-                b = spec.mul(g, a)
-                i = found.setdefault(spec.encode(b), len(elems))
-                if i == len(elems):
-                    if i == spec.order:
-                        raise AssertionError("product escaped the element table")
-                    elems.append(b)
-                r.append(i)
-        if len(elems) < spec.order:
-            raise AssertionError("generators do not reach every element")
-        keys = list(found)          # in discovery order
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        pos = np.empty(len(keys), dtype=np.uint16)      # discovery -> sorted
-        pos[order] = np.arange(len(keys), dtype=np.uint16)
-        return ([elems[i] for i in order], {keys[i]: k for k, i in enumerate(order)},
-                [pos[np.array(r)[order]] for r in left])
+    def _rows(self, items) -> np.ndarray:
+        return np.array([np.frombuffer(self.spec.encode(x), dtype="<u2") for x in items],
+                        dtype=np.int64).reshape(len(items), len(self._moduli))
 
-    def _left_layers(self, left: list) -> list:
-        """The breadth-first layers of the left Cayley graph from the
-        identity, as (generator, ys, zs) with zs = g·ys the elements each
-        generator reaches first."""
-        done = np.zeros(self.n, dtype=bool)
-        done[self.identity] = True
-        layer, out = np.array([self.identity]), []
-        while layer.size:
-            reached = []
-            for k, r in enumerate(left):
-                z = r[layer]
-                new = ~done[z]
-                ys, zs = layer[new], z[new]
-                done[zs] = True
-                out.append((k, ys, zs))
-                reached.append(zs)
-            layer = np.concatenate(reached)
-        return out
+    def _keys(self, words: np.ndarray) -> np.ndarray:
+        """Each row's rank in the byte order of the encodings, in mixed radix
+        over the words: v below m as its rank among those in the order of
+        (v % 256, v // 256), v itself when m <= 256."""
+        m = self._moduli
+        if m.max() > 256:
+            lo, hi = words % 256, words // 256
+            words = lo * ((m - 1) // 256) + np.minimum(lo, (m - 1) % 256 + 1) + hi
+        return (words * self._strides).sum(axis=1)
+
+    def _cayley_walk(self, deadline: float) -> tuple:
+        """The words sorted by encoding, the lookup key -> position, per
+        generator g the permutation a -> ga, and the left layers as
+        (generator, ys, zs) with zs = g·ys the elements g reaches first."""
+        spec, n = self.spec, self.spec.order
+        gens, layer = self._rows(spec.generators()), self._rows([spec.identity()])
+        found = np.full(math.prod(spec.word_moduli()), -1, dtype=np.int32)     # key -> discovery
+        found[self._keys(layer)] = 0
+        words, layers, left, lo, total = [layer], [], [[] for _ in gens], 0, 1
+        while len(layer):           # discoveries lo, lo + 1, ...
+            check_deadline(deadline)
+            for k, g in enumerate(gens):
+                z = spec.left_rows(g, layer)
+                if (z >= self._moduli).any():
+                    raise AssertionError("product escaped the element table")
+                keys = self._keys(z)
+                hit = found[keys]           # the discovery of each product, or -1
+                new = (hit < 0).nonzero()[0]
+                hit[new] = found[keys[new]] = np.arange(total, total + len(new), dtype=np.int32)
+                layers.append((k, lo + new, hit[new]))
+                left[k].append(hit)
+                words.append(z[new])
+                total += len(new)
+            lo, layer = lo + len(layer), np.concatenate(words[-len(gens):])
+        keys = np.flatnonzero(found >= 0)       # in the byte order of the encodings
+        if len(keys) != n:
+            raise AssertionError("generators do not reach every element" if len(keys) < n
+                                 else "product escaped the element table")
+        order = found[keys]                     # position -> discovery
+        pos = np.empty(n, dtype=np.uint16)      # discovery -> position
+        pos[order] = np.arange(n, dtype=np.uint16)
+        found[keys] = np.arange(n, dtype=np.int32)
+        return (np.concatenate(words)[order], found,
+                [pos[np.concatenate(r)[order]] for r in left],
+                [(k, pos[ys], pos[zs]) for k, ys, zs in layers])
 
     def _fill_rows(self, perms: list, deadline: float) -> np.ndarray:
         """mult: the identity row is the identity map and row gy is row y
@@ -217,28 +222,32 @@ class IndexedGroup:
         return rep, wit
 
     def indices_of(self, t: GeneratingTuple) -> tuple:
-        return tuple(self.index[self.spec.encode(x)] for x in t.items)
+        return tuple(self._index[self._keys(self._rows(t.items))].tolist())
 
     def tuple_of(self, idx) -> GeneratingTuple:
-        return GeneratingTuple(self.spec, tuple(self.elements[i] for i in idx))
+        return GeneratingTuple(self.spec, tuple(self.spec.decode(self._words[i]) for i in idx))
 
     # -- closure and generation --------------------------------------
 
-    def closure_rows(self, masks: np.ndarray, gens: np.ndarray, cap: int | None = None):
+    def closure_rows(self, masks: np.ndarray, gens: np.ndarray, cap: int | None = None,
+                     closed: bool = False):
         """Grow each row of a boolean (rows x n) array a ball at a time by
         its row of gens, until it stops growing or counts past cap: the
         next ball adds the last layer times each generator, one scatter
-        per column of gens over all rows.  Returns (masks, counts,
-        exceeded) by row."""
+        per column of gens over all rows (by the last alone at first when
+        closed: each row is a subgroup holding its other gens).  Returns
+        (masks, counts, exceeded) by row."""
         masks, cap = masks.copy(), self.n if cap is None else cap
         counts = masks.sum(axis=1)
         exceeded = np.zeros(len(masks), dtype=bool)
         live, layer = np.arange(len(masks)), masks
+        width = 1 if closed else gens.shape[1]      # the columns of the next ball
         while live.size:
             row, x = np.nonzero(layer)
             grown = masks[live]
-            for col in gens[live].T:
+            for col in gens[live, -width:].T:
                 grown[row, self.mult[x, col[row]]] = True
+            width = gens.shape[1]
             layer = grown & ~masks[live]
             masks[live] = grown
             counts[live] += layer.sum(axis=1)
@@ -277,37 +286,26 @@ class IndexedGroup:
         return self._masks
 
     def _kernels(self, deadline: float) -> np.ndarray:
-        """The maximal masks of an abelian group: the kernel of a map onto
-        Z/p, p | n, for each line of maps, 64 lines a word.  With c[x] the
-        generator counts on a path of left layers to x, the map taking the
-        generators to v is x -> c[x] @ v, well defined when v is
-        orthogonal mod p to each c[g·y] - c[y] - e_g."""
-        r = len(self._gens)
-        c, eye = np.zeros((self.n, r), dtype=np.int64), np.eye(r, dtype=np.int64)
-        for k, ys, zs in self._layers:
-            c[zs] = c[ys] + eye[k]
-        relations = np.concatenate([c[self.mult[g]] - c - e for g, e in zip(self._gens, eye)])
+        """The maximal masks of an abelian group, a product of cyclic powers
+        with its words as coordinates: the kernel of x -> v @ x onto Z/p,
+        p | n, for each line of v zero where p does not divide the modulus."""
+        w = len(self._moduli)
         maps, mods = [], []
         for p in prime_factors(self.n):
-            # the distinct nonzero rows: the reduced form does not depend on their order
-            rows = relations % p
-            rows = set(map(tuple, rows[rows.any(axis=1)].tolist()))
-            reduced, pivots, _ = row_reduce(list(rows), p)
-            reduced = np.array(reduced, dtype=np.int64).reshape(-1, r)
-            free = [j for j in range(r) if j not in pivots]
-            basis = eye[free]       # the null space: a 1 at one free column each
-            basis[:, pivots] = -reduced[:len(pivots), free].T % p
+            free = np.flatnonzero(self._moduli % p == 0)
             # one map per line: the first nonzero coefficient is 1
             lines = [a for a in itertools.product(range(p), repeat=len(free))
                      if next((x for x in a if x), 0) == 1]
-            maps += (np.array(lines, dtype=np.int64).reshape(-1, len(free)) @ basis % p).tolist()
+            block = np.zeros((len(lines), w), dtype=np.int64)
+            block[:, free] = lines
+            maps += block.tolist()
             mods += [p] * len(lines)
-        maps, mods = np.array(maps, dtype=np.int64).reshape(-1, r), np.array(mods)
+        maps, mods = np.array(maps, dtype=np.int64).reshape(-1, w), np.array(mods)
         masks = np.zeros((self.n, max(1, -(-len(maps) // 64))), dtype=np.uint64)
         for i in range(0, len(maps), 64):
             check_deadline(deadline)
             inside = np.zeros((self.n, 64), dtype=bool)      # column b: x in kernel i + b
-            values = c @ maps[i:i + 64].T
+            values = self._words @ maps[i:i + 64].T
             inside[:, :values.shape[1]] = values % mods[i:i + 64] == 0
             masks[:, i // 64] = np.packbits(inside, axis=1, bitorder="little").view("<u8")[:, 0]
         return masks
@@ -319,12 +317,19 @@ class IndexedGroup:
         # H, and conjugating c by the normalizer of H conjugates the join,
         # so one c per normalizer orbit of cyclic subgroups reaches every
         # class; H is maximal when all of its joins are the whole group.  By
-        # Lagrange a join past n/2 elements is the whole group.  Every class
-        # at depth d has d generators, so a layer's joins close together,
-        # and they are read in the order a walk of one class at a time
-        # reads them, which fixes the classes and the bits.  seen holds the
-        # packed mask of every conjugate of every class found.
-        n, key, ar = self.n, self.cyclic_key, np.arange(self.n)
+        # Lagrange a join past n/2 elements is whole.  SL_n and PSL_n past
+        # (P)SL2(3) are perfect, so Z(G) lies in every maximal subgroup, and
+        # G/Z(G) is simple, so it maps into A_k for a subgroup of index k: a
+        # join past n/k0 is whole, k0 the least k with k!/2 >= |G/Z(G)|.
+        # Every class at depth d has d generators, so a layer's joins close
+        # together, read in the order a walk of one class at a time reads
+        # them, which fixes the classes and the bits.  seen holds the packed
+        # mask of every conjugate of every class found.
+        n, key, ar, spec = self.n, self.cyclic_key, np.arange(self.n), self.spec
+        cap = n // 2
+        if isinstance(spec, (SpecialLinear, ProjSpecialLinear)) and (spec.n, spec.p) > (2, 3):
+            cap = n // next(k for k in itertools.count(2)
+                            if math.factorial(k) // 2 >= psl_order(spec.n, spec.p))
         cyclic = np.flatnonzero((key == ar) & (ar != self.identity))
         seen: set[bytes] = set()
 
@@ -376,7 +381,7 @@ class IndexedGroup:
             for i in range(0, len(rows), step):
                 check_deadline(deadline)
                 jmasks, _, whole = self.closure_rows(
-                    hmasks[owner[i:i + step]], rows[i:i + step], cap=n // 2)
+                    hmasks[owner[i:i + step]], rows[i:i + step], cap=cap, closed=True)
                 proper = np.flatnonzero(~whole)
                 is_maximal[owner[i + proper]] = False
                 for j, packed in zip(proper.tolist(),

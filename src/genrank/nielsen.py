@@ -84,14 +84,10 @@ class NielsenMove:
             return f"S({self.i},{self.j})"
         return f"{self.kind}({self.i},{self.j},{self.sign:+d})"
 
-    def check_length(self, n: int) -> None:
-        if max(self.i, self.j) >= n:
-            raise ValueError("move index exceeds tuple length")
-
     def apply(self, items: tuple, mul, inv) -> tuple:
         """The move acting on a tuple of elements of any group, given its
         product and inverse.  Indices are not checked against the
-        length; see check_length."""
+        length."""
         out = list(items)
         i = self.i
         if self.kind == "I":
@@ -109,12 +105,6 @@ def all_moves(n: int) -> tuple:
     return tuple([NielsenMove(kind, i, j, s) for kind in ("L", "R") for i, j in pairs
                   for s in (1, -1)] + [NielsenMove("I", i) for i in range(n)] +
                  [NielsenMove("S", i, j) for i, j in pairs if i < j])
-
-
-def apply_move(t: GeneratingTuple, mv: NielsenMove) -> GeneratingTuple:
-    mv.check_length(len(t))
-    g = t.group
-    return GeneratingTuple(g, mv.apply(t.items, g.mul, g.inv))
 
 
 @dataclass

@@ -43,8 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fp import prime_factors, primes
-from .groups import (CyclicPower, GeneratingTuple, GroupSpec, Integers,
-                     closure, is_generating)
+from .groups import CyclicPower, GeneratingTuple, GroupSpec, Integers, is_generating
 from .indexed import _TABLE_CELLS, MAX_INDEXED_ORDER, IndexedGroup
 
 
@@ -234,37 +233,6 @@ def z_witness(n: int) -> GeneratingTuple:
         if bound is not None and total >= bound:
             raise ValueError(f"the size-{n} witness has entries of more than {limit} digits")
     return GeneratingTuple(Integers(), tuple(total // q for q in first))
-
-
-@dataclass(frozen=True)
-class InvolutionPairReport:
-    closure_order: int
-    product_order: int
-    proper: bool
-
-
-def involution_pair_is_proper(t: GeneratingTuple) -> InvolutionPairReport:
-    """Check the dihedral trap: two involutions generate a dihedral
-    group of twice the order of their product, never the whole
-    PSL2(F_p)."""
-    g = t.group
-    if len(t) != 2:
-        raise ValueError("expected a pair")
-    a, b = t.items
-    e = g.identity()
-    for x in (a, b):
-        if g.encode(x) == g.encode(e) or g.encode(g.mul(x, x)) != g.encode(e):
-            raise ValueError("entries must be involutions")
-    prod = g.mul(a, b)
-    k = 1
-    acc = prod
-    while g.encode(acc) != g.encode(e):
-        acc = g.mul(acc, prod)
-        k += 1
-    cl = closure(t)
-    if cl.order != 2 * k:
-        raise AssertionError("involution pair closure is not dihedral")
-    return InvolutionPairReport(cl.order, k, cl.order < g.order)
 
 
 def _random_tuple(spec: GroupSpec, k: int, rng) -> GeneratingTuple:

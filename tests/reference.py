@@ -1,13 +1,20 @@
 """Helpers for the tests: the dense conjugation table, the closure of
 one generating set on the indexed tables, generation of one set by the
 maximal masks, and the reference paths that read no mask: generation
-by closure, and the m search deciding each extension by closure."""
+by closure, and the m search deciding each extension by closure.  Also
+the Nielsen moves on element and rational tuples, and the dihedral
+check of an involution pair."""
 
+import operator
 import weakref
+from dataclasses import dataclass
 
 import numpy as np
 
 from genrank import redundancy
+from genrank.arithmetic import RationalMatrix, RationalTuple
+from genrank.groups import GeneratingTuple, closure
+from genrank.nielsen import NielsenMove
 
 _CONJ_TABLES = weakref.WeakKeyDictionary()
 
@@ -57,3 +64,56 @@ class ClosureSearch(redundancy._SetSearch):
             elif not any(closure_mask(ix, r, target=v)[3] for r, v in zip(rests, s)):
                 grows.append(x)
         return irredundant, grows
+
+
+def conjugated(t: GeneratingTuple, g) -> GeneratingTuple:
+    return GeneratingTuple(t.group, tuple(t.group.conjugate(x, g) for x in t.items))
+
+
+def _check_length(mv: NielsenMove, n: int) -> None:
+    if max(mv.i, mv.j) >= n:
+        raise ValueError("move index exceeds tuple length")
+
+
+def apply_move(t: GeneratingTuple, mv: NielsenMove) -> GeneratingTuple:
+    _check_length(mv, len(t))
+    g = t.group
+    return GeneratingTuple(g, mv.apply(t.items, g.mul, g.inv))
+
+
+def apply_move_rational(t: RationalTuple, mv: NielsenMove) -> RationalTuple:
+    """The Nielsen move acting on exact rational matrices; reduction
+    modulo any usable prime commutes with it."""
+    _check_length(mv, len(t.matrices))
+    return RationalTuple(mv.apply(t.matrices, operator.mul, RationalMatrix.inverse))
+
+
+@dataclass(frozen=True)
+class InvolutionPairReport:
+    closure_order: int
+    product_order: int
+    proper: bool
+
+
+def involution_pair_is_proper(t: GeneratingTuple) -> InvolutionPairReport:
+    """Check the dihedral trap: two involutions generate a dihedral
+    group of twice the order of their product, never the whole
+    PSL2(F_p)."""
+    g = t.group
+    if len(t) != 2:
+        raise ValueError("expected a pair")
+    a, b = t.items
+    e = g.identity()
+    for x in (a, b):
+        if g.encode(x) == g.encode(e) or g.encode(g.mul(x, x)) != g.encode(e):
+            raise ValueError("entries must be involutions")
+    prod = g.mul(a, b)
+    k = 1
+    acc = prod
+    while g.encode(acc) != g.encode(e):
+        acc = g.mul(acc, prod)
+        k += 1
+    cl = closure(t)
+    if cl.order != 2 * k:
+        raise AssertionError("involution pair closure is not dihedral")
+    return InvolutionPairReport(cl.order, k, cl.order < g.order)

@@ -13,8 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from genrank.arithmetic import (DensityCertificate, NotCertifiedReport,
-                                RationalMatrix, RationalTuple,
-                                apply_move_rational, certify_density,
+                                RationalMatrix, RationalTuple, certify_density,
                                 reduce_tuple_mod_p, replay_certificate,
                                 serialize_certificate)
 from genrank.cli import main
@@ -23,9 +22,9 @@ from genrank.groups import (CyclicPower, GeneratingTuple, ProductGroup,
                             ProjSpecialLinear, SpecialLinear, closure,
                             product_generates, sl2_generation_report)
 from genrank.indexed import IndexedGroup
-from genrank.nielsen import all_moves, apply_move, mu_rank
+from genrank.nielsen import all_moves, mu_rank
 from genrank.redundancy import is_redundant, max_irredundant_size, z_witness
-from reference import closure_mask
+from reference import apply_move, apply_move_rational, closure_mask
 
 RESULTS = {}
 
@@ -108,7 +107,7 @@ def test_criterion_4_fast_test_equals_closure():
     disagreements = 0
     spec5 = SpecialLinear(2, 5)
     ix5 = IndexedGroup(spec5)
-    els5 = ix5.elements
+    els5 = ix5.tuple_of(range(ix5.n)).items
     for i in range(ix5.n):
         for j in range(ix5.n):
             _, count, _, _ = closure_mask(ix5, (i, j))
@@ -122,12 +121,13 @@ def test_criterion_4_fast_test_equals_closure():
     for p in (7, 11):
         spec = SpecialLinear(2, p)
         ix = IndexedGroup(spec)
+        els = ix.tuple_of(range(ix.n)).items
         for _ in range(10_000):
             k = rng.choice((2, 3))
             gens = tuple(rng.randrange(ix.n) for _ in range(k))
             _, count, _, _ = closure_mask(ix, gens)
             fast = sl2_generation_report(
-                GeneratingTuple(spec, tuple(ix.elements[g] for g in gens))).generates
+                GeneratingTuple(spec, tuple(els[g] for g in gens))).generates
             if fast != (count == ix.n):
                 disagreements += 1
             checked += 1
@@ -214,13 +214,14 @@ def test_criterion_8_product_generation(pgl2):
     for f1, f2 in cases:
         prod = ProductGroup((f1, f2))
         ix1, ix2 = IndexedGroup(f1), IndexedGroup(f2)
+        els1, els2 = ix1.tuple_of(range(ix1.n)).items, ix2.tuple_of(range(ix2.n)).items
         full = ix1.n * ix2.n
         for _ in range(1000):
             k = rng.choice((2, 3))
             idx = [(rng.randrange(ix1.n), rng.randrange(ix2.n))
                    for _ in range(k)]
             t = GeneratingTuple(prod, tuple(
-                (ix1.elements[a], ix2.elements[b]) for a, b in idx))
+                (els1[a], els2[b]) for a, b in idx))
             rep = product_generates(t)
             brute = _product_closure_size(ix1, ix2, idx) == full
             if rep.generates != brute:

@@ -11,15 +11,15 @@ import pytest
 from genrank import arithmetic
 from genrank.arithmetic import (DenominatorClash, DensityCertificate,
                                 NotCertifiedReport, PlanConfig,
-                                RationalMatrix, RationalTuple,
-                                apply_move_rational, assess_irredundancy,
+                                RationalMatrix, RationalTuple, assess_irredundancy,
                                 assess_nielsen_irredundancy, certify_density,
                                 deserialize_certificate, plan_primes,
                                 reduce_matrix_mod_p, reduce_tuple_mod_p,
                                 replay_certificate, serialize_certificate,
                                 tuple_from_entry_strings)
 from genrank.groups import is_generating
-from genrank.nielsen import all_moves, apply_move
+from genrank.nielsen import all_moves
+from reference import apply_move, apply_move_rational
 
 F = Fraction
 

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from genrank import groups
@@ -224,7 +225,39 @@ def test_elements_are_a_fresh_list_per_call():
     first.reverse()
     first.pop()
     assert spec.elements() == expected
-    assert IndexedGroup(spec).elements == expected
+    ix = IndexedGroup(spec)
+    assert list(ix.tuple_of(range(ix.n)).items) == expected
+
+
+def _words(spec, xs) -> np.ndarray:
+    """The encoding words of each element, one row each."""
+    return np.array([np.frombuffer(spec.encode(x), dtype="<u2") for x in xs], dtype=np.int64)
+
+
+# cyclic:300 has words past one byte, and PSL3(7) a centre of order 3, so
+# its representatives pick among three scalings
+ARRAY_SPECS = (SpecialLinear(2, 5), ProjSpecialLinear(2, 7), SpecialLinear(3, 2),
+               SpecialLinear(3, 7), ProjSpecialLinear(3, 7), ProjSpecialLinear(2, 31),
+               CyclicPower(300, 1), CyclicPower(6, 2),
+               ProductGroup((ProjSpecialLinear(2, 5), CyclicPower(300, 1))),
+               ProductGroup((SpecialLinear(3, 3), ProductGroup((ProjSpecialLinear(3, 7),
+                                                                CyclicPower(2, 2))))))
+
+
+@pytest.mark.parametrize("spec", ARRAY_SPECS, ids=lambda spec: spec.descriptor())
+def test_array_product_matches_the_element_product(spec):
+    # every element of a group of order at most 2,000, else 400 random ones,
+    # times every generator and 5 random elements
+    rng = random.Random(spec.order % 1009)
+    xs = spec.elements() if spec.order <= 2000 else \
+        [spec.random_element(rng) for _ in range(400)]
+    rows = _words(spec, xs)
+    assert rows.shape[1] == len(spec.word_moduli())
+    assert (rows < np.array(spec.word_moduli())).all()
+    assert all(spec.decode(r) == x for r, x in zip(rows, xs))
+    for g in spec.generators() + tuple(spec.random_element(rng) for _ in range(5)):
+        got = spec.left_rows(_words(spec, [g])[0], rows)
+        assert np.array_equal(got, _words(spec, [spec.mul(g, x) for x in xs]))
 
 
 def test_simplicity_classifier():

@@ -25,15 +25,15 @@ SPECS = (ProjSpecialLinear(2, 5), SpecialLinear(2, 5), CyclicPower(3, 2),
 def test_tables_agree_with_spec_operations():
     for spec in SPECS + (CyclicPower(1, 1),):      # and the trivial group
         ix = IndexedGroup(spec)
-        els = ix.elements
+        els = ix.tuple_of(range(ix.n)).items
         assert ix.n == spec.order
         for a, b in itertools.product(range(ix.n), repeat=2):
             assert els[ix.mult[a, b]] == spec.mul(els[a], els[b])
         assert all(ix.mult[i, ix.inv[i]] == ix.identity for i in range(ix.n))
         # the table's own enumeration keeps the order of spec.elements()
-        assert els == spec.elements()
-        assert ix.index == {spec.encode(x): i for i, x in enumerate(els)}
-    assert IndexedGroup(Z300).elements != [(a,) for a in range(300)]
+        assert list(els) == spec.elements()
+        assert ix.indices_of(GeneratingTuple(spec, els)) == tuple(range(ix.n))
+    assert IndexedGroup(Z300).tuple_of(range(300)).items != tuple((a,) for a in range(300))
 
 
 @pytest.mark.parametrize("spec", (
@@ -45,7 +45,7 @@ def test_large_tables_build_in_seconds(spec):
     assert time.monotonic() - t0 < 30
     assert ix.n == spec.order
     rng = random.Random(5)
-    els = ix.elements
+    els = ix.tuple_of(range(ix.n)).items
     for _ in range(300):
         a, b = rng.randrange(ix.n), rng.randrange(ix.n)
         assert els[ix.mult[a, b]] == spec.mul(els[a], els[b])
@@ -57,8 +57,8 @@ class _FirstGeneratorOnly(CyclicPower):
 
 
 class _UnreducedSum(CyclicPower):
-    def mul(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+    def left_rows(self, g, rows):
+        return rows + g
 
 
 def test_table_builder_rejects_broken_specs():
@@ -72,7 +72,7 @@ def test_orders_table():
     for spec in SPECS:
         ix = IndexedGroup(spec)
         for i in (0, 1, ix.n // 2, ix.n - 1):
-            x = ix.elements[i]
+            x = ix.tuple_of([i]).items[0]
             k = int(ix.orders[i])
             acc = x
             for _ in range(k - 1):
@@ -92,7 +92,7 @@ def test_conjugation_table():
         if spec.is_abelian:
             continue
         ix = IndexedGroup(spec)
-        els, conj = ix.elements, conj_table(ix)
+        els, conj = ix.tuple_of(range(ix.n)).items, conj_table(ix)
         for g, x in itertools.product(range(ix.n), repeat=2):
             assert els[conj[g, x]] == spec.conjugate(els[x], els[g])
 
@@ -139,10 +139,11 @@ def test_mult_is_the_only_square_table(spec):
 
 
 class _CountingSpec:
-    """A spec that counts its products."""
+    """A spec that counts its element products and the rows its array
+    product multiplies."""
 
     def __init__(self, spec):
-        self.spec, self.products = spec, 0
+        self.spec, self.products, self.rows = spec, 0, 0
 
     def __getattr__(self, name):
         return getattr(self.spec, name)
@@ -151,14 +152,21 @@ class _CountingSpec:
         self.products += 1
         return self.spec.mul(a, b)
 
+    def left_rows(self, g, rows):
+        self.rows += len(rows)
+        return self.spec.left_rows(g, rows)
+
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.descriptor())
 def test_table_build_forms_each_product_once(spec):
+    # every product g x of a generator and an element is formed once, in
+    # the array product, and none by spec.mul
     counting = _CountingSpec(spec)
     ix = IndexedGroup(counting)
     if not spec.is_abelian:
         ix._chain       # classes and chain read from mult: no product of elements
-    assert counting.products == ix.n * len(spec.generators())
+    assert counting.products == 0
+    assert counting.rows == ix.n * len(spec.generators())
 
 
 def test_central_mask():
@@ -180,10 +188,10 @@ def test_closure_mask_matches_object_closure():
         gens = [rng.randrange(ix.n) for _ in range(k)]
         mask, count, exceeded, found = closure_mask(ix, gens)
         assert not exceeded
-        t = GeneratingTuple(spec, tuple(ix.elements[i] for i in gens))
+        t = ix.tuple_of(gens)
         brute = closure(t)
         assert count == brute.order
-        got = {ix.elements[i] for i in np.flatnonzero(mask)}
+        got = set(ix.tuple_of(np.flatnonzero(mask)).items)
         assert got == set(brute.elements)
 
 
@@ -206,8 +214,7 @@ def test_generates_matches_is_generating():
         for _ in range(120):
             k = rng.choice((2, 3))
             gens = tuple(rng.randrange(ix.n) for _ in range(k))
-            t = GeneratingTuple(spec, tuple(ix.elements[i] for i in gens))
-            assert generates(ix, gens) == (closure(t).order == spec.order)
+            assert generates(ix, gens) == (closure(ix.tuple_of(gens)).order == spec.order)
 
 
 def test_generates_matches_closure_on_every_pair_of_sl2_5():
@@ -326,6 +333,25 @@ def test_maximal_masks_match_the_per_join_walk(spec):
         assert np.array_equal(masks, want)
 
 
+def _huppert(spec) -> dict:
+    """Huppert, Endliche Gruppen I, II.8.27, for a prime p >= 5: the order
+    of each maximal subgroup of PSL2(p) -> its number of conjugates, a
+    class of a subgroup H (its own normalizer) holding |G|/|H| of them.
+    In SL2(p) each is the preimage, of twice the order."""
+    p, z = spec.p, spec.order // ProjSpecialLinear(2, spec.p).order
+    out = {}
+    for order, classes, maximal in (
+            (p * (p - 1) // 2, 1, True),            # the Borel subgroup
+            (p - 1, 1, p >= 13),                    # D_{p-1}
+            (p + 1, 1, p != 7),                     # D_{p+1}
+            (12, 1, p % 8 in (3, 5) and p % 10 in (3, 5, 7)),     # A4
+            (24, 2, p % 8 in (1, 7)),               # S4
+            (60, 2, p % 10 in (1, 9))):             # A5
+        if maximal:
+            out[z * order] = out.get(z * order, 0) + classes * spec.order // (z * order)
+    return out
+
+
 DICKSON = ((ProjSpecialLinear(2, 5), {6: 10, 10: 6, 12: 5}),
            (ProjSpecialLinear(2, 7), {21: 8, 24: 14}),
            (ProjSpecialLinear(2, 11), {12: 55, 55: 12, 60: 22}),
@@ -341,10 +367,12 @@ DICKSON = ((ProjSpecialLinear(2, 5), {6: 10, 10: 6, 12: 5}),
 @pytest.mark.parametrize("spec, orders", DICKSON, ids=[s.descriptor() for s, _ in DICKSON])
 def test_maximal_masks_follow_dicksons_list(spec, orders):
     # Dickson's list of the maximal subgroups of PSL2(p), conjugates
-    # counted apart; in SL2(p) each is the preimage of one of them.
-    # Up to p = 11 each column is checked by closure: it is a subgroup,
-    # and it and any element outside it generate the group (one element
-    # per right coset).  Past that only the counts are.
+    # counted apart, as measured and as the theorem gives it; in SL2(p)
+    # each is the preimage of one of them.  Up to p = 11 each column is
+    # checked by closure: it is a subgroup, and it and any element outside
+    # it generate the group (one element per right coset).  Past that only
+    # the counts are.
+    assert orders == _huppert(spec)
     ix = IndexedGroup(spec)
     bits = np.unpackbits(ix.maximal_masks().view(np.uint8), axis=1, bitorder="little")
     columns = [np.flatnonzero(col) for col in bits.T if col.any()]
