@@ -17,8 +17,7 @@ from .groups import (CyclicPower, GeneratingTuple, GenerationReport,
                      sl2_generation_report)
 from .indexed import IndexedGroup
 from .redundancy import (RankSearchResult, RedundancyReport, SearchLimits,
-                         WitnessSearchResult, cyclic_power_rank_witness,
-                         irredundant_witness, is_redundant,
+                         WitnessSearchResult, irredundant_witness, is_redundant,
                          max_irredundant_size, z_witness)
 from .nielsen import (NielsenMove, OrbitReport, OrbitStatistics, all_moves,
                       is_nielsen_redundant, mu_rank, orbit_statistics)
@@ -40,7 +39,7 @@ __all__ = [
     "product_generates", "sl2_generation_report",
     "IndexedGroup",
     "RankSearchResult", "RedundancyReport", "SearchLimits", "WitnessSearchResult",
-    "cyclic_power_rank_witness", "irredundant_witness", "is_redundant",
+    "irredundant_witness", "is_redundant",
     "max_irredundant_size", "z_witness",
     "NielsenMove", "OrbitReport", "OrbitStatistics", "all_moves",
     "is_nielsen_redundant", "mu_rank", "orbit_statistics",

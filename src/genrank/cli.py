@@ -102,11 +102,11 @@ def parse_group(desc: str) -> GroupSpec:
         kind, n_s, p_s = m.groups()
         try:    # int's digit limit, the dimension, the modulus bound, primality
             n, p = int(n_s), int(p_s)
-            if p < 3:
-                raise ValueError("p must be prime >= 3")
+            if n == 2 and p < 3:
+                raise ValueError("sl2 and psl2 need a prime p >= 3")
             spec = SpecialLinear(n, p) if kind == "sl" else ProjSpecialLinear(n, p)
             # before any order arithmetic, which is unbounded in n; past
-            # n = 20 no p >= 3 is within the bound, so p ** n stays small
+            # n = 20 no prime p is within the bound, so p ** n stays small
             if n > 20 or p ** n > _MAX_POINTS:
                 raise ValueError(f"{desc} acts on {p}^{n} points, more than 2^20")
             return spec

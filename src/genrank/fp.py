@@ -68,6 +68,15 @@ def prime_factors(n: int) -> list:
     return out
 
 
+def prime_coordinates(moduli) -> dict:
+    """{p: the positions of the moduli that p divides}, p over the primes
+    dividing one of them, in increasing order.  For a product A of
+    cyclic groups with these moduli, A/pA is F_p on those positions, so
+    d_p = dim A/pA is the length of the list."""
+    return {p: [i for i, m in enumerate(moduli) if m % p == 0]
+            for p in sorted({p for m in set(moduli) for p in prime_factors(m)})}
+
+
 def check_modulus(p: int) -> None:
     """Reject a modulus that is not a prime below MAX_MODULUS.  The
     bound comes first, so a huge modulus never reaches trial division."""

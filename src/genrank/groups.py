@@ -13,8 +13,9 @@ chain of the action on nonzero vectors or on lines, which lists no
 element; `closure` is the one routine that enumerates a subgroup.
 
 Generation testing dispatches to a structural test for SL2/PSL2 with
-p >= 5, to the stabilizer-chain order for other SL/PSL groups, and to
-closure for the rest.  The structural test rests on the classification
+p >= 5, to the stabilizer-chain order for other SL/PSL groups, to the
+rank mod each prime for abelian groups, and to closure for the rest.
+The structural test rests on the classification
 of subgroups of PSL2(F_p):
 every proper subgroup either fixes a line over the quadratic extension
 (triangularizable or inside a torus), permutes an unordered pair of such
@@ -35,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fp import (FpMatrix, canonical_rep, check_modulus, eigenlines_mod_center,
-                 line_image, nonresidue, nth_roots_of_unity, row_reduce, sqrt_table)
+                 line_image, nonresidue, nth_roots_of_unity, prime_coordinates, row_reduce,
+                 sqrt_table)
 
 
 class CapExceeded(Exception):
@@ -711,12 +713,17 @@ def sl2_generation_report(t: GeneratingTuple) -> GenerationReport:
 
 def is_generating(t: GeneratingTuple, deadline: float = math.inf) -> bool:
     """Does the tuple generate its group?  For the integers this is a
-    gcd condition; SL2/PSL2 with p >= 5 use the structural test, other
-    SL/PSL groups the stabilizer-chain order, other finite groups
-    closure enumeration; the last two raise TimeoutError past deadline."""
+    gcd condition, for a finite abelian group A a span of A/pA for each
+    p; SL2/PSL2 with p >= 5 use the structural test, other SL/PSL groups
+    the stabilizer-chain order, other finite groups closure enumeration;
+    the last two raise TimeoutError past deadline."""
     g = t.group
     if isinstance(g, Integers):
         return math.gcd(*(abs(x) for x in t.items)) == 1 if t.items else False
+    if g.is_abelian:
+        rows = [np.frombuffer(g.encode(x), dtype="<u2").tolist() for x in t.items]
+        return all(len(row_reduce([[r[i] for i in words] for r in rows], p)[1]) == len(words)
+                   for p, words in prime_coordinates(g.word_moduli()).items())
     if isinstance(g, _MatrixGroup):
         if g.n == 2 and g.p >= 5:
             return sl2_generation_report(t).generates

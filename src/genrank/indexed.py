@@ -80,7 +80,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fp import prime_factors
+from .fp import prime_coordinates
 from .groups import (GeneratingTuple, GroupSpec, ProjSpecialLinear, SpecialLinear,
                      check_deadline, psl_order)
 
@@ -288,11 +288,11 @@ class IndexedGroup:
     def _kernels(self, deadline: float) -> np.ndarray:
         """The maximal masks of an abelian group, a product of cyclic powers
         with its words as coordinates: the kernel of x -> v @ x onto Z/p,
-        p | n, for each line of v zero where p does not divide the modulus."""
+        p | n, for each line of v zero where p does not divide the modulus
+        (fp.prime_coordinates)."""
         w = len(self._moduli)
         maps, mods = [], []
-        for p in prime_factors(self.n):
-            free = np.flatnonzero(self._moduli % p == 0)
+        for p, free in prime_coordinates(self.spec.word_moduli()).items():
             # one map per line: the first nonzero coefficient is 1
             lines = [a for a in itertools.product(range(p), repeat=len(free))
                      if next((x for x in a if x), 0) == 1]

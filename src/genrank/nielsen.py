@@ -37,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GeneratingTuple, GroupSpec, Integers, CyclicPower, is_generating
+from .groups import GeneratingTuple, GroupSpec, Integers, is_generating
 from .indexed import _ROOT, MAX_INDEXED_ORDER, IndexedGroup
-from .redundancy import (RankSearchResult, SearchLimits, _searched_rank,
+from .redundancy import (RankSearchResult, SearchLimits, _searched_rank, abelian_rank,
                          irredundant_witness)
 
 _MOVE_KINDS = ("L", "R", "I", "S")
@@ -287,18 +287,6 @@ def is_nielsen_redundant(t: GeneratingTuple,
     return OrbitReport(t, verdict, path, end, visited, notes)
 
 
-def _mu_analytic_cyclic(spec: CyclicPower) -> RankSearchResult:
-    """mu for (Z/m)^k is k when m > 1: generating k-tuples are
-    invertible matrices over Z/m, whose columns stay independent under
-    column operations, while any longer generating tuple column-reduces
-    to one with a dependent entry."""
-    witness = GeneratingTuple(spec, () if spec.modulus == 1 else spec.generators())
-    return RankSearchResult(
-        spec, "mu", len(witness), witness, exhaustive=True,
-        stats={"m": None, "nodes": 0, "orbit_nodes": 0},
-        notes=("value from column reduction over the residue ring",))
-
-
 def _ladder_rung(ix: IndexedGroup, sets: np.ndarray, node_budget: int, deadline: float):
     """(classes, clean) for the rows of sets, the irredundant generating
     sets of one size k: classes counts the table I_k, the canonical forms
@@ -326,7 +314,8 @@ def _ladder_rung(ix: IndexedGroup, sets: np.ndarray, node_budget: int, deadline:
 
 def mu_rank(spec: GroupSpec, limits: SearchLimits | None = None,
             seed: int = 0) -> RankSearchResult:
-    """Largest size of a Nielsen-irredundant generating tuple; see _mu_ladder."""
+    """Largest size of a Nielsen-irredundant generating tuple; see
+    abelian_rank for finite abelian groups and _mu_ladder for the rest."""
     limits = limits or SearchLimits()
     if isinstance(spec, Integers):
         return RankSearchResult(
@@ -334,13 +323,13 @@ def mu_rank(spec: GroupSpec, limits: SearchLimits | None = None,
             stats={"m": None, "nodes": 0, "orbit_nodes": 0},
             notes=("any longer integer tuple reduces to a unit entry by the "
                    "euclidean algorithm through Nielsen moves",))
-    if isinstance(spec, CyclicPower):
-        return _mu_analytic_cyclic(spec)
     if spec.order is None:
         raise ValueError(f"unsupported infinite group {spec.descriptor()}")
+    if spec.is_abelian:
+        return abelian_rank(spec, "mu")
     if spec.order > MAX_INDEXED_ORDER:
         w = irredundant_witness(spec, 2, limits=limits, seed=seed)
-        found = w.witness is not None and not spec.is_abelian
+        found = w.witness is not None
         return RankSearchResult(
             spec, "mu", 2 if found else None, w.witness if found else None,
             exhaustive=False,

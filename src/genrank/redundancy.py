@@ -1,5 +1,5 @@
-"""Irredundant generating sets: redundancy verdicts, maximal
-irredundant size search, and witness construction.
+"""Irredundant generating sets: redundancy verdicts, the ranks of finite
+abelian groups by rule, maximal irredundant size search, and witnesses.
 
 A finite subset of a group is independent when no member lies in the
 subgroup generated by the others; a generating set is irredundant
@@ -35,6 +35,7 @@ maximal masks, the walk and the expansion of the classes found.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import sys
 import time
@@ -42,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fp import prime_factors, primes
-from .groups import CyclicPower, GeneratingTuple, GroupSpec, Integers, is_generating
+from .fp import prime_coordinates, primes
+from .groups import GeneratingTuple, GroupSpec, Integers, is_generating
 from .indexed import _TABLE_CELLS, MAX_INDEXED_ORDER, IndexedGroup
 
 
@@ -251,7 +252,7 @@ def _sample_involutions(spec: GroupSpec, k: int, rng, tries: int = 400):
     return None
 
 
-def _verify_irredundant_generating(t: GeneratingTuple, deadline: float) -> bool:
+def _verify_irredundant_generating(t: GeneratingTuple, deadline: float = math.inf) -> bool:
     if not is_generating(t, deadline):
         return False
     return not any(is_generating(t.without(i), deadline) for i in range(len(t)))
@@ -308,60 +309,47 @@ def _witness_mode(spec: GroupSpec, limits: SearchLimits, seed: int) -> RankSearc
                f"of {MAX_INDEXED_ORDER}; the value is a verified lower bound",))
 
 
-def cyclic_power_rank_witness(spec: CyclicPower) -> GeneratingTuple:
-    """Irredundant generating set of (Z/m)^k of the maximal size
-    k * (number of distinct primes dividing m): per prime p and
-    coordinate i, the vector holding the p'-part of m.  Dropping it
-    leaves coordinate i trivial modulo p, since every other entry there
-    is divisible by the full p-power."""
-    m, k = spec.modulus, spec.copies
-    items = []
-    for p in prime_factors(m):
-        pa = 1
-        while (m // pa) % p == 0:
-            pa *= p
-        coprime_part = m // pa
-        for i in range(k):
-            v = [0] * k
-            v[i] = coprime_part
-            items.append(tuple(v))
-    return GeneratingTuple(spec, tuple(items))
-
-
-def _cyclic_power_rank(spec: CyclicPower, limits: SearchLimits) -> RankSearchResult:
-    """m for powers of a cyclic group without search: the group splits
-    over the primes dividing the modulus, each p-part is a module over
-    Z/p^a whose irredundant generating sets all have size k (basis
-    rank), and sizes add across coprime parts.  The witness's drop tests
-    stop at the time budget; the value does not rest on them."""
-    deadline = time.monotonic() + limits.time_budget
-    witness = cyclic_power_rank_witness(spec)
-    notes = ["value from the basis rank of each prime part"]
-    if spec.order <= 200_000:
-        try:
-            if not _verify_irredundant_generating(witness, deadline):
-                raise AssertionError("constructed abelian witness failed verification")
-            notes.append("witness verified by drop tests")
-        except TimeoutError:
-            notes.append("witness verification stopped at the time budget")
+def abelian_rank(spec: GroupSpec, kind: str) -> RankSearchResult:
+    """m (kind "m") or mu (kind "mu") of a finite abelian group A, without
+    search, from d_p = dim A/pA (fp.prime_coordinates).  m is the sum
+    of the d_p: A splits over its primes, and every irredundant generating
+    set of a p-group has its basis rank (Burnside's basis theorem).  mu is
+    the largest d_p, the least generating size (Diaconis and Graham,
+    1999).  The m witness has, per prime p and word i, the p'-part of the
+    modulus at word i: without it word i is 0 mod p.  Entry j of the mu
+    witness sums the j-th m witness entries of the primes."""
+    moduli = spec.word_moduli()
+    parts = []      # per prime, the m witness entries as rows of words
+    for p, words in prime_coordinates(moduli).items():
+        parts.append(np.zeros((len(words), len(moduli)), dtype=np.int64))
+        for row, i in zip(parts[-1], words):
+            row[i] = moduli[i]
+            while row[i] % p == 0:
+                row[i] //= p
+    if kind == "m":
+        rows = list(itertools.chain(*parts))
+        notes = ("value from the basis rank of each prime part",)
     else:
-        notes.append("witness verification skipped: group too large to enumerate")
-    return RankSearchResult(
-        spec, "m", len(witness), witness, exhaustive=True,
-        stats={"nodes": 0, "pushed_classes": 0, "recorded": {}},
-        notes=tuple(notes))
+        rows = [sum(part[j] for part in parts if j < len(part)) % moduli
+                for j in range(max(map(len, parts), default=0))]
+        notes = ("value from the largest basis rank of a prime part",)
+    witness = GeneratingTuple(spec, tuple(map(spec.decode, rows)))
+    if not _verify_irredundant_generating(witness):
+        raise AssertionError("constructed abelian witness failed verification")
+    stats = {"nodes": 0, "pushed_classes": 0, "recorded": {}} if kind == "m" else \
+        {"m": None, "nodes": 0, "orbit_nodes": 0}
+    return RankSearchResult(spec, kind, len(witness), witness, exhaustive=True, stats=stats,
+                            notes=notes + ("witness verified by drop tests",))
 
 
 def max_irredundant_size(spec: GroupSpec, limits: SearchLimits | None = None,
                          seed: int = 0) -> RankSearchResult:
     """Largest size of an irredundant generating set.  Exhaustive (with
     per-size class counts) for groups of order at most 4096; verified
-    lower bound otherwise.  Cyclic powers are solved by structure.  For
-    the integers every size occurs, so the value is reported as None
-    with a witness recipe note."""
+    lower bound otherwise.  Finite abelian groups are solved by
+    abelian_rank.  For the integers every size occurs, so the value is
+    reported as None with a witness recipe note."""
     limits = limits or SearchLimits()
-    if isinstance(spec, CyclicPower):
-        return _cyclic_power_rank(spec, limits)
     if isinstance(spec, Integers):
         return RankSearchResult(
             spec, "m", None, None, exhaustive=True,
@@ -370,6 +358,8 @@ def max_irredundant_size(spec: GroupSpec, limits: SearchLimits | None = None,
                    "irredundant generating sets of every size",))
     if spec.order is None:
         raise ValueError(f"unsupported infinite group {spec.descriptor()}")
+    if spec.is_abelian:
+        return abelian_rank(spec, "m")
     if spec.order > MAX_INDEXED_ORDER:
         return _witness_mode(spec, limits, seed)
     return _searched_rank(spec, limits)[0]

@@ -3,8 +3,10 @@ one generating set on the indexed tables, generation of one set by the
 maximal masks, and the reference paths that read no mask: generation
 by closure, and the m search deciding each extension by closure.  Also
 the Nielsen moves on element and rational tuples, and the dihedral
-check of an involution pair."""
+check of an involution pair, and the small abelian groups that the
+abelian rule is compared on."""
 
+import itertools
 import operator
 import weakref
 from dataclasses import dataclass
@@ -13,7 +15,7 @@ import numpy as np
 
 from genrank import redundancy
 from genrank.arithmetic import RationalMatrix, RationalTuple
-from genrank.groups import GeneratingTuple, closure
+from genrank.groups import CyclicPower, GeneratingTuple, ProductGroup, closure
 from genrank.nielsen import NielsenMove
 
 _CONJ_TABLES = weakref.WeakKeyDictionary()
@@ -117,3 +119,15 @@ def involution_pair_is_proper(t: GeneratingTuple) -> InvolutionPairReport:
     if cl.order != 2 * k:
         raise AssertionError("involution pair closure is not dihedral")
     return InvolutionPairReport(cl.order, k, cl.order < g.order)
+
+
+def small_abelian_groups(max_order: int = 48) -> list:
+    """Every cyclic power (Z/m)^k, m >= 2, and every product of two of
+    them, factors in list order, of order at most max_order, except
+    those with five or more even words: the set search of
+    prod(cyclic:2^2,cyclic:2^3) alone takes seconds."""
+    powers = [CyclicPower(m, k) for m in range(2, max_order + 1)
+              for k in range(1, max_order.bit_length()) if m ** k <= max_order]
+    prods = [ProductGroup(pair) for pair in itertools.combinations_with_replacement(powers, 2)
+             if pair[0].order * pair[1].order <= max_order]
+    return [g for g in powers + prods if sum(m % 2 == 0 for m in g.word_moduli()) < 5]

@@ -13,6 +13,7 @@ from genrank.groups import (CyclicPower, GeneratingTuple, Integers,
                             is_generating, is_simple_finite, product_generates,
                             sl2_generation_report, sl_order, subgroup_order)
 from genrank.indexed import IndexedGroup
+from reference import small_abelian_groups
 
 
 def standard_pair(spec):
@@ -108,6 +109,13 @@ def test_cyclic_generation():
     assert is_generating(GeneratingTuple(g, basis))
     assert not is_generating(GeneratingTuple(g, ((2, 0), (0, 1))))
     assert is_generating(GeneratingTuple(g, ((1, 0), (0, 1), (3, 3))))
+    # the rank mod each prime against enumeration, 0 to 4 random entries
+    rng = random.Random(11)
+    for spec in small_abelian_groups():
+        for k in range(5):
+            for _ in range(4):
+                t = GeneratingTuple(spec, tuple(spec.random_element(rng) for _ in range(k)))
+                assert is_generating(t) == (closure(t).order == spec.order), t
 
 
 def test_subgroup_order_matches_closure():

@@ -12,13 +12,14 @@ from genrank.groups import (CyclicPower, GeneratingTuple, Integers,
                             ProductGroup, ProjSpecialLinear, SpecialLinear,
                             closure, is_generating)
 from genrank import indexed, nielsen
+from genrank.cli import parse_group
 from genrank.indexed import IndexedGroup
 from genrank.nielsen import (NielsenMove, OrbitStatistics, _first_occurrences,
                              _orbit_walk_generic, _row_keys, all_moves,
                              is_nielsen_redundant, mu_rank, orbit_statistics)
 from genrank.redundancy import (SearchLimits, _searched_rank, max_irredundant_size,
                                 z_witness)
-from reference import apply_move, closure_mask, conj_table, conjugated
+from reference import apply_move, closure_mask, conj_table, conjugated, small_abelian_groups
 
 
 def case_id(value):
@@ -399,6 +400,19 @@ def test_pinned_orbit_sizes(spec, size, sizes):
     assert stats.orbits_with_redundant == (size == 3)
 
 
+@pytest.mark.parametrize("desc", ("sl3:2", "psl3:2", "psl2:7"))
+def test_sl3_2_matches_psl2_7(desc):
+    # SL3(2) = PSL3(2) is isomorphic to PSL2(7): the same m, class
+    # counts, mu and size-3 orbit through each descriptor
+    spec = parse_group(desc)
+    m = max_irredundant_size(spec)
+    assert (m.value, m.exhaustive, m.stats["recorded"]) == (4, True, {2: 62, 3: 107, 4: 2})
+    mu = mu_rank(spec)
+    assert (mu.value, mu.exhaustive) == (2, True)
+    stats = orbit_statistics(spec, 3)
+    assert (stats.orbit_sizes, stats.partial) == ((26736,), False)
+
+
 def reference_class_blocks(ix, size):
     """The canonical generating tuples of one size, by the brute-force
     least_conjugate filter grown a position at a time, in increasing
@@ -553,10 +567,14 @@ def test_mu_values_small_groups():
 
 
 def test_mu_cyclic_forced_search_agrees():
-    for spec in (CyclicPower(6, 1), CyclicPower(2, 2), CyclicPower(4, 1)):
+    # the abelian rule against the ladder, on 134 groups; the witness
+    # generates by enumeration
+    for spec in small_abelian_groups():
         fast = mu_rank(spec)
         slow = nielsen._mu_ladder(spec, SearchLimits())
         assert fast.value == slow.value, spec.descriptor()
+        assert fast.exhaustive and slow.exhaustive
+        assert closure(fast.witness).order == spec.order
 
 
 def test_each_call_builds_its_own_tables(monkeypatch):

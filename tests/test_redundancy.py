@@ -8,14 +8,14 @@ import time
 import numpy as np
 
 from genrank.fp import FpMatrix, projective_canonicalize
-from genrank.groups import (CyclicPower, GeneratingTuple, Integers,
+from genrank.groups import (CyclicPower, GeneratingTuple, Integers, ProductGroup,
                             ProjSpecialLinear, SpecialLinear, closure,
                             is_generating)
 from genrank import indexed, redundancy
-from genrank.redundancy import (SearchLimits, cyclic_power_rank_witness,
-                                irredundant_witness, is_redundant,
+from genrank.redundancy import (SearchLimits, irredundant_witness, is_redundant,
                                 max_irredundant_size, z_witness)
-from reference import ClosureSearch, conjugated, involution_pair_is_proper
+from reference import (ClosureSearch, conjugated, involution_pair_is_proper,
+                       small_abelian_groups)
 
 
 def test_z_witness_values():
@@ -72,8 +72,8 @@ def test_witness_survives_conjugation():
 
 
 def test_cyclic_analytic_matches_forced_search():
-    for spec in (CyclicPower(2, 1), CyclicPower(6, 1), CyclicPower(2, 2),
-                 CyclicPower(12, 1), CyclicPower(6, 2), CyclicPower(30, 1)):
+    # the abelian rule against the exhaustive set search, on 134 groups
+    for spec in small_abelian_groups():
         fast = max_irredundant_size(spec)
         slow = redundancy._searched_rank(spec, SearchLimits())[0]
         assert fast.value == slow.value, spec.descriptor()
@@ -89,27 +89,14 @@ def test_cyclic_rank_formula():
         assert res.value == want, (m, k)
 
 
-def test_cyclic_witness_check_stops_at_the_time_budget(monkeypatch):
-    # the value is structural: a clock past the deadline at the first drop
-    # test leaves it exact and says that the check stopped
-    spec = CyclicPower(2, 6)
-    for readings, note in ((1, "witness verification stopped at the time budget"),
-                           (10 ** 9, "witness verified by drop tests")):
-        with monkeypatch.context() as m:
-            count = itertools.count()
-            m.setattr(redundancy.time, "monotonic",
-                      lambda: 0.0 if next(count) < readings else 1e9)
-            res = max_irredundant_size(spec, SearchLimits(time_budget=1.0))
-        assert (res.value, res.exhaustive) == (6, True)
-        assert res.notes == ("value from the basis rank of each prime part", note)
-
-
 def test_cyclic_witness_drop_checks():
-    spec = CyclicPower(12, 2)
-    w = cyclic_power_rank_witness(spec)
-    assert len(w) == 4
-    rep = is_redundant(w)
-    assert rep.verdict == "IrredundantGenerating"
+    # the drop tests by enumeration, since is_redundant runs the rank test
+    for spec, size in ((CyclicPower(12, 2), 4),
+                       (ProductGroup((CyclicPower(6, 1), CyclicPower(10, 2))), 6)):
+        w = max_irredundant_size(spec).witness
+        assert len(w) == size
+        assert closure(w).order == spec.order
+        assert all(closure(w.without(i)).order < spec.order for i in range(size))
 
 
 def test_integers_rank_unbounded():
