@@ -15,8 +15,7 @@ element; `closure` is the one routine that enumerates a subgroup.
 Generation testing dispatches to a structural test for SL2/PSL2 with
 p >= 5, to the stabilizer-chain order for other SL/PSL groups, to the
 rank mod each prime for abelian groups, and to closure for the rest.
-The structural test rests on the classification
-of subgroups of PSL2(F_p):
+The structural test rests on the classification of subgroups of PSL2(F_p):
 every proper subgroup either fixes a line over the quadratic extension
 (triangularizable or inside a torus), permutes an unordered pair of such
 lines (inside the normalizer of a torus, so of order at most p+1 up to
@@ -35,9 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fp import (FpMatrix, canonical_rep, check_modulus, eigenlines_mod_center,
-                 line_image, nonresidue, nth_roots_of_unity, prime_coordinates, row_reduce,
-                 sqrt_table)
+from .fp import (FpMatrix, canonical_rep, check_modulus, eigenlines_mod_center, line_image,
+                 nonresidue, nth_roots_of_unity, prime_coordinates, row_reduce, sqrt_table)
 
 
 class CapExceeded(Exception):

@@ -288,8 +288,7 @@ class IndexedGroup:
     def _kernels(self, deadline: float) -> np.ndarray:
         """The maximal masks of an abelian group, a product of cyclic powers
         with its words as coordinates: the kernel of x -> v @ x onto Z/p,
-        p | n, for each line of v zero where p does not divide the modulus
-        (fp.prime_coordinates)."""
+        p | n, for each line of v zero off fp.prime_coordinates' words."""
         w = len(self._moduli)
         maps, mods = [], []
         for p, free in prime_coordinates(self.spec.word_moduli()).items():

@@ -35,7 +35,6 @@ maximal masks, the walk and the expansion of the classes found.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 import sys
 import time
@@ -236,10 +235,6 @@ def z_witness(n: int) -> GeneratingTuple:
     return GeneratingTuple(Integers(), tuple(total // q for q in first))
 
 
-def _random_tuple(spec: GroupSpec, k: int, rng) -> GeneratingTuple:
-    return GeneratingTuple(spec, tuple(spec.random_element(rng) for _ in range(k)))
-
-
 def _sample_involutions(spec: GroupSpec, k: int, rng, tries: int = 400):
     e_key = spec.encode(spec.identity())
     out = []
@@ -252,12 +247,6 @@ def _sample_involutions(spec: GroupSpec, k: int, rng, tries: int = 400):
     return None
 
 
-def _verify_irredundant_generating(t: GeneratingTuple, deadline: float = math.inf) -> bool:
-    if not is_generating(t, deadline):
-        return False
-    return not any(is_generating(t.without(i), deadline) for i in range(len(t)))
-
-
 def _random_witness(spec: GroupSpec, k: int, rng, limits: SearchLimits, t0: float,
                     nodes: int, attempts: int, involutions_only: bool = False):
     """Seeded random search for an irredundant generating k-tuple: a
@@ -267,6 +256,7 @@ def _random_witness(spec: GroupSpec, k: int, rng, limits: SearchLimits, t0: floa
     budget, also inside a stabilizer chain; t0 and nodes carry the start
     time and the draw count of earlier calls.  Returns (witness or None,
     draw count)."""
+    deadline = t0 + limits.time_budget
     for a in range(attempts):
         if time.monotonic() - t0 > limits.time_budget or nodes >= limits.node_budget:
             break
@@ -279,9 +269,10 @@ def _random_witness(spec: GroupSpec, k: int, rng, limits: SearchLimits, t0: floa
             elif involutions_only:
                 continue
         if cand is None:
-            cand = _random_tuple(spec, k, rng)
+            cand = GeneratingTuple(spec, tuple(spec.random_element(rng) for _ in range(k)))
         try:
-            if _verify_irredundant_generating(cand, t0 + limits.time_budget):
+            if is_generating(cand, deadline) and not any(
+                    is_generating(cand.without(i), deadline) for i in range(k)):
                 return cand, nodes
         except TimeoutError:
             break
@@ -309,6 +300,23 @@ def _witness_mode(spec: GroupSpec, limits: SearchLimits, seed: int) -> RankSearc
                f"of {MAX_INDEXED_ORDER}; the value is a verified lower bound",))
 
 
+def _unit_basis_check(t: GeneratingTuple) -> bool:
+    """Does t, an abelian_rank witness, generate irredundantly?  Mod each
+    prime p, on the words p divides, each entry must be zero or a unit on
+    one word, one entry on each word: then t spans every A/pA (the rank
+    test of is_generating) and no entry can be dropped, in one pass."""
+    rows = [np.frombuffer(t.group.encode(x), dtype="<u2") for x in t.items]
+    needed = set()
+    for p, words in prime_coordinates(t.group.word_moduli()).items():
+        hits = [(i, e) for e, row in enumerate(rows)
+                for i in np.flatnonzero(row[words] % p).tolist()]
+        owners = {e for _, e in hits}
+        if sorted(i for i, _ in hits) != list(range(len(words))) or len(owners) < len(hits):
+            return False
+        needed |= owners
+    return len(needed) == len(t)
+
+
 def abelian_rank(spec: GroupSpec, kind: str) -> RankSearchResult:
     """m (kind "m") or mu (kind "mu") of a finite abelian group A, without
     search, from d_p = dim A/pA (fp.prime_coordinates).  m is the sum
@@ -334,7 +342,7 @@ def abelian_rank(spec: GroupSpec, kind: str) -> RankSearchResult:
                 for j in range(max(map(len, parts), default=0))]
         notes = ("value from the largest basis rank of a prime part",)
     witness = GeneratingTuple(spec, tuple(map(spec.decode, rows)))
-    if not _verify_irredundant_generating(witness):
+    if not _unit_basis_check(witness):
         raise AssertionError("constructed abelian witness failed verification")
     stats = {"nodes": 0, "pushed_classes": 0, "recorded": {}} if kind == "m" else \
         {"m": None, "nodes": 0, "orbit_nodes": 0}

@@ -12,6 +12,7 @@ from genrank.groups import (CyclicPower, GeneratingTuple, Integers, ProductGroup
                             ProjSpecialLinear, SpecialLinear, closure,
                             is_generating)
 from genrank import indexed, redundancy
+from genrank.nielsen import mu_rank
 from genrank.redundancy import (SearchLimits, irredundant_witness, is_redundant,
                                 max_irredundant_size, z_witness)
 from reference import (ClosureSearch, conjugated, involution_pair_is_proper,
@@ -97,6 +98,31 @@ def test_cyclic_witness_drop_checks():
         assert len(w) == size
         assert closure(w).order == spec.order
         assert all(closure(w.without(i)).order < spec.order for i in range(size))
+
+
+def test_unit_basis_check_against_enumeration():
+    # the one-pass witness check passes only irredundant generating tuples
+    rng = random.Random(5)
+    for spec in small_abelian_groups(24):
+        w = max_irredundant_size(spec).witness
+        assert redundancy._unit_basis_check(w)
+        extra = GeneratingTuple(spec, w.items + (spec.random_element(rng),))
+        assert not redundancy._unit_basis_check(extra)
+        assert not any(redundancy._unit_basis_check(w.without(i)) for i in range(len(w)))
+        for k in range(1, 5):
+            t = GeneratingTuple(spec, tuple(spec.random_element(rng) for _ in range(k)))
+            if redundancy._unit_basis_check(t):
+                assert closure(t).order == spec.order
+                assert all(closure(t.without(i)).order < spec.order for i in range(k))
+
+
+def test_abelian_rule_is_fast_on_many_words():
+    # the witness check is one pass, not a row reduction per drop test
+    spec = CyclicPower(2, 300)
+    for rank in (max_irredundant_size, mu_rank):
+        t0 = time.monotonic()
+        assert rank(spec).value == 300
+        assert time.monotonic() - t0 < 2.0
 
 
 def test_integers_rank_unbounded():
