@@ -15,7 +15,7 @@ import hashlib
 import itertools
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .fp import (MAX_MODULUS, FpMatrix, check_modulus, invert, prime_factors, primes,
@@ -26,6 +26,7 @@ from .nielsen import SearchLimits, is_nielsen_redundant
 from .redundancy import is_redundant
 
 SCHEMA_VERSION = 1
+CLOSURE_EVIDENCE_CAP = 500_000      # the largest reduction whose subgroup order is evidence
 
 
 class DenominatorClash(ValueError):
@@ -168,7 +169,6 @@ class PlanConfig:
     exceptional_floor: int = 3
     max_primes: int = 10
     explicit_primes: tuple | None = None
-    closure_evidence_cap: int = 500_000
 
 
 @dataclass(frozen=True)
@@ -241,7 +241,7 @@ class NotCertifiedReport:
     per_prime: tuple
 
 
-def _generation_evidence(gt: GeneratingTuple, cap: int):
+def _generation_evidence(gt: GeneratingTuple):
     """Generation verdict plus certificate evidence at one prime.
     Small groups get the exact subgroup order, from a stabilizer chain
     (the diagnosis and evidence kind keep the word "closure"); larger
@@ -253,7 +253,7 @@ def _generation_evidence(gt: GeneratingTuple, cap: int):
     structural = None
     if spec.n == 2 and p >= 5:
         structural = sl2_generation_report(gt)
-    if spec.order <= cap:
+    if spec.order <= CLOSURE_EVIDENCE_CAP:
         order = subgroup_order(gt)
         generates = order == spec.order
         diagnosis = "full closure" if generates else f"closure order {order}"
@@ -279,8 +279,7 @@ def certify_density(t: RationalTuple, config: PlanConfig | None = None):
     per = []
     for p in plan.candidates:
         gt = reduce_tuple_mod_p(t, p)
-        generates, kind, clord, reason, diagnosis = _generation_evidence(
-            gt, config.closure_evidence_cap)
+        generates, kind, clord, reason, diagnosis = _generation_evidence(gt)
         per.append(PerPrimeRecord(p, generates, diagnosis))
         if generates:
             caveat = (f"generation of sl{t.dim} mod {p} certifies Zariski "
@@ -308,7 +307,7 @@ def serialize_certificate(obj) -> str:
         "config": {
             "exceptional_floor": obj.config.exceptional_floor,
             "max_primes": obj.config.max_primes,
-            "closure_evidence_cap": obj.config.closure_evidence_cap,
+            "closure_evidence_cap": CLOSURE_EVIDENCE_CAP,
         },
         "witness_prime": obj.witness_prime if certified else None,
         "evidence_kind": obj.evidence_kind if certified else None,
@@ -339,15 +338,13 @@ def deserialize_certificate(s: str):
         payload = json.loads(s)
         if payload.get("version") != SCHEMA_VERSION:
             raise ValueError("unsupported certificate version")
-        config = PlanConfig(
-            exceptional_floor=payload["config"]["exceptional_floor"],
-            max_primes=payload["config"]["max_primes"],
-            closure_evidence_cap=payload["config"]["closure_evidence_cap"])
+        config = PlanConfig(exceptional_floor=payload["config"]["exceptional_floor"],
+                            max_primes=payload["config"]["max_primes"])
         entries = tuple(tuple(e) for e in payload["entries"])
         per = tuple(PerPrimeRecord(r["prime"], r["generates"], r["diagnosis"])
                     for r in payload["per_prime"])
         numbers = (config.exceptional_floor, config.max_primes,
-                   config.closure_evidence_cap, *(r.prime for r in per))
+                   payload["config"]["closure_evidence_cap"], *(r.prime for r in per))
         if not all(type(v) is int for v in numbers):
             raise ValueError("config values and primes must be integers")
         if not all(isinstance(v, str) for e in entries for v in e):
@@ -377,8 +374,7 @@ def replay_certificate(s: str):
     primes = tuple(r.prime for r in obj.per_prime)
     config = PlanConfig(exceptional_floor=obj.config.exceptional_floor,
                         max_primes=obj.config.max_primes,
-                        explicit_primes=primes,
-                        closure_evidence_cap=obj.config.closure_evidence_cap)
+                        explicit_primes=primes)
     fresh = serialize_certificate(certify_density(t, config))
     if fresh == s:
         return True, "replay reproduced the certificate bytewise"
@@ -405,9 +401,7 @@ class IrredundancyEvidence:
 
 
 def _evidence_primes(t: RationalTuple, prime_count: int, config: PlanConfig | None) -> tuple:
-    base = config or PlanConfig()
-    return plan_primes(t, PlanConfig(base.exceptional_floor, prime_count, base.explicit_primes,
-                                     base.closure_evidence_cap)).candidates
+    return plan_primes(t, replace(config or PlanConfig(), max_primes=prime_count)).candidates
 
 
 def _summary(records: list, names: dict) -> str:

@@ -232,10 +232,6 @@ class FpMatrix:
                 out.append(sum(arow[k] * b[k * n + j] for k in range(n)) % p)
         return FpMatrix._reduced(p, n, tuple(out))
 
-    def __neg__(self) -> "FpMatrix":
-        p = self.modulus
-        return FpMatrix._reduced(p, self.dim, tuple((-x) % p for x in self.entries))
-
     def scaled(self, c: int) -> "FpMatrix":
         p = self.modulus
         return FpMatrix._reduced(p, self.dim, tuple(x * c % p for x in self.entries))

@@ -60,13 +60,12 @@ over all rows, whatever the size of C.
 
 A set is canonical as its least sorted image.  Under one conjugator the
 sorted image is the least ordering of the image, so the least sorted
-image is the least canonical tuple over the orderings of the set.  It
-is built a position at a time over branches, each a chain node with the
-images of the members not yet placed: entry j is the least omin over
-every branch of the row, and each (branch, member) pair that reaches it
-goes on as a branch.  A set of cyclic subgroups, each named by its
-least generator (its key), is canonical the same way down a second
-chain, for the action x -> key[g x g^-1].
+image is the least canonical tuple over the orderings of the set.  The
+last _ORDERED_TAIL members are ordered every way at once; before them
+an ordering goes on only while its prefix's canonical image is least.
+A set of cyclic subgroups, each named by its least generator (its key),
+is canonical the same way down a second chain, for the action
+x -> key[g x g^-1].
 Neither this module nor `nielsen` calls np.unique: its first call
 imports numpy.ma, about 11 ms per process, so distinct values come from
 a scatter, a bincount or one argsort.
@@ -91,6 +90,7 @@ _JOIN_CELLS = 1 << 15             # mask cells of one slice of the subgroup walk
 _TABLE_CELLS = 1 << 14             # entries of one slice of a row or node fill, of a node's
                                    # child test, of the walk's candidates or of canonical_sets
                                    # (32 KB of uint16, 64 KB of int32; 4x that raised the peak RSS)
+_ORDERED_TAIL = 5                  # last members canonical_sets orders every way: 4096^5 < 2^63
 
 
 class IndexedGroup:
@@ -399,58 +399,61 @@ class IndexedGroup:
     def canonical_sets(self, rows: np.ndarray, families: bool = False) -> np.ndarray:
         """The least sorted image of each row of an int32 array, read as a
         set, under conjugation; with families each entry x names <x> and
-        the image is of the keys.  That image is the least canonical tuple
-        over the orderings of the row, built a position at a time down
-        the chain, a slice of _TABLE_CELLS row entries at a time (module
-        docstring)."""
+        the image is of the keys: the least canonical tuple over the
+        orderings of the row, on the element or family chain, a slice of
+        at most _TABLE_CELLS ordering entries at a time (module docstring)."""
         out = np.sort(self.cyclic_key[rows] if families else rows, axis=1)
         if self.spec.is_abelian:
             return out
-        n, k = self.n, rows.shape[1]
         chain = self._family_chain if families else self._chain
-        step = max(1, _TABLE_CELLS // k)
+        k = rows.shape[1]
+        lead, cols = max(0, k - _ORDERED_TAIL), np.arange(k)     # placed one at a time
+        perms = np.array([(*range(lead), *p) for p in itertools.permutations(range(lead, k))])
+        step = max(1, _TABLE_CELLS // (len(perms) * k))
         for lo in range(0, len(rows), step):
-            # branches: (row, chain node, images of the members not placed)
-            imgs = out[lo:lo + step].copy()
-            dup = (imgs[:, 1:] == imgs[:, :-1]).any()
-            br, s = np.arange(len(imgs)), len(imgs)
-            node = np.full(s, _ROOT, dtype=np.int32)
-            for j in range(k):
-                vals = chain.omin[node[:, None], imgs]
-                if len(br) == s and not node.any():     # one central branch a row
-                    out[lo:lo + step, j:] = np.sort(vals, axis=1)
-                    break
-                if dup:     # equal members are interchangeable: place the first
-                    vals[:, 1:][imgs[:, 1:] == imgs[:, :-1]] = n
-                least = np.full(s, n, dtype=np.int32)
-                np.minimum.at(least, br, vals.min(axis=1))
-                out[lo:lo + step, j] = least
-                if j + 1 < k:
-                    b, x = np.nonzero(vals == least[br][:, None])
-                    keep = np.ones((len(b), k - j), dtype=bool)
-                    keep[np.arange(len(b)), x] = False
-                    g = chain.owit[node[b], imgs[b, x]]
-                    imgs = self.conj_at(g[:, None], imgs[b][keep].reshape(len(b), -1))
-                    br = br[b]
-                    node = chain.child_of(node[b], least[br])
+            part = out[lo:lo + step]
+            row, tuples = np.arange(len(part)), part    # orderings, the rest sorted
+            for j in range(lead):
+                # each later member moved to position j, the first of equal
+                # ones, and kept when the prefix's canonical image is least
+                fresh = np.ones((len(row), k - j), dtype=bool)
+                fresh[:, 1:] = tuples[:, j + 1:] != tuples[:, j:-1]
+                b, i = np.nonzero(fresh)
+                i += j
+                m = self.canonical_tuples(np.column_stack((tuples[b, :j], tuples[b, i])), chain)
+                keep = _least_per_row(m[:, j], row[b], len(part))
+                b, i = b[keep], i[keep, None]       # j..i-1 move one on
+                at = np.where(cols == j, i, cols - ((cols > j) & (cols <= i)))
+                row, tuples = row[b], tuples[b[:, None], at]
+            # then every order of the rest: the least image of each
+            # ordering so far, and the least of those per row
+            canon = self.canonical_tuples(tuples[:, perms].reshape(-1, k), chain)
+            keys = _row_keys(canon[:, lead:], self.n)
+            best = keys.reshape(len(row), -1).argmin(axis=1)
+            best += np.arange(0, len(keys), len(perms))
+            if lead:
+                best = best[_least_per_row(keys[best], row, len(part))]
+                row = row[best // len(perms)]
+            out[lo + row] = canon[best]
         return out
 
-    def canonical_tuples(self, rows: np.ndarray) -> np.ndarray:
+    def canonical_tuples(self, rows: np.ndarray,
+                         chain: "_StabilizerChain | None" = None) -> np.ndarray:
         """The least image of each row of an int32 array under
-        simultaneous conjugation, down the chain of conjugation
-        stabilizers (module docstring): a few flat gathers over all rows
-        per position, and one for the rest of the rows once every row
-        has reached the central node."""
+        simultaneous conjugation, down the element or a given chain
+        (module docstring): a few flat gathers over all rows per
+        position, and one for the rest once every row is central."""
         if self.spec.is_abelian:
             return rows
-        n, chain, k = np.intp(self.n), self._chain, rows.shape[1]
+        chain = self._chain if chain is None else chain
+        n, k = np.intp(self.n), rows.shape[1]
         mult = self.mult.ravel()
         out = np.empty_like(rows)
         w = np.full(len(rows), self.identity, dtype=np.int32)   # conjugator so far
         node = np.full(len(rows), _ROOT, dtype=np.int32)
         for j in range(k):
-            if not node.any():          # all central: the rest is w t w^-1
-                out[:, j:] = self.conj_at(w[:, None], rows[:, j:])
+            if not node.any():          # all central: the rest is key[w t w^-1]
+                out[:, j:] = chain.key[self.conj_at(w[:, None], rows[:, j:])]
                 break
             at = node * n + self.conj_at(w, rows[:, j])
             out[:, j] = m = chain.omin.take(at)
@@ -466,6 +469,25 @@ class IndexedGroup:
     @cached_property
     def _family_chain(self) -> "_StabilizerChain":
         return _StabilizerChain(self, self.cyclic_key)
+
+
+def _row_keys(rows: np.ndarray, n: int) -> np.ndarray:
+    """Exact sortable row keys: the codes sum r_j n^(k-1-j) of entries
+    below n while they fit in int64, the row bytes past that."""
+    k = rows.shape[1]
+    if n ** k < 1 << 63:
+        keys = rows[:, 0].astype(np.int64)
+        for j in range(1, k):       # in place: a temporary per step raised the peak RSS
+            keys *= n
+            keys += rows[:, j]
+        return keys
+    return np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * k))).ravel()
+
+
+def _least_per_row(values: np.ndarray, row: np.ndarray, count: int) -> np.ndarray:
+    """Which values are the least of their row, with row sorted and
+    holding each of 0, ..., count - 1."""
+    return values == np.minimum.reduceat(values, np.searchsorted(row, np.arange(count)))[row]
 
 
 _CENTRAL, _ROOT = 0, 1          # chain nodes: every subgroup of the centre, and G

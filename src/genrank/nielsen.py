@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import GeneratingTuple, GroupSpec, Integers, is_generating
-from .indexed import _ROOT, MAX_INDEXED_ORDER, IndexedGroup
+from .indexed import _ROOT, MAX_INDEXED_ORDER, IndexedGroup, _row_keys
 from .redundancy import (RankSearchResult, SearchLimits, _searched_rank, abelian_rank,
                          irredundant_witness)
 
@@ -155,19 +155,6 @@ def _orbit_walk_generic(g: GroupSpec, items: tuple, limits: SearchLimits):
 # ---------------------------------------------------------------------------
 # The indexed walk: one breadth-first layer at a time.
 # ---------------------------------------------------------------------------
-
-def _row_keys(rows: np.ndarray, n: int) -> np.ndarray:
-    """Exact sortable row keys: the codes sum r_j n^(k-1-j) of entries
-    below n while they fit in int64, the row bytes past that."""
-    k = rows.shape[1]
-    if n ** k < 1 << 63:
-        keys = rows[:, 0].astype(np.int64)
-        for j in range(1, k):       # in place: a temporary per step raised the peak RSS
-            keys *= n
-            keys += rows[:, j]
-        return keys
-    return np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * k))).ravel()
-
 
 def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.unique(keys, return_index=True) from one argsort: the sorted

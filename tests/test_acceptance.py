@@ -24,7 +24,7 @@ from genrank.groups import (CyclicPower, GeneratingTuple, ProductGroup,
 from genrank.indexed import IndexedGroup
 from genrank.nielsen import all_moves, mu_rank
 from genrank.redundancy import is_redundant, max_irredundant_size, z_witness
-from reference import apply_move, apply_move_rational, closure_mask
+from reference import apply_move, apply_move_rational
 
 RESULTS = {}
 
@@ -103,31 +103,32 @@ def test_criterion_3_rank_table():
     check(3, ok, f"table {table}, budget {elapsed:.1f}s < 1800s")
 
 
-def test_criterion_4_fast_test_equals_closure():
-    disagreements = 0
-    spec5 = SpecialLinear(2, 5)
-    ix5 = IndexedGroup(spec5)
-    els5 = ix5.tuple_of(range(ix5.n)).items
-    for i in range(ix5.n):
-        for j in range(ix5.n):
-            _, count, _, _ = closure_mask(ix5, (i, j))
-            fast = sl2_generation_report(
-                GeneratingTuple(spec5, (els5[i], els5[j]))).generates
-            if fast != (count == ix5.n):
-                disagreements += 1
-    checked = ix5.n * ix5.n
+def _closure_orders(ix, tuples) -> list:
+    """The order of the subgroup each tuple generates, from one
+    closure_rows call over all of them, shorter tuples padded with the
+    identity."""
+    width = max(map(len, tuples))
+    gens = np.array([t + (ix.identity,) * (width - len(t)) for t in tuples], dtype=np.int32)
+    start = np.zeros((len(gens), ix.n), dtype=bool)
+    start[:, ix.identity] = True
+    return ix.closure_rows(start, gens)[1].tolist()
 
+
+def test_criterion_4_fast_test_equals_closure():
+    # every pair of sl2:5, and 10,000 random pairs and triples of sl2:7 and sl2:11
+    ix5 = IndexedGroup(SpecialLinear(2, 5))
+    cases = [(ix5, list(itertools.product(range(ix5.n), repeat=2)))]
     rng = random.Random(2024)
     for p in (7, 11):
-        spec = SpecialLinear(2, p)
-        ix = IndexedGroup(spec)
+        ix = IndexedGroup(SpecialLinear(2, p))
+        cases.append((ix, [tuple(rng.randrange(ix.n) for _ in range(rng.choice((2, 3))))
+                           for _ in range(10_000)]))
+    disagreements = checked = 0
+    for ix, tuples in cases:
         els = ix.tuple_of(range(ix.n)).items
-        for _ in range(10_000):
-            k = rng.choice((2, 3))
-            gens = tuple(rng.randrange(ix.n) for _ in range(k))
-            _, count, _, _ = closure_mask(ix, gens)
+        for gens, count in zip(tuples, _closure_orders(ix, tuples)):
             fast = sl2_generation_report(
-                GeneratingTuple(spec, tuple(els[g] for g in gens))).generates
+                GeneratingTuple(ix.spec, tuple(els[g] for g in gens))).generates
             if fast != (count == ix.n):
                 disagreements += 1
             checked += 1

@@ -233,7 +233,7 @@ def test_derived_matrices_equal_checked_construction():
             if m.det():
                 mats.append(m)
         a, b, c = mats
-        for got in (a * b, b * c * a, -a, a.scaled(p - 1), a.scaled(2), a.inverse(),
+        for got in (a * b, b * c * a, a.scaled(p - 1), a.scaled(2), a.inverse(),
                     canonical_rep(b), a ** 5, a ** -3):
             same = FpMatrix(p, n, got.entries)
             assert got == same and hash(got) == hash(same)

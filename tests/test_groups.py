@@ -301,7 +301,7 @@ def test_psl_elements_are_canonical_matrices():
     for x in (s, t, spec.mul(s, t), spec.inv(s), spec.random_element(random.Random(1))):
         spec.validate(x)
     with pytest.raises(ValueError, match="canonical"):
-        spec.validate(-spec.identity())
+        spec.validate(spec.identity().scaled(4))      # -I, not canonical
     with pytest.raises(ValueError, match="determinant"):
         spec.validate(FpMatrix.from_rows(5, [[2, 0], [0, 1]]))
     with pytest.raises(ValueError, match="expected FpMatrix"):
@@ -309,7 +309,7 @@ def test_psl_elements_are_canonical_matrices():
     # SL and PSL share a base but stay distinct groups
     sl = SpecialLinear(2, 5)
     assert sl != spec and sl.descriptor() != spec.descriptor()
-    sl.validate(-sl.identity())
+    sl.validate(sl.identity().scaled(4))      # -I
 
 
 def test_psl2_isomorphism_count(pgl2):

@@ -675,9 +675,11 @@ def test_tables_are_uint16_and_index_arrays_int32():
     assert ix._chain.omin.dtype == ix._chain.owit.dtype == np.int32
 
 
-@pytest.mark.parametrize("k", (2, 3, 4))
+@pytest.mark.parametrize("k", (2, 3, 4, 7))
 def test_canonical_forms_past_16_bits_match_int64_brute_force(k):
-    # every conjugate g x g^-1 of every entry, from mult in int64
+    # every conjugate g x g^-1 of every entry, from mult in int64; 660^7
+    # passes 2^63, and seven members are more than canonical_sets orders
+    # every way at once
     ix = IndexedGroup(PSL2_11)
     mult = ix.mult.astype(np.int64)
     conj = mult[mult, ix.inv.astype(np.int64)[:, None]]
