@@ -10,9 +10,8 @@ certificates bytewise.
 
 from .fp import FpMatrix, is_prime, projective_canonicalize
 from .groups import (CyclicPower, GeneratingTuple, GenerationReport,
-                     GroupSpec, Integers, ProductGenerationReport,
-                     ProductGroup, ProjSpecialLinear, SpecialLinear,
-                     SubgroupClosure, closure, is_generating,
+                     GroupSpec, Integers, ProductGroup, ProjSpecialLinear,
+                     SpecialLinear, SubgroupClosure, closure, is_generating,
                      is_simple_finite, product_generates,
                      sl2_generation_report)
 from .indexed import IndexedGroup
@@ -21,11 +20,9 @@ from .redundancy import (RankSearchResult, RedundancyReport, SearchLimits,
                          max_irredundant_size, z_witness)
 from .nielsen import (NielsenMove, OrbitReport, OrbitStatistics, all_moves,
                       is_nielsen_redundant, mu_rank, orbit_statistics)
-from .arithmetic import (DenominatorClash, DensityCertificate,
-                         IrredundancyEvidence, NielsenEvidence,
-                         NotCertifiedReport, PlanConfig, PrimePlan,
-                         RationalMatrix, RationalTuple, assess_irredundancy,
-                         assess_nielsen_irredundancy,
+from .arithmetic import (DenominatorClash, DensityCertificate, Evidence,
+                         PlanConfig, PrimePlan, RationalMatrix, RationalTuple,
+                         assess_irredundancy, assess_nielsen_irredundancy,
                          certify_density, deserialize_certificate,
                          plan_primes, reduce_matrix_mod_p, reduce_tuple_mod_p,
                          replay_certificate, serialize_certificate)
@@ -33,7 +30,7 @@ from .arithmetic import (DenominatorClash, DensityCertificate,
 __all__ = [
     "FpMatrix", "is_prime", "projective_canonicalize",
     "CyclicPower", "GeneratingTuple", "GenerationReport",
-    "GroupSpec", "Integers", "ProductGenerationReport", "ProductGroup",
+    "GroupSpec", "Integers", "ProductGroup",
     "ProjSpecialLinear", "SpecialLinear", "SubgroupClosure", "closure",
     "is_generating", "is_simple_finite",
     "product_generates", "sl2_generation_report",
@@ -43,8 +40,7 @@ __all__ = [
     "max_irredundant_size", "z_witness",
     "NielsenMove", "OrbitReport", "OrbitStatistics", "all_moves",
     "is_nielsen_redundant", "mu_rank", "orbit_statistics",
-    "DenominatorClash", "DensityCertificate", "IrredundancyEvidence",
-    "NielsenEvidence", "NotCertifiedReport", "PlanConfig", "PrimePlan",
+    "DenominatorClash", "DensityCertificate", "Evidence", "PlanConfig", "PrimePlan",
     "RationalMatrix", "RationalTuple", "assess_irredundancy",
     "assess_nielsen_irredundancy", "certify_density",
     "deserialize_certificate", "plan_primes", "reduce_matrix_mod_p",

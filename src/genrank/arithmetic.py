@@ -217,26 +217,20 @@ class PerPrimeRecord:
 
 @dataclass(frozen=True)
 class DensityCertificate:
+    """The outcome of certify_density.  certified says whether some tried
+    prime's reduction generates; the witness prime and its evidence are
+    None when none does."""
+
     version: int
+    certified: bool
     ambient: str
     entries: tuple
     fingerprint: str
     config: PlanConfig
-    witness_prime: int
-    evidence_kind: str          # "closure-order" or "fast-test"
+    witness_prime: int | None
+    evidence_kind: str | None   # "closure-order" or "fast-test"
     closure_order: int | None
     fast_test_reason: str | None
-    caveat: str
-    per_prime: tuple
-
-
-@dataclass(frozen=True)
-class NotCertifiedReport:
-    version: int
-    ambient: str
-    entries: tuple
-    fingerprint: str
-    config: PlanConfig
     caveat: str
     per_prime: tuple
 
@@ -270,37 +264,37 @@ def _generation_evidence(gt: GeneratingTuple):
             structural.reason)
 
 
-def certify_density(t: RationalTuple, config: PlanConfig | None = None):
+def certify_density(t: RationalTuple, config: PlanConfig | None = None) -> DensityCertificate:
     """Try planned primes in order; the first generating reduction
-    yields a DensityCertificate, otherwise a NotCertifiedReport."""
+    certifies, with its evidence."""
     config = config or PlanConfig()
     plan = plan_primes(t, config)
-    ambient = f"sl{t.dim}"
     per = []
     for p in plan.candidates:
         gt = reduce_tuple_mod_p(t, p)
-        generates, kind, clord, reason, diagnosis = _generation_evidence(gt)
+        generates, *evidence, diagnosis = _generation_evidence(gt)
         per.append(PerPrimeRecord(p, generates, diagnosis))
         if generates:
+            witness = (p, *evidence)
             caveat = (f"generation of sl{t.dim} mod {p} certifies Zariski "
                       f"density; primes at most {plan.exceptional_floor} were "
                       "treated as potentially exceptional")
-            return DensityCertificate(
-                SCHEMA_VERSION, ambient, t.entry_strings(), t.fingerprint(),
-                config, p, kind, clord, reason, caveat, tuple(per))
-    caveat = ("no tried prime yields generation; this is evidence of "
-              "non-density, not a proof")
-    return NotCertifiedReport(SCHEMA_VERSION, ambient, t.entry_strings(),
-                              t.fingerprint(), config, caveat, tuple(per))
+            break
+    else:
+        witness = (None, None, None, None)
+        caveat = ("no tried prime yields generation; this is evidence of "
+                  "non-density, not a proof")
+    return DensityCertificate(SCHEMA_VERSION, witness[0] is not None, f"sl{t.dim}",
+                              t.entry_strings(), t.fingerprint(), config, *witness, caveat,
+                              tuple(per))
 
 
-def serialize_certificate(obj) -> str:
-    """Canonical JSON form shared by certificates and negative reports;
-    key order and separators are fixed so replays compare bytewise."""
-    certified = isinstance(obj, DensityCertificate)
+def serialize_certificate(obj: DensityCertificate) -> str:
+    """Canonical JSON form of a certificate, certified or not; key order
+    and separators are fixed so replays compare bytewise."""
     payload = {
         "version": obj.version,
-        "certified": certified,
+        "certified": obj.certified,
         "ambient": obj.ambient,
         "entries": [list(e) for e in obj.entries],
         "fingerprint": obj.fingerprint,
@@ -309,10 +303,10 @@ def serialize_certificate(obj) -> str:
             "max_primes": obj.config.max_primes,
             "closure_evidence_cap": CLOSURE_EVIDENCE_CAP,
         },
-        "witness_prime": obj.witness_prime if certified else None,
-        "evidence_kind": obj.evidence_kind if certified else None,
-        "closure_order": obj.closure_order if certified else None,
-        "fast_test_reason": obj.fast_test_reason if certified else None,
+        "witness_prime": obj.witness_prime,
+        "evidence_kind": obj.evidence_kind,
+        "closure_order": obj.closure_order,
+        "fast_test_reason": obj.fast_test_reason,
         "caveat": obj.caveat,
         "per_prime": [{"prime": r.prime, "generates": r.generates,
                        "diagnosis": r.diagnosis} for r in obj.per_prime],
@@ -330,10 +324,10 @@ def tuple_from_entry_strings(entries) -> RationalTuple:
     return RationalTuple(tuple(mats))
 
 
-def deserialize_certificate(s: str):
-    """Parse a serialized certificate or negative report.  Invalid JSON,
-    missing keys, and values of the wrong type or shape for a replay
-    raise ValueError."""
+def _parse_certificate(s: str) -> tuple[DensityCertificate, RationalTuple]:
+    """A serialized certificate and the rational tuple of its entries.
+    Invalid JSON, missing keys, and values of the wrong type or shape for
+    a replay raise ValueError."""
     try:
         payload = json.loads(s)
         if payload.get("version") != SCHEMA_VERSION:
@@ -349,26 +343,25 @@ def deserialize_certificate(s: str):
             raise ValueError("config values and primes must be integers")
         if not all(isinstance(v, str) for e in entries for v in e):
             raise ValueError("entries must be strings")
-        tuple_from_entry_strings(entries)
-        if payload["certified"]:
-            return DensityCertificate(
-                payload["version"], payload["ambient"], entries,
-                payload["fingerprint"], config, payload["witness_prime"],
-                payload["evidence_kind"], payload["closure_order"],
-                payload["fast_test_reason"], payload["caveat"], per)
-        return NotCertifiedReport(payload["version"], payload["ambient"], entries,
-                                  payload["fingerprint"], config, payload["caveat"],
-                                  per)
+        cert = DensityCertificate(
+            payload["version"], payload["certified"], payload["ambient"], entries,
+            payload["fingerprint"], config, payload["witness_prime"], payload["evidence_kind"],
+            payload["closure_order"], payload["fast_test_reason"], payload["caveat"], per)
+        return cert, tuple_from_entry_strings(entries)
     except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed certificate: {type(exc).__name__}: {exc}") from exc
+
+
+def deserialize_certificate(s: str) -> DensityCertificate:
+    """Parse a serialized certificate; see _parse_certificate."""
+    return _parse_certificate(s)[0]
 
 
 def replay_certificate(s: str):
     """Re-run the serialized evidence from scratch and compare bytewise.
     The tried primes are replayed explicitly so the run revisits the
     same reductions in the same order."""
-    obj = deserialize_certificate(s)
-    t = tuple_from_entry_strings(obj.entries)
+    obj, t = _parse_certificate(s)
     if t.fingerprint() != obj.fingerprint:
         return False, "fingerprint mismatch: entries were altered"
     primes = tuple(r.prime for r in obj.per_prime)
@@ -394,7 +387,10 @@ class PrimeIrredundancyRecord:
 
 
 @dataclass(frozen=True)
-class IrredundancyEvidence:
+class Evidence:
+    """Per-prime records of a rational tuple's reductions, irredundancy
+    or Nielsen ones, and their summary across the primes."""
+
     fingerprint: str
     records: tuple
     summary: str
@@ -414,7 +410,7 @@ def _summary(records: list, names: dict) -> str:
 
 
 def assess_irredundancy(t: RationalTuple, prime_count: int = 5,
-                        config: PlanConfig | None = None) -> IrredundancyEvidence:
+                        config: PlanConfig | None = None) -> Evidence:
     """Redundancy verdicts of the reductions at the first usable
     primes.  The summary is all-irredundant, all-redundant, mixed, or
     never-generating, judged over the generating primes only."""
@@ -425,7 +421,7 @@ def assess_irredundancy(t: RationalTuple, prime_count: int = 5,
                                                rep.droppable))
     summary = _summary(records, {"IrredundantGenerating": "all-irredundant",
                                  "RedundantGenerating": "all-redundant"})
-    return IrredundancyEvidence(t.fingerprint(), tuple(records), summary)
+    return Evidence(t.fingerprint(), tuple(records), summary)
 
 
 @dataclass(frozen=True)
@@ -435,16 +431,9 @@ class PrimeNielsenRecord:
     visited: int
 
 
-@dataclass(frozen=True)
-class NielsenEvidence:
-    fingerprint: str
-    records: tuple
-    summary: str
-
-
 def assess_nielsen_irredundancy(t: RationalTuple, prime_count: int = 3,
                                 config: PlanConfig | None = None,
-                                limits: SearchLimits | None = None) -> NielsenEvidence:
+                                limits: SearchLimits | None = None) -> Evidence:
     """Nielsen orbit verdicts of the reductions at the first usable
     primes.  The time budget covers all primes together: each walk gets
     only what the walks before it left.  Budget-limited walks report
@@ -463,4 +452,4 @@ def assess_nielsen_irredundancy(t: RationalTuple, prime_count: int = 3,
     summary = "undecided" if any(r.verdict == "Unknown" for r in records) else _summary(
         records, {"NielsenIrredundant": "all-nielsen-irredundant",
                   "NielsenRedundant": "all-nielsen-redundant"})
-    return NielsenEvidence(t.fingerprint(), tuple(records), summary)
+    return Evidence(t.fingerprint(), tuple(records), summary)

@@ -26,11 +26,10 @@ import sys
 import time
 import types
 
-from .arithmetic import (DenominatorClash, DensityCertificate, PlanConfig,
-                         RationalMatrix, RationalTuple, as_fraction,
-                         assess_irredundancy, assess_nielsen_irredundancy,
-                         certify_density, replay_certificate,
-                         serialize_certificate)
+from .arithmetic import (DenominatorClash, PlanConfig, RationalMatrix,
+                         RationalTuple, as_fraction, assess_irredundancy,
+                         assess_nielsen_irredundancy, certify_density,
+                         replay_certificate, serialize_certificate)
 from .fp import FpMatrix, projective_canonicalize
 from .groups import (CyclicPower, GeneratingTuple, GroupSpec, Integers,
                      ProductGroup, ProjSpecialLinear, SpecialLinear,
@@ -143,10 +142,6 @@ def _witness_payload(witness: GeneratingTuple | None):
     if witness is None:
         return None
     return [describe_element(witness.group, x) for x in witness.items]
-
-
-def _stats_payload(stats: dict) -> dict:
-    return {k: v for k, v in stats.items() if k != "classes"}
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +306,7 @@ def _cmd_rank(args):
         "witness": _witness_payload(res.witness),
         "exhaustive": res.exhaustive,
         "notes": list(res.notes),
-        "stats": _stats_payload(res.stats),
+        "stats": res.stats,
         "seed": args.seed,
     }
     return payload, EXIT_OK if res.exhaustive else EXIT_BUDGET
@@ -334,7 +329,7 @@ def _cmd_witness(args):
         "witness": _witness_payload(res.witness),
         "exhausted": res.exhausted,
         "notes": list(res.notes),
-        "stats": _stats_payload(res.stats),
+        "stats": res.stats,
         "seed": args.seed,
     }
     undecided = res.witness is None and not res.exhausted
@@ -391,7 +386,7 @@ def _cmd_certify(args):
                 fh.write(serialized + "\n")
         except OSError as exc:
             raise DataError(f"cannot write {args.out}: {exc}")
-    certified = isinstance(result, DensityCertificate)
+    certified = result.certified
     payload = {
         "command": "certify",
         "mode": "certify",
@@ -427,7 +422,7 @@ def _cmd_product_check(args):
     t = read_product_tuple(args.input)
     try:
         report = product_generates(t, time.monotonic() + args.time_budget)
-        generates, diagnosis, code = report.generates, report.diagnosis, EXIT_OK
+        generates, diagnosis, code = report.generates, report.reason, EXIT_OK
     except ValueError as exc:
         raise DataError(str(exc))
     except TimeoutError:

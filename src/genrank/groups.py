@@ -34,8 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fp import (FpMatrix, canonical_rep, check_modulus, eigenlines_mod_center, line_image,
-                 nonresidue, nth_roots_of_unity, prime_coordinates, row_reduce, sqrt_table)
+from .fp import (FpMatrix, canonical_rep, check_modulus, eigenlines_mod_center, is_prime,
+                 line_image, nonresidue, nth_roots_of_unity, prime_coordinates, row_reduce,
+                 sqrt_table)
 
 
 class CapExceeded(Exception):
@@ -106,9 +107,6 @@ class GroupSpec:
                 f"enumerated {len(els)} elements of {self.descriptor()}, "
                 f"expected {self.order}")
         return els
-
-    def conjugate(self, x, g):
-        return self.mul(self.mul(g, x), self.inv(g))
 
     def random_element(self, rng):
         raise NotImplementedError
@@ -653,24 +651,23 @@ def subgroup_order(t: GeneratingTuple, deadline: float = math.inf) -> int:
 
 @dataclass(frozen=True)
 class GenerationReport:
-    """Outcome of a generation test with a structural diagnosis."""
+    """Outcome of a generation test with a structural diagnosis.  A
+    product check that finds the graph of an isomorphism G1 -> G2 names
+    it as a map from encodings of G1 elements to G2 elements."""
 
     generates: bool
     reason: str
+    isomorphism: dict | None = None
 
 
-def _sl2_context(spec: GroupSpec):
-    """(p, center size) of SL2(F_p) or PSL2(F_p), p >= 5."""
+def sl2_generation_report(t: GeneratingTuple) -> GenerationReport:
+    """Structural generation test for tuples in SL2(F_p) or PSL2(F_p),
+    p >= 5, with a diagnosis usable in certificates."""
+    spec = t.group
     if not (isinstance(spec, _MatrixGroup) and spec.n == 2):
         raise ValueError("structural test supports only SL2 and PSL2")
     if spec.p < 5:
         raise ValueError("structural test requires p >= 5")
-    return spec.p, 2 if isinstance(spec, SpecialLinear) else 1
-
-
-def _sl2_verdict(t: GeneratingTuple) -> GenerationReport:
-    """Structural verdict for a tuple of SL2(F_p) or PSL2(F_p), p >= 5."""
-    p, center = _sl2_context(t.group)
     noncentral = [m for m in t.items if not m.is_scalar()]
     if not noncentral:
         return GenerationReport(False, "all entries central")
@@ -693,20 +690,17 @@ def _sl2_verdict(t: GeneratingTuple) -> GenerationReport:
         if all({line_image(m, a), line_image(m, bpair)} == set(pair)
                for m in noncentral):
             return GenerationReport(False, "invariant line pair")
-    cap = center * max(60, p + 1)
+    center = 2 if isinstance(spec, SpecialLinear) else 1
     try:
-        size = closure(t, cap=cap).order
+        size = closure(t, cap=center * max(60, spec.p + 1)).order
     except CapExceeded:
         return GenerationReport(True, "closure exceeded dihedral and exceptional bounds")
-    if size == t.group.order:
+    if size == spec.order:
         return GenerationReport(True, "full closure")
     return GenerationReport(False, f"closure order {size}")
 
 
-def sl2_generation_report(t: GeneratingTuple) -> GenerationReport:
-    """Structural generation test for tuples in SL2(F_p) or PSL2(F_p),
-    p >= 5, with a diagnosis usable in certificates."""
-    return _sl2_verdict(t)
+_sl2_verdict = sl2_generation_report    # the name bench/spans.py traces
 
 
 def is_generating(t: GeneratingTuple, deadline: float = math.inf) -> bool:
@@ -733,44 +727,22 @@ def is_generating(t: GeneratingTuple, deadline: float = math.inf) -> bool:
 # Product generation.
 # ---------------------------------------------------------------------------
 
-_BRUTE_FORCE_LIMIT = 500
-
-
 def is_simple_finite(spec: GroupSpec) -> bool:
-    """Simplicity of a finite group.  SL_n and PSL_n are decided by rule:
-    PSL_n(F_p) is simple unless (n, p) is (2, 2) or (2, 3), and SL_n(F_p)
-    is simple when moreover its centre, of order gcd(n, p - 1), is
-    trivial.  Other groups of order at most 500 are checked by normal
-    closures of conjugacy classes."""
+    """Simplicity of a group, by rule.  PSL_n(F_p) is simple unless
+    (n, p) is (2, 2) or (2, 3), and SL_n(F_p) when moreover its centre,
+    of order gcd(n, p - 1), is trivial.  A cyclic power is simple when
+    it is one copy of Z/p, p prime, and a product when exactly one factor
+    is nontrivial and that factor is simple.  The integers are not."""
     if isinstance(spec, _MatrixGroup):
         if (spec.n, spec.p) in ((2, 2), (2, 3)):
             return False
         return isinstance(spec, ProjSpecialLinear) or math.gcd(spec.n, spec.p - 1) == 1
-    return _simple_by_normal_closures(spec)
-
-
-def _simple_by_normal_closures(spec: GroupSpec) -> bool:
-    """Brute-force simplicity: every non-identity conjugacy class has the
-    whole group as its normal closure."""
-    if spec.order is None:
-        return False
-    if spec.order > _BRUTE_FORCE_LIMIT:
-        raise ValueError("simplicity check limited to order 500")
-    if spec.order == 1:
-        return False
-    els = spec.elements()
-    e_key = spec.encode(spec.identity())
-    seen_classes = set()
-    for x in els:
-        xk = spec.encode(x)
-        if xk == e_key or xk in seen_classes:
-            continue
-        cls = {spec.encode(spec.conjugate(x, g)): spec.conjugate(x, g) for g in els}
-        seen_classes.update(cls.keys())
-        normal = closure(GeneratingTuple(spec, tuple(cls.values())))
-        if normal.order < spec.order:
-            return False
-    return True
+    if isinstance(spec, CyclicPower):
+        return spec.copies == 1 and is_prime(spec.modulus)
+    if isinstance(spec, ProductGroup):
+        nontrivial = [f for f in spec.factors if f.order > 1]
+        return len(nontrivial) == 1 and is_simple_finite(nontrivial[0])
+    return False
 
 
 def _psl2_conjugator(g: ProjSpecialLinear, images: list) -> FpMatrix:
@@ -820,26 +792,15 @@ def _graph_label(g1: GroupSpec, g2: GroupSpec, phi: dict) -> str:
     return f"graph of isomorphism ({label})"
 
 
-@dataclass(frozen=True)
-class ProductGenerationReport:
-    """Verdict for a tuple in a product of two nonabelian simple groups,
-    with the blocking projection or aligning isomorphism named.  The
-    verdict uses the graph-subgroup classification: a proper subgroup of
-    G1 x G2 projecting onto both simple factors is the graph of an
-    isomorphism G1 -> G2, so it has exactly |G1| elements.  The
-    isomorphism maps encodings of G1 elements to G2 elements."""
-
-    generates: bool
-    diagnosis: str
-    isomorphism: dict | None = None
-
-
 def product_generates(t: GeneratingTuple,
-                      deadline: float = math.inf) -> ProductGenerationReport:
+                      deadline: float = math.inf) -> GenerationReport:
     """Decide generation of a tuple in a product of two finite simple
-    groups by one closure capped at |G1|.  That closure and the projection
-    tests by chain or closure raise TimeoutError once time.monotonic()
-    passes deadline."""
+    groups by one closure capped at |G1|, naming the blocking projection
+    or aligning isomorphism.  A proper subgroup of G1 x G2 projecting
+    onto both simple factors is the graph of an isomorphism G1 -> G2, so
+    it has exactly |G1| elements.  That closure and the projection tests
+    by chain or closure raise TimeoutError once time.monotonic() passes
+    deadline."""
     g = t.group
     if not isinstance(g, ProductGroup) or len(g.factors) != 2:
         raise ValueError("product check expects a product of exactly two factors")
@@ -848,15 +809,15 @@ def product_generates(t: GeneratingTuple,
         if not is_simple_finite(f):
             raise ValueError(f"{name} factor is not a supported simple group")
     if not is_generating(g.project(t, 0), deadline):
-        return ProductGenerationReport(False, "projection 1 proper")
+        return GenerationReport(False, "projection 1 proper")
     if not is_generating(g.project(t, 1), deadline):
-        return ProductGenerationReport(False, "projection 2 proper")
+        return GenerationReport(False, "projection 2 proper")
     if g1.order != g2.order:
-        return ProductGenerationReport(
+        return GenerationReport(
             True, "projections generate non-isomorphic simple factors")
     try:
         graph = closure(t, cap=g1.order, deadline=deadline)
     except CapExceeded:
-        return ProductGenerationReport(True, "no isomorphism aligns the factor tuples")
+        return GenerationReport(True, "no isomorphism aligns the factor tuples")
     phi = {g1.encode(a): b for a, b in graph.elements}
-    return ProductGenerationReport(False, _graph_label(g1, g2, phi), phi)
+    return GenerationReport(False, _graph_label(g1, g2, phi), phi)

@@ -340,13 +340,12 @@ def _mu_ladder(spec: GroupSpec, limits: SearchLimits) -> RankSearchResult:
     the first clean orbit.  A rung past the node or time budget leaves its
     size open, and the ladder goes on down."""
     deadline = time.monotonic() + limits.time_budget
-    m_res, ix = _searched_rank(spec, limits)
+    m_res, ix, classes = _searched_rank(spec, limits)
     if not m_res.exhaustive:
         return RankSearchResult(
             spec, "mu", None, None, exhaustive=False,
             stats={"m": m_res.value, "nodes": m_res.stats["nodes"], "orbit_nodes": 0},
             notes=("the underlying irredundant-set search hit its budget",))
-    classes = m_res.stats["classes"]
     d, m_val = min(classes), max(classes)
     witness = ix.tuple_of(classes[d][0])
     notes = [f"size {d} is the minimal generating size; minimal tuples are "

@@ -374,9 +374,11 @@ def max_irredundant_size(spec: GroupSpec, limits: SearchLimits | None = None,
 
 
 def _searched_rank(spec: GroupSpec,
-                   limits: SearchLimits) -> tuple[RankSearchResult, IndexedGroup | None]:
-    """The exhaustive m search of an indexed group, and the tables it ran
-    on (None when their build stopped at the time budget)."""
+                   limits: SearchLimits) -> tuple[RankSearchResult, IndexedGroup | None, dict]:
+    """The exhaustive m search of an indexed group, the tables it ran on
+    (None when their build stopped at the time budget), and the classes
+    of irredundant generating sets it found: by size, the sorted
+    canonical rows of element indices into those tables."""
     t0 = time.monotonic()       # the budget holds the table build and subgroup walk
     ix = None
     try:
@@ -385,14 +387,14 @@ def _searched_rank(spec: GroupSpec,
     except TimeoutError:        # the tables or masks were not finished
         out = _SearchOutcome(0, None, {}, 0, True, 0)
     witness = ix.tuple_of(out.best_witness) if out.best_witness is not None else None
-    recorded = {k: len(v) for k, v in out.collected.items()}
-    return RankSearchResult(
+    res = RankSearchResult(
         spec, "m", out.best_size if witness is not None or spec.order == 1 else None,
         witness, exhaustive=not out.budget_hit,
         stats={"nodes": out.nodes, "pushed_classes": out.pushed_classes,
-               "recorded": recorded, "classes": out.collected},
+               "recorded": {k: len(v) for k, v in out.collected.items()}},
         notes=() if not out.budget_hit else
-        ("search stopped at the node or time budget; value is a lower bound",)), ix
+        ("search stopped at the node or time budget; value is a lower bound",))
+    return res, ix, out.collected
 
 
 @dataclass

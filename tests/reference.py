@@ -2,9 +2,10 @@
 one generating set on the indexed tables, generation of one set by the
 maximal masks, and the reference paths that read no mask: generation
 by closure, and the m search deciding each extension by closure.  Also
-the Nielsen moves on element and rational tuples, and the dihedral
-check of an involution pair, and the small abelian groups that the
-abelian rule is compared on."""
+the Nielsen moves on element and rational tuples, the dihedral check of
+an involution pair, the small abelian groups that the abelian rule is
+compared on, and simplicity by normal closures, which the simplicity
+rule is compared with."""
 
 import itertools
 import operator
@@ -68,8 +69,32 @@ class ClosureSearch(redundancy._SetSearch):
         return irredundant, grows
 
 
+def conjugate(spec, x, g):
+    """g x g^-1 in spec."""
+    return spec.mul(spec.mul(g, x), spec.inv(g))
+
+
 def conjugated(t: GeneratingTuple, g) -> GeneratingTuple:
-    return GeneratingTuple(t.group, tuple(t.group.conjugate(x, g) for x in t.items))
+    return GeneratingTuple(t.group, tuple(conjugate(t.group, x, g) for x in t.items))
+
+
+def simple_by_normal_closures(spec) -> bool:
+    """Brute-force simplicity of a small finite group: it is nontrivial
+    and every non-identity conjugacy class has the whole group as its
+    normal closure."""
+    if spec.order == 1:
+        return False
+    els = spec.elements()
+    e_key = spec.encode(spec.identity())
+    seen = set()
+    for x in els:
+        if spec.encode(x) == e_key or spec.encode(x) in seen:
+            continue
+        cls = {spec.encode(y): y for y in (conjugate(spec, x, g) for g in els)}
+        seen.update(cls)
+        if closure(GeneratingTuple(spec, tuple(cls.values()))).order < spec.order:
+            return False
+    return True
 
 
 def _check_length(mv: NielsenMove, n: int) -> None:

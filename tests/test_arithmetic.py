@@ -9,8 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from genrank import arithmetic
-from genrank.arithmetic import (DenominatorClash, DensityCertificate,
-                                NotCertifiedReport, PlanConfig,
+from genrank.arithmetic import (DenominatorClash, DensityCertificate, PlanConfig,
                                 RationalMatrix, RationalTuple, assess_irredundancy,
                                 assess_nielsen_irredundancy, certify_density,
                                 deserialize_certificate, plan_primes,
@@ -131,7 +130,7 @@ def test_plan_explicit_primes():
 
 def test_certify_standard_pair():
     result = certify_density(standard_pair())
-    assert isinstance(result, DensityCertificate)
+    assert isinstance(result, DensityCertificate) and result.certified
     assert result.witness_prime == 5
     assert result.evidence_kind == "closure-order"
     assert result.closure_order == 120
@@ -148,7 +147,7 @@ def test_certificate_replay_bytewise():
 
 def test_borel_pair_not_certified():
     result = certify_density(borel_pair())
-    assert isinstance(result, NotCertifiedReport)
+    assert isinstance(result, DensityCertificate) and not result.certified
     assert len(result.per_prime) == 10
     for rec in result.per_prime:
         assert not rec.generates
@@ -166,7 +165,7 @@ def test_certify_sl3_standard_pair():
                        rmat([[1, 1, 0], [0, 1, 0], [0, 0, 1]])))
     t0 = time.monotonic()
     result = certify_density(t)
-    assert isinstance(result, DensityCertificate)
+    assert isinstance(result, DensityCertificate) and result.certified
     assert result.witness_prime == 5
     assert result.closure_order == 372_000
     assert result.evidence_kind == "closure-order"
@@ -181,13 +180,34 @@ def test_sl3_unipotent_pair_not_certified():
     t = RationalTuple((rmat([[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
                        rmat([[1, 0, 0], [0, 1, 1], [0, 0, 1]])))
     result = certify_density(t)
-    assert isinstance(result, NotCertifiedReport)
+    assert isinstance(result, DensityCertificate) and not result.certified
     assert result.per_prime[0].diagnosis == "closure order 125"
     assert all(not r.generates for r in result.per_prime)
     assert all(r.diagnosis == "undecided: too large for closure evidence"
                for r in result.per_prime[1:])
     ok, msg = replay_certificate(serialize_certificate(result))
     assert ok, msg
+
+
+def test_uncertified_report_carries_no_evidence():
+    # certified or not, one record: a report that did not certify
+    # round-trips with null evidence, and evidence set by hand diverges
+    unipotent = RationalTuple((rmat([[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+                               rmat([[1, 0, 0], [0, 1, 1], [0, 0, 1]])))
+    for t in (borel_pair(), unipotent):
+        result = certify_density(t)
+        assert not result.certified
+        assert (result.witness_prime, result.evidence_kind, result.closure_order,
+                result.fast_test_reason) == (None, None, None, None)
+        s = serialize_certificate(result)
+        assert serialize_certificate(deserialize_certificate(s)) == s
+        for key, value in (("witness_prime", 5), ("evidence_kind", "closure-order"),
+                           ("closure_order", 120)):
+            doc = json.loads(s)
+            doc[key] = value
+            bad = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+            assert replay_certificate(bad) == (
+                False, "replay diverged from the stored certificate"), key
 
 
 def test_tampered_certificate_fails_replay():

@@ -9,11 +9,10 @@ from genrank import groups
 from genrank.fp import FpMatrix, canonical_rep, projective_canonicalize
 from genrank.groups import (CyclicPower, GeneratingTuple, Integers,
                             ProductGroup, ProjSpecialLinear, SpecialLinear,
-                            _simple_by_normal_closures, closure,
-                            is_generating, is_simple_finite, product_generates,
+                            closure, is_generating, is_simple_finite, product_generates,
                             sl2_generation_report, sl_order, subgroup_order)
 from genrank.indexed import IndexedGroup
-from reference import small_abelian_groups
+from reference import simple_by_normal_closures, small_abelian_groups
 
 
 def standard_pair(spec):
@@ -282,14 +281,25 @@ def test_simplicity_rule_matches_normal_closures():
     specs = [kind(n, p) for kind in (SpecialLinear, ProjSpecialLinear)
              for n in (2, 3, 4) for p in (2, 3, 5, 7, 11) if sl_order(n, p) <= 500]
     assert len(specs) == 10
+    # cyclic powers, trivial, prime, composite and of rank above 1
+    specs += [CyclicPower(m, k) for m, k in ((1, 1), (1, 3), (2, 1), (4, 1), (5, 1), (6, 1),
+                                             (7, 1), (9, 1), (2, 2), (3, 2), (2, 3))]
+    # two-factor products with a trivial factor or none, nested included
+    trivial, c5, a5 = CyclicPower(1, 2), CyclicPower(5, 1), ProjSpecialLinear(2, 5)
+    specs += [ProductGroup(fs) for fs in (
+        (trivial, a5), (a5, trivial), (trivial, c5), (trivial, CyclicPower(1, 1)),
+        (trivial, SpecialLinear(2, 5)), (CyclicPower(2, 1), CyclicPower(3, 1)),
+        (c5, c5), (a5, CyclicPower(2, 1)), (ProductGroup((c5, trivial)), trivial))]
     for spec in specs:
-        assert is_simple_finite(spec) == _simple_by_normal_closures(spec), spec
-    # past the brute-force bound the rule still answers
+        assert is_simple_finite(spec) == simple_by_normal_closures(spec), spec
+    assert sum(map(is_simple_finite, specs)) == 11
+    # past the brute force's reach the rule still answers
     assert is_simple_finite(SpecialLinear(3, 5))        # centre of order gcd(3, 4) = 1
     assert not is_simple_finite(SpecialLinear(3, 7))    # centre of order 3
     assert is_simple_finite(ProjSpecialLinear(3, 7))
-    with pytest.raises(ValueError):
-        is_simple_finite(CyclicPower(7, 4))
+    assert is_simple_finite(CyclicPower(65521, 1))
+    assert not is_simple_finite(CyclicPower(7, 4))
+    assert not is_simple_finite(Integers())
 
 
 def test_psl_elements_are_canonical_matrices():
@@ -325,11 +335,11 @@ def test_psl2_isomorphism_count(pgl2):
             prod, tuple((x, conjugate(c, x)) for x in pair)))
         assert not rep.generates
         if c.is_identity():
-            assert rep.diagnosis == "graph of identity"
+            assert rep.reason == "graph of identity"
         else:
-            assert rep.diagnosis == ("graph of isomorphism (conjugation by "
+            assert rep.reason == ("graph of isomorphism (conjugation by "
                                      f"{list(map(list, c.rows()))} mod 5)")
-        diagnoses.add(rep.diagnosis)
+        diagnoses.add(rep.reason)
         assert len(rep.isomorphism) == 60
         for x in g.elements():
             assert g.encode(rep.isomorphism[g.encode(x)]) == \
@@ -347,7 +357,7 @@ def test_product_generates_mixed_factors():
     b2 = projective_canonicalize(FpMatrix.from_rows(7, [[1, 1], [0, 1]]))
     rep = product_generates(GeneratingTuple(prod, ((a1, a2), (b1, b2))))
     assert rep.generates
-    assert "non-isomorphic" in rep.diagnosis
+    assert "non-isomorphic" in rep.reason
 
 
 def test_product_rejects_diagonal():
@@ -357,7 +367,7 @@ def test_product_rejects_diagonal():
     b = projective_canonicalize(FpMatrix.from_rows(5, [[1, 1], [0, 1]]))
     rep = product_generates(GeneratingTuple(prod, ((a, a), (b, b))))
     assert not rep.generates
-    assert rep.diagnosis == "graph of identity"
+    assert rep.reason == "graph of identity"
     assert rep.isomorphism is not None
 
 
@@ -372,7 +382,7 @@ def test_product_rejects_twisted_diagonal():
                                      (b, p1.mul(p1.mul(c, b), ci))))
     rep = product_generates(twisted)
     assert not rep.generates
-    assert "graph of isomorphism" in rep.diagnosis
+    assert "graph of isomorphism" in rep.reason
 
 
 def test_product_proper_projection():
@@ -385,7 +395,7 @@ def test_product_proper_projection():
     u2 = projective_canonicalize(FpMatrix.from_rows(7, [[1, 3], [0, 1]]))
     rep = product_generates(GeneratingTuple(prod, ((a1, t2), (b1, u2))))
     assert not rep.generates
-    assert rep.diagnosis == "projection 2 proper"
+    assert rep.reason == "projection 2 proper"
 
 
 def test_product_agreement_with_closure_sample():
@@ -399,7 +409,7 @@ def test_product_agreement_with_closure_sample():
                                         for _ in range(k)))
         rep = product_generates(t)
         brute = len(closure(t).elements) == full
-        assert rep.generates == brute, rep.diagnosis
+        assert rep.generates == brute, rep.reason
 
 
 def test_descriptor_round_trip():

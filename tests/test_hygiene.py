@@ -96,6 +96,29 @@ def test_no_module_level_caches():
     assert sorted(found - _ALLOWED_CACHES) == []
 
 
+def _dataclass_fields(tree: ast.Module):
+    """(name, field names in order) of each dataclass that declares a
+    field of its own."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and \
+                any(_name(d) == "dataclass" for d in node.decorator_list):
+            fields = tuple(stmt.target.id for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name))
+            if fields:
+                yield node.name, fields
+
+
+def test_no_two_dataclasses_share_their_fields():
+    # two dataclasses with the same field names in the same order are one
+    # record spelt twice
+    owners: dict = {}
+    for p in sorted(SRC.glob("*.py")):
+        for name, fields in _dataclass_fields(ast.parse(p.read_text(), str(p))):
+            owners.setdefault(fields, []).append(f"{p.stem}.{name}")
+    assert ("prime", "generates", "diagnosis") in owners      # the check sees the records
+    assert [names for names in owners.values() if len(names) > 1] == []
+
+
 def test_commands_do_not_import_numpy_ma(tmp_path):
     # plain np.unique imports numpy.ma (about 11 ms) on its first call,
     # scipy would be imported inside every command that used it, and

@@ -13,7 +13,7 @@ from genrank.groups import (CyclicPower, GeneratingTuple, ProductGroup,
 from genrank import indexed
 from genrank.indexed import MAX_INDEXED_ORDER, IndexedGroup
 from genrank.nielsen import _move_cells, _moved, _row_keys, all_moves
-from reference import closure_generates, closure_mask, conj_table, generates
+from reference import closure_generates, closure_mask, conj_table, conjugate, generates
 
 # past 256 residues the encoding order is not the residue order
 Z300 = CyclicPower(300, 1)
@@ -94,7 +94,7 @@ def test_conjugation_table():
         ix = IndexedGroup(spec)
         els, conj = ix.tuple_of(range(ix.n)).items, conj_table(ix)
         for g, x in itertools.product(range(ix.n), repeat=2):
-            assert els[conj[g, x]] == spec.conjugate(els[x], els[g])
+            assert els[conj[g, x]] == conjugate(spec, els[x], els[g])
 
 
 def _reference_class_data(ix, conj):

@@ -130,7 +130,7 @@ def test_generic_and_indexed_walk_agree():
             assert is_nielsen_redundant(t).verdict == verdict
         # an irredundant class: no entry is droppable before the first move
         ix = IndexedGroup(spec)
-        t = ix.tuple_of(max_irredundant_size(spec).stats["classes"][size][-1])
+        t = ix.tuple_of(_searched_rank(spec, SearchLimits())[2][size][-1])
         verdict = _orbit_walk_generic(spec, t.items, SearchLimits())[0]
         assert is_nielsen_redundant(t).verdict == verdict == (
             "NielsenIrredundant" if size == 2 else "NielsenRedundant")
@@ -248,7 +248,7 @@ def reference_walk(ix, start, verdicts=None):
     ProjSpecialLinear(2, 5), SpecialLinear(2, 5), ProjSpecialLinear(2, 7)), ids=case_id)
 def test_layer_walk_matches_reference_walk_on_every_irredundant_class(spec):
     ix = IndexedGroup(spec)
-    for size, sets in max_irredundant_size(spec).stats["classes"].items():
+    for size, sets in _searched_rank(spec, SearchLimits())[2].items():
         for t in sets:
             assert nielsen._layer_walk(ix, t, 10 ** 9, math.inf) == reference_walk(ix, t), t
 
@@ -271,8 +271,8 @@ def test_ladder_rung_matches_reference_walk_on_every_irredundant_class(spec):
     redundant member exactly when the walk finds none, and the table
     holds the least conjugates of all orderings of the classes.  A class
     that an earlier walk visited takes that walk's verdict."""
-    res, ix = _searched_rank(spec, SearchLimits())
-    for size, sets in res.stats["classes"].items():
+    _, ix, classes = _searched_rank(spec, SearchLimits())
+    for size, sets in classes.items():
         count, clean = nielsen._ladder_rung(ix, np.array(sets, dtype=np.int32), 10 ** 9,
                                             math.inf)
         verdicts: dict = {}
@@ -327,7 +327,7 @@ def test_mu_ladder_stops_at_the_largest_clean_size(monkeypatch):
     bound."""
     spec = ProjSpecialLinear(2, 7)
     ix = IndexedGroup(spec)
-    classes = max_irredundant_size(spec).stats["classes"]
+    classes = _searched_rank(spec, SearchLimits())[2]
     none = {k: [False] * len(classes[k]) for k in (3, 4)}
     cases = (({4: [False, True], 3: None}, (4, 1), True, [4]),
              ({4: None, 3: [False] * 5 + [True] * 102}, (3, 5), False, [4, 3]),
@@ -352,7 +352,7 @@ def test_ladder_rung_builds_its_table_in_slices(monkeypatch):
     # time; a deadline that passes during the first slice stops the rung
     spec = ProjSpecialLinear(2, 7)
     ix = IndexedGroup(spec)
-    sets = np.array(max_irredundant_size(spec).stats["classes"][3], dtype=np.int32)
+    sets = np.array(_searched_rank(spec, SearchLimits())[2][3], dtype=np.int32)
     count, clean = nielsen._ladder_rung(ix, sets, 10 ** 9, math.inf)
     monkeypatch.setattr(nielsen, "_SLICE_ROWS", 256)
     calls, canonical = [], ix.canonical_tuples

@@ -193,11 +193,10 @@ ELEMENT_CLASSES = {
 
 def test_class_counts_per_size():
     for spec, counts in ELEMENT_CLASSES.items():
-        res = max_irredundant_size(spec)
+        res, ix, found = redundancy._searched_rank(spec, SearchLimits())
         assert res.exhaustive and res.value == max(counts)
         assert res.stats["recorded"] == counts, spec.descriptor()
-        ix = indexed.IndexedGroup(spec)
-        for size, classes in res.stats["classes"].items():
+        for size, classes in found.items():
             assert classes == sorted(set(classes))
             assert all(tuple(ix.canonical_sets(np.array([c], dtype=np.int32))[0].tolist()) == c
                        for c in classes)
